@@ -36,12 +36,12 @@ from .constructions import (
 )
 from .errors import BadConfig, SketchboundsError
 from .matrices import (
+    OneSparseMap,
     SparseMatrix,
     apply,
+    artifact_from_json,
     canonical_json,
     column_sparsity,
-    load_matrix,
-    load_one_sparse_map,
     matrix_to_json,
     one_sparse_map_to_json,
     stream_update,
@@ -104,7 +104,7 @@ def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> Exper
         raise BadConfig("config key 'params' must be an object")
     seed = raw.get("seed", 0) if seed is None else seed
     trials = raw.get("trials")
-    if trials is not None and (not isinstance(trials, int) or trials < 1):
+    if trials is not None and (isinstance(trials, bool) or not isinstance(trials, int) or trials < 1):
         raise BadConfig(f"config key 'trials' must be a positive integer, got {trials!r}")
     out = raw.get("output_path") if out is None else out
     fmt = (raw.get("output_format", "json") if fmt is None else fmt).lower()
@@ -116,14 +116,19 @@ def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> Exper
     )
 
 
+def _finite(value) -> bool:
+    """Whether `value` is a number a float holds: no bool, NaN, infinity or huge int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _need(params: dict, key: str, kind=None):
     if key not in params:
         raise BadConfig(f"missing required param {key!r}")
     value = params[key]
-    if kind is int and not isinstance(value, int):
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise BadConfig(f"param {key!r} must be an integer, got {value!r}")
-    if kind is float and not isinstance(value, (int, float)):
-        raise BadConfig(f"param {key!r} must be a number, got {value!r}")
+    if kind is float and not _finite(value):
+        raise BadConfig(f"param {key!r} must be a finite number, got {value!r}")
     if kind is str and not isinstance(value, str):
         raise BadConfig(f"param {key!r} must be a string, got {value!r}")
     if kind is list and not isinstance(value, list):
@@ -187,16 +192,16 @@ def _run_measure(cfg: ExperimentConfig) -> tuple[str, int]:
     record: dict = {"measure": name, "params": params}
     witness = None
     if name == "coherence":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         value = coherence(A)
     elif name == "rip_exact":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         est = rip_constant_exact(A, _need(params, "k", int))
         value = {"delta": est.delta, "k": est.k, "mode": est.mode,
                  "worst_support": list(est.worst_support)}
         witness = est.worst_direction.tolist()
     elif name == "rip_lower_estimate":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         if cfg.trials is None:
             raise BadConfig("rip_lower_estimate needs config key 'trials'")
         est = rip_constant_lower_estimate(A, _need(params, "k", int), cfg.trials, cfg.seed)
@@ -204,23 +209,22 @@ def _run_measure(cfg: ExperimentConfig) -> tuple[str, int]:
                  "worst_support": list(est.worst_support)}
         witness = est.worst_direction.tolist()
     elif name == "subspace_distortion":
-        path = _need(params, "input", str)
-        A = _load_matrix_or_map(path)
+        A = _load_artifact(_need(params, "input", str), (SparseMatrix, OneSparseMap))
         lo, hi = subspace_distortion(A, _need(params, "indices", list))
         value = {"sigma_min": lo, "sigma_max": hi}
     elif name == "row_mass_profile":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         prof = row_mass_profile(A, _need(params, "x", float))
         value = {"x": prof.x, "limit": prof.limit,
                  "per_row": [list(pq) for pq in prof.per_row],
                  "flagged_rows": list(prof.flagged_rows)}
     elif name == "scale_profile":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         prof = scale_profile(A, _need(params, "column", int))
         value = {"column": prof.column, "t": prof.t, "threshold": prof.threshold,
                  "required_count": prof.required_count, "actual_count": prof.actual_count}
     elif name == "column_sparsity":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         value = column_sparsity(A)
     else:
         raise BadConfig(f"unknown measure {name!r}")
@@ -230,17 +234,14 @@ def _run_measure(cfg: ExperimentConfig) -> tuple[str, int]:
     return canonical_json(record), 0
 
 
-def _load_matrix_or_map(path: str):
+def _load_artifact(path: str, kind=SparseMatrix):
+    """The matrix or one-sparse map stored at `path` (its JSON keys say
+    which), which must be an instance of `kind`."""
     with open(path) as fh:
-        text = fh.read()
-    obj = json.loads(text)
-    if isinstance(obj, dict) and "a" in obj:
-        from .matrices import one_sparse_map_from_json
-
-        return one_sparse_map_from_json(text)
-    from .matrices import matrix_from_json
-
-    return matrix_from_json(text)
+        artifact = artifact_from_json(fh.read())
+    if not isinstance(artifact, kind):
+        raise BadConfig(f"input {path} holds a {type(artifact).__name__}, which this command cannot use")
+    return artifact
 
 
 # --- witness --------------------------------------------------------------------
@@ -262,20 +263,20 @@ def _run_witness(cfg: ExperimentConfig) -> tuple[str, int]:
         }
         return canonical_json(payload), 0
     if name == "row_mass":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         cert = row_mass_violation_search(A, _need(params, "eps", float))
     elif name == "ttype_collision":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         cert = ttype_collision_certify(A, _need(params, "eps", float), _need(params, "t", int))
     elif name == "sign_pattern":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         cert = sign_pattern_certify(A, _need(params, "eps", float), _need(params, "t", int),
                                     full_enumeration=bool(params.get("full_enumeration", False)))
     elif name == "rip_pattern":
-        A = load_matrix(_need(params, "input", str))
+        A = _load_artifact(_need(params, "input", str))
         cert = rip_pattern_witness(A, _need(params, "k", int))
     elif name == "ose_collision":
-        S = load_one_sparse_map(_need(params, "input", str))
+        S = _load_artifact(_need(params, "input", str), OneSparseMap)
         indices = params.get("indices")
         cert = ose_collision_witness(S, range(S.n) if indices is None else indices)
     else:
@@ -293,6 +294,9 @@ def _evaluate_formula(formula: str, args: dict) -> dict:
     missing = [p for p in names if p not in args]
     if missing:
         raise BadConfig(f"formula {formula!r} needs params {', '.join(names)}; missing {missing}")
+    bad = [p for p in names if not _finite(args[p])]
+    if bad:
+        raise BadConfig(f"formula {formula!r} needs finite numbers; got {', '.join(f'{p}={args[p]!r}' for p in bad)}")
     bv = fn(**{p: args[p] for p in names})
     value = list(bv.value) if isinstance(bv.value, tuple) else bv.value
     return {
@@ -357,7 +361,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[str, int]:
             point = dict(fixed)
             point[axis] = v
             report = ose_failure_probability(
-                int(point["m"]), int(point["d"]), int(point["n"]),
+                _need(point, "m", int), _need(point, "d", int), _need(point, "n", int),
                 cfg.trials, derive_seed(cfg.seed, idx),
             )
             rows.append((v, report.rate))

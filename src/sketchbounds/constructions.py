@@ -27,21 +27,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import json
-
 import numpy as np
 
 from .errors import (
     Exhausted,
     IndexOutOfRange,
     InvalidDimension,
+    InvalidEntry,
     InvalidSparsity,
+    MalformedArtifact,
     NotDivisible,
     ShapeMismatch,
     TooFewWords,
     TooLarge,
 )
-from .matrices import SparseMatrix, OneSparseMap, canonical_json
+from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, canonical_json
 from .rng import substream
 
 
@@ -51,22 +51,21 @@ class Code:
     __slots__ = ("q", "t", "words")
 
     def __init__(self, q: int, t: int, words: Sequence[Sequence[int]]):
-        q = int(q)
-        t = int(t)
+        q, t = _integer(q, "alphabet size"), _integer(t, "block length")
         if q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {q}")
+            raise InvalidDimension(f"alphabet size must be >= 2, got {q}")
         if t < 1:
-            raise ValueError(f"block length must be >= 1, got {t}")
-        arr = np.asarray(words, dtype=np.int64)
+            raise InvalidDimension(f"block length must be >= 1, got {t}")
+        arr = _array(words, "iu", "codeword symbols must be integers").astype(np.int64)
         if arr.ndim != 2 or arr.shape[1] != t:
-            raise ValueError(f"words must form an N x {t} array")
+            raise ShapeMismatch(f"words must form an N x {t} array")
         if arr.shape[0] < 1:
-            raise ValueError("a code needs at least one word")
+            raise InvalidDimension("a code needs at least one word")
         if arr.size and (arr.min() < 0 or arr.max() >= q):
-            raise ValueError(f"symbols must lie in [0, {q})")
+            raise InvalidEntry(f"symbols must lie in [0, {q})")
         seen = set(map(tuple, arr.tolist()))
         if len(seen) != arr.shape[0]:
-            raise ValueError("codewords must be distinct")
+            raise InvalidEntry("codewords must be distinct")
         arr.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
@@ -96,12 +95,9 @@ def code_to_json(c: Code) -> str:
 
 
 def code_from_json(text: str) -> Code:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid code JSON: {exc}") from exc
+    obj = _parse(text, "code")
     if not isinstance(obj, dict) or not {"q", "t", "words"} <= set(obj):
-        raise ValueError("code JSON must be an object with keys q, t, words")
+        raise MalformedArtifact("code JSON must be an object with keys q, t, words")
     return Code(obj["q"], obj["t"], obj["words"])
 
 
@@ -170,31 +166,38 @@ def code_to_incoherent(c: Code) -> SparseMatrix:
     The result has q*t rows, one column per word, and pairwise column dot
     products equal to (number of agreeing positions) / t.
     """
-    value = 1.0 / math.sqrt(c.t)
-    cols = [
-        [(j * c.q + int(sym), value) for j, sym in enumerate(word)]
-        for word in c.words
-    ]
-    return SparseMatrix(c.q * c.t, c.size, cols)
+    indices = (np.arange(c.t) * c.q + c.words).ravel()
+    data = np.full(indices.size, 1.0 / math.sqrt(c.t))
+    return SparseMatrix.from_csc(c.q * c.t, c.size, np.arange(c.size + 1) * c.t, indices, data)
 
 
 # --- random matrix samplers ---------------------------------------------------
+
+def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows) -> SparseMatrix:
+    """s entries of +-1/sqrt(s) per column.  Column j draws from its own
+    stream substream(seed, j): first its sorted rows, ``draw_rows(g)``, then
+    its s signs."""
+    if n < 1:
+        raise InvalidDimension(f"need n >= 1 columns, got {n}")
+    rows = np.empty((n, s), dtype=np.int64)
+    data = np.empty((n, s))
+    for j in range(n):
+        g = substream(seed, j)
+        rows[j] = draw_rows(g)
+        data[j] = g.integers(0, 2, size=s)
+    # in place, so the matrix keeps these two arrays and no others are made
+    data *= 2.0
+    data -= 1.0
+    data *= 1.0 / math.sqrt(s)
+    return SparseMatrix.from_csc(m, n, np.arange(n + 1) * s, rows.ravel(), data.ravel())
+
 
 def sample_sparse_sign_jl(m: int, n: int, s: int, seed: int) -> SparseMatrix:
     """Sign matrix with s nonzeros per column: rows are a uniform s-subset of
     [m], values independent +-1/sqrt(s)."""
     if not 1 <= s <= m:
         raise InvalidSparsity(f"sparsity s={s} must lie in [1, m={m}]")
-    if n < 1:
-        raise ValueError(f"need n >= 1 columns, got {n}")
-    scale = 1.0 / math.sqrt(s)
-    cols = []
-    for j in range(n):
-        g = substream(seed, j)
-        rows = np.sort(g.choice(m, size=s, replace=False))
-        signs = g.integers(0, 2, size=s) * 2 - 1
-        cols.append(list(zip(rows.tolist(), (signs * scale).tolist())))
-    return SparseMatrix(m, n, cols)
+    return _sample_sign_columns(m, n, s, seed, lambda g: np.sort(g.choice(m, size=s, replace=False)))
 
 
 def sample_osnap_block(m: int, n: int, s: int, seed: int) -> SparseMatrix:
@@ -204,18 +207,9 @@ def sample_osnap_block(m: int, n: int, s: int, seed: int) -> SparseMatrix:
         raise InvalidSparsity(f"sparsity s={s} must lie in [1, m={m}]")
     if m % s != 0:
         raise NotDivisible(f"s={s} must divide m={m} for block sampling")
-    if n < 1:
-        raise ValueError(f"need n >= 1 columns, got {n}")
     b = m // s
-    scale = 1.0 / math.sqrt(s)
     block_starts = np.arange(s, dtype=np.int64) * b
-    cols = []
-    for j in range(n):
-        g = substream(seed, j)
-        rows = block_starts + g.integers(0, b, size=s)
-        signs = g.integers(0, 2, size=s) * 2 - 1
-        cols.append(list(zip(rows.tolist(), (signs * scale).tolist())))
-    return SparseMatrix(m, n, cols)
+    return _sample_sign_columns(m, n, s, seed, lambda g: block_starts + g.integers(0, b, size=s))
 
 
 def sample_countsketch(m: int, n: int, seed: int) -> OneSparseMap:

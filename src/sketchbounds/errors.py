@@ -26,6 +26,16 @@ class IndexOutOfRange(SketchboundsError):
     """A row or column index falls outside the matrix shape."""
 
 
+class InvalidEntry(SketchboundsError):
+    """A stored value is of the wrong kind: a non-finite value, a non-integer
+    where an index is expected, rows out of order or repeated, or a sign
+    other than +-1."""
+
+
+class MalformedArtifact(SketchboundsError):
+    """Artifact JSON does not parse or lacks the structure of its format."""
+
+
 # --- samplers and code constructions ----------------------------------------
 
 class Exhausted(SketchboundsError):

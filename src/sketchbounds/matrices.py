@@ -1,68 +1,139 @@
 """Column-sparse matrices, one-sparse maps, and their JSON formats.
 
-The central type is :class:`SparseMatrix`: a column-major sparse matrix whose
-columns store (row, value) pairs with strictly increasing row indices and no
-stored zeros.  All values are double precision and all indices are 0-based.
-Instances are immutable after construction; every operation returns fresh
-data.  The lone deliberate exception is :func:`stream_update`, which
-accumulates into a caller-owned sketch buffer so that one turnstile update
-costs O(nonzeros of that column) instead of O(m).
+The central type is :class:`SparseMatrix`, stored in compressed sparse column
+(CSC) form as three read-only arrays ``indptr``, ``indices`` and ``data``:
+column j's rows are ``indices[indptr[j]:indptr[j + 1]]``, strictly
+increasing, and its values the same slice of ``data``, none of them zero, so
+``np.diff(indptr)`` is each column's sparsity.  Every constructor, from
+(row, value) pairs, a dense array or CSC arrays (:meth:`SparseMatrix.from_csc`),
+goes through one vectorized validator.  All values are double precision and
+all indices are 0-based.  Instances are immutable after construction; every
+operation returns fresh data.  The lone deliberate exception is
+:func:`stream_update`, which accumulates into a caller-owned sketch buffer so
+that one turnstile update costs O(nonzeros of that column) instead of O(m).
 
 Matrices serialize to JSON as ``{"m": int, "n": int, "cols": [[[row, value],
 ...], ...]}`` with one entry list per column.  One-sparse maps serialize as
 ``{"m": int, "n": int, "a": [...], "sigma": [...]}``.  Loaders reject
-non-finite values, duplicate or decreasing row indices, and out-of-range
-indices.
+non-finite values, non-integer, duplicate, decreasing or out-of-range
+indices, and malformed JSON with a ``SketchboundsError``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, ZeroColumn
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidDimension,
+    InvalidEntry,
+    MalformedArtifact,
+    ZeroColumn,
+)
 
 
-def _as_column(m: int, pairs: Iterable[tuple[int, float]], j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one column's (row, value) pairs and freeze them as arrays."""
-    pairs = [(int(r), float(v)) for r, v in pairs]
-    kept_rows = []
-    kept_vals = []
-    for r, v in pairs:
-        if not math.isfinite(v):
-            raise ValueError(f"column {j}: non-finite value {v!r} at row {r}")
-        if not 0 <= r < m:
-            raise IndexOutOfRange(f"column {j}: row index {r} outside [0, {m})")
-        if v != 0.0:  # constructors drop explicit zeros
-            kept_rows.append(r)
-            kept_vals.append(v)
-    rows = np.asarray(kept_rows, dtype=np.int64)
-    vals = np.asarray(kept_vals, dtype=np.float64)
-    if rows.size > 1 and not np.all(np.diff(rows) > 0):
-        raise ValueError(f"column {j}: row indices must be strictly increasing with no duplicates")
-    rows.flags.writeable = False
-    vals.flags.writeable = False
-    return rows, vals
+def _integer(value, what: str) -> int:
+    """`value` as an int; bools and non-integral numbers are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidDimension(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _holds_bool(values) -> bool:
+    """Whether a list or tuple, or any list or tuple nested in it, holds a bool."""
+    if not isinstance(values, (list, tuple)):
+        return False
+    types = set(map(type, values))
+    return bool in types or bool(types & {list, tuple}) and any(map(_holds_bool, values))
+
+
+def _array(values, kinds: str, message: str) -> np.ndarray:
+    """`values` as an array of dtype kind in `kinds` ("iu" integers, "iuf"
+    numbers).  Bools are refused even among ints, where NumPy converts them."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidEntry(message) from exc
+    if (arr.size and arr.dtype.kind not in kinds) or _holds_bool(values):
+        raise InvalidEntry(message)
+    return arr
+
+
+def _locate(indptr: np.ndarray, indices: np.ndarray, p: int) -> str:
+    """Where stored entry number p sits, for error messages."""
+    return f"column {int(np.searchsorted(indptr, p, side='right')) - 1}, row {int(indices[p])}"
 
 
 class SparseMatrix:
-    """An m-by-n real matrix stored as per-column (row, value) arrays."""
+    """An m-by-n real matrix as CSC arrays ``indptr`` (length n + 1),
+    ``indices`` and ``data`` (length nnz); see the module docstring.  The
+    constructor takes per-column (row, value) pairs and drops explicit zeros,
+    as :meth:`from_dense` and :meth:`from_csc` do."""
 
-    __slots__ = ("m", "n", "_cols")
+    __slots__ = ("m", "n", "indptr", "indices", "data")
 
     def __init__(self, m: int, n: int, columns: Sequence[Iterable[tuple[int, float]]]):
-        m = int(m)
-        n = int(n)
+        columns = [list(col) for col in columns]
+        indptr = np.cumsum([0] + [len(col) for col in columns])
+        rows = [r for col in columns for r, _ in col]
+        vals = [v for col in columns for _, v in col]
+        self._freeze(m, n, indptr, rows, vals)
+
+    @classmethod
+    def from_csc(cls, m: int, n: int, indptr, indices, data) -> "SparseMatrix":
+        """Build from CSC arrays: column j's rows are ``indices[indptr[j]:indptr[j+1]]``
+        and its values the same slice of ``data``, checked exactly as the pairs
+        constructor checks its input.
+
+        Arrays that already have the stored dtype (int64 indices, float64
+        values) and need no explicit zeros dropped become the matrix's own
+        storage, not copies, and are made read-only; pass copies to keep
+        writing to your own.
+        """
+        A = cls.__new__(cls)
+        A._freeze(m, n, indptr, indices, data)
+        return A
+
+    def _freeze(self, m, n, indptr, indices, data) -> None:
+        """Validate the CSC arrays, drop explicit zeros, and store them read-only."""
+        m, n = _integer(m, "row count"), _integer(n, "column count")
         if m < 1 or n < 1:
-            raise ValueError(f"matrix shape must be positive, got {m}x{n}")
-        if len(columns) != n:
-            raise DimensionMismatch(f"expected {n} columns, got {len(columns)}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_cols", tuple(_as_column(m, col, j) for j, col in enumerate(columns)))
+            raise InvalidDimension(f"matrix shape must be positive, got {m}x{n}")
+        indptr = _array(indptr, "iu", "indptr must hold integers").astype(np.int64, copy=False)
+        indices = _array(indices, "iu", "row indices must be integers").astype(np.int64, copy=False)
+        data = _array(data, "iuf", "values must be numbers").astype(np.float64, copy=False)
+        if indptr.shape != (n + 1,):
+            raise DimensionMismatch(f"expected {n} columns, got {indptr.size - 1}")
+        nnz = indices.size
+        if indices.shape != (nnz,) or data.shape != (nnz,) or indptr[0] != 0 or indptr[-1] != nnz \
+                or np.any(np.diff(indptr) < 0):
+            raise DimensionMismatch("indptr must rise from 0 to the number of indices and values")
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise InvalidEntry(f"non-finite value {float(data[bad[0]])!r} at {_locate(indptr, indices, bad[0])}")
+        bad = np.flatnonzero((indices < 0) | (indices >= m))
+        if bad.size:
+            raise IndexOutOfRange(f"row index outside [0, {m}) at {_locate(indptr, indices, bad[0])}")
+        keep = data != 0.0  # constructors drop explicit zeros
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            indices, data = indices[keep], data[keep]
+        # Each step between neighbouring entries must rise, except where a
+        # new column starts.
+        rises = indices[1:] > indices[:-1]
+        starts = indptr[1:-1]
+        rises[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+        bad = np.flatnonzero(~rises)
+        if bad.size:
+            raise InvalidEntry(f"rows must be strictly increasing, with no duplicates, at {_locate(indptr, indices, bad[0] + 1)}")
+        for arr in (indptr, indices, data):
+            arr.flags.writeable = False
+        for name, value in zip(self.__slots__, (m, n, indptr, indices, data)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
@@ -71,26 +142,25 @@ class SparseMatrix:
     def from_dense(cls, array) -> "SparseMatrix":
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2:
-            raise ValueError("expected a 2-d array")
+            raise InvalidDimension("expected a 2-d array")
         m, n = arr.shape
-        cols = []
-        for j in range(n):
-            nz = np.nonzero(arr[:, j])[0]
-            cols.append([(int(r), float(arr[r, j])) for r in nz])
-        return cls(m, n, cols)
+        cols, rows = np.nonzero(arr.T)  # column-major order
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+        return cls.from_csc(m, n, indptr, rows, arr[rows, cols])
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (row indices, values) for column j."""
+        """Return read-only views (row indices, values) of column j."""
         if not 0 <= j < self.n:
             raise IndexOutOfRange(f"column index {j} outside [0, {self.n})")
-        return self._cols[j]
+        a, b = self.indptr[j], self.indptr[j + 1]
+        return self.indices[a:b], self.data[a:b]
 
     def column_nnz(self, j: int) -> int:
         return int(self.column(j)[0].size)
 
     @property
     def nnz(self) -> int:
-        return sum(rows.size for rows, _ in self._cols)
+        return int(self.indptr[-1])
 
     def column_dense(self, j: int) -> np.ndarray:
         rows, vals = self.column(j)
@@ -100,8 +170,7 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.m, self.n))
-        for j, (rows, vals) in enumerate(self._cols):
-            out[rows, j] = vals
+        out[self.indices, np.repeat(np.arange(self.n), np.diff(self.indptr))] = self.data
         return out
 
     def submatrix_dense(self, indices: Sequence[int]) -> np.ndarray:
@@ -115,11 +184,9 @@ class SparseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        if (self.m, self.n) != (other.m, other.n):
-            return False
-        return all(
-            np.array_equal(ra, rb) and np.array_equal(va, vb)
-            for (ra, va), (rb, vb) in zip(self._cols, other._cols)
+        return (self.m, self.n) == (other.m, other.n) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("indptr", "indices", "data")
         )
 
     def __hash__(self):
@@ -140,18 +207,17 @@ class OneSparseMap:
     __slots__ = ("m", "n", "a", "sigma")
 
     def __init__(self, m: int, n: int, a: Sequence[int], sigma: Sequence[int]):
-        m = int(m)
-        n = int(n)
+        m, n = _integer(m, "row count"), _integer(n, "column count")
         if m < 1 or n < 1:
-            raise ValueError(f"map shape must be positive, got {m}x{n}")
-        a_arr = np.asarray(a, dtype=np.int64)
-        s_arr = np.asarray(sigma, dtype=np.int64)
+            raise InvalidDimension(f"map shape must be positive, got {m}x{n}")
+        a_arr = _array(a, "iu", "row choices must be integers").astype(np.int64)
+        s_arr = _array(sigma, "iu", "signs must be integers").astype(np.int64)
         if a_arr.shape != (n,) or s_arr.shape != (n,):
             raise DimensionMismatch(f"a and sigma must both have length {n}")
         if a_arr.size and (a_arr.min() < 0 or a_arr.max() >= m):
             raise IndexOutOfRange(f"row choices must lie in [0, {m})")
         if not np.all(np.abs(s_arr) == 1):
-            raise ValueError("signs must be +1 or -1")
+            raise InvalidEntry("signs must be +1 or -1")
         a_arr.flags.writeable = False
         s_arr.flags.writeable = False
         object.__setattr__(self, "m", m)
@@ -173,8 +239,7 @@ class OneSparseMap:
         return y
 
     def to_sparse_matrix(self) -> SparseMatrix:
-        cols = [[(int(self.a[i]), float(self.sigma[i]))] for i in range(self.n)]
-        return SparseMatrix(self.m, self.n, cols)
+        return SparseMatrix.from_csc(self.m, self.n, np.arange(self.n + 1), self.a, self.sigma)
 
     def submatrix_dense(self, indices: Sequence[int]) -> np.ndarray:
         out = np.zeros((self.m, len(indices)))
@@ -209,29 +274,33 @@ class OneSparseMap:
 
 def column_norms(A: SparseMatrix) -> np.ndarray:
     """Euclidean norm of every column, as a length-n array."""
-    return np.array([math.sqrt(float(vals @ vals)) for _, vals in A._cols])
+    # One dot product per column: a segmented np.add.reduceat sums in another
+    # order and can differ in the last bit.
+    return np.sqrt([vals @ vals for vals in np.split(A.data, A.indptr[1:-1])])
 
 
 def normalize_columns(A: SparseMatrix) -> SparseMatrix:
     """Scale every column to unit norm; sparsity patterns are unchanged."""
-    cols = []
-    for j, (rows, vals) in enumerate(A._cols):
-        norm = math.sqrt(float(vals @ vals))
-        if norm == 0.0:
-            raise ZeroColumn(f"column {j} has zero norm")
-        cols.append(list(zip(rows.tolist(), (vals / norm).tolist())))
-    return SparseMatrix(A.m, A.n, cols)
+    norms = column_norms(A)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroColumn(f"column {zero[0]} has zero norm")
+    return SparseMatrix.from_csc(A.m, A.n, A.indptr, A.indices, A.data / np.repeat(norms, np.diff(A.indptr)))
 
 
 def apply(A: SparseMatrix, x) -> np.ndarray:
-    """Compute A @ x, visiting only the columns where x is nonzero."""
+    """Compute A @ x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n,):
         raise DimensionMismatch(f"expected vector of length {A.n}, got shape {x.shape}")
+    terms = np.repeat(x, np.diff(A.indptr))
+    terms *= A.data
     y = np.zeros(A.m)
-    for i in np.nonzero(x)[0]:
-        rows, vals = A._cols[i]
-        y[rows] += x[i] * vals
+    # np.add.at adds the terms one at a time in storage order, so each y[r]
+    # rounds as a loop adding x[j] * column j for ascending j does.  Columns
+    # with x[j] == 0 add signed zeros, which leave every y[r] unchanged: y
+    # starts at +0.0 and a sum never turns into -0.0 from there.
+    np.add.at(y, A.indices, terms)
     return y
 
 
@@ -250,7 +319,18 @@ def stream_update(sketch: np.ndarray, A: SparseMatrix, i: int, v: float) -> np.n
 
 def column_sparsity(A: SparseMatrix) -> int:
     """Maximum number of nonzeros in any single column."""
-    return max(rows.size for rows, _ in A._cols)
+    return int(np.diff(A.indptr).max())
+
+
+def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's entries row by row, as CSR arrays ``(row_ptr, columns, values)``.
+
+    Row r's entries are the slice ``row_ptr[r]:row_ptr[r + 1]`` of the other
+    two arrays, in ascending column order (one stable sort of ``indices``).
+    """
+    order = np.argsort(A.indices, kind="stable")
+    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(A.indices, minlength=A.m))))
+    return row_ptr, np.repeat(np.arange(A.n), np.diff(A.indptr))[order], A.data[order]
 
 
 # --- JSON formats -------------------------------------------------------------
@@ -260,30 +340,45 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _parse(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedArtifact(f"invalid {what} JSON: {exc}") from exc
+
+
+def _matrix_from_object(obj) -> SparseMatrix:
+    if not isinstance(obj, dict) or not {"m", "n", "cols"} <= set(obj):
+        raise MalformedArtifact("matrix JSON must be an object with keys m, n, cols")
+    cols = obj["cols"]
+    if not isinstance(cols, list) or not all(isinstance(col, list) for col in cols):
+        raise MalformedArtifact("cols must be a list of per-column entry lists")
+    entries = [pair for col in cols for pair in col]
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in entries):
+        raise MalformedArtifact("each entry must be a [row, value] pair")
+    indptr = np.cumsum([0] + [len(col) for col in cols])
+    rows = [pair[0] for pair in entries]
+    vals = [pair[1] for pair in entries]
+    return SparseMatrix.from_csc(obj["m"], obj["n"], indptr, rows, vals)
+
+
+def _map_from_object(obj) -> OneSparseMap:
+    if not isinstance(obj, dict) or not {"m", "n", "a", "sigma"} <= set(obj):
+        raise MalformedArtifact("map JSON must be an object with keys m, n, a, sigma")
+    return OneSparseMap(obj["m"], obj["n"], obj["a"], obj["sigma"])
+
+
 def matrix_to_json(A: SparseMatrix) -> str:
-    cols = [[[int(r), float(v)] for r, v in zip(rows.tolist(), vals.tolist())] for rows, vals in A._cols]
+    ptr = A.indptr.tolist()
+    cols = [
+        [[r, v] for r, v in zip(A.indices[a:b].tolist(), A.data[a:b].tolist())]
+        for a, b in zip(ptr, ptr[1:])
+    ]
     return canonical_json({"m": A.m, "n": A.n, "cols": cols})
 
 
 def matrix_from_json(text: str) -> SparseMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid matrix JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not {"m", "n", "cols"} <= set(obj):
-        raise ValueError("matrix JSON must be an object with keys m, n, cols")
-    cols = obj["cols"]
-    if not isinstance(cols, list):
-        raise ValueError("cols must be a list of per-column entry lists")
-    columns = []
-    for col in cols:
-        entries = []
-        for pair in col:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError("each entry must be a [row, value] pair")
-            entries.append((pair[0], pair[1]))
-        columns.append(entries)
-    return SparseMatrix(obj["m"], obj["n"], columns)
+    return _matrix_from_object(_parse(text, "matrix"))
 
 
 def one_sparse_map_to_json(S: OneSparseMap) -> str:
@@ -291,13 +386,16 @@ def one_sparse_map_to_json(S: OneSparseMap) -> str:
 
 
 def one_sparse_map_from_json(text: str) -> OneSparseMap:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid map JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not {"m", "n", "a", "sigma"} <= set(obj):
-        raise ValueError("map JSON must be an object with keys m, n, a, sigma")
-    return OneSparseMap(obj["m"], obj["n"], obj["a"], obj["sigma"])
+    return _map_from_object(_parse(text, "map"))
+
+
+def artifact_from_json(text: str) -> SparseMatrix | OneSparseMap:
+    """Load either artifact kind, told apart by its keys: a one-sparse map
+    holds ``a``, a matrix holds ``cols``."""
+    obj = _parse(text, "artifact")
+    if isinstance(obj, dict) and "a" in obj:
+        return _map_from_object(obj)
+    return _matrix_from_object(obj)
 
 
 def save_matrix(A: SparseMatrix, path) -> None:

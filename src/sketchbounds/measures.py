@@ -188,12 +188,8 @@ def row_mass_profile(A: SparseMatrix, x: float) -> RowMassProfile:
     if x <= 0:
         raise NonpositiveThreshold(f"threshold x must be positive, got {x}")
     thr = math.sqrt(x)
-    pos = np.zeros(A.m, dtype=np.int64)
-    neg = np.zeros(A.m, dtype=np.int64)
-    for j in range(A.n):
-        rows, vals = A.column(j)
-        np.add.at(pos, rows[vals > thr], 1)
-        np.add.at(neg, rows[vals < -thr], 1)
+    pos = np.bincount(A.indices[A.data > thr], minlength=A.m)
+    neg = np.bincount(A.indices[A.data < -thr], minlength=A.m)
     per_row = tuple((int(p), int(q)) for p, q in zip(pos.tolist(), neg.tolist()))
     return RowMassProfile(x=float(x), per_row=per_row, limit=5.0 / x)
 

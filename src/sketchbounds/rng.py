@@ -20,7 +20,7 @@ _SEED_BOUND = 2**64
 
 def check_seed(seed: int) -> int:
     """Validate and return a 64-bit unsigned seed."""
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise BadArgs(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < _SEED_BOUND:
         raise BadArgs(f"seed must be in [0, 2^64), got {seed}")

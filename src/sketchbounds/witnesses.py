@@ -31,13 +31,14 @@ from .errors import (
     DegenerateColumn,
     EmptyIndexSet,
     IndexOutOfRange,
+    InvalidDimension,
     InvalidT,
     NoScaleFound,
     NotSignMatrix,
     PreconditionViolated,
     TooLarge,
 )
-from .matrices import SparseMatrix, OneSparseMap, apply, column_sparsity
+from .matrices import SparseMatrix, OneSparseMap, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count, scale_profile
 from .rng import derive_seed
 from .constructions import sample_countsketch, sample_coordinate_subspace
@@ -132,16 +133,6 @@ def verify_certificate(cert: Certificate, A: SparseMatrix | OneSparseMap, tol: f
 
 # --- row-mass overload search ---------------------------------------------------
 
-def _row_entries(A: SparseMatrix) -> list[list[tuple[int, float]]]:
-    """Transpose the column store into per-row (column, value) lists."""
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(A.m)]
-    for j in range(A.n):
-        r, v = A.column(j)
-        for rr, vv in zip(r.tolist(), v.tolist()):
-            rows[rr].append((j, vv))
-    return rows
-
-
 def _max_dot_pair(A: SparseMatrix, cols: Sequence[int]) -> tuple[int, int, float]:
     """The pair among `cols` with the largest |dot|; ties keep the first pair."""
     D = A.submatrix_dense(cols)
@@ -173,16 +164,17 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> Certificate:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     check_unit_columns(A)
     source = "row_mass_violation_search"
-    for r, entries in enumerate(_row_entries(A)):
-        if len(entries) < 2:
+    row_ptr, columns, values = to_csr(A)
+    for r in range(A.m):
+        cols = columns[row_ptr[r]:row_ptr[r + 1]]
+        vals = values[row_ptr[r]:row_ptr[r + 1]]
+        if cols.size < 2:
             continue
-        candidates = sorted({v * v for _, v in entries if v * v >= 2.0 * eps})
-        for x in candidates:
+        squares = vals * vals
+        for x in np.unique(squares[squares >= 2.0 * eps]):
             limit = 5.0 / x
-            pos = [j for j, v in entries if v > 0 and v * v >= x]
-            neg = [j for j, v in entries if v < 0 and v * v >= x]
-            for group in (pos, neg):
-                if len(group) >= limit:
+            for group in (cols[(vals > 0) & (squares >= x)], cols[(vals < 0) & (squares >= x)]):
+                if group.size >= limit:
                     i, j, dot = _max_dot_pair(A, group)
                     return Certificate(kind="incoherence_pair", source=source, i=i, j=j, dot=dot)
     return none_certificate(source)
@@ -271,9 +263,7 @@ def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> Certificate:
     Requires t/s > C * eps with C = 2/(1 - 1/sqrt(2)).  If the largest group
     has N >= 2 members, either some pair inside it has inner product above
     eps (returned as an incoherence pair) or the group pigeonhole forces
-    s >= t(N-1)/(2C), returned as a sparsity lower bound.  The zeroed-top-t
-    sum-of-vectors identity |sum u_j|^2 >= 0 underlying the bound is
-    recomputed as a sanity check.
+    s >= t(N-1)/(2C), returned as a sparsity lower bound.
     """
     source = "ttype_collision_certify"
     check_unit_columns(A)
@@ -296,16 +286,6 @@ def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> Certificate:
     if exposed is not None:
         i, j, dot = exposed
         return Certificate(kind="incoherence_pair", source=source, i=i, j=j, dot=dot)
-    # Sanity: with the shared top-t locations zeroed, the summed remainders
-    # still have nonnegative squared norm (this is the proof's engine).
-    shared = list(ttype_of(A.column_dense(group[0]), t, s).locations)
-    acc = np.zeros(A.m)
-    for j in group:
-        u = A.column_dense(j)
-        u[shared] = 0.0
-        acc += u
-    if float(acc @ acc) < 0.0:  # pragma: no cover - cannot happen
-        raise AssertionError("squared norm went negative")
     bound = t * (N - 1) / (2.0 * TTYPE_GROUP_CONSTANT)
     return Certificate(
         kind="sparsity_lower_bound", source=source, t=t, group_size=N, bound_value=bound
@@ -333,13 +313,10 @@ def sign_pattern_certify(
     source = "sign_pattern_certify"
     s = column_sparsity(A)
     scale = 1.0 / math.sqrt(s)
-    for j in range(A.n):
-        _, vals = A.column(j)
-        bad = np.nonzero(np.abs(np.abs(vals) - scale) > 1e-12)[0]
-        if bad.size:
-            raise NotSignMatrix(
-                f"column {j} entry {float(vals[bad[0]])!r} is not +-1/sqrt({s}) within 1e-12"
-            )
+    bad = np.flatnonzero(np.abs(np.abs(A.data) - scale) > 1e-12)
+    if bad.size:
+        j = int(np.searchsorted(A.indptr, bad[0], side="right")) - 1
+        raise NotSignMatrix(f"column {j} entry {float(A.data[bad[0]])!r} is not +-1/sqrt({s}) within 1e-12")
     if not 1 <= t <= s:
         raise InvalidT(f"t={t} must lie in [1, s={s}]")
     if t < 2 * eps * s:
@@ -401,17 +378,19 @@ def pattern_at_scale(A: SparseMatrix, column: int, t: int, k: int, s: int) -> Pa
     reaches the threshold 2^((t-3)/2)/sqrt(s)."""
     u = max(int(math.ceil(Fraction(2, 1) ** (4 - t) * s / k)), 1)
     rows, vals = A.column(column)
+    rows, vals = rows.tolist(), vals.tolist()
     threshold_sq = 2.0 ** (t - 3) / s
-    qual = [(int(r), float(v)) for r, v in zip(rows.tolist(), vals.tolist()) if v * v >= threshold_sq]
+    qual = [p for p, v in enumerate(vals) if v * v >= threshold_sq]
     if not qual:
         return None
-    qual.sort(key=lambda rv: (-abs(rv[1]), rv[0]))
-    chosen = sorted(qual[: min(u, len(qual))])
+    # the u largest magnitudes, ties to the lower row (rows ascend, and the
+    # sort is stable), then back in row order
+    chosen = sorted(sorted(qual, key=lambda p: -abs(vals[p]))[:u])
     return PatternAtScale(
         t=t,
         u=u,
-        rows=tuple(r for r, _ in chosen),
-        signs=tuple(1 if v >= 0 else -1 for _, v in chosen),
+        rows=tuple(rows[p] for p in chosen),
+        signs=tuple(1 if vals[p] >= 0 else -1 for p in chosen),
     )
 
 
@@ -529,6 +508,8 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if m < 1 or not 1 <= d <= n:
+        raise InvalidDimension(f"need m >= 1 and 1 <= d <= n, got m={m}, d={d}, n={n}")
     heavy_cut = n / (10.0 * m)
     records = []
     failures = 0

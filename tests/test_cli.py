@@ -412,3 +412,56 @@ class TestDeterminism:
         assert first_code == second_code == 0
         assert first_out == second_out
         assert first_out.endswith("\n")
+
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sketchbounds: error: ")
+
+
+class TestBadInputsExitOne:
+    @pytest.fixture
+    def artifacts(self, tmp_path):
+        text = matrix_to_json(sample_sparse_sign_jl(8, 5, 3, 7))
+        paths = {"truncated": tmp_path / "truncated.json", "map": tmp_path / "map.json",
+                 "matrix": tmp_path / "matrix.json"}
+        paths["truncated"].write_text(text[: len(text) // 2])
+        paths["matrix"].write_text(text)
+        paths["map"].write_text(one_sparse_map_to_json(sample_countsketch(4, 5, 1)))
+        return {k: str(v) for k, v in paths.items()}
+
+    @pytest.mark.parametrize("command,params", [
+        ("measure", {"measure": "coherence", "input": "truncated"}),
+        ("measure", {"measure": "subspace_distortion", "input": "truncated", "indices": [0, 1]}),
+        ("measure", {"measure": "coherence", "input": "map"}),
+        ("witness", {"witness": "ose_collision", "input": "matrix"}),
+    ])
+    def test_unusable_artifact(self, command, params, artifacts, write_config, capsys):
+        cfg = write_config({"command": command,
+                            "params": {**params, "input": artifacts[params["input"]]}})
+        code, _, err = run_cli([command, "--config", cfg], capsys)
+        assert_one_error_line(code, err)
+
+    @pytest.mark.parametrize("config", [
+        {"command": "witness", "trials": 5, "params": {"witness": "ose_failure", "m": 0, "d": 2, "n": 8}},
+        {"command": "bounds", "params": {"formula": "incoherent_rows", "eps": 0.1, "N": float("inf")}},
+        {"command": "bounds", "params": {"formula": "incoherent_rows", "eps": 0.1, "N": True}},
+        {"command": "bounds", "params": {"formula": "incoherent_rows", "eps": "0.1", "N": 100}},
+        {"command": "sweep", "trials": True,
+         "params": {"experiment": "ose_failure", "d": 2, "n": 8, "grid": {"param": "m", "values": [4]}}},
+        {"command": "sweep", "trials": 5,
+         "params": {"experiment": "ose_failure", "d": 2, "n": 8, "grid": {"param": "m", "values": [4.9]}}},
+        {"command": "stream-demo", "seed": True, "params": {"m": 4, "n": 4, "s": 1, "updates": 1}},
+        {"command": "stream-demo", "params": {"m": True, "n": 4, "s": 1, "updates": 1}},
+        {"command": "construct", "params": {"family": "random_code", "q": 4, "t": 2, "N": 2, "eps": float("nan")}},
+    ])
+    def test_bad_config_value(self, config, write_config, capsys):
+        code, _, err = run_cli([config["command"], "--config", write_config(config)], capsys)
+        assert_one_error_line(code, err)
+
+    @pytest.mark.parametrize("params", ["eps=0.1,N=inf", "eps=0.1,N=nan", "eps=0.1,N=1e400"])
+    def test_non_finite_bound_argument(self, params, capsys):
+        code, _, err = run_cli(["bounds", "--formula", "incoherent_rows", "--params", params], capsys)
+        assert_one_error_line(code, err)

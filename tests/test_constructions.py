@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from sketchbounds import (
+    BadArgs,
     Code,
     Exhausted,
     InvalidDimension,
     InvalidSparsity,
     NotDivisible,
     ShapeMismatch,
+    SketchboundsError,
     TooFewWords,
     TooLarge,
     code_from_json,
@@ -31,6 +33,7 @@ from sketchbounds import (
     spread_vectors,
     verify_osnap_properties,
 )
+from sketchbounds.rng import check_seed
 
 ROOT2 = 1.0 / math.sqrt(2.0)
 
@@ -69,6 +72,10 @@ class TestCode:
             code_from_json("nope")
         with pytest.raises(ValueError):
             code_from_json('{"q":3,"t":2}')
+        for text in ('{"q":3,"t":1,"words":[[1.5]]}', '{"q":3,"t":1,"words":[[0],[true]]}',
+                     '{"q":3.5,"t":1,"words":[[1]]}', '{"q":3,"t":1,"words":[[1],[1]]}'):
+            with pytest.raises(SketchboundsError):
+                code_from_json(text)
 
     def test_max_agreement(self):
         c = Code(4, 3, [(0, 1, 2), (0, 1, 3), (3, 2, 1)])
@@ -136,6 +143,12 @@ class TestCodeToIncoherent:
             for j in range(i + 1, 3):
                 agree = int((words[i] == words[j]).sum())
                 assert abs(G[i, j] - agree / 3) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0, -1, 2**64])
+def test_seed_must_be_a_64_bit_integer(seed):
+    with pytest.raises(BadArgs):
+        check_seed(seed)
 
 
 class TestSignJlSampler:

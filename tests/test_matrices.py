@@ -10,6 +10,7 @@ from sketchbounds import (
     DimensionMismatch,
     IndexOutOfRange,
     OneSparseMap,
+    SketchboundsError,
     SparseMatrix,
     ZeroColumn,
     apply,
@@ -269,10 +270,19 @@ class TestJson:
             '{"m":2,"n":1,"cols":[[[0,1.0],[0,2.0]]]}',
             '{"m":2,"n":1,"cols":[[[5,1.0]]]}',
             '{"m":2,"n":2,"cols":[[[0,1.0]]]}',
+            '{"m":4.9,"n":1,"cols":[[[1.7,0.5]]]}',
+            '{"m":4,"n":1,"cols":[[[1.7,0.5]]]}',
+            '{"m":true,"n":1,"cols":[[[0,0.5]]]}',
+            '{"m":4,"n":1,"cols":[[[0,0.5],[true,0.5]]]}',
+            '{"m":4,"n":1,"cols":[[[0,"0.5"]]]}',
+            '{"m":4,"n":1,"cols":[[[null,0.5]]]}',
+            '{"m":4,"n":1,"cols":[5]}',
+            '{"m":4,"n":1,"cols":[[[0,0.5,1]]]}',
+            '[1, 2]',
         ],
     )
     def test_matrix_loader_rejections(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(SketchboundsError):
             matrix_from_json(text)
 
     @pytest.mark.parametrize(
@@ -282,10 +292,14 @@ class TestJson:
             '{"m":2,"n":2,"a":[0,1]}',
             '{"m":2,"n":2,"a":[0,5],"sigma":[1,1]}',
             '{"m":2,"n":2,"a":[0,1],"sigma":[1,0]}',
+            '{"m":2,"n":2,"a":[1.9,0.2],"sigma":[1,1]}',
+            '{"m":2,"n":2,"a":[0,true],"sigma":[1,1]}',
+            '{"m":2.0,"n":2,"a":[0,1],"sigma":[1,1]}',
+            '{"m":2,"n":2,"a":[[0],[1,1]],"sigma":[1,1]}',
         ],
     )
     def test_map_loader_rejections(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(SketchboundsError):
             one_sparse_map_from_json(text)
 
     def test_save_and_load(self, tmp_path):
