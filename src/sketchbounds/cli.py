@@ -38,6 +38,7 @@ from .errors import BadConfig, SketchboundsError
 from .matrices import (
     OneSparseMap,
     SparseMatrix,
+    _read_text,
     apply,
     artifact_from_json,
     canonical_json,
@@ -89,11 +90,11 @@ class ExperimentConfig:
 def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> ExperimentConfig:
     """Read a config file and fold in command-line overrides."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise BadConfig(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BadConfig(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise BadConfig("config must be a JSON object")
@@ -169,9 +170,10 @@ def _run_construct(cfg: ExperimentConfig) -> tuple[str, int]:
         S = sample_countsketch(_need(params, "m", int), _need(params, "n", int), cfg.seed)
         return one_sparse_map_to_json(S), 0
     if family == "random_code":
+        attempts = _need(params, "max_attempts", int) if "max_attempts" in params else 1000
         c = random_code(_need(params, "q", int), _need(params, "t", int),
                         _need(params, "N", int), _need(params, "eps", float), cfg.seed,
-                        max_attempts=params.get("max_attempts", 1000))
+                        max_attempts=attempts)
         return code_to_json(c), 0
     if family == "code_matrix":
         c = load_code(_need(params, "code", str))
@@ -237,8 +239,7 @@ def _run_measure(cfg: ExperimentConfig) -> tuple[str, int]:
 def _load_artifact(path: str, kind=SparseMatrix):
     """The matrix or one-sparse map stored at `path` (its JSON keys say
     which), which must be an instance of `kind`."""
-    with open(path) as fh:
-        artifact = artifact_from_json(fh.read())
+    artifact = artifact_from_json(_read_text(path))
     if not isinstance(artifact, kind):
         raise BadConfig(f"input {path} holds a {type(artifact).__name__}, which this command cannot use")
     return artifact

@@ -32,16 +32,19 @@ import numpy as np
 from .errors import (
     Exhausted,
     IndexOutOfRange,
+    InvalidCount,
     InvalidDimension,
     InvalidEntry,
+    InvalidEps,
     InvalidSparsity,
     MalformedArtifact,
     NotDivisible,
     ShapeMismatch,
     TooFewWords,
     TooLarge,
+    UnknownKind,
 )
-from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, canonical_json
+from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, _read_text, canonical_json
 from .rng import substream
 
 
@@ -107,8 +110,7 @@ def save_code(c: Code, path) -> None:
 
 
 def load_code(path) -> Code:
-    with open(path) as fh:
-        return code_from_json(fh.read())
+    return code_from_json(_read_text(path))
 
 
 def random_code(q: int, t: int, N: int, eps: float, seed: int, max_attempts: int = 1000) -> Code:
@@ -120,11 +122,11 @@ def random_code(q: int, t: int, N: int, eps: float, seed: int, max_attempts: int
     some word cannot be placed within ``max_attempts`` candidate draws.
     """
     if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        raise InvalidEps(f"eps must lie in (0, 1], got {eps}")
     if N < 1:
-        raise ValueError(f"need at least one word, got N={N}")
+        raise InvalidCount(f"need at least one word, got N={N}")
     if max_attempts < 1:
-        raise ValueError("max_attempts must be positive")
+        raise InvalidCount("max_attempts must be positive")
     cap = math.floor(eps * t)
     g = substream(seed)
     accepted = np.empty((N, t), dtype=np.int64)
@@ -215,9 +217,9 @@ def sample_osnap_block(m: int, n: int, s: int, seed: int) -> SparseMatrix:
 def sample_countsketch(m: int, n: int, seed: int) -> OneSparseMap:
     """One-sparse map: each column independently picks a uniform row and sign."""
     if m < 1:
-        raise ValueError(f"need m >= 1 rows, got {m}")
+        raise InvalidDimension(f"need m >= 1 rows, got {m}")
     if n < 1:
-        raise ValueError(f"need n >= 1 columns, got {n}")
+        raise InvalidDimension(f"need n >= 1 columns, got {n}")
     g = substream(seed)
     a = g.integers(0, m, size=n)
     sigma = g.integers(0, 2, size=n) * 2 - 1
@@ -269,7 +271,7 @@ def _support_probability(m: int, s: int, sampler: str, rows_needed: frozenset[in
             if rows_needed <= support:
                 hits += 1
         return Fraction(hits, total)
-    raise ValueError(f"unknown sampler {sampler!r}; expected 'sign_jl' or 'block'")
+    raise UnknownKind(f"unknown sampler {sampler!r}; expected 'sign_jl' or 'block'")
 
 
 def verify_osnap_properties(
@@ -305,11 +307,10 @@ def verify_osnap_properties(
     for rows_needed in by_column.values():
         expectation *= _support_probability(m, s, sampler, frozenset(rows_needed))
     bound = Fraction(s, m) ** len(cell_set)
-    holds = float(expectation) <= float(bound) + 1e-12
     return OsnapReport(
         expectation=float(expectation),
         bound=float(bound),
-        holds=holds,
+        holds=expectation <= bound,
         exact_expectation=expectation,
         exact_bound=bound,
     )

@@ -47,7 +47,8 @@ class TooFewWords(SketchboundsError):
 
 
 class InvalidSparsity(SketchboundsError):
-    """Requested per-column sparsity is outside [1, m]."""
+    """Requested per-column sparsity is outside [1, m], or a vector has more
+    nonzeros than its stated sparsity."""
 
 
 class NotDivisible(SketchboundsError):
@@ -63,7 +64,20 @@ class ShapeMismatch(SketchboundsError):
 
 
 class InvalidDimension(SketchboundsError):
-    """A requested dimension is impossible (e.g. subspace larger than ambient)."""
+    """A requested dimension is impossible (e.g. subspace larger than ambient,
+    or a support size k outside the range a search allows)."""
+
+
+class InvalidCount(SketchboundsError):
+    """A count that must be positive (trials, codewords, attempts) is not."""
+
+
+class InvalidEps(SketchboundsError):
+    """A distortion or agreement level eps lies outside its allowed range."""
+
+
+class UnknownKind(SketchboundsError):
+    """A certificate kind or sampler name is not one this package knows."""
 
 
 # --- measures ----------------------------------------------------------------

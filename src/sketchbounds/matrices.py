@@ -340,6 +340,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _read_text(path) -> str:
+    """The contents of the file at `path`, which must be UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedArtifact(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _parse(text: str, what: str):
     try:
         return json.loads(text)
@@ -353,12 +362,11 @@ def _matrix_from_object(obj) -> SparseMatrix:
     cols = obj["cols"]
     if not isinstance(cols, list) or not all(isinstance(col, list) for col in cols):
         raise MalformedArtifact("cols must be a list of per-column entry lists")
-    entries = [pair for col in cols for pair in col]
-    if not all(isinstance(pair, list) and len(pair) == 2 for pair in entries):
+    if not all(isinstance(pair, list) and len(pair) == 2 for col in cols for pair in col):
         raise MalformedArtifact("each entry must be a [row, value] pair")
     indptr = np.cumsum([0] + [len(col) for col in cols])
-    rows = [pair[0] for pair in entries]
-    vals = [pair[1] for pair in entries]
+    rows = [pair[0] for col in cols for pair in col]
+    vals = [pair[1] for col in cols for pair in col]
     return SparseMatrix.from_csc(obj["m"], obj["n"], indptr, rows, vals)
 
 
@@ -393,6 +401,7 @@ def artifact_from_json(text: str) -> SparseMatrix | OneSparseMap:
     """Load either artifact kind, told apart by its keys: a one-sparse map
     holds ``a``, a matrix holds ``cols``."""
     obj = _parse(text, "artifact")
+    del text  # the tree holds everything from here on; free the text before building
     if isinstance(obj, dict) and "a" in obj:
         return _map_from_object(obj)
     return _matrix_from_object(obj)
@@ -404,8 +413,7 @@ def save_matrix(A: SparseMatrix, path) -> None:
 
 
 def load_matrix(path) -> SparseMatrix:
-    with open(path) as fh:
-        return matrix_from_json(fh.read())
+    return matrix_from_json(_read_text(path))
 
 
 def save_one_sparse_map(S: OneSparseMap, path) -> None:
@@ -414,5 +422,4 @@ def save_one_sparse_map(S: OneSparseMap, path) -> None:
 
 
 def load_one_sparse_map(path) -> OneSparseMap:
-    with open(path) as fh:
-        return one_sparse_map_from_json(fh.read())
+    return one_sparse_map_from_json(_read_text(path))

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import (
     EmptyIndexSet,
+    InvalidCount,
+    InvalidDimension,
+    InvalidSparsity,
     NonpositiveThreshold,
     NoScaleFound,
     NotNormalized,
@@ -111,7 +114,7 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     first achiever of the maximum.
     """
     if not 1 <= k <= A.n:
-        raise ValueError(f"k={k} must lie in [1, n={A.n}]")
+        raise InvalidDimension(f"k={k} must lie in [1, n={A.n}]")
     count = math.comb(A.n, k)
     if count > MAX_EXACT_SUPPORTS:
         raise TooManySupports(f"C({A.n}, {k}) = {count} exceeds {MAX_EXACT_SUPPORTS}")
@@ -138,9 +141,9 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     estimate is monotone nondecreasing in `trials`.
     """
     if not 1 <= k <= A.n:
-        raise ValueError(f"k={k} must lie in [1, n={A.n}]")
+        raise InvalidDimension(f"k={k} must lie in [1, n={A.n}]")
     if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+        raise InvalidCount(f"need trials >= 1, got {trials}")
     g = substream(seed)
     best_delta = -math.inf
     best_support: tuple[int, ...] = ()
@@ -208,7 +211,7 @@ class ScaleProfile:
 def dyadic_scale_count(s: int) -> int:
     """Number of candidate scales for a column with s nonzeros: max(1, ceil(log2 s))."""
     if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+        raise InvalidSparsity(f"need s >= 1, got {s}")
     return max(1, (s - 1).bit_length())
 
 

@@ -29,17 +29,22 @@ import numpy as np
 
 from .errors import (
     DegenerateColumn,
+    DimensionMismatch,
     EmptyIndexSet,
     IndexOutOfRange,
+    InvalidCount,
     InvalidDimension,
+    InvalidEntry,
+    InvalidEps,
+    InvalidSparsity,
     InvalidT,
-    NoScaleFound,
     NotSignMatrix,
     PreconditionViolated,
     TooLarge,
+    UnknownKind,
 )
 from .matrices import SparseMatrix, OneSparseMap, apply, column_sparsity, to_csr
-from .measures import check_unit_columns, dyadic_scale_count, scale_profile
+from .measures import check_unit_columns, dyadic_scale_count
 from .rng import derive_seed
 from .constructions import sample_countsketch, sample_coordinate_subspace
 from .measures import subspace_distortion
@@ -128,7 +133,7 @@ def verify_certificate(cert: Certificate, A: SparseMatrix | OneSparseMap, tol: f
             y = A.apply(xi)
             return bool(np.all(y == 0))
         return bool(np.all(apply(A, x) == 0))
-    raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    raise UnknownKind(f"unknown certificate kind {cert.kind!r}")
 
 
 # --- row-mass overload search ---------------------------------------------------
@@ -137,15 +142,11 @@ def _max_dot_pair(A: SparseMatrix, cols: Sequence[int]) -> tuple[int, int, float
     """The pair among `cols` with the largest |dot|; ties keep the first pair."""
     D = A.submatrix_dense(cols)
     G = D.T @ D
-    best = (-1, -1, 0.0)
-    best_abs = -1.0
-    for p in range(len(cols)):
-        for q in range(p + 1, len(cols)):
-            d = float(G[p, q])
-            if abs(d) > best_abs:
-                best_abs = abs(d)
-                best = (int(cols[p]), int(cols[q]), d)
-    return best
+    # row-major pairs p < q, the scan order of a double loop; argmax keeps the first
+    p, q = np.triu_indices(len(cols), 1)
+    best = int(np.argmax(np.abs(G[p, q])))
+    p, q = p[best], q[best]
+    return int(cols[p]), int(cols[q]), float(G[p, q])
 
 
 def row_mass_violation_search(A: SparseMatrix, eps: float) -> Certificate:
@@ -161,7 +162,7 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> Certificate:
     returns the ``none`` certificate.
     """
     if not 0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+        raise InvalidEps(f"eps must lie in (0, 1/2), got {eps}")
     check_unit_columns(A)
     source = "row_mass_violation_search"
     row_ptr, columns, values = to_csr(A)
@@ -178,6 +179,61 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> Certificate:
                     i, j, dot = _max_dot_pair(A, group)
                     return Certificate(kind="incoherence_pair", source=source, i=i, j=j, dot=dot)
     return none_certificate(source)
+
+
+# --- grouping columns by key ------------------------------------------------------
+#
+# The three pigeonhole searches give each column an integer key row, built
+# straight from the CSC arrays a chunk of columns at a time, and take the
+# largest group of equal rows.
+
+_KEY_CHUNK = 2048
+
+
+def group_columns(keys: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    """Ascending members of the largest group of equal rows of `keys`.
+
+    `keys` is an n-by-w integer block with one row per member; only rows
+    where the boolean mask `valid` holds take part.  Ties go to the group
+    with the smallest first member.  The result is empty when no row takes
+    part.
+    """
+    members = np.arange(keys.shape[0]) if valid is None else np.flatnonzero(valid)
+    if members.size == 0:
+        return members
+    block = np.ascontiguousarray(keys if valid is None else keys[members])
+    rows = block.view(np.dtype((np.void, block.dtype.itemsize * block.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
+    tied = np.flatnonzero(counts == counts.max())
+    return members[inverse == tied[np.argmin(first[tied])]]
+
+
+def _signed_rows(A: SparseMatrix) -> np.ndarray:
+    """Every stored entry as the integer (row + 1) * sign, which is never 0,
+    so 0 can pad a key; int32 unless the rows need more."""
+    dtype = np.int32 if A.m < np.iinfo(np.int32).max else np.int64
+    codes = (A.indices + 1).astype(dtype)
+    codes[A.data < 0] *= -1
+    return codes
+
+
+def _ranks(col: np.ndarray) -> np.ndarray:
+    """Each entry's index within its run of equal values of the sorted `col`."""
+    return np.arange(col.size) - np.searchsorted(col, col)
+
+
+def _top_entries(A: SparseMatrix, lo: int, hi: int, width: int, keep: np.ndarray | None = None):
+    """The `width` largest-magnitude stored entries of each column in
+    [lo, hi), ties to the lower row, as (column, position in ``A.data``)
+    arrays in storage order.  Only the chunk's entries where the mask `keep`
+    holds take part."""
+    col = np.repeat(np.arange(lo, hi), np.diff(A.indptr[lo:hi + 1]))
+    pos = np.arange(A.indptr[lo], A.indptr[hi])
+    if keep is not None:
+        col, pos = col[keep], pos[keep]
+    order = np.lexsort((pos, -np.abs(A.data[pos]), col))
+    chosen = np.sort(order[_ranks(col[order]) < width])
+    return col[chosen], pos[chosen]
 
 
 # --- t-types ---------------------------------------------------------------------
@@ -201,13 +257,22 @@ class TType:
     def __post_init__(self):
         t = len(self.locations)
         if not (len(self.signs) == len(self.rounded_squares) == t):
-            raise ValueError("locations, signs, rounded_squares must have equal length")
+            raise DimensionMismatch("locations, signs, rounded_squares must have equal length")
         if any(sg not in (-1, 1) for sg in self.signs):
-            raise ValueError("signs must be +1 or -1")
-        if any(r < 0 or r > 2 * self.s + 1 for r in self.rounded_squares):
-            raise ValueError(f"each rounded square must lie in [0, {2 * self.s + 1}]")
-        if sum(self.rounded_squares) > 2 * self.s + t:
-            raise ValueError(f"rounded squares sum to more than {2 * self.s + t}")
+            raise InvalidEntry("signs must be +1 or -1")
+        _check_rounded_squares(self.s, np.array([self.rounded_squares]))
+
+
+def _check_rounded_squares(s: int, rounded: np.ndarray) -> None:
+    """Raise :class:`InvalidEntry` for the first row of t rounded squares with
+    an entry outside [0, 2s + 1] or a sum above 2s + t."""
+    t = rounded.shape[1]
+    out_of_range = ((rounded < 0) | (rounded > 2 * s + 1)).any(axis=1)
+    bad = np.flatnonzero(out_of_range | (rounded.sum(axis=1) > 2 * s + t))
+    if bad.size and out_of_range[bad[0]]:
+        raise InvalidEntry(f"each rounded square must lie in [0, {2 * s + 1}]")
+    if bad.size:
+        raise InvalidEntry(f"rounded squares sum to more than {2 * s + t}")
 
 
 def _round_half_down(x: float) -> int:
@@ -221,13 +286,15 @@ def ttype_of(v: np.ndarray, t: int, s: int) -> TType:
         raise InvalidT(f"t={t} must lie in [1, s={s}]")
     nnz = int(np.count_nonzero(v))
     if nnz > s:
-        raise ValueError(f"vector has {nnz} nonzeros, more than s={s}")
+        raise InvalidSparsity(f"vector has {nnz} nonzeros, more than s={s}")
     if t > v.size:
         raise InvalidT(f"t={t} exceeds the vector dimension {v.size}")
     order = sorted(range(v.size), key=lambda i: (-abs(v[i]), i))
     locs = tuple(sorted(order[:t]))
     signs = tuple(1 if v[i] >= 0 else -1 for i in locs)
-    rounded = tuple(_round_half_down(float(v[i]) ** 2 * 2 * s) for i in locs)
+    # v * v, not v ** 2: the libm power can differ from the rounded product in
+    # the last bit, and the batched keys square by multiplication
+    rounded = tuple(_round_half_down(float(v[i] * v[i]) * 2 * s) for i in locs)
     return TType(s=s, locations=locs, signs=signs, rounded_squares=rounded)
 
 
@@ -236,13 +303,35 @@ def ttype_count_bound(m: int, s: int, t: int) -> int:
     return 2**t * math.comb(m, t) * math.comb(2 * (s + t), t)
 
 
-def _largest_group(members: dict) -> list[int]:
-    """Largest group of column indices; ties keep the smallest first member."""
-    best: list[int] = []
-    for cols in members.values():
-        if len(cols) > len(best) or (len(cols) == len(best) and best and cols[0] < best[0]):
-            best = cols
-    return best
+def _ttype_keys(A: SparseMatrix, t: int, s: int) -> np.ndarray:
+    """Every column's t-type (see :func:`ttype_of`) as one key row: the
+    signed rows (row + 1) * sign of its top t coordinates in row order, then
+    their rounded squares."""
+    codes = _signed_rows(A)
+    keys = np.empty((A.n, 2 * t), dtype=codes.dtype)
+    nnz = np.diff(A.indptr)
+    for lo in range(0, A.n, _KEY_CHUNK):
+        hi = min(lo + _KEY_CHUNK, A.n)
+        col, pos = _top_entries(A, lo, hi, t)
+        rows, vals = A.indices[pos], A.data[pos]
+        # A column with fewer than t nonzeros takes zero coordinates at its
+        # lowest free rows, all of which lie below t.
+        short = np.flatnonzero(nnz[lo:hi] < t) + lo
+        taken = np.zeros((short.size, t), dtype=bool)
+        low = (nnz[col] < t) & (rows < t)
+        taken[np.searchsorted(short, col[low]), rows[low]] = True
+        free = ~taken
+        fill = free & (np.cumsum(free, axis=1) <= (t - nnz[short])[:, None])
+        fill_at, fill_rows = np.nonzero(fill)
+        col = np.concatenate((col, short[fill_at]))
+        rows = np.concatenate((rows, fill_rows))
+        order = np.lexsort((rows, col))
+        signed = np.concatenate((codes[pos], fill_rows + 1))[order]
+        vals = np.concatenate((vals, np.zeros(fill_rows.size)))[order]
+        keys[lo:hi, :t] = signed.reshape(-1, t)
+        keys[lo:hi, t:] = np.ceil(vals * vals * 2 * s - 0.5).reshape(-1, t)
+    _check_rounded_squares(s, keys[:, t:])
+    return keys
 
 
 def _expose_incoherent_pair(A: SparseMatrix, cols: Sequence[int], eps: float) -> tuple[int, int, float] | None:
@@ -274,11 +363,7 @@ def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> Certificate:
         raise PreconditionViolated(
             f"need t/s > C*eps: {t}/{s} = {t / s:.6g} vs C*eps = {TTYPE_GROUP_CONSTANT * eps:.6g}"
         )
-    members: dict[TType, list[int]] = {}
-    for j in range(A.n):
-        ty = ttype_of(A.column_dense(j), t, s)
-        members.setdefault(ty, []).append(j)
-    group = _largest_group(members)
+    group = group_columns(_ttype_keys(A, t, s))
     N = len(group)
     if N < 2:
         return none_certificate(source)
@@ -312,37 +397,36 @@ def sign_pattern_certify(
     """
     source = "sign_pattern_certify"
     s = column_sparsity(A)
+    if not 1 <= t <= s:
+        raise InvalidT(f"t={t} must lie in [1, s={s}]")
     scale = 1.0 / math.sqrt(s)
     bad = np.flatnonzero(np.abs(np.abs(A.data) - scale) > 1e-12)
     if bad.size:
         j = int(np.searchsorted(A.indptr, bad[0], side="right")) - 1
         raise NotSignMatrix(f"column {j} entry {float(A.data[bad[0]])!r} is not +-1/sqrt({s}) within 1e-12")
-    if not 1 <= t <= s:
-        raise InvalidT(f"t={t} must lie in [1, s={s}]")
     if t < 2 * eps * s:
         raise PreconditionViolated(f"need t >= 2*eps*s: t={t} vs 2*eps*s={2 * eps * s:.6g}")
 
-    members: dict[tuple, list[int]] = {}
+    codes = _signed_rows(A)
+    nnz = np.diff(A.indptr)
     if full_enumeration:
         if s > _FULL_ENUM_MAX_S:
             raise TooLarge(f"full enumeration allows s <= {_FULL_ENUM_MAX_S}, got s={s}")
-        seen: dict[tuple, set[int]] = {}
-        for j in range(A.n):
-            rows, vals = A.column(j)
-            signs = np.sign(vals).astype(np.int64)
-            for combo in itertools.combinations(range(rows.size), t):
-                key = (tuple(int(rows[c]) for c in combo), tuple(int(signs[c]) for c in combo))
-                seen.setdefault(key, set()).add(j)
-        members = {key: sorted(cols) for key, cols in seen.items()}
+        # one key row per (column, t-subset of its support), in column order
+        counts = np.array([math.comb(size, t) for size in range(s + 1)])[nnz]
+        start = np.cumsum(counts) - counts
+        keys = np.empty((int(counts.sum()), t), dtype=codes.dtype)
+        for size in range(t, s + 1):
+            combos = np.array(list(itertools.combinations(range(size), t)))
+            cols = np.flatnonzero(nnz == size)
+            for c in range(0, cols.size, _KEY_CHUNK):
+                chunk = cols[c:c + _KEY_CHUNK]
+                keys[start[chunk, None] + np.arange(len(combos))] = codes[A.indptr[chunk, None, None] + combos]
+        group = np.repeat(np.arange(A.n), counts)[group_columns(keys)]
     else:
-        for j in range(A.n):
-            rows, vals = A.column(j)
-            if rows.size < t:
-                continue
-            key = (tuple(rows[:t].tolist()), tuple(int(np.sign(v)) for v in vals[:t]))
-            members.setdefault(key, []).append(j)
-
-    group = _largest_group(members)
+        valid = nnz >= t
+        first = np.where(valid, A.indptr[:-1], 0)
+        group = group_columns(codes[first[:, None] + np.arange(t)], valid)
     N = len(group)
     if N < 2:
         return none_certificate(source)
@@ -373,10 +457,15 @@ class PatternAtScale:
     signs: tuple[int, ...]
 
 
+def _pattern_size(t: int, k: int, s: int) -> int:
+    """u = max(ceil(2^(4-t) * s / k), 1), in exact arithmetic."""
+    return max(int(math.ceil(Fraction(2, 1) ** (4 - t) * s / k)), 1)
+
+
 def pattern_at_scale(A: SparseMatrix, column: int, t: int, k: int, s: int) -> PatternAtScale | None:
     """The canonical pattern of one column at scale t, or None if no entry
     reaches the threshold 2^((t-3)/2)/sqrt(s)."""
-    u = max(int(math.ceil(Fraction(2, 1) ** (4 - t) * s / k)), 1)
+    u = _pattern_size(t, k, s)
     rows, vals = A.column(column)
     rows, vals = rows.tolist(), vals.tolist()
     threshold_sq = 2.0 ** (t - 3) / s
@@ -394,6 +483,40 @@ def pattern_at_scale(A: SparseMatrix, column: int, t: int, k: int, s: int) -> Pa
     )
 
 
+def _pattern_keys(A: SparseMatrix, t: int, k: int, s: int, codes: np.ndarray) -> np.ndarray:
+    """Every column's pattern at scale t (see :func:`pattern_at_scale`) as one
+    key row: the signed rows (row + 1) * sign in row order, padded with 0s.
+    A column whose key row starts with 0 has no pattern."""
+    width = min(_pattern_size(t, k, s), s)
+    threshold_sq = 2.0 ** (t - 3) / s
+    keys = np.zeros((A.n, width), dtype=codes.dtype)
+    for lo in range(0, A.n, _KEY_CHUNK):
+        hi = min(lo + _KEY_CHUNK, A.n)
+        vals = A.data[A.indptr[lo]:A.indptr[hi]]
+        col, pos = _top_entries(A, lo, hi, width, keep=vals * vals >= threshold_sq)
+        keys[col, _ranks(col)] = codes[pos]
+    return keys
+
+
+def _check_scales(A: SparseMatrix) -> None:
+    """Raise :class:`DegenerateColumn` for the first column with no scale
+    profile (see :func:`~sketchbounds.measures.scale_profile`), counting
+    every column's large entries once per scale."""
+    nnz = np.diff(A.indptr)
+    col = np.repeat(np.arange(A.n), nnz)
+    sparsity = np.repeat(nnz, nnz)  # each entry's column sparsity
+    squares = A.data * A.data
+    found = np.zeros(A.n, dtype=bool)
+    for t in range(1, dyadic_scale_count(max(column_sparsity(A), 1)) + 1):
+        # t <= dyadic_scale_count(nnz) for a nonempty column
+        in_range = (nnz > 2 ** (t - 1)) if t > 1 else (nnz > 0)
+        actual = np.bincount(col[squares >= 2.0 ** (t - 3) / sparsity], minlength=A.n)
+        found |= in_range & (actual >= 2.0 ** (-t - 1) * nnz / (t * t))
+    bad = np.flatnonzero(~found)
+    if bad.size:
+        raise DegenerateColumn(f"column {bad[0]} has no qualifying scale")
+
+
 def rip_pattern_witness(A: SparseMatrix, k: int) -> Certificate:
     """Search for a k-sparse flat vector that the matrix stretches.
 
@@ -406,23 +529,15 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> Certificate:
     """
     source = "rip_pattern_witness"
     if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    for j in range(A.n):
-        try:
-            scale_profile(A, j)
-        except NoScaleFound as exc:
-            raise DegenerateColumn(f"column {j} has no qualifying scale") from exc
+        raise InvalidDimension(f"need k >= 2, got {k}")
+    _check_scales(A)
     s = column_sparsity(A)
+    codes = _signed_rows(A)
     best_vector: np.ndarray | None = None
     best_ratio = -math.inf
     for t in range(1, dyadic_scale_count(s) + 1):
-        members: dict[tuple, list[int]] = {}
-        for j in range(A.n):
-            pat = pattern_at_scale(A, j, t, k, s)
-            if pat is None:
-                continue
-            members.setdefault((pat.rows, pat.signs), []).append(j)
-        group = _largest_group(members)
+        keys = _pattern_keys(A, t, k, s, codes)
+        group = group_columns(keys, keys[:, 0] != 0)
         if len(group) < 2:
             continue
         support = group[: min(len(group), k)]
@@ -507,7 +622,7 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     diagnostic only; it plays no part in the failure decision.
     """
     if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+        raise InvalidCount(f"need trials >= 1, got {trials}")
     if m < 1 or not 1 <= d <= n:
         raise InvalidDimension(f"need m >= 1 and 1 <= d <= n, got m={m}, d={d}, n={n}")
     heavy_cut = n / (10.0 * m)

@@ -426,9 +426,12 @@ class TestBadInputsExitOne:
     def artifacts(self, tmp_path):
         text = matrix_to_json(sample_sparse_sign_jl(8, 5, 3, 7))
         paths = {"truncated": tmp_path / "truncated.json", "map": tmp_path / "map.json",
-                 "matrix": tmp_path / "matrix.json"}
+                 "matrix": tmp_path / "matrix.json", "empty": tmp_path / "empty.json",
+                 "not_utf8": tmp_path / "not_utf8.json"}
         paths["truncated"].write_text(text[: len(text) // 2])
         paths["matrix"].write_text(text)
+        paths["empty"].write_text('{"cols": [[]], "m": 2, "n": 1}')
+        paths["not_utf8"].write_bytes(b"\xff\xfe" + text.encode())
         paths["map"].write_text(one_sparse_map_to_json(sample_countsketch(4, 5, 1)))
         return {k: str(v) for k, v in paths.items()}
 
@@ -437,6 +440,9 @@ class TestBadInputsExitOne:
         ("measure", {"measure": "subspace_distortion", "input": "truncated", "indices": [0, 1]}),
         ("measure", {"measure": "coherence", "input": "map"}),
         ("witness", {"witness": "ose_collision", "input": "matrix"}),
+        ("measure", {"measure": "coherence", "input": "not_utf8"}),
+        ("measure", {"measure": "rip_exact", "input": "matrix", "k": 0}),
+        ("witness", {"witness": "sign_pattern", "input": "empty", "eps": 0.1, "t": 1}),
     ])
     def test_unusable_artifact(self, command, params, artifacts, write_config, capsys):
         cfg = write_config({"command": command,
@@ -456,9 +462,18 @@ class TestBadInputsExitOne:
         {"command": "stream-demo", "seed": True, "params": {"m": 4, "n": 4, "s": 1, "updates": 1}},
         {"command": "stream-demo", "params": {"m": True, "n": 4, "s": 1, "updates": 1}},
         {"command": "construct", "params": {"family": "random_code", "q": 4, "t": 2, "N": 2, "eps": float("nan")}},
+        {"command": "construct", "params": {"family": "random_code", "q": 4, "t": 2, "N": 2, "eps": 2}},
+        {"command": "construct",
+         "params": {"family": "random_code", "q": 4, "t": 2, "N": 2, "eps": 0.5, "max_attempts": 2.5}},
     ])
     def test_bad_config_value(self, config, write_config, capsys):
         code, _, err = run_cli([config["command"], "--config", write_config(config)], capsys)
+        assert_one_error_line(code, err)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps({"params": {"measure": "coherence"}}).encode())
+        code, _, err = run_cli(["measure", "--config", str(cfg)], capsys)
         assert_one_error_line(code, err)
 
     @pytest.mark.parametrize("params", ["eps=0.1,N=inf", "eps=0.1,N=nan", "eps=0.1,N=1e400"])

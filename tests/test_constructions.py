@@ -10,13 +10,16 @@ from sketchbounds import (
     BadArgs,
     Code,
     Exhausted,
+    InvalidCount,
     InvalidDimension,
+    InvalidEps,
     InvalidSparsity,
     NotDivisible,
     ShapeMismatch,
     SketchboundsError,
     TooFewWords,
     TooLarge,
+    UnknownKind,
     code_from_json,
     code_max_agreement,
     code_to_incoherent,
@@ -110,10 +113,12 @@ class TestRandomCode:
             random_code(2, 1, 3, 0.99, seed=0, max_attempts=50)
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEps):
             random_code(4, 3, 5, 0.0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCount):
             random_code(4, 3, 0, 0.5, seed=0)
+        with pytest.raises(InvalidCount):
+            random_code(4, 3, 5, 0.5, seed=0, max_attempts=0)
 
 
 class TestCodeToIncoherent:
@@ -310,7 +315,7 @@ class TestOsnapProperties:
             verify_osnap_properties(4, 8, 2, "sign_jl", [(0, j) for j in range(7)])
         with pytest.raises(TooLarge):
             verify_osnap_properties(32, 2, 2, "sign_jl", [(0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownKind):
             verify_osnap_properties(4, 2, 2, "bogus", [(0, 0)])
         with pytest.raises(NotDivisible):
             verify_osnap_properties(10, 2, 3, "block", [(0, 0)])

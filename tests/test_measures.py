@@ -8,6 +8,8 @@ import pytest
 from sketchbounds import (
     Code,
     EmptyIndexSet,
+    InvalidCount,
+    InvalidDimension,
     NonpositiveThreshold,
     NoScaleFound,
     NotNormalized,
@@ -136,9 +138,9 @@ class TestRipExact:
 
     def test_domain_and_guard(self):
         A = dense(np.eye(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDimension):
             rip_constant_exact(A, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDimension):
             rip_constant_exact(A, 4)
         wide = dense(np.eye(50))
         with pytest.raises(TooManySupports):
@@ -183,9 +185,9 @@ class TestRipLowerEstimate:
 
     def test_domain(self):
         A = dense(np.eye(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCount):
             rip_constant_lower_estimate(A, 2, trials=0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDimension):
             rip_constant_lower_estimate(A, 9, trials=1, seed=0)
 
 

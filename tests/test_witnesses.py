@@ -8,8 +8,12 @@ import pytest
 from sketchbounds import (
     Certificate,
     DegenerateColumn,
+    DimensionMismatch,
     EmptyIndexSet,
     IndexOutOfRange,
+    InvalidEntry,
+    InvalidEps,
+    InvalidSparsity,
     InvalidT,
     NotNormalized,
     NotSignMatrix,
@@ -28,6 +32,7 @@ from sketchbounds import (
     rip_pattern_witness,
     row_mass_violation_search,
     sample_countsketch,
+    sample_sparse_sign_jl,
     sign_pattern_certify,
     ttype_collision_certify,
     ttype_count_bound,
@@ -35,6 +40,7 @@ from sketchbounds import (
     verify_certificate,
 )
 from sketchbounds.rng import substream
+from sketchbounds.witnesses import _max_dot_pair
 
 from conftest import dense, unit_random_sparse
 
@@ -66,9 +72,9 @@ class TestRowMassSearch:
 
     def test_eps_domain(self):
         A = ten_duplicate_basis_columns()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEps):
             row_mass_violation_search(A, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEps):
             row_mass_violation_search(A, 0.5)
 
     def test_requires_unit_columns(self):
@@ -84,6 +90,31 @@ class TestRowMassSearch:
         cert = row_mass_violation_search(A, 0.25)
         assert cert.kind == "incoherence_pair"
         assert abs(cert.dot - 1.0) <= 1e-12
+
+
+def max_dot_pair_loop(A, cols):
+    """The double loop that `_max_dot_pair` replaced: the pair with the
+    largest |dot|, scanning p < q in order; ties keep the first pair."""
+    D = A.submatrix_dense(cols)
+    G = D.T @ D
+    best, best_abs = (-1, -1, 0.0), -1.0
+    for p in range(len(cols)):
+        for q in range(p + 1, len(cols)):
+            d = float(G[p, q])
+            if abs(d) > best_abs:
+                best_abs, best = abs(d), (int(cols[p]), int(cols[q]), d)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_max_dot_pair_matches_the_double_loop_on_ties(seed):
+    # +-1/sqrt(2) entries in few rows: every |dot| is 0, 1/2 or 1, so ties abound
+    rng = np.random.default_rng(seed)
+    A = sample_sparse_sign_jl(4, 30, 2, seed)
+    cols = np.sort(rng.choice(30, size=int(rng.integers(2, 31)), replace=False))
+    assert _max_dot_pair(A, cols) == max_dot_pair_loop(A, cols)
+    # a group whose dots all tie at 0 keeps the first pair
+    assert _max_dot_pair(dense(np.eye(5)), [0, 2, 4]) == (0, 2, 0.0)
 
 
 class TestTTypeOf:
@@ -127,16 +158,18 @@ class TestTTypeOf:
             ttype_of(v, t=2, s=1)
         with pytest.raises(InvalidT):
             ttype_of(np.array([1.0]), t=2, s=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSparsity):
             ttype_of(np.array([0.6, 0.6, 0.52915026221291814]), t=1, s=2)
 
     def test_type_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEntry):
             TType(s=2, locations=(0,), signs=(2,), rounded_squares=(1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEntry, match="must lie in"):
             TType(s=2, locations=(0,), signs=(1,), rounded_squares=(6,))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEntry, match="sum to more than"):
             TType(s=2, locations=(0, 1), signs=(1, 1), rounded_squares=(5, 2))
+        with pytest.raises(DimensionMismatch):
+            TType(s=2, locations=(0, 1), signs=(1,), rounded_squares=(1, 1))
 
     def test_count_bound_value(self):
         assert ttype_count_bound(6, 3, 2) == 2700
