@@ -19,7 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,8 @@ def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> Exper
     if trials is not None and (isinstance(trials, bool) or not isinstance(trials, int) or trials < 1):
         raise BadConfig(f"config key 'trials' must be a positive integer, got {trials!r}")
     out = raw.get("output_path") if out is None else out
+    if out is not None and (not isinstance(out, str) or "\0" in out):
+        raise BadConfig(f"config key 'output_path' must be a file path, got {out!r}")
     fmt = (raw.get("output_format", "json") if fmt is None else fmt).lower()
     if fmt not in ("json", "csv"):
         raise BadConfig(f"output_format must be 'json' or 'csv', got {fmt!r}")
@@ -122,18 +125,33 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _need(params: dict, key: str, kind=None):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# param kind -> (what the error says a value must be, the check)
+_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _finite),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    list[int]: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+_REQUIRED = object()
+
+
+def _need(params: dict, key: str, kind, default=_REQUIRED):
+    """params[key], which must be of `kind` (a key of ``_KINDS``); `default`
+    when the key is absent, which is an error when no default is given."""
     if key not in params:
-        raise BadConfig(f"missing required param {key!r}")
+        if default is _REQUIRED:
+            raise BadConfig(f"missing required param {key!r}")
+        return default
     value = params[key]
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise BadConfig(f"param {key!r} must be an integer, got {value!r}")
-    if kind is float and not _finite(value):
-        raise BadConfig(f"param {key!r} must be a finite number, got {value!r}")
-    if kind is str and not isinstance(value, str):
-        raise BadConfig(f"param {key!r} must be a string, got {value!r}")
-    if kind is list and not isinstance(value, list):
-        raise BadConfig(f"param {key!r} must be a list, got {value!r}")
+    what, ok = _KINDS[kind]
+    if not ok(value):
+        raise BadConfig(f"param {key!r} must be {what}, got {value!r}")
     return value
 
 
@@ -151,92 +169,50 @@ def _csv(rows: list[tuple], header: str = "param,value") -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- construct -----------------------------------------------------------------
+# --- dispatch tables ------------------------------------------------------------
 
-def _run_construct(cfg: ExperimentConfig) -> tuple[str, int]:
-    params = cfg.params
-    family = _need(params, "family", str)
-    if cfg.output_format != "json":
-        raise BadConfig("construct emits JSON artifacts; use output_format 'json'")
-    if family == "sign_jl":
-        A = sample_sparse_sign_jl(_need(params, "m", int), _need(params, "n", int),
-                                  _need(params, "s", int), cfg.seed)
-        return matrix_to_json(A), 0
-    if family == "osnap_block":
-        A = sample_osnap_block(_need(params, "m", int), _need(params, "n", int),
-                               _need(params, "s", int), cfg.seed)
-        return matrix_to_json(A), 0
-    if family == "countsketch":
-        S = sample_countsketch(_need(params, "m", int), _need(params, "n", int), cfg.seed)
-        return one_sparse_map_to_json(S), 0
-    if family == "random_code":
-        attempts = _need(params, "max_attempts", int) if "max_attempts" in params else 1000
-        c = random_code(_need(params, "q", int), _need(params, "t", int),
-                        _need(params, "N", int), _need(params, "eps", float), cfg.seed,
-                        max_attempts=attempts)
-        return code_to_json(c), 0
-    if family == "code_matrix":
-        c = load_code(_need(params, "code", str))
-        return matrix_to_json(code_to_incoherent(c)), 0
-    if family == "spread_vectors":
-        c = load_code(_need(params, "code", str))
-        vecs = spread_vectors(c, _need(params, "n", int), _need(params, "k", int))
-        A = SparseMatrix.from_dense(np.column_stack(vecs))
-        return matrix_to_json(A), 0
-    raise BadConfig(f"unknown construct family {family!r}")
+class Entry(NamedTuple):
+    """One name in a subcommand's table: ``fn`` gets the artifact at param
+    'input' when ``load`` names its classes, then each param ``(key, kind[,
+    default])`` as a keyword, then ``trials`` and ``seed`` when flagged;
+    ``payload`` turns its result into the output."""
+
+    fn: Callable
+    payload: Callable
+    params: tuple = ()
+    load: type | tuple[type, ...] | None = None
+    trials: bool = False
+    seed: bool = False
 
 
-# --- measure -------------------------------------------------------------------
+def _lookup(table: dict, what: str, name: str):
+    if name not in table:
+        raise BadConfig(f"unknown {what} {name!r}; known: {', '.join(sorted(table))}")
+    return table[name]
 
-def _run_measure(cfg: ExperimentConfig) -> tuple[str, int]:
-    params = cfg.params
-    name = _need(params, "measure", str)
-    record: dict = {"measure": name, "params": params}
-    witness = None
-    if name == "coherence":
-        A = _load_artifact(_need(params, "input", str))
-        value = coherence(A)
-    elif name == "rip_exact":
-        A = _load_artifact(_need(params, "input", str))
-        est = rip_constant_exact(A, _need(params, "k", int))
-        value = {"delta": est.delta, "k": est.k, "mode": est.mode,
-                 "worst_support": list(est.worst_support)}
-        witness = est.worst_direction.tolist()
-    elif name == "rip_lower_estimate":
-        A = _load_artifact(_need(params, "input", str))
+
+def _current(fn: Callable) -> Callable:
+    """`fn` as this module's attribute of that name holds it now: a wrapper
+    installed there (perfbench's tracer installs one) sees the call."""
+    return globals().get(fn.__name__, fn)
+
+
+def _run(table: dict, what: str, name: str, cfg: ExperimentConfig):
+    """The payload of the entry `name` of `table`, run on `cfg`: every param is
+    read and checked before the input artifact is loaded."""
+    entry = _lookup(table, what, name)
+    kwargs = {spec[0]: _need(cfg.params, *spec) for spec in entry.params}
+    if entry.trials:
         if cfg.trials is None:
-            raise BadConfig("rip_lower_estimate needs config key 'trials'")
-        est = rip_constant_lower_estimate(A, _need(params, "k", int), cfg.trials, cfg.seed)
-        value = {"delta": est.delta, "k": est.k, "mode": est.mode,
-                 "worst_support": list(est.worst_support)}
-        witness = est.worst_direction.tolist()
-    elif name == "subspace_distortion":
-        A = _load_artifact(_need(params, "input", str), (SparseMatrix, OneSparseMap))
-        lo, hi = subspace_distortion(A, _need(params, "indices", list))
-        value = {"sigma_min": lo, "sigma_max": hi}
-    elif name == "row_mass_profile":
-        A = _load_artifact(_need(params, "input", str))
-        prof = row_mass_profile(A, _need(params, "x", float))
-        value = {"x": prof.x, "limit": prof.limit,
-                 "per_row": [list(pq) for pq in prof.per_row],
-                 "flagged_rows": list(prof.flagged_rows)}
-    elif name == "scale_profile":
-        A = _load_artifact(_need(params, "input", str))
-        prof = scale_profile(A, _need(params, "column", int))
-        value = {"column": prof.column, "t": prof.t, "threshold": prof.threshold,
-                 "required_count": prof.required_count, "actual_count": prof.actual_count}
-    elif name == "column_sparsity":
-        A = _load_artifact(_need(params, "input", str))
-        value = column_sparsity(A)
-    else:
-        raise BadConfig(f"unknown measure {name!r}")
-    record["value"] = value
-    if witness is not None:
-        record["witness"] = witness
-    return canonical_json(record), 0
+            raise BadConfig(f"{name} needs config key 'trials'")
+        kwargs["trials"] = cfg.trials
+    if entry.seed:
+        kwargs["seed"] = cfg.seed
+    inputs = [_load_artifact(_need(cfg.params, "input", str), entry.load)] if entry.load else []
+    return _current(entry.payload)(_current(entry.fn)(*inputs, **kwargs))
 
 
-def _load_artifact(path: str, kind=SparseMatrix):
+def _load_artifact(path: str, kind):
     """The matrix or one-sparse map stored at `path` (its JSON keys say
     which), which must be an instance of `kind`."""
     artifact = artifact_from_json(_read_text(path))
@@ -245,64 +221,103 @@ def _load_artifact(path: str, kind=SparseMatrix):
     return artifact
 
 
-# --- witness --------------------------------------------------------------------
+_MNS = (("m", int), ("n", int), ("s", int))
+
+FAMILIES = {
+    "sign_jl": Entry(sample_sparse_sign_jl, matrix_to_json, _MNS, seed=True),
+    "osnap_block": Entry(sample_osnap_block, matrix_to_json, _MNS, seed=True),
+    "countsketch": Entry(sample_countsketch, one_sparse_map_to_json, _MNS[:2], seed=True),
+    "random_code": Entry(random_code, code_to_json, (("q", int), ("t", int), ("N", int), ("eps", float),
+                                                     ("max_attempts", int, 1000)), seed=True),
+    "code_matrix": Entry(lambda code: code_to_incoherent(load_code(code)), matrix_to_json, (("code", str),)),
+    "spread_vectors": Entry(
+        lambda code, n, k: SparseMatrix.from_dense(np.column_stack(spread_vectors(load_code(code), n, k))),
+        matrix_to_json, (("code", str), ("n", int), ("k", int))),
+}
+
+
+def _value(value) -> dict:
+    return {"value": value}
+
+
+def _rip(est) -> dict:
+    return {"value": {"delta": est.delta, "k": est.k, "mode": est.mode, "worst_support": est.worst_support},
+            "witness": est.worst_direction.tolist()}
+
+
+MEASURES = {
+    "coherence": Entry(coherence, _value, load=SparseMatrix),
+    "rip_exact": Entry(rip_constant_exact, _rip, (("k", int),), SparseMatrix),
+    "rip_lower_estimate": Entry(rip_constant_lower_estimate, _rip, (("k", int),), SparseMatrix,
+                                trials=True, seed=True),
+    "subspace_distortion": Entry(subspace_distortion, lambda lh: _value({"sigma_min": lh[0], "sigma_max": lh[1]}),
+                                 (("indices", list[int]),), (SparseMatrix, OneSparseMap)),
+    "row_mass_profile": Entry(row_mass_profile, lambda p: _value({**asdict(p), "flagged_rows": p.flagged_rows}),
+                              (("x", float),), SparseMatrix),
+    "scale_profile": Entry(scale_profile, lambda p: _value(asdict(p)), (("column", int),), SparseMatrix),
+    "column_sparsity": Entry(column_sparsity, _value, load=SparseMatrix),
+}
+
+
+def _certificate(cert) -> tuple[dict, int]:
+    return cert.to_jsonable(), 0 if cert.kind == "none" else 2
+
+
+def _ose_failure(report) -> tuple[dict, int]:
+    return {
+        "witness": "ose_failure", "m": report.m, "d": report.d, "n": report.n,
+        "trials": report.trials, "failures": report.failures, "rate": report.rate,
+        "heavy_rows": [r.heavy_rows for r in report.records],
+    }, 0
+
+
+WITNESSES = {
+    "ose_failure": Entry(ose_failure_probability, _ose_failure, (("m", int), ("d", int), ("n", int)),
+                         trials=True, seed=True),
+    "row_mass": Entry(row_mass_violation_search, _certificate, (("eps", float),), SparseMatrix),
+    "ttype_collision": Entry(ttype_collision_certify, _certificate, (("eps", float), ("t", int)), SparseMatrix),
+    "sign_pattern": Entry(sign_pattern_certify, _certificate,
+                          (("eps", float), ("t", int), ("full_enumeration", bool, False)), SparseMatrix),
+    "rip_pattern": Entry(rip_pattern_witness, _certificate, (("k", int),), SparseMatrix),
+    "ose_collision": Entry(ose_collision_witness, _certificate, (("indices", list[int], None),), OneSparseMap),
+}
+
+
+# --- construct, measure, witness --------------------------------------------------
+
+def _run_construct(cfg: ExperimentConfig) -> tuple[str, int]:
+    family = _need(cfg.params, "family", str)
+    if cfg.output_format != "json":
+        raise BadConfig("construct emits JSON artifacts; use output_format 'json'")
+    return _run(FAMILIES, "construct family", family, cfg), 0
+
+
+def _run_measure(cfg: ExperimentConfig) -> tuple[str, int]:
+    name = _need(cfg.params, "measure", str)
+    return canonical_json({"measure": name, "params": cfg.params, **_run(MEASURES, "measure", name, cfg)}), 0
+
 
 def _run_witness(cfg: ExperimentConfig) -> tuple[str, int]:
-    params = cfg.params
-    name = _need(params, "witness", str)
-    if name == "ose_failure":
-        if cfg.trials is None:
-            raise BadConfig("ose_failure needs config key 'trials'")
-        report = ose_failure_probability(
-            _need(params, "m", int), _need(params, "d", int), _need(params, "n", int),
-            cfg.trials, cfg.seed,
-        )
-        payload = {
-            "witness": name, "m": report.m, "d": report.d, "n": report.n,
-            "trials": report.trials, "failures": report.failures, "rate": report.rate,
-            "heavy_rows": [r.heavy_rows for r in report.records],
-        }
-        return canonical_json(payload), 0
-    if name == "row_mass":
-        A = _load_artifact(_need(params, "input", str))
-        cert = row_mass_violation_search(A, _need(params, "eps", float))
-    elif name == "ttype_collision":
-        A = _load_artifact(_need(params, "input", str))
-        cert = ttype_collision_certify(A, _need(params, "eps", float), _need(params, "t", int))
-    elif name == "sign_pattern":
-        A = _load_artifact(_need(params, "input", str))
-        cert = sign_pattern_certify(A, _need(params, "eps", float), _need(params, "t", int),
-                                    full_enumeration=bool(params.get("full_enumeration", False)))
-    elif name == "rip_pattern":
-        A = _load_artifact(_need(params, "input", str))
-        cert = rip_pattern_witness(A, _need(params, "k", int))
-    elif name == "ose_collision":
-        S = _load_artifact(_need(params, "input", str), OneSparseMap)
-        indices = params.get("indices")
-        cert = ose_collision_witness(S, range(S.n) if indices is None else indices)
-    else:
-        raise BadConfig(f"unknown witness {name!r}")
-    code = 0 if cert.kind == "none" else 2
-    return canonical_json(cert.to_jsonable()), code
+    payload, code = _run(WITNESSES, "witness", _need(cfg.params, "witness", str), cfg)
+    return canonical_json(payload), code
 
 
 # --- bounds ---------------------------------------------------------------------
 
 def _evaluate_formula(formula: str, args: dict) -> dict:
-    if formula not in FORMULAS:
-        raise BadConfig(f"unknown formula {formula!r}; known: {', '.join(sorted(FORMULAS))}")
-    fn, names = FORMULAS[formula]
+    fn, names = _lookup(FORMULAS, "formula", formula)
     missing = [p for p in names if p not in args]
     if missing:
         raise BadConfig(f"formula {formula!r} needs params {', '.join(names)}; missing {missing}")
     bad = [p for p in names if not _finite(args[p])]
     if bad:
         raise BadConfig(f"formula {formula!r} needs finite numbers; got {', '.join(f'{p}={args[p]!r}' for p in bad)}")
-    bv = fn(**{p: args[p] for p in names})
+    args = {p: args[p] for p in names}
+    bv = fn(**args)
     value = list(bv.value) if isinstance(bv.value, tuple) else bv.value
     return {
         "formula": bv.formula_id,
-        "params": {p: args[p] for p in names},
+        "params": args,
         "value": value,
         "normalized_constant": bv.normalized_constant,
     }
@@ -331,51 +346,36 @@ def _parse_params_flag(text: str) -> dict:
 def _run_bounds(cfg: ExperimentConfig) -> tuple[str, int]:
     params = cfg.params
     formula = _need(params, "formula", str)
-    args = params.get("args", {k: v for k, v in params.items() if k != "formula"})
+    args = _need(params, "args", dict, {k: v for k, v in params.items() if k != "formula"})
     return canonical_json(_evaluate_formula(formula, args)), 0
 
 
 # --- sweep ----------------------------------------------------------------------
 
-def _scalar_bound_value(result: dict) -> float:
-    value = result["value"]
+def _sweep_ose_failure(point: ExperimentConfig, idx: int) -> float:
+    payload, _ = _run(WITNESSES, "witness", "ose_failure", replace(point, seed=derive_seed(point.seed, idx)))
+    return payload["rate"]
+
+
+def _sweep_bounds(point: ExperimentConfig, idx: int) -> float:
+    value = _evaluate_formula(_need(point.params, "formula", str), point.params)["value"]
     # pairs of exponents collapse to the binding (smaller) one for tabulation
     return min(value) if isinstance(value, list) else value
 
 
+# sub-experiment -> the number one grid point (its params and index) yields
+SWEEPS = {"ose_failure": _sweep_ose_failure, "bounds": _sweep_bounds}
+
+
 def _run_sweep(cfg: ExperimentConfig) -> tuple[str, int]:
     params = cfg.params
-    experiment = _need(params, "experiment", str)
-    grid = _need(params, "grid")
-    if not isinstance(grid, dict) or "param" not in grid or "values" not in grid:
-        raise BadConfig("sweep needs grid = {param: name, values: [...]}")
-    axis = grid["param"]
-    values = grid["values"]
-    if not isinstance(values, list) or not values:
-        raise BadConfig("grid.values must be a nonempty list")
+    sweep = _lookup(SWEEPS, "sweep experiment", _need(params, "experiment", str))
+    grid = _need(params, "grid", dict)
+    axis, values = grid.get("param"), grid.get("values")
+    if not isinstance(axis, str) or not isinstance(values, list) or not values:
+        raise BadConfig("sweep needs grid = {param: name, values: [...]} with a nonempty list of values")
     fixed = {k: v for k, v in params.items() if k not in ("experiment", "grid")}
-    rows = []
-    if experiment == "ose_failure":
-        if cfg.trials is None:
-            raise BadConfig("ose_failure sweep needs config key 'trials'")
-        for idx, v in enumerate(values):
-            point = dict(fixed)
-            point[axis] = v
-            report = ose_failure_probability(
-                _need(point, "m", int), _need(point, "d", int), _need(point, "n", int),
-                cfg.trials, derive_seed(cfg.seed, idx),
-            )
-            rows.append((v, report.rate))
-    elif experiment == "bounds":
-        formula = fixed.pop("formula", None)
-        if not isinstance(formula, str):
-            raise BadConfig("bounds sweep needs a 'formula' param")
-        for v in values:
-            point = dict(fixed)
-            point[axis] = v
-            rows.append((v, _scalar_bound_value(_evaluate_formula(formula, point))))
-    else:
-        raise BadConfig(f"unknown sweep experiment {experiment!r}")
+    rows = [(v, sweep(replace(cfg, params={**fixed, axis: v}), idx)) for idx, v in enumerate(values)]
     if cfg.output_format == "csv":
         return _csv(rows), 0
     record = {
@@ -485,10 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(payload)
         return code
-    except SketchboundsError as exc:
-        print(f"sketchbounds: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SketchboundsError, OSError) as exc:
         print(f"sketchbounds: error: {exc}", file=sys.stderr)
         return 1
 

@@ -336,8 +336,12 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # --- JSON formats -------------------------------------------------------------
 
 def canonical_json(obj) -> str:
-    """Serialize with sorted keys and no whitespace: stable bytes for reruns."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """Serialize with sorted keys and no whitespace: stable bytes for reruns.
+    A NaN or infinity, which JSON cannot hold, raises :class:`InvalidEntry`."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidEntry(f"cannot write JSON: {exc}") from exc
 
 
 def _read_text(path) -> str:
@@ -347,6 +351,8 @@ def _read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedArtifact(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise MalformedArtifact(f"cannot open {path!r}: {exc}") from exc
 
 
 def _parse(text: str, what: str):

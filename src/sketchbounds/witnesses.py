@@ -557,8 +557,9 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> Certificate:
 
 # --- one-sparse map witnesses --------------------------------------------------------
 
-def ose_collision_witness(S: OneSparseMap, indices: Iterable[int]) -> Certificate:
-    """Exact kernel vector from a row collision among the selected columns.
+def ose_collision_witness(S: OneSparseMap, indices: Iterable[int] | None = None) -> Certificate:
+    """Exact kernel vector from a row collision among the selected columns
+    (all of them when `indices` is None).
 
     Takes the lexicographically first pair i < j with a(i) == a(j) and emits
     x with x_i = sigma(j), x_j = -sigma(i): then S x = 0 exactly in integer
@@ -566,7 +567,7 @@ def ose_collision_witness(S: OneSparseMap, indices: Iterable[int]) -> Certificat
     hash to distinct rows.
     """
     source = "ose_collision_witness"
-    cols = sorted({int(i) for i in indices})
+    cols = sorted({int(i) for i in (range(S.n) if indices is None else indices)})
     if not cols:
         raise EmptyIndexSet("need at least one column index")
     for i in cols:

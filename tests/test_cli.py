@@ -1,14 +1,17 @@
 """End-to-end checks of the command-line interface, run in-process."""
 
+import hashlib
 import json
 
 import pytest
 
 from sketchbounds import (
+    code_to_json,
     matrix_from_json,
     matrix_to_json,
     one_sparse_map_from_json,
     one_sparse_map_to_json,
+    random_code,
     sample_countsketch,
     sample_sparse_sign_jl,
 )
@@ -414,6 +417,111 @@ class TestDeterminism:
         assert first_out.endswith("\n")
 
 
+@pytest.fixture
+def fixture_dir(tmp_path, monkeypatch):
+    """A working directory holding tiny artifacts under relative names, so
+    payloads that echo an input path are the same bytes in every run."""
+    (tmp_path / "A.json").write_text(matrix_to_json(sample_sparse_sign_jl(8, 6, 3, 7)))
+    (tmp_path / "S.json").write_text(one_sparse_map_to_json(sample_countsketch(3, 6, 11)))
+    (tmp_path / "code.json").write_text(code_to_json(random_code(4, 2, 3, 0.5, 2)))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _frozen(name, command, params, code, sha256, **settings):
+    return pytest.param([command, "--config", {"command": command, "params": params, **settings}],
+                        code, sha256, id=name)
+
+
+def _frozen_bound(formula, args, code, sha256):
+    return pytest.param(["bounds", "--formula", formula, "--params", args], code, sha256, id=formula)
+
+
+# one run per construct family, measure, witness, sweep experiment and bound
+# formula, with the exit code and the sha256 of the stdout the if-chain
+# dispatch produced: a change to any payload shows here
+FROZEN_RUNS = [
+    _frozen("sign_jl", "construct", {"family": "sign_jl", "m": 8, "n": 5, "s": 3},
+            0, "c4d1f3bb863091a4fa994e633825f7e17fd8ef97e094eac5f3326be5cd48e389", seed=7),
+    _frozen("osnap_block", "construct", {"family": "osnap_block", "m": 8, "n": 5, "s": 2},
+            0, "b909103f0e9e705c34e0b2bcc84021d08b2c22b68de0b38dee6a141eb2e660f9", seed=7),
+    _frozen("countsketch", "construct", {"family": "countsketch", "m": 6, "n": 9},
+            0, "f179ca197aa64113a5f7ab1b7ee223492a0fd73f8ae249bfc03d68c39778b36d", seed=3),
+    _frozen("random_code", "construct",
+            {"family": "random_code", "q": 8, "t": 6, "N": 16, "eps": 0.5},
+            0, "905ecc243c13554f08e2fa5f035bdbca758e09f28f022ad643209a8f42aa399a", seed=1),
+    _frozen("code_matrix", "construct", {"family": "code_matrix", "code": "code.json"},
+            0, "72d0efa8cd6552ed5d61084cc673ca714dd6a4c4a2ea70113f703b9b4255980b"),
+    _frozen("spread_vectors", "construct",
+            {"family": "spread_vectors", "code": "code.json", "n": 8, "k": 4},
+            0, "da190746fbd44f95bdca1e6efd6d80638811d7c4afb1d1777b8937badba7df68"),
+    _frozen("coherence", "measure", {"measure": "coherence", "input": "A.json"},
+            0, "bfca91034e883b2904851a38d2a1f13259ba804a1cf439e02be0ee8cfb97661c"),
+    _frozen("rip_exact", "measure", {"measure": "rip_exact", "input": "A.json", "k": 2},
+            0, "d8027ab465ae57ef0b384c2f99d1691fcfa4677513775a9143fb70cb98f3a854"),
+    _frozen("rip_lower_estimate", "measure",
+            {"measure": "rip_lower_estimate", "input": "A.json", "k": 3},
+            0, "62ab46a2cdcd2fd04112930570c27962daebd8a31bd5e3913232fd3445f33f87", seed=3, trials=5),
+    _frozen("subspace_distortion", "measure",
+            {"measure": "subspace_distortion", "input": "S.json", "indices": [0, 2, 4]},
+            0, "b1206729e712be1caf6e0e6ea8f16c8e7f39c63be01fff57d20d9165806d5c46"),
+    _frozen("row_mass_profile", "measure", {"measure": "row_mass_profile", "input": "A.json", "x": 0.3},
+            0, "4cfe66af3ece6364b079938468d2839d8db3e7c9ba3ea546741fb5704ce9a279"),
+    _frozen("scale_profile", "measure", {"measure": "scale_profile", "input": "A.json", "column": 1},
+            0, "794829efc88f50cf618ae275b1b7b83de46090f0c6ee8d84eec12b4fab062f8d"),
+    _frozen("column_sparsity", "measure", {"measure": "column_sparsity", "input": "A.json"},
+            0, "f0b7e03c214bd50f0a6b4adde59cad5a5e487840d98f4743d63478191515781d"),
+    _frozen("ose_failure", "witness", {"witness": "ose_failure", "m": 4, "d": 2, "n": 8},
+            0, "fcf4ff1cd9f1a9dde880459f0b2047f05b6bdf663c40998a41cc2911f316f131", trials=20),
+    _frozen("row_mass", "witness", {"witness": "row_mass", "input": "A.json", "eps": 0.25},
+            0, "45d9b2cc3b58bc9ba975f05fc5303f163331bbae8364a0b47ad4a167068a6f6a"),
+    _frozen("ttype_collision", "witness",
+            {"witness": "ttype_collision", "input": "A.json", "eps": 0.05, "t": 2},
+            0, "356d31b92f6692d2feb12950e1dec502be3bfe4e4332f45ea61f96efa32142b6"),
+    _frozen("sign_pattern", "witness",
+            {"witness": "sign_pattern", "input": "A.json", "eps": 0.3, "t": 2},
+            0, "7b67f3b320d93069c4e2225f25434db9ce3b9c21fa14217fe797d7d5ec795cb9"),
+    _frozen("sign_pattern_full", "witness",
+            {"witness": "sign_pattern", "input": "A.json", "eps": 0.3, "t": 2, "full_enumeration": True},
+            2, "f4c3f1ee731c93f59977d52d34e80bc1cf01ea6d38b14c8cffecbdcfa0148cc3"),
+    _frozen("rip_pattern", "witness", {"witness": "rip_pattern", "input": "A.json", "k": 2},
+            0, "6edc0e917dfc1e77b1644d949756ad29fd8d8be98ec9d9d83a09947286036f3f"),
+    _frozen("ose_collision", "witness", {"witness": "ose_collision", "input": "S.json"},
+            2, "de2a9b12b361250653c1614c311214a1b2464c2139288716fb22674150ff3867"),
+    _frozen("ose_collision_indices", "witness",
+            {"witness": "ose_collision", "input": "S.json", "indices": [2, 3, 5]},
+            2, "0841c8c968eb28b68127bb4c55a5820813a818b84d0e71adaa0cdf2a335fb407"),
+    _frozen("sweep_ose_failure", "sweep",
+            {"experiment": "ose_failure", "d": 2, "n": 8, "grid": {"param": "m", "values": [4, 8]}},
+            0, "b83825255e19b8127068843e3956b3f420a8e78614a651fce429514641931edf", seed=5, trials=10),
+    _frozen("sweep_bounds", "sweep",
+            {"experiment": "bounds", "formula": "code_size", "eps": 0.25, "k": 4,
+             "grid": {"param": "n", "values": [256, 1024]}},
+            0, "895b9808d2c695b7ab063f85002676e8ea8e6c5964ab27eb2af05b22c7409fbe", output_format="csv"),
+    _frozen_bound("min_sparsity", "q=100,r=10",
+            0, "4707d8c3263785d795746f4bea696f84b9af8c1a585ad9c6d98f2ce8fbe64469"),
+    _frozen_bound("incoherent_rows", "eps=0.1,N=1000",
+            0, "092d57fafade5257902d1bdd1beb4afae6d4b8b7defe9b996307460b16a59cc0"),
+    _frozen_bound("jl_sparsity", "eps=0.1,n=10000,m=500",
+            0, "ae9f2ccea90aa191318d65fbd342f2e1b07fa0bb4908c27842e1a5632ab7e9fb"),
+    _frozen_bound("rip_sparsity", "k=10,n=1e12,m=1000",
+            0, "1d1ebed743125888d4bbaa3e287f89d1f64a9b4cfbbeb77f1c69788345c75128"),
+    _frozen_bound("rip_rows", "delta=0.5,k=2,n=10000",
+            0, "84274e6eec03df22799bedc6164289aa528a01327da7b7181d2e167591675b51"),
+    _frozen_bound("code_size", "eps=0.25,k=4,n=1024",
+            0, "99f835ffd2c23fda0da355739f1a5601e58ae8d6ec0473be5cad2f1c3818b983"),
+]
+
+
+class TestFrozenStdout:
+    @pytest.mark.parametrize("argv,code,sha256", FROZEN_RUNS)
+    def test_stdout_bytes(self, argv, code, sha256, fixture_dir, write_config, capsys):
+        argv = [write_config(a) if isinstance(a, dict) else a for a in argv]
+        got_code, out, err = run_cli(argv, capsys)
+        assert (got_code, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def assert_one_error_line(code, err):
     assert code == 1
     assert "Traceback" not in err
@@ -433,7 +541,7 @@ class TestBadInputsExitOne:
         paths["empty"].write_text('{"cols": [[]], "m": 2, "n": 1}')
         paths["not_utf8"].write_bytes(b"\xff\xfe" + text.encode())
         paths["map"].write_text(one_sparse_map_to_json(sample_countsketch(4, 5, 1)))
-        return {k: str(v) for k, v in paths.items()}
+        return {"nul": f"{paths['matrix']}\0", **{k: str(v) for k, v in paths.items()}}
 
     @pytest.mark.parametrize("command,params", [
         ("measure", {"measure": "coherence", "input": "truncated"}),
@@ -443,6 +551,7 @@ class TestBadInputsExitOne:
         ("measure", {"measure": "coherence", "input": "not_utf8"}),
         ("measure", {"measure": "rip_exact", "input": "matrix", "k": 0}),
         ("witness", {"witness": "sign_pattern", "input": "empty", "eps": 0.1, "t": 1}),
+        ("measure", {"measure": "coherence", "input": "nul"}),
     ])
     def test_unusable_artifact(self, command, params, artifacts, write_config, capsys):
         cfg = write_config({"command": command,
@@ -465,8 +574,24 @@ class TestBadInputsExitOne:
         {"command": "construct", "params": {"family": "random_code", "q": 4, "t": 2, "N": 2, "eps": 2}},
         {"command": "construct",
          "params": {"family": "random_code", "q": 4, "t": 2, "N": 2, "eps": 0.5, "max_attempts": 2.5}},
+        *({"command": "measure", "params": {"measure": "subspace_distortion", "input": "matrix", "indices": bad}}
+          for bad in (["x"], [None], [[0]], [1.7, 2], [True, 2])),
+        *({"command": "witness", "params": {"witness": "ose_collision", "input": "map", "indices": bad}}
+          for bad in (5, "ab", "01")),
+        {"command": "witness", "params": {"witness": "sign_pattern", "input": "matrix", "eps": 0.1, "t": 1,
+                                          "full_enumeration": "false"}},
+        *({"command": "sweep", "params": {"experiment": "bounds", "formula": "incoherent_rows", "eps": 0.1,
+                                          "grid": {"param": bad, "values": [100]}}}
+          for bad in (["N"], {"N": 1})),
+        {"command": "bounds", "params": {"formula": "incoherent_rows", "args": "epsN"}},
+        {"command": "measure", "params": {"measure": "row_mass_profile", "input": "matrix", "x": 5e-324}},
+        {"command": "measure", "params": {"measure": "coherence", "input": "matrix", "note": float("nan")}},
+        {"command": "bounds", "output_path": ["x"], "params": {"formula": "min_sparsity", "q": 100, "r": 10}},
     ])
-    def test_bad_config_value(self, config, write_config, capsys):
+    def test_bad_config_value(self, config, artifacts, write_config, capsys):
+        params = config["params"]
+        if "input" in params:
+            config = {**config, "params": {**params, "input": artifacts[params["input"]]}}
         code, _, err = run_cli([config["command"], "--config", write_config(config)], capsys)
         assert_one_error_line(code, err)
 

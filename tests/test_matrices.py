@@ -27,6 +27,7 @@ from sketchbounds import (
     save_one_sparse_map,
     stream_update,
 )
+from sketchbounds.errors import InvalidEntry, MalformedArtifact
 from sketchbounds.matrices import canonical_json
 
 from conftest import dense
@@ -245,6 +246,15 @@ class TestJson:
     def test_canonical_form(self):
         text = canonical_json({"b": 1, "a": [1.5, 2]})
         assert text == '{"a":[1.5,2],"b":1}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_canonical_form_refuses_non_finite_numbers(self, value):
+        with pytest.raises(InvalidEntry):
+            canonical_json({"a": [1.0, value]})
+
+    def test_path_with_nul_byte(self, tmp_path):
+        with pytest.raises(MalformedArtifact):
+            load_matrix(f"{tmp_path}/A\0.json")
 
     def test_matrix_round_trip_is_exact(self):
         A = SparseMatrix.from_dense(DENSE_4X3 / 3.0)  # non-dyadic values

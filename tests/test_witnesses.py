@@ -372,6 +372,10 @@ class TestOseCollision:
             assert cert.kind == "kernel_witness"
             assert verify_certificate(cert, S)
 
+    def test_default_selects_every_column(self):
+        S = OneSparseMap(4, 4, [0, 1, 1, 0], [1, 1, -1, 1])
+        assert ose_collision_witness(S).to_jsonable() == ose_collision_witness(S, range(4)).to_jsonable()
+
 
 class TestOseFailureProbability:
     def test_frozen_small_run(self):
