@@ -363,19 +363,33 @@ def _sweep_bounds(point: ExperimentConfig, idx: int) -> float:
     return min(value) if isinstance(value, list) else value
 
 
-# sub-experiment -> the number one grid point (its params and index) yields
-SWEEPS = {"ose_failure": _sweep_ose_failure, "bounds": _sweep_bounds}
+class Sweep(NamedTuple):
+    """One sub-experiment: ``point`` is the number one grid point (its params
+    and index) yields; ``axes`` names the params it reads, given the fixed ones."""
+
+    point: Callable
+    axes: Callable
+
+
+SWEEPS = {
+    "ose_failure": Sweep(_sweep_ose_failure, lambda fixed: [spec[0] for spec in WITNESSES["ose_failure"].params]),
+    "bounds": Sweep(_sweep_bounds, lambda fixed: _lookup(FORMULAS, "formula", _need(fixed, "formula", str))[1]),
+}
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[str, int]:
     params = cfg.params
-    sweep = _lookup(SWEEPS, "sweep experiment", _need(params, "experiment", str))
+    name = _need(params, "experiment", str)
+    sweep = _lookup(SWEEPS, "sweep experiment", name)
     grid = _need(params, "grid", dict)
     axis, values = grid.get("param"), grid.get("values")
     if not isinstance(axis, str) or not isinstance(values, list) or not values:
         raise BadConfig("sweep needs grid = {param: name, values: [...]} with a nonempty list of values")
     fixed = {k: v for k, v in params.items() if k not in ("experiment", "grid")}
-    rows = [(v, sweep(replace(cfg, params={**fixed, axis: v}), idx)) for idx, v in enumerate(values)]
+    axes = sweep.axes(fixed)
+    if axis not in axes:
+        raise BadConfig(f"sweep {name} cannot vary {axis!r}; its grid param must be one of {', '.join(axes)}")
+    rows = [(v, sweep.point(replace(cfg, params={**fixed, axis: v}), idx)) for idx, v in enumerate(values)]
     if cfg.output_format == "csv":
         return _csv(rows), 0
     record = {

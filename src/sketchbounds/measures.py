@@ -6,6 +6,14 @@ sampled column supports, and the two profile measures read entry magnitudes
 directly off the columns.  Randomized estimation (``rip_constant_lower_
 estimate``) draws its supports from one sequential seeded stream, so a longer
 run with the same seed extends a shorter one and the estimate can only grow.
+
+The restricted isometry constants stack their eigensolves: a chunk of supports
+becomes one (N, k, m) array of their columns, one batched ``np.matmul`` gives
+the N k-by-k Gram matrices and one ``np.linalg.eigvalsh`` their eigenvalues.
+A chunk holds at most ``_CHUNK_BYTES`` (1 MiB) of stacked columns, or one
+support when a single one is larger.  Its other arrays, the distinct columns
+and the N Gram matrices, are no larger than the stack unless k > m, so the
+memory stays bounded however many supports are scanned.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +41,8 @@ from .rng import substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
+# bytes of stacked support columns per eigensolve chunk
+_CHUNK_BYTES = 2**20
 
 
 def check_unit_columns(A: SparseMatrix, tol: float = UNIT_NORM_TOL) -> None:
@@ -48,9 +58,9 @@ def coherence(A: SparseMatrix) -> float:
     if A.n < 2:
         raise TooFewColumns("coherence needs at least two columns")
     check_unit_columns(A)
-    # The dense copy takes O(m*n) memory; Gram products of 1024-column
+    # The dense copy takes O(m*n) memory; Gram products of 512-column
     # slices keep each product at O(block^2) for wide matrices.
-    block = 1024
+    block = 512
     best = 0.0
     D = A.to_dense()
     for a in range(0, A.n, block):
@@ -79,12 +89,34 @@ class RipEstimate:
     worst_direction: np.ndarray
 
 
-def _support_delta(A: SparseMatrix, support: Sequence[int]) -> tuple[float, float, float]:
-    """(delta, lambda_min, lambda_max) of the Gram matrix on one support."""
-    B = A.submatrix_dense(support)
-    w = np.linalg.eigvalsh(B.T @ B)
-    lo, hi = float(w[0]), float(w[-1])
-    return max(hi - 1.0, 1.0 - lo), lo, hi
+def _chunk_length(A: SparseMatrix, k: int) -> int:
+    """Supports per chunk: their (N, k, m) column stack fits ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * k * A.m))
+
+
+def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
+    """delta of the Gram matrix on each row of an (N, k) array of supports,
+    from one stacked matmul and one stacked eigensolve."""
+    cols, inv = np.unique(supports, return_inverse=True)
+    Bt = A.submatrix_dense(cols).T[inv.reshape(supports.shape)]
+    w = np.linalg.eigvalsh(np.matmul(Bt, Bt.transpose(0, 2, 1)))
+    return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+
+
+def _worst_support(A: SparseMatrix, chunks: Iterable[np.ndarray]) -> tuple[tuple[int, ...], float]:
+    """The support with the largest delta over a sequence of (N, k) chunks,
+    and that delta; ties keep the first support in scan order."""
+    best_delta = -math.inf
+    best_support: tuple[int, ...] = ()
+    for supports in chunks:
+        deltas = _support_deltas(A, supports)
+        # a NaN delta (from a Gram that overflowed) never wins, as in a scan with >
+        deltas[np.isnan(deltas)] = -math.inf
+        i = int(np.argmax(deltas))  # argmax takes the first on ties
+        if deltas[i] > best_delta:
+            best_delta = float(deltas[i])
+            best_support = tuple(int(j) for j in supports[i])
+    return best_support, best_delta
 
 
 def _finish_estimate(A: SparseMatrix, k: int, mode: str, support: tuple[int, ...], delta: float) -> RipEstimate:
@@ -105,7 +137,8 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     """delta_k by exhaustive enumeration of all C(n, k) column supports.
 
     Guarded by C(n, k) <= 10^6; the worst support is the lexicographically
-    first achiever of the maximum.
+    first achiever of the maximum.  The supports are solved in stacked
+    chunks of at most 1 MiB of columns each (see the module docstring).
     """
     if not 1 <= k <= A.n:
         raise InvalidDimension(f"k={k} must lie in [1, n={A.n}]")
@@ -117,14 +150,11 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
         deltas = np.maximum(norms_sq - 1.0, 1.0 - norms_sq)
         j = int(np.argmax(deltas))  # argmax takes the first on ties
         return _finish_estimate(A, k, "exact", (j,), float(deltas[j]))
-    best_delta = -math.inf
-    best_support: tuple[int, ...] = ()
-    for support in itertools.combinations(range(A.n), k):
-        delta, _, _ = _support_delta(A, support)
-        if delta > best_delta:
-            best_delta = delta
-            best_support = support
-    return _finish_estimate(A, k, "exact", best_support, best_delta)
+    combos = itertools.combinations(range(A.n), k)
+    size = _chunk_length(A, k)
+    chunks = (np.fromiter(itertools.islice(combos, size), dtype=(np.intp, k))
+              for _ in range(0, count, size))
+    return _finish_estimate(A, k, "exact", *_worst_support(A, chunks))
 
 
 def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int) -> RipEstimate:
@@ -132,22 +162,19 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
 
     Supports come off a single sequential stream, so with a fixed seed the
     first supports of a longer run replicate a shorter run exactly and the
-    estimate is monotone nondecreasing in `trials`.
+    estimate is monotone nondecreasing in `trials`.  They are drawn and
+    solved in stacked chunks of at most 1 MiB of columns each (see the
+    module docstring).
     """
     if not 1 <= k <= A.n:
         raise InvalidDimension(f"k={k} must lie in [1, n={A.n}]")
     if trials < 1:
         raise InvalidCount(f"need trials >= 1, got {trials}")
     g = substream(seed)
-    best_delta = -math.inf
-    best_support: tuple[int, ...] = ()
-    for _ in range(trials):
-        support = tuple(int(i) for i in np.sort(g.choice(A.n, size=k, replace=False)))
-        delta, _, _ = _support_delta(A, support)
-        if delta > best_delta:
-            best_delta = delta
-            best_support = support
-    return _finish_estimate(A, k, "lower_estimate", best_support, best_delta)
+    size = _chunk_length(A, k)
+    chunks = (np.array([np.sort(g.choice(A.n, size=k, replace=False)) for _ in range(min(size, trials - start))])
+              for start in range(0, trials, size))
+    return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, chunks))
 
 
 def subspace_distortion(A: SparseMatrix | OneSparseMap, indices: Sequence[int]) -> tuple[float, float]:

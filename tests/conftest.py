@@ -7,8 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sketchbounds import SparseMatrix
+
+# One deterministic profile for every property test: each run draws the same
+# examples and keeps no example database, so two runs test the same inputs.
+# Tests still set their own max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 ROOT2 = math.sqrt(2.0)
 

@@ -584,6 +584,14 @@ class TestBadInputsExitOne:
                                           "grid": {"param": bad, "values": [100]}}}
           for bad in (["N"], {"N": 1})),
         {"command": "bounds", "params": {"formula": "incoherent_rows", "args": "epsN"}},
+        # a grid axis the experiment never reads
+        {"command": "sweep", "output_format": "csv",
+         "params": {"experiment": "bounds", "formula": "jl_sparsity", "eps": 0.1, "n": 10000, "m": 500,
+                    "grid": {"param": "zzz", "values": [[1, 2], "a,b"]}}},
+        {"command": "sweep", "params": {"experiment": "bounds", "formula": "jl_sparsity", "eps": 0.1, "n": 10000,
+                                        "m": 500, "grid": {"param": "formula", "values": ["jl_sparsity"]}}},
+        {"command": "sweep", "trials": 5,
+         "params": {"experiment": "ose_failure", "m": 4, "d": 2, "n": 8, "grid": {"param": "mm", "values": [4, 8]}}},
         {"command": "measure", "params": {"measure": "row_mass_profile", "input": "matrix", "x": 5e-324}},
         {"command": "measure", "params": {"measure": "coherence", "input": "matrix", "note": float("nan")}},
         {"command": "bounds", "output_path": ["x"], "params": {"formula": "min_sparsity", "q": 100, "r": 10}},

@@ -89,8 +89,7 @@ ENTRIES = [
 
 @pytest.mark.parametrize("command,name", ENTRIES, ids=[f"{c}-{n}" for c, n in ENTRIES])
 def test_any_config_exits_cleanly(command, name, files):
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(configs(command, name, files))
     def run(config):
         with open(files["config.json"], "w") as fh:

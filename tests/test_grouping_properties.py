@@ -4,7 +4,8 @@ Each oracle below groups columns one at a time through the public
 single-column functions (``ttype_of``, ``pattern_at_scale``,
 ``scale_profile``) and a dict, as the searches did before they built their
 keys from the CSC arrays; the batched searches must return the same
-certificate or raise the same exception class.
+certificate or raise the same exception class.  Every certificate a search
+returns, other than ``none``, must verify against its matrix.
 """
 
 import itertools
@@ -33,12 +34,15 @@ from sketchbounds import (
     ttype_collision_certify,
     ttype_of,
 )
+from sketchbounds.cli import WITNESSES
+from sketchbounds.constructions import sample_countsketch
 from sketchbounds.witnesses import (
     TTYPE_GROUP_CONSTANT,
     Certificate,
     _expose_incoherent_pair,
     group_columns,
     none_certificate,
+    verify_certificate,
 )
 
 
@@ -242,3 +246,42 @@ def test_group_columns_edge_cases():
     assert group_columns(keys, np.array([False, True, True, True, True])).tolist() == [1, 3]
     # all keys distinct: every group is a singleton, the first one wins
     assert group_columns(np.arange(12, dtype=np.int32).reshape(6, 2)).tolist() == [0]
+
+
+# --- every certificate verifies -----------------------------------------------------
+
+# each certificate search of the CLI, as a call on a matrix and the drawn eps, t, k
+MATRIX_SEARCHES = {
+    "row_mass": lambda A, eps, t, k, full: WITNESSES["row_mass"].fn(A, eps),
+    "ttype_collision": lambda A, eps, t, k, full: WITNESSES["ttype_collision"].fn(A, eps, t),
+    "sign_pattern": lambda A, eps, t, k, full: WITNESSES["sign_pattern"].fn(A, eps, t, full),
+    "rip_pattern": lambda A, eps, t, k, full: WITNESSES["rip_pattern"].fn(A, k),
+}
+
+
+def test_every_certificate_search_is_covered():
+    searches = {name for name, entry in WITNESSES.items() if entry.load is not None}
+    assert searches == set(MATRIX_SEARCHES) | {"ose_collision"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.sampled_from([0.001, 0.01, 0.03, 0.1, 0.3]), T_VALUES, st.sampled_from([2, 3, 5]),
+       st.booleans())
+@example(FLAT_PAIR, 0.005, 1, 2, False)
+@example(SIGN_GROUP, 0.1, 1, 2, True)
+def test_every_matrix_certificate_verifies(A, eps, t, k, full):
+    for name, search in MATRIX_SEARCHES.items():
+        try:
+            cert = search(A, eps, t, k, full)
+        except SketchboundsError:
+            continue
+        assert cert.kind == "none" or verify_certificate(cert, A), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1), st.data())
+def test_every_collision_certificate_verifies(m, n, seed, data):
+    S = sample_countsketch(m, n, seed)
+    indices = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    cert = WITNESSES["ose_collision"].fn(S, indices)
+    assert cert.kind == "none" or verify_certificate(cert, S)

@@ -1,9 +1,11 @@
 """Coherence, restricted isometry constants, distortion, and profiles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sketchbounds import (
     Code,
@@ -22,6 +24,7 @@ from sketchbounds import (
     code_max_agreement,
     code_to_incoherent,
     coherence,
+    column_norms,
     dyadic_scale_count,
     random_code,
     rip_constant_exact,
@@ -30,6 +33,7 @@ from sketchbounds import (
     scale_profile,
     subspace_distortion,
 )
+from sketchbounds import measures
 from sketchbounds.rng import substream
 
 from conftest import dense, unit_random_sparse
@@ -70,7 +74,7 @@ class TestCoherence:
             coherence(dense([[2.0, 0.0], [0.0, 1.0]]))
 
     def test_blockwise_matches_dense_gram(self):
-        # more columns than the 1024-wide block, so the tiled path is exercised
+        # more columns than the 512-wide block, so the tiled path is exercised
         rng = substream(77)
         A = unit_random_sparse(12, 1100, 4, rng)
         D = A.to_dense()
@@ -108,6 +112,32 @@ class TestCoherence:
         # reduction order would show in the last bit
         A = unit_random_sparse(m, n, nnz, substream(seed))
         assert coherence(A) == self.per_block_coherence(A)
+
+    @staticmethod
+    def slices_1024_coherence(A):
+        """The earlier implementation, with Gram products of 1024-column slices."""
+        block = 1024
+        best = 0.0
+        D = A.to_dense()
+        for a in range(0, A.n, block):
+            Da = D[:, a:a + block]
+            for b in range(a, A.n, block):
+                G = Da.T @ D[:, b:b + block]
+                if a == b:
+                    np.fill_diagonal(G, 0.0)
+                best = max(best, float(np.abs(G).max()))
+        return best
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 256])
+    @pytest.mark.parametrize("n", [2, 513, 514, 1025, 1026, 1537, 2049, 2050, 3073])
+    def test_512_slices_match_1024_slices_bit_for_bit(self, m, n):
+        # remainders of one and two columns on both block widths; half the
+        # entries are gaussian, so no product is dyadic (except at m = 1)
+        rng = np.random.default_rng([m, n])
+        D = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+        D[0, ~D.any(axis=0)] = 1.0
+        A = SparseMatrix.from_dense(D / np.sqrt((D * D).sum(axis=0)))
+        assert coherence(A) == self.slices_1024_coherence(A)
 
 
 class TestRipExact:
@@ -220,6 +250,108 @@ class TestRipLowerEstimate:
             rip_constant_lower_estimate(A, 2, trials=0, seed=0)
         with pytest.raises(InvalidDimension):
             rip_constant_lower_estimate(A, 9, trials=1, seed=0)
+
+
+# --- the stacked RIP against the per-support loop ---------------------------------
+
+def per_support_delta(A, support):
+    """delta on one support, one eigensolve at a time: the earlier kernel."""
+    B = A.submatrix_dense(support)
+    w = np.linalg.eigvalsh(B.T @ B)
+    lo, hi = float(w[0]), float(w[-1])
+    return max(hi - 1.0, 1.0 - lo)
+
+
+def loop_exact(A, k):
+    """The earlier `rip_constant_exact`: one eigensolve per support in
+    lexicographic order, replacing the best only on a strict >."""
+    if k == 1:
+        norms_sq = column_norms(A) ** 2
+        deltas = np.maximum(norms_sq - 1.0, 1.0 - norms_sq)
+        j = int(np.argmax(deltas))
+        return measures._finish_estimate(A, k, "exact", (j,), float(deltas[j]))
+    best_delta, best_support = -math.inf, ()
+    for support in itertools.combinations(range(A.n), k):
+        delta = per_support_delta(A, support)
+        if delta > best_delta:
+            best_delta, best_support = delta, support
+    return measures._finish_estimate(A, k, "exact", best_support, best_delta)
+
+
+def loop_estimate(A, k, trials, seed):
+    """The earlier `rip_constant_lower_estimate`: one draw and one eigensolve
+    per trial."""
+    g = substream(seed)
+    best_delta, best_support = -math.inf, ()
+    for _ in range(trials):
+        support = tuple(int(i) for i in np.sort(g.choice(A.n, size=k, replace=False)))
+        delta = per_support_delta(A, support)
+        if delta > best_delta:
+            best_delta, best_support = delta, support
+    return measures._finish_estimate(A, k, "lower_estimate", best_support, best_delta)
+
+
+def same_estimate(a, b):
+    return (a.delta == b.delta and a.worst_support == b.worst_support
+            and a.worst_direction.tobytes() == b.worst_direction.tobytes())
+
+
+@st.composite
+def rip_inputs(draw):
+    """(A, k): gaussian entries (not dyadic), some columns repeated so that
+    supports tie, m from 1 up and often below k, and k from 1 to 4."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(4, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7) / math.sqrt(m)
+    repeat = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.6]))
+    D[:, repeat] = D[:, rng.integers(0, n, size=int(repeat.sum()))]
+    return SparseMatrix.from_dense(D), k
+
+
+TIED = SparseMatrix.from_dense(np.array([[0.6, 0.6, 0.6, 0.3], [0.7, 0.7, 0.7, 0.1]]))
+
+
+class TestStackedRipMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(rip_inputs(), st.integers(0, 2**16))
+    @example((TIED, 2), 0)
+    @example((TIED, 3), 1)
+    def test_bit_for_bit_with_chunks_of_one_two_and_three(self, inp, seed):
+        A, k = inp
+        exact, estimate = loop_exact(A, k), loop_estimate(A, k, 12, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # the default budget, then chunks of 1, 2 and 3 supports: ties
+            # fall on chunk boundaries
+            for per_chunk in (None, 1, 2, 3):
+                if per_chunk is not None:
+                    mp.setattr(measures, "_CHUNK_BYTES", 8 * k * A.m * per_chunk)
+                assert same_estimate(rip_constant_exact(A, k), exact)
+                assert same_estimate(rip_constant_lower_estimate(A, k, 12, seed), estimate)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rip_inputs(), st.integers(0, 2**16), st.integers(1, 3))
+    def test_estimate_monotone_in_trials_across_chunks(self, inp, seed, per_chunk):
+        A, k = inp
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK_BYTES", 8 * k * A.m * per_chunk)
+            runs = [rip_constant_lower_estimate(A, k, trials, seed) for trials in range(1, 9)]
+        deltas = [r.delta for r in runs]
+        assert deltas == sorted(deltas)
+        assert all(same_estimate(r, loop_estimate(A, k, trials, seed)) for trials, r in enumerate(runs, 1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_gram_never_wins(self):
+        # the Gram of any support holding the huge column overflows, so its
+        # eigenvalues and delta are NaN; as in the loop, the finite support wins
+        A = dense([[1e200, 1.0, 0.5], [0.0, 1.0, 0.5]])
+        for per_chunk in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measures, "_CHUNK_BYTES", 8 * 2 * A.m * per_chunk)
+                assert same_estimate(rip_constant_exact(A, 2), loop_exact(A, 2))
+                assert rip_constant_exact(A, 2).worst_support == (1, 2)
+                assert same_estimate(rip_constant_lower_estimate(A, 2, 10, 1), loop_estimate(A, 2, 10, 1))
 
 
 class TestSubspaceDistortion:
