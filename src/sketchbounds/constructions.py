@@ -13,10 +13,15 @@ Deterministic constructions turn a low-agreement code into a matrix with
 low pairwise column coherence (``code_to_incoherent``) and into a family of
 flat k/2-sparse unit vectors (``spread_vectors``).
 
-Every sampler is a pure function of its parameters plus a 64-bit seed; the
-matrix samplers draw one derived stream per column (see
-:mod:`sketchbounds.rng`), so columns could be sampled in parallel without
-changing the output.
+Every sampler is a pure function of its parameters plus a 64-bit seed.  In
+the two sign samplers column j is what its own stream ``substream(seed, j)``
+gives (see :mod:`sketchbounds.rng`), but the columns are computed as lanes,
+``_LANES`` at a time, from an emulation of those streams in numpy array
+operations, not one ``Generator`` per column.  A lane falls back to its real
+stream when one of its draws could have rejected; every column does when
+numpy samples the shape another way, or when a guard finds the first or last
+emulated column different from its stream.  So the output is the same bytes
+either way.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .errors import (
     UnknownKind,
 )
 from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, _read_text, canonical_json
-from .rng import substream
+from .rng import bounded, check_seed, choice_draws, choice_lanes, lane_draws, substream
 
 
 class Code:
@@ -121,12 +126,19 @@ def random_code(q: int, t: int, N: int, eps: float, seed: int, max_attempts: int
     eps = 1 makes the agreement cap vacuous.  Raises :class:`Exhausted` if
     some word cannot be placed within ``max_attempts`` candidate draws.
     """
+    q, t, N = _integer(q, "alphabet size"), _integer(t, "block length"), _integer(N, "word count")
+    max_attempts = _integer(max_attempts, "max_attempts")
     if not 0 < eps <= 1:
         raise InvalidEps(f"eps must lie in (0, 1], got {eps}")
     if N < 1:
         raise InvalidCount(f"need at least one word, got N={N}")
     if max_attempts < 1:
         raise InvalidCount("max_attempts must be positive")
+    if q < 2:
+        raise InvalidDimension(f"alphabet size must be >= 2, got {q}")
+    if t < 1:
+        raise InvalidDimension(f"block length must be >= 1, got {t}")
+    _check_size("alphabet size", q, 2**63, N * t)
     cap = math.floor(eps * t)
     g = substream(seed)
     accepted = np.empty((N, t), dtype=np.int64)
@@ -175,18 +187,70 @@ def code_to_incoherent(c: Code) -> SparseMatrix:
 
 # --- random matrix samplers ---------------------------------------------------
 
-def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows) -> SparseMatrix:
-    """s entries of +-1/sqrt(s) per column.  Column j draws from its own
-    stream substream(seed, j): first its sorted rows, ``draw_rows(g)``, then
-    its s signs."""
+# columns computed per chunk of lanes: the lane arrays stay a few hundred KB,
+# so peak memory does not grow with n
+_LANES = 1024
+# Generator.integers draws int64 below at most 2^63, and Generator.choice
+# needs its population to fit an int64.  Sampled entries, and so column
+# indices (one 32-bit spawn-key word each), are capped at 2^32.
+_MAX_ENTRIES = 2**32
+
+
+def _check_size(what: str, value: int, limit: int, entries: int) -> None:
+    """Refuse a range numpy cannot draw from, or more entries than the cap."""
+    if value > limit:
+        raise TooLarge(f"{what} must be at most {limit}, got {value}")
+    if entries > _MAX_ENTRIES:
+        raise TooLarge(f"at most 2^32 sampled entries are supported, got {entries}")
+
+
+def _check_columns(m: int, n: int, s: int) -> None:
     if n < 1:
         raise InvalidDimension(f"need n >= 1 columns, got {n}")
+    _check_size("row count", m, 2**63 - 1, n * s)
+
+
+def _column(seed: int, j: int, s: int, draw_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Column j off its own stream: its sorted rows, then its s signs as 0/1."""
+    g = substream(seed, j)
+    return draw_rows(g), g.integers(0, 2, size=s)
+
+
+def _emulation_agrees(seed: int, j: int, s: int, draw_rows, rows: np.ndarray, signs: np.ndarray) -> bool:
+    """Whether lane j's rows and signs are what substream(seed, j) gives."""
+    want_rows, want_signs = _column(seed, j, s, draw_rows)
+    return np.array_equal(rows[j], want_rows) and np.array_equal(signs[j], want_signs)
+
+
+def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows, lane_rows, row_draws) -> SparseMatrix:
+    """s entries of +-1/sqrt(s) per column.  Column j is what its own stream
+    substream(seed, j) gives: first its sorted rows, ``draw_rows(g)``, then
+    its s signs, ``g.integers(0, 2, size=s)``.
+
+    The columns are lanes, computed ``_LANES`` at a time from their first
+    32-bit draws (:func:`sketchbounds.rng.lane_draws`): ``lane_rows`` turns
+    the first ``row_draws`` into rows plus a flag for lanes where a draw could
+    have rejected, and the next s draws are the signs, ``u >> 31``, which
+    never reject.  Flagged lanes are drawn from ``substream`` in a loop; so is
+    every column when ``row_draws`` is None (numpy samples that shape another
+    way) or when the first or last emulated column differs from its stream.
+    """
+    seed = check_seed(seed)
     rows = np.empty((n, s), dtype=np.int64)
     data = np.empty((n, s))
-    for j in range(n):
-        g = substream(seed, j)
-        rows[j] = draw_rows(g)
-        data[j] = g.integers(0, 2, size=s)
+    loop = np.ones(n, dtype=bool)
+    if row_draws is not None:
+        for start in range(0, n, _LANES):
+            lanes = slice(start, min(start + _LANES, n))
+            words = lane_draws(seed, np.arange(lanes.start, lanes.stop), row_draws + s)
+            rows[lanes], loop[lanes] = lane_rows(words[:, :row_draws])
+            data[lanes] = words[:, row_draws:] >> np.uint64(31)
+        emulated = np.flatnonzero(~loop)
+        if emulated.size and not all(_emulation_agrees(seed, int(j), s, draw_rows, rows, data)
+                                     for j in emulated[[0, -1]]):
+            loop[:] = True
+    for j in np.flatnonzero(loop).tolist():
+        rows[j], data[j] = _column(seed, j, s, draw_rows)
     # in place, so the matrix keeps these two arrays and no others are made
     data *= 2.0
     data -= 1.0
@@ -197,29 +261,52 @@ def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows) -> Sparse
 def sample_sparse_sign_jl(m: int, n: int, s: int, seed: int) -> SparseMatrix:
     """Sign matrix with s nonzeros per column: rows are a uniform s-subset of
     [m], values independent +-1/sqrt(s)."""
+    m, n, s = _integer(m, "row count"), _integer(n, "column count"), _integer(s, "sparsity")
     if not 1 <= s <= m:
         raise InvalidSparsity(f"sparsity s={s} must lie in [1, m={m}]")
-    return _sample_sign_columns(m, n, s, seed, lambda g: np.sort(g.choice(m, size=s, replace=False)))
+    _check_columns(m, n, s)
+    return _sample_sign_columns(
+        m, n, s, seed,
+        lambda g: np.sort(g.choice(m, size=s, replace=False)),
+        lambda words: choice_lanes(words, m, s),
+        choice_draws(m, s),
+    )
 
 
 def sample_osnap_block(m: int, n: int, s: int, seed: int) -> SparseMatrix:
     """Block sign matrix: s must divide m; each column places one +-1/sqrt(s)
     uniformly inside each of the s contiguous blocks of m/s rows."""
+    m, n, s = _integer(m, "row count"), _integer(n, "column count"), _integer(s, "sparsity")
     if not 1 <= s <= m:
         raise InvalidSparsity(f"sparsity s={s} must lie in [1, m={m}]")
     if m % s != 0:
         raise NotDivisible(f"s={s} must divide m={m} for block sampling")
+    _check_columns(m, n, s)
     b = m // s
     block_starts = np.arange(s, dtype=np.int64) * b
-    return _sample_sign_columns(m, n, s, seed, lambda g: block_starts + g.integers(0, b, size=s))
+
+    def lane_rows(words):
+        offsets, reject = bounded(words, b)
+        return block_starts + offsets, reject.any(axis=1)
+
+    # one Lemire draw per block; a block of one row draws nothing, and a
+    # block of 2^32 rows or more takes numpy's other paths
+    return _sample_sign_columns(
+        m, n, s, seed,
+        lambda g: block_starts + g.integers(0, b, size=s),
+        lane_rows,
+        s if 2 <= b < 2**32 else None,
+    )
 
 
 def sample_countsketch(m: int, n: int, seed: int) -> OneSparseMap:
     """One-sparse map: each column independently picks a uniform row and sign."""
+    m, n = _integer(m, "row count"), _integer(n, "column count")
     if m < 1:
         raise InvalidDimension(f"need m >= 1 rows, got {m}")
     if n < 1:
         raise InvalidDimension(f"need n >= 1 columns, got {n}")
+    _check_size("row count", m, 2**63, n)
     g = substream(seed)
     a = g.integers(0, m, size=n)
     sigma = g.integers(0, 2, size=n) * 2 - 1
@@ -228,8 +315,10 @@ def sample_countsketch(m: int, n: int, seed: int) -> OneSparseMap:
 
 def sample_coordinate_subspace(n: int, d: int, seed: int) -> tuple[int, ...]:
     """Uniform d-subset of the n coordinates, returned sorted ascending."""
+    n, d = _integer(n, "coordinate count"), _integer(d, "subspace dimension")
     if not 1 <= d <= n:
         raise InvalidDimension(f"subspace dimension d={d} must lie in [1, n={n}]")
+    _check_size("coordinate count", n, 2**63 - 1, d)
     g = substream(seed)
     return tuple(int(i) for i in np.sort(g.choice(n, size=d, replace=False)))
 

@@ -274,8 +274,14 @@ class OneSparseMap:
 
 def column_norms(A: SparseMatrix) -> np.ndarray:
     """Euclidean norm of every column, as a length-n array."""
-    # One dot product per column: a segmented np.add.reduceat sums in another
-    # order and can differ in the last bit.
+    # Each squared norm is the dot product vals @ vals: a segmented
+    # np.add.reduceat, einsum or a row sum adds in another order and can
+    # differ in the last bit.  When every column has s entries, one stacked
+    # (1, s) @ (s, 1) matmul makes the same dot products without a loop.
+    s = int(A.indptr[1])
+    if np.array_equal(A.indptr, np.arange(A.n + 1) * s):
+        D = A.data.reshape(A.n, s)
+        return np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).ravel())
     return np.sqrt([vals @ vals for vals in np.split(A.data, A.indptr[1:-1])])
 
 

@@ -6,6 +6,11 @@ sampled column supports, and the two profile measures read entry magnitudes
 directly off the columns.  Randomized estimation (``rip_constant_lower_
 estimate``) draws its supports from one sequential seeded stream, so a longer
 run with the same seed extends a shorter one and the estimate can only grow.
+The supports of a chunk come from one block of the stream's 32-bit draws,
+emulating ``choice`` for all of them at once (see :mod:`sketchbounds.rng`);
+a chunk where a draw could have rejected is drawn again, one ``choice`` per
+support, from the same place in the stream, so the supports are the ones a
+per-trial loop draws.
 
 The restricted isometry constants stack their eigensolves: a chunk of supports
 becomes one (N, k, m) array of their columns, one batched ``np.matmul`` gives
@@ -37,7 +42,7 @@ from .errors import (
     TooManySupports,
 )
 from .matrices import SparseMatrix, OneSparseMap, column_norms
-from .rng import substream
+from .rng import choice_draws, choice_lanes, next_uint32s, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
@@ -48,9 +53,9 @@ _CHUNK_BYTES = 2**20
 def check_unit_columns(A: SparseMatrix, tol: float = UNIT_NORM_TOL) -> None:
     """Raise :class:`NotNormalized` for the first column whose norm is off."""
     norms = column_norms(A)
-    for j, norm in enumerate(norms):
-        if abs(norm - 1.0) > tol:
-            raise NotNormalized(j, float(norm))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    if bad.size:
+        raise NotNormalized(int(bad[0]), float(norms[bad[0]]))
 
 
 def coherence(A: SparseMatrix) -> float:
@@ -164,17 +169,51 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     first supports of a longer run replicate a shorter run exactly and the
     estimate is monotone nondecreasing in `trials`.  They are drawn and
     solved in stacked chunks of at most 1 MiB of columns each (see the
-    module docstring).
+    module docstring).  Unless the first support emulated off the stream is
+    the one ``choice`` draws, every support is drawn by ``choice``.
     """
     if not 1 <= k <= A.n:
         raise InvalidDimension(f"k={k} must lie in [1, n={A.n}]")
     if trials < 1:
         raise InvalidCount(f"need trials >= 1, got {trials}")
     g = substream(seed)
+    draws = choice_draws(A.n, k)
+    if draws is not None and not _emulation_agrees(g, A.n, k, draws):
+        draws = None
     size = _chunk_length(A, k)
-    chunks = (np.array([np.sort(g.choice(A.n, size=k, replace=False)) for _ in range(min(size, trials - start))])
-              for start in range(0, trials, size))
+    chunks = (_draw_supports(g, A.n, k, min(size, trials - start), draws) for start in range(0, trials, size))
     return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, chunks))
+
+
+def _draw_supports(g: np.random.Generator, n: int, k: int, count: int, draws: int | None) -> np.ndarray:
+    """The next ``count`` supports off ``g``, each ``np.sort(g.choice(n, k,
+    replace=False))`` in turn, as a (count, k) array.
+
+    Each support takes ``draws`` 32-bit draws when none rejects, so the chunk
+    is emulated as ``count`` lanes of one block of draws
+    (:func:`sketchbounds.rng.choice_lanes`).  When a draw could have rejected,
+    or ``draws`` is None, ``g`` is rewound and the supports are drawn one by
+    one.
+    """
+    if draws is not None:
+        start = g.bit_generator.state
+        supports, flagged = choice_lanes(next_uint32s(g, count * draws).reshape(count, draws), n, k)
+        if not flagged.any():
+            return supports
+        g.bit_generator.state = start
+    return np.array([np.sort(g.choice(n, size=k, replace=False)) for _ in range(count)])
+
+
+def _emulation_agrees(g: np.random.Generator, n: int, k: int, draws: int) -> bool:
+    """Whether the next support emulated off ``g`` is the one ``g.choice``
+    draws, or may have rejected and so cannot be compared; ``g`` is left
+    where it was."""
+    start = g.bit_generator.state
+    emulated, flagged = choice_lanes(next_uint32s(g, draws).reshape(1, draws), n, k)
+    g.bit_generator.state = start
+    drawn = np.sort(g.choice(n, size=k, replace=False))
+    g.bit_generator.state = start
+    return bool(flagged[0]) or np.array_equal(emulated[0], drawn)
 
 
 def subspace_distortion(A: SparseMatrix | OneSparseMap, indices: Sequence[int]) -> tuple[float, float]:

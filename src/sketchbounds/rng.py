@@ -7,6 +7,23 @@ pure function of its arguments: samplers that draw one stream per column use
 ``substream(seed, column)``, and nested experiments derive child seeds with
 ``derive_seed(seed, trial)``.  This is what makes every sampler and every CLI
 command reproducible from its config plus seed alone.
+
+Lanes.  Drawing one ``substream`` per column costs one ``SeedSequence``, one
+``PCG64`` and one ``Generator`` each, so the per-column streams are also
+emulated for many columns at once: each column is a lane, and
+``lane_draws(seed, lanes, count)`` gives every lane's first 32-bit draws as
+uint64 array operations over the lanes.  It vectorizes ``SeedSequence``'s
+hash mix over the spawn keys (the seed's own words mix the same way for every
+lane, so that part runs once in Python), seeds PCG64 as
+``pcg_setseq_128_srandom_r`` does and steps its XSL-RR output with a 128-bit
+multiply in 32-bit limbs, splitting each 64-bit output into its low and then
+its high half as ``next_uint32`` does.  ``bounded`` is Lemire's bounded draw
+and ``choice_lanes`` the Floyd path of ``Generator.choice(m, s,
+replace=False)`` over such draws.  Neither emulates a rejection: they flag
+every draw that could reject (at most ``range / 2^32`` per draw), and callers
+send a flagged lane back through ``substream``.  numpy does not promise the
+same ``Generator`` stream across versions, so callers also compare some
+emulated lanes with the real stream and fall back to it when they differ.
 """
 
 from __future__ import annotations
@@ -16,6 +33,23 @@ import numpy as np
 from .errors import BadArgs
 
 _SEED_BOUND = 2**64
+_M32 = 0xFFFFFFFF
+
+# numpy's SeedSequence (a port of O'Neill's seed_seq): pool of 4 words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+# PCG64's 128-bit LCG multiplier, as high and low words, and the low word's
+# 32-bit limbs for the high half of the 64x64-bit product
+_MUL_HI, _MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MUL_LO0, _MUL_LO1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+
+# Generator.choice(m, s, replace=False) shuffles the tail of an arange
+# instead of running Floyd's algorithm when m > 10000 and s > m // 50
+_FLOYD_MAX_POP = 10000
+_FLOYD_CUTOFF = 50
 
 
 def check_seed(seed: int) -> int:
@@ -41,3 +75,165 @@ def derive_seed(seed: int, *path: int) -> int:
     """Derive a child 64-bit seed for a nested sampler call."""
     ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(path))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# --- lane-wise emulation of substream(seed, j) -------------------------------
+
+def _hashmix(value, const: int):
+    """SeedSequence's hashmix: the mixed value and the next hash constant.
+    ``value`` is a Python int or a uint64 array of 32-bit words."""
+    value = value ^ const
+    const = const * _MULT_A & _M32
+    value = value * const & _M32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _M32
+    return result ^ (result >> 16)
+
+
+def spawn_states(seed: int, lanes: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(4, np.uint64)``
+    for each j in ``lanes`` (each below 2^32), as four uint64 arrays."""
+    seed = check_seed(seed)
+    # the seed's words, padded to the pool size because a spawn key follows
+    mixer, const = [], _INIT_A
+    for word in (seed & _M32, seed >> 32, 0, 0):
+        word, const = _hashmix(word, const)
+        mixer.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hashmix(mixer[src], const)
+                mixer[dst] = _mix(mixer[dst], word)
+    # the spawn key j is the one entropy word that differs between lanes
+    key = np.asarray(lanes, dtype=np.uint64)
+    pool = []
+    for dst in range(_POOL):
+        word, const = _hashmix(key, const)
+        pool.append(_mix(mixer[dst], word))
+    # generate_state: 8 uint32 words off the cycled pool, paired low-high
+    halves, const = [], _INIT_B
+    for i in range(2 * _POOL):
+        word = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _M32
+        word = word * const & _M32
+        halves.append(word ^ (word >> 16))
+    return [halves[2 * i] | (halves[2 * i + 1] << np.uint64(32)) for i in range(_POOL)]
+
+
+def _mulhi64(a: np.ndarray, b0: np.uint64, b1: np.uint64) -> np.ndarray:
+    """High 64 bits of a * (b1 * 2^32 + b0), in 32-bit limbs."""
+    a0, a1 = a & np.uint64(_M32), a >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
+    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo).astype(np.uint64), lo
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One LCG step of PCG64: state * multiplier + inc, mod 2^128."""
+    hi = _mulhi64(lo, _MUL_LO0, _MUL_LO1) + hi * _MUL_LO + lo * _MUL_HI
+    return _add128(hi, lo * _MUL_LO, inc_hi, inc_lo)
+
+
+def lane_draws(seed: int, lanes: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` ``next_uint32`` draws of ``substream(seed, j)`` for
+    each j in ``lanes`` (each below 2^32), as a (len(lanes), count) uint64
+    array of values below 2^32."""
+    w0, w1, w2, w3 = spawn_states(seed, lanes)
+    # pcg_setseq_128_srandom_r(state=w0:w1, seq=w2:w3): state 0, step, add
+    # the seed, step
+    one = np.uint64(1)
+    inc_hi, inc_lo = (w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one
+    hi, lo = _step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo)
+    out = np.empty((w0.size, count + count % 2), dtype=np.uint64)
+    for t in range(0, count, 2):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: xor the halves, rotate right by the top 6 bits
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, t] = x & np.uint64(_M32)
+        out[:, t + 1] = x >> np.uint64(32)
+    return out[:, :count]
+
+
+def next_uint32s(g: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` ``next_uint32`` draws of the PCG64 generator ``g``,
+    as uint64 values below 2^32, leaving ``g`` exactly where ``count`` draws
+    by its own methods would: a buffered high half is used first, and an
+    unused one is buffered again."""
+    bits = g.bit_generator
+    state = bits.state
+    head = [state["uinteger"]] if state["has_uint32"] else []
+    raw = bits.random_raw((count - len(head) + 1) // 2)
+    words = np.concatenate([np.array(head, dtype=np.uint64),
+                            np.stack([raw & np.uint64(_M32), raw >> np.uint64(32)], axis=1).ravel()])
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = (1, int(words[count])) if words.size > count else (0, 0)
+    bits.state = state
+    return words[:count]
+
+
+def bounded(words: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's draw in [0, bound) from each 32-bit word, as numpy makes it
+    for a range below 2^32, and whether that draw could have rejected the
+    word: its low product word is below ``bound``."""
+    bound = np.asarray(bound, dtype=np.uint64)
+    product = words * bound
+    return (product >> np.uint64(32)).astype(np.int64), (product & np.uint64(_M32)) < bound
+
+
+def choice_draws(m: int, s: int) -> int | None:
+    """32-bit draws that ``Generator.choice(m, s, replace=False)`` makes when
+    none rejects: s Floyd draws (s - 1 when s = m, where j = 0 draws
+    nothing) and s - 1 for the shuffle.  None when numpy takes another path:
+    the tail shuffle, or a range of 2^32 or more."""
+    if m >= 2**32 or (m > _FLOYD_MAX_POP and s > m // _FLOYD_CUTOFF):
+        return None
+    return 2 * s - 1 - (s == m)
+
+
+def choice_lanes(words: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.sort(g.choice(m, s, replace=False))`` for each lane whose next
+    ``choice_draws(m, s)`` draws are its row of ``words``, and a flag for the
+    lanes where some draw could have rejected (their rows are not valid).
+
+    Floyd's algorithm: step i, for j = m - s + i, draws a value in [0, j]
+    and takes it, or takes j when the lane has taken the value already.  That
+    happens when an earlier step drew the same value, or when the value is
+    the j of an earlier step that took its own j.  Equal values are found
+    with one stable sort per lane and the chains of taken j's by a fixpoint,
+    so a lane costs O(s log s), not O(s^2).  The shuffle that follows only
+    uses up draws, because the rows are sorted.
+    """
+    lanes = words.shape[0]
+    steps = np.arange(m - s, m)
+    first = int(steps[0] == 0)  # j = 0 draws nothing and takes 0
+    vals = np.zeros((lanes, s), dtype=np.int64)
+    vals[:, first:], reject = bounded(words[:, :s - first], steps[first:] + 1)
+    flagged = reject.any(axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    ordered = np.take_along_axis(vals, order, axis=1)
+    repeat = np.zeros((lanes, s), dtype=bool)
+    np.put_along_axis(repeat, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    k = vals - (m - s)  # the step whose j equals the value, if there is one
+    chained = (k >= 0) & (k < np.arange(s))
+    k[~chained] = 0
+    taken = repeat
+    while True:
+        grown = repeat | chained & np.take_along_axis(taken, k, axis=1)
+        if np.array_equal(grown, taken):
+            break
+        taken = grown
+    picks = np.where(taken, steps, vals)
+    # the shuffle draws in [0, i] for i = s - 1 down to 1
+    shuffle = words[:, s - first:2 * s - 1 - first]
+    flagged |= bounded(shuffle, np.arange(s, 1, -1))[1].any(axis=1)
+    picks.sort(axis=1)
+    return picks, flagged

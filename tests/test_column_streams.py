@@ -1,0 +1,245 @@
+"""Property tests of the lane-wise stream emulation against per-stream loops.
+
+Every oracle here draws from numpy's own ``Generator``, one ``substream`` at a
+time, the way the samplers and the RIP estimate did before they were
+vectorized; the vectorized results must match it bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sketchbounds import (
+    NotNormalized,
+    SparseMatrix,
+    check_unit_columns,
+    column_norms,
+    constructions,
+    measures,
+    rip_constant_lower_estimate,
+    sample_osnap_block,
+    sample_sparse_sign_jl,
+)
+from sketchbounds.rng import choice_draws, lane_draws, next_uint32s, spawn_states, substream
+
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+def loop_matrix(m, n, s, seed, draw_rows):
+    """Column j off substream(seed, j): sorted rows, then s signs."""
+    rows = np.empty((n, s), dtype=np.int64)
+    signs = np.empty((n, s), dtype=np.int64)
+    for j in range(n):
+        g = substream(seed, j)
+        rows[j] = draw_rows(g)
+        signs[j] = g.integers(0, 2, size=s)
+    data = (signs * 2 - 1) * (1.0 / math.sqrt(s))
+    return SparseMatrix.from_csc(m, n, np.arange(n + 1) * s, rows.ravel(), data.ravel())
+
+
+def loop_sign_jl(m, n, s, seed):
+    return loop_matrix(m, n, s, seed, lambda g: np.sort(g.choice(m, size=s, replace=False)))
+
+
+def loop_osnap(m, n, s, seed):
+    b = m // s
+    return loop_matrix(m, n, s, seed, lambda g: np.arange(s) * b + g.integers(0, b, size=s))
+
+
+def assert_same_bytes(A, B):
+    assert (A.m, A.n) == (B.m, B.n)
+    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def substream_calls(monkeypatch):
+    """Count the per-column streams a sampler opens."""
+    calls = []
+
+    def counted(seed, *path):
+        calls.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(constructions, "substream", counted)
+    return calls
+
+
+class TestSeedingAndDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+    def test_spawn_states_match_seed_sequence(self, seed, lanes):
+        got = np.stack(spawn_states(seed, np.array(lanes)), axis=1)
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(4, np.uint64)
+                for j in lanes]
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("seed", [0, 7, 123, 2**32 - 1, 2**32 + 5, 2**63 + 5, 2**64 - 1])
+    def test_spawn_states_at_fixed_seeds(self, seed):
+        lanes = np.array([0, 1, 2, 1000, 2**32 - 1])
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=(int(j),)).generate_state(4, np.uint64)
+                for j in lanes]
+        assert np.array_equal(np.stack(spawn_states(seed, lanes), axis=1), np.array(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.integers(0, 2**32 - 8), st.integers(0, 9))
+    def test_lane_draws_are_the_streams_32_bit_halves(self, seed, first, count):
+        lanes = np.arange(first, first + 3)
+        got = lane_draws(seed, lanes, count)
+        for row, j in zip(got, lanes.tolist()):
+            raw = substream(seed, j).bit_generator.random_raw((count + 1) // 2)
+            halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:count]
+            assert np.array_equal(row, halves)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 8])
+    @pytest.mark.parametrize("before", [0, 1, 2, 3])
+    def test_next_uint32s_leaves_the_generator_in_step(self, count, before):
+        g, h = substream(5), substream(5)
+        for gen in (g, h):
+            gen.integers(0, 2**32, size=before, dtype=np.uint32)
+        assert np.array_equal(next_uint32s(g, count), h.integers(0, 2**32, size=count, dtype=np.uint32))
+        assert np.array_equal(g.choice(100, size=5, replace=False), h.choice(100, size=5, replace=False))
+
+
+class TestSamplersMatchTheLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SEEDS)
+    def test_sign_jl(self, data, seed):
+        m = data.draw(st.one_of(st.integers(1, 300), st.integers(1, 2**40)), label="m")
+        s = data.draw(st.integers(1, min(m, 12)), label="s")
+        n = data.draw(st.integers(1, 60), label="n")
+        assert_same_bytes(sample_sparse_sign_jl(m, n, s, seed), loop_sign_jl(m, n, s, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SEEDS)
+    def test_osnap(self, data, seed):
+        s = data.draw(st.integers(1, 10), label="s")
+        b = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 2**33)), label="b")
+        n = data.draw(st.integers(1, 60), label="n")
+        assert_same_bytes(sample_osnap_block(s * b, n, s, seed), loop_osnap(s * b, n, s, seed))
+
+    @pytest.mark.parametrize("m, n, s", [
+        (256, 300, 8), (64, 300, 4), (30, 200, 30), (1000, 250, 3), (5, 150, 1), (1, 5, 1),
+        (12, 100, 12),        # s = m: the j = 0 step makes no draw
+        (10001, 20, 201),     # the tail shuffle
+        (20000, 10, 401),
+        (2**32, 20, 2),       # a range of 2^32 takes numpy's raw 32-bit path
+    ])
+    def test_sign_jl_fixed_shapes(self, m, n, s):
+        assert_same_bytes(sample_sparse_sign_jl(m, n, s, 7), loop_sign_jl(m, n, s, 7))
+
+    @pytest.mark.parametrize("m, n, s", [(256, 300, 8), (30, 300, 3), (8, 50, 8), (2**33, 20, 2)])
+    def test_osnap_fixed_shapes(self, m, n, s):
+        # (8, 50, 8) has blocks of one row, which numpy fills without a draw
+        assert_same_bytes(sample_osnap_block(m, n, s, 7), loop_osnap(m, n, s, 7))
+
+    def test_n_not_a_multiple_of_the_chunk(self):
+        n = 2 * constructions._LANES + 37
+        assert_same_bytes(sample_sparse_sign_jl(64, n, 4, 2**63 + 5), loop_sign_jl(64, n, 4, 2**63 + 5))
+        assert_same_bytes(sample_osnap_block(64, n, 4, 3), loop_osnap(64, n, 4, 3))
+
+    def test_emulated_lanes_open_only_the_two_guard_streams(self, substream_calls):
+        sample_sparse_sign_jl(256, 3000, 8, 7)
+        assert substream_calls == [(0,), (2999,)]
+
+    def test_lanes_that_could_reject_fall_back(self, substream_calls):
+        # a range near 2^32 makes most draws possible rejections
+        m, n = 3_000_000_000, 600
+        A = sample_sparse_sign_jl(m, n, 1, 9)
+        assert len(substream_calls) > n // 2
+        assert_same_bytes(A, loop_sign_jl(m, n, 1, 9))
+        B = sample_osnap_block(m, n, 1, 9)
+        assert_same_bytes(B, loop_osnap(m, n, 1, 9))
+
+    def test_shapes_numpy_samples_otherwise_loop_over_every_column(self, substream_calls):
+        sample_sparse_sign_jl(10001, 20, 201, 7)
+        assert substream_calls == [(j,) for j in range(20)]
+
+    def test_a_guard_mismatch_runs_the_loop_with_the_same_bytes(self, monkeypatch, substream_calls):
+        want = sample_sparse_sign_jl(64, 500, 4, 11)
+        del substream_calls[:]
+        monkeypatch.setattr(constructions, "_emulation_agrees", lambda *args: False)
+        got = sample_sparse_sign_jl(64, 500, 4, 11)
+        assert substream_calls == [(j,) for j in range(500)]
+        assert_same_bytes(got, want)
+        assert_same_bytes(sample_osnap_block(64, 500, 4, 11), loop_osnap(64, 500, 4, 11))
+
+
+def loop_supports(n, k, trials, seed):
+    g = substream(seed)
+    return np.array([np.sort(g.choice(n, size=k, replace=False)) for _ in range(trials)])
+
+
+def chunked_supports(n, k, trials, seed, size):
+    g = substream(seed)
+    draws = choice_draws(n, k)
+    return np.concatenate([measures._draw_supports(g, n, k, min(size, trials - start), draws)
+                           for start in range(0, trials, size)])
+
+
+class TestEstimateSupports:
+    @pytest.mark.parametrize("n, k, trials", [
+        (60, 8, 5000), (60, 3, 7777), (10000, 5, 3000), (20, 19, 999),
+        (20, 20, 60),          # k = n: 2k - 2 draws per support
+        (1, 1, 5),             # no draw at all
+        (20000, 401, 4),       # the tail shuffle
+        (3_000_000_000, 2, 300),  # most chunks could reject
+    ])
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_chunks_match_the_per_trial_loop(self, n, k, trials, size):
+        for seed in (3, 2**63 + 1):
+            assert np.array_equal(chunked_supports(n, k, trials, seed, size), loop_supports(n, k, trials, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), SEEDS)
+    def test_random_shapes(self, data, seed):
+        n = data.draw(st.integers(1, 200), label="n")
+        k = data.draw(st.integers(1, min(n, 10)), label="k")
+        trials = data.draw(st.integers(1, 120), label="trials")
+        size = data.draw(st.integers(1, 50), label="size")
+        assert np.array_equal(chunked_supports(n, k, trials, seed, size), loop_supports(n, k, trials, seed))
+
+    def test_a_guard_mismatch_draws_every_support_in_the_loop(self, monkeypatch):
+        A = sample_sparse_sign_jl(32, 30, 4, 5)
+        want = rip_constant_lower_estimate(A, 4, 900, 8)
+        monkeypatch.setattr(measures, "_emulation_agrees", lambda *args: False)
+        monkeypatch.setattr(measures, "choice_lanes", None)  # any emulated chunk would fail
+        got = rip_constant_lower_estimate(A, 4, 900, 8)
+        assert (got.delta, got.worst_support) == (want.delta, want.worst_support)
+        assert got.worst_direction.tobytes() == want.worst_direction.tobytes()
+
+
+def loop_norms(A):
+    return np.sqrt([vals @ vals for vals in np.split(A.data, A.indptr[1:-1])])
+
+
+class TestColumnNorms:
+    @pytest.mark.parametrize("s", [*range(1, 10), 16, 17, 33, 64, 129, 1000])
+    def test_stacked_norms_match_the_per_column_dot(self, s):
+        rng = np.random.default_rng(s)
+        n = 200
+        data = rng.standard_normal(n * s) * rng.uniform(0.01, 100.0, size=n * s)
+        A = SparseMatrix.from_csc(s, n, np.arange(n + 1) * s, np.tile(np.arange(s), n), data)
+        assert column_norms(A).tobytes() == loop_norms(A).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_columns(self, data):
+        m = data.draw(st.integers(1, 12), label="m")
+        n = data.draw(st.integers(1, 12), label="n")
+        ragged = data.draw(st.booleans(), label="ragged")
+        counts = [data.draw(st.integers(0 if ragged else 1, m)) for _ in range(n)] if ragged else [m] * n
+        values = st.floats(-1e3, 1e3, allow_nan=False).filter(bool)
+        entries = data.draw(st.lists(values, min_size=sum(counts), max_size=sum(counts)), label="values")
+        indices = np.concatenate([np.arange(c) for c in counts]).astype(np.int64)
+        A = SparseMatrix.from_csc(m, n, np.concatenate([[0], np.cumsum(counts)]), indices, entries)
+        assert column_norms(A).tobytes() == loop_norms(A).tobytes()
+
+    def test_check_unit_columns_names_the_first_bad_column(self):
+        A = SparseMatrix.from_csc(2, 4, [0, 1, 2, 3, 4], [0, 1, 0, 1], [1.0, 0.5, 2.0, 1.0])
+        with pytest.raises(NotNormalized) as err:
+            check_unit_columns(A)
+        assert (err.value.column, err.value.norm) == (1, 0.5)

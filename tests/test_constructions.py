@@ -120,6 +120,17 @@ class TestRandomCode:
         with pytest.raises(InvalidCount):
             random_code(4, 3, 5, 0.5, seed=0, max_attempts=0)
 
+    def test_alphabet_and_block_length_checked_before_sampling(self):
+        # these used to spin through max_attempts and report Exhausted
+        with pytest.raises(InvalidDimension, match="alphabet size must be >= 2"):
+            random_code(1, 3, 2, 0.5, seed=0)
+        with pytest.raises(InvalidDimension, match="block length must be >= 1"):
+            random_code(2, 0, 2, 0.5, seed=0)
+        with pytest.raises(InvalidDimension, match="word count must be an integer"):
+            random_code(4, 3, 2.0, 0.5, seed=0)
+        with pytest.raises(TooLarge):
+            random_code(2**64, 3, 2, 0.5, seed=0)
+
 
 class TestCodeToIncoherent:
     def test_structure(self):
@@ -238,6 +249,31 @@ class TestOsnapBlockSampler:
 
     def test_deterministic(self):
         assert sample_osnap_block(12, 5, 3, 8) == sample_osnap_block(12, 5, 3, 8)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sample_sparse_sign_jl(16, 10, 2.0, 7), InvalidDimension, "sparsity must be an integer"),
+    (lambda: sample_sparse_sign_jl(16, 10.0, 2, 7), InvalidDimension, "column count must be an integer"),
+    (lambda: sample_sparse_sign_jl(16.0, 10, 2, 7), InvalidDimension, "row count must be an integer"),
+    (lambda: sample_osnap_block(16, 10, 2.0, 7), InvalidDimension, "sparsity must be an integer"),
+    (lambda: sample_countsketch(16, 2.0, 7), InvalidDimension, "column count must be an integer"),
+    (lambda: sample_coordinate_subspace(10, 2.0, 7), InvalidDimension, "subspace dimension must be an integer"),
+    (lambda: sample_sparse_sign_jl(2**63, 2, 1, 7), TooLarge, "row count must be at most"),
+    (lambda: sample_osnap_block(2**64, 2, 2, 7), TooLarge, "row count must be at most"),
+    (lambda: sample_sparse_sign_jl(4, 2**62, 1, 7), TooLarge, "sampled entries are supported"),
+    (lambda: sample_countsketch(2**63 + 1, 2, 7), TooLarge, "row count must be at most"),
+    (lambda: sample_countsketch(4, 2**40, 7), TooLarge, "sampled entries are supported"),
+    (lambda: sample_coordinate_subspace(2**64, 2, 7), TooLarge, "coordinate count must be at most"),
+])
+def test_sampler_sizes_stay_inside_the_error_surface(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_largest_drawable_ranges_still_sample():
+    assert sample_countsketch(2**63, 3, 1).a.size == 3
+    assert sample_sparse_sign_jl(2**63 - 1, 2, 2, 3).nnz == 4
+    assert len(sample_coordinate_subspace(2**63 - 1, 2, 3)) == 2
 
 
 class TestCountSketchSampler:
