@@ -128,6 +128,8 @@ def random_code(q: int, t: int, N: int, eps: float, seed: int, max_attempts: int
     """
     q, t, N = _integer(q, "alphabet size"), _integer(t, "block length"), _integer(N, "word count")
     max_attempts = _integer(max_attempts, "max_attempts")
+    if isinstance(eps, bool) or not isinstance(eps, (int, float, np.integer, np.floating)):
+        raise InvalidEps(f"eps must be a number, got {eps!r}")
     if not 0 < eps <= 1:
         raise InvalidEps(f"eps must lie in (0, 1], got {eps}")
     if N < 1:

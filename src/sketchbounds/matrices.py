@@ -16,12 +16,17 @@ Matrices serialize to JSON as ``{"m": int, "n": int, "cols": [[[row, value],
 ...], ...]}`` with one entry list per column.  One-sparse maps serialize as
 ``{"m": int, "n": int, "a": [...], "sigma": [...]}``.  Loaders reject
 non-finite values, non-integer, duplicate, decreasing or out-of-range
-indices, and malformed JSON with a ``SketchboundsError``.
+indices, and malformed JSON with a ``SketchboundsError``.  When all of a
+matrix's entries have one magnitude, as in every sampled family, its
+canonical bytes are written and read without the json module; any other
+valid JSON still loads through ``json.loads``, with the same checks and
+messages.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -341,6 +346,16 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # --- JSON formats -------------------------------------------------------------
 
+# The canonical text of a constant-magnitude matrix, written and read without
+# json by matrix_to_json and _canonical_csc.
+_HEAD = '{"cols":['
+_TAIL = re.compile(r'\],"m":([0-9]+),"n":([0-9]+)\}\n')
+_DELETE_NUMBERS = str.maketrans("", "", "0123456789+-.e")
+_SPACE_BRACKETS = str.maketrans("[],", "   ")
+_CHUNK_CHARS = 1 << 16  # the loader's chunks: whole columns, about 64 KB of text
+_BLOCK_COLUMNS = 1024  # the writer's blocks
+
+
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and no whitespace: stable bytes for reruns.
     A NaN or infinity, which JSON cannot hold, raises :class:`InvalidEntry`."""
@@ -390,15 +405,80 @@ def _map_from_object(obj) -> OneSparseMap:
 
 def matrix_to_json(A: SparseMatrix) -> str:
     ptr = A.indptr.tolist()
-    cols = [
-        [[r, v] for r, v in zip(A.indices[a:b].tolist(), A.data[a:b].tolist())]
-        for a, b in zip(ptr, ptr[1:])
-    ]
-    return canonical_json({"m": A.m, "n": A.n, "cols": cols})
+    c = abs(float(A.data[0])) if A.nnz else 0.0
+    if not c or not np.all(np.abs(A.data) == c):
+        cols = [
+            [[r, v] for r, v in zip(A.indices[a:b].tolist(), A.data[a:b].tolist())]
+            for a, b in zip(ptr, ptr[1:])
+        ]
+        return canonical_json({"m": A.m, "n": A.n, "cols": cols})
+    # Every entry is +-c: format both once, as json.dumps formats a finite
+    # float (float.__repr__), and join the entries one block of columns at a
+    # time, so only one block's strings are alive besides the text.
+    value = (repr(c), repr(-c))
+    blocks = []
+    for lo in range(0, A.n, _BLOCK_COLUMNS):
+        hi = min(lo + _BLOCK_COLUMNS, A.n)
+        a, b = ptr[lo], ptr[hi]
+        entries = [f"[{r},{value[neg]}]" for r, neg in zip(A.indices[a:b].tolist(), (A.data[a:b] < 0).tolist())]
+        blocks.append(",".join(["[" + ",".join(entries[p - a:q - a]) + "]"
+                                for p, q in zip(ptr[lo:hi], ptr[lo + 1:hi + 1])]))
+    return _HEAD + ",".join(blocks) + f'],"m":{A.m},"n":{A.n}}}\n'
+
+
+def _canonical_csc(text: str):
+    """``(m, n, indptr, indices, data)`` of `text` when it is exactly what
+    :func:`matrix_to_json` writes for a matrix whose entries are all +-c,
+    else None.
+
+    The text is taken in chunks of whole columns.  With its number
+    characters deleted, a chunk must equal the skeleton rebuilt from its
+    column counts, with no slot left empty and two number tokens per entry;
+    each row token must be ``str(int(token))`` and each value token
+    ``repr(c)`` or ``repr(-c)``.  So the arrays are the ones ``json.loads``
+    would give, and any other text, valid or not, is left to it.
+    """
+    try:
+        tail = _TAIL.fullmatch(text, max(text.rfind('],"m":'), 0)) if text.startswith(_HEAD) else None
+        if tail is None or any(str(int(t)) != t for t in tail.groups()):
+            return None
+        start, end = len(_HEAD), tail.start()
+        value, skeletons, counts, rows, vals = None, {}, [], [], []
+        while start < end:
+            cut = text.find("]],[", start + _CHUNK_CHARS, end)
+            cut = end if cut < 0 else cut + 2
+            chunk, start = text[start:cut], cut + 1
+            tokens = chunk.translate(_SPACE_BRACKETS).split()
+            if value is None:  # c comes from the first value token
+                c = abs(float(tokens[1]))
+                value = {repr(c): c, repr(-c): -c}
+            # a value token that is not +-c raises KeyError here, before the
+            # rest of the chunk is checked
+            vals.append(np.fromiter(map(value.__getitem__, tokens[1::2]), np.float64, len(tokens) // 2))
+            skeleton = chunk.translate(_DELETE_NUMBERS)
+            k = [(len(col) + 1) // 2 for col in skeleton[1:-1].replace("[,]", "x").split("],[")]
+            for size in set(k).difference(skeletons):
+                skeletons[size] = "[" + ",".join(["[,]"] * size) + "]"
+            if ",".join(map(skeletons.__getitem__, k)) != skeleton or "[," in chunk or ",]" in chunk \
+                    or len(tokens) != 2 * sum(k):
+                return None
+            row_tokens = tokens[0::2]
+            row = {t: int(t) for t in set(row_tokens)}
+            if any(str(r) != t for t, r in row.items()):
+                return None
+            rows.append(np.fromiter(map(row.__getitem__, row_tokens), np.int64, len(row_tokens)))
+            counts += k
+    except (IndexError, KeyError, OverflowError, ValueError):
+        return None
+    if value is None:
+        return None
+    m, n = map(int, tail.groups())
+    return m, n, np.cumsum([0] + counts), np.concatenate(rows), np.concatenate(vals)
 
 
 def matrix_from_json(text: str) -> SparseMatrix:
-    return _matrix_from_object(_parse(text, "matrix"))
+    csc = _canonical_csc(text)
+    return SparseMatrix.from_csc(*csc) if csc else _matrix_from_object(_parse(text, "matrix"))
 
 
 def one_sparse_map_to_json(S: OneSparseMap) -> str:
@@ -412,6 +492,9 @@ def one_sparse_map_from_json(text: str) -> OneSparseMap:
 def artifact_from_json(text: str) -> SparseMatrix | OneSparseMap:
     """Load either artifact kind, told apart by its keys: a one-sparse map
     holds ``a``, a matrix holds ``cols``."""
+    csc = _canonical_csc(text)
+    if csc:
+        return SparseMatrix.from_csc(*csc)
     obj = _parse(text, "artifact")
     del text  # the tree holds everything from here on; free the text before building
     if isinstance(obj, dict) and "a" in obj:

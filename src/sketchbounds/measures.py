@@ -41,7 +41,7 @@ from .errors import (
     TooFewColumns,
     TooManySupports,
 )
-from .matrices import SparseMatrix, OneSparseMap, column_norms
+from .matrices import SparseMatrix, OneSparseMap, _integer, column_norms
 from .rng import choice_draws, choice_lanes, next_uint32s, substream
 
 UNIT_NORM_TOL = 1e-9
@@ -145,6 +145,7 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     first achiever of the maximum.  The supports are solved in stacked
     chunks of at most 1 MiB of columns each (see the module docstring).
     """
+    k = _integer(k, "k")
     if not 1 <= k <= A.n:
         raise InvalidDimension(f"k={k} must lie in [1, n={A.n}]")
     count = math.comb(A.n, k)
@@ -172,6 +173,7 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     module docstring).  Unless the first support emulated off the stream is
     the one ``choice`` draws, every support is drawn by ``choice``.
     """
+    k, trials = _integer(k, "k"), _integer(trials, "trials")
     if not 1 <= k <= A.n:
         raise InvalidDimension(f"k={k} must lie in [1, n={A.n}]")
     if trials < 1:

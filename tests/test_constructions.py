@@ -120,6 +120,11 @@ class TestRandomCode:
         with pytest.raises(InvalidCount):
             random_code(4, 3, 5, 0.5, seed=0, max_attempts=0)
 
+    @pytest.mark.parametrize("eps", ["x", None, True, [0.5]])
+    def test_non_numeric_eps_is_refused(self, eps):
+        with pytest.raises(InvalidEps, match="eps must be a number"):
+            random_code(4, 3, 5, eps, seed=0)
+
     def test_alphabet_and_block_length_checked_before_sampling(self):
         # these used to spin through max_attempts and report Exhausted
         with pytest.raises(InvalidDimension, match="alphabet size must be >= 2"):

@@ -207,6 +207,10 @@ class TestRipExact:
         with pytest.raises(TooManySupports):
             rip_constant_exact(wide, 5)  # C(50, 5) > 10^6
 
+    def test_non_integer_k_is_refused(self):
+        with pytest.raises(InvalidDimension, match="k must be an integer, got 2.0"):
+            rip_constant_exact(dense(np.eye(3)), 2.0)
+
 
 class TestRipLowerEstimate:
     def test_never_exceeds_exact(self):
@@ -250,6 +254,14 @@ class TestRipLowerEstimate:
             rip_constant_lower_estimate(A, 2, trials=0, seed=0)
         with pytest.raises(InvalidDimension):
             rip_constant_lower_estimate(A, 9, trials=1, seed=0)
+
+    def test_non_integer_k_is_refused(self):
+        with pytest.raises(InvalidDimension, match="k must be an integer, got 2.0"):
+            rip_constant_lower_estimate(dense(np.eye(3)), 2.0, trials=5, seed=0)
+
+    def test_non_integer_trials_is_refused(self):
+        with pytest.raises(InvalidDimension, match="trials must be an integer, got 2.5"):
+            rip_constant_lower_estimate(dense(np.eye(3)), 2, trials=2.5, seed=0)
 
 
 # --- the stacked RIP against the per-support loop ---------------------------------
