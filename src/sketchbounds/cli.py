@@ -95,7 +95,7 @@ def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> Exper
             raw = json.load(fh)
     except FileNotFoundError:
         raise BadConfig(f"config file not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or too deep
         raise BadConfig(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise BadConfig("config must be a JSON object")

@@ -379,7 +379,7 @@ def _read_text(path) -> str:
 def _parse(text: str, what: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also json's digit limit on integers
         raise MalformedArtifact(f"invalid {what} JSON: {exc}") from exc
 
 

@@ -1,29 +1,32 @@
 """Witness searches: executable certifiers and refuters.
 
-Each search either returns a :class:`Certificate` that re-verifies from raw
-matrix data, or the ``none`` certificate.  Four certificate kinds exist:
+Each search returns a certificate, one frozen class per kind, holding the
+``source`` search and its own fields; ``cert.verify(A, tol)`` rechecks it:
 
-* ``incoherence_pair`` — two columns whose inner product exceeds the claimed
-  coherence level (a refutation of an incoherence assumption);
-* ``sparsity_lower_bound`` — a pigeonhole group of near-identical columns
-  forcing a floor on per-column sparsity;
-* ``rip_distortion`` — a k-sparse vector whose image has norm ratio bounded
-  away from 1 (a refutation of a small restricted-isometry constant);
-* ``kernel_witness`` — an exactly-null vector for a one-sparse map, built
-  from a row collision in integer arithmetic.
+* ``none`` — :class:`NoFinding`: the search found nothing;
+* ``incoherence_pair`` — :class:`IncoherencePair`: two columns whose inner
+  product exceeds the claimed coherence level (refuting incoherence);
+* ``sparsity_lower_bound`` — :class:`SparsityLowerBound`: a pigeonhole group
+  of near-identical columns forcing a floor on per-column sparsity;
+* ``rip_distortion`` — :class:`RipDistortion`: a k-sparse vector whose image
+  has norm ratio bounded away from 1 (refuting a small RIP constant);
+* ``kernel_witness`` — :class:`KernelWitness`: an exactly-null vector for a
+  one-sparse map, built from a row collision in integer arithmetic.
 
-The searches are deterministic: scans run in ascending index order and every
-tie breaks toward the lexicographically smallest choice, so reruns on equal
-inputs emit identical certificates.
+:data:`CERTIFICATES` maps kinds to classes; ``Certificate(kind, **fields)``
+builds one.  The searches are deterministic: scans run in ascending index
+order and every tie breaks toward the lexicographically smallest choice, so
+reruns on equal inputs emit identical certificates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import SparseMatrix, OneSparseMap, apply, column_sparsity, to_csr
+from .matrices import SparseMatrix, OneSparseMap, _integer, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count
 from .rng import derive_seed
 from .constructions import sample_countsketch, sample_coordinate_subspace
@@ -51,89 +54,110 @@ from .measures import subspace_distortion
 
 # Group constant for the t-type certifier: C = 2 / (1 - 1/sqrt(2)).
 TTYPE_GROUP_CONSTANT = 2.0 / (1.0 - 1.0 / math.sqrt(2.0))
+# The divisor d of each pigeonhole certifier's bound s >= t(N-1)/d.
+PIGEONHOLE_DIVISORS = {"ttype_collision_certify": 2.0 * TTYPE_GROUP_CONSTANT, "sign_pattern_certify": 4.0}
 
 
 # --- certificates --------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class Certificate:
-    """Tagged union of witness outcomes; ``kind == 'none'`` means no finding.
+class _Certificate:
+    """Base of the kinds: ``kind`` is each class's JSON tag, ``source`` the search that produced it."""
 
-    Only the fields relevant to ``kind`` are populated: (i, j, dot) for an
-    incoherence pair, (t, group_size, bound_value) for a sparsity bound,
-    (vector, ratio) for a distortion witness, and vector alone for a kernel
-    witness.  ``source`` names the search that produced the certificate.
-    """
-
-    kind: str
-    source: str = ""
-    i: int | None = None
-    j: int | None = None
-    dot: float | None = None
-    t: int | None = None
-    group_size: int | None = None
-    bound_value: float | None = None
-    vector: np.ndarray | None = None
-    ratio: float | None = None
+    kind: ClassVar[str]
+    source: str
 
     def to_jsonable(self) -> dict:
-        out: dict = {"kind": self.kind, "source": self.source}
-        if self.kind == "incoherence_pair":
-            out.update(i=self.i, j=self.j, dot=self.dot)
-        elif self.kind == "sparsity_lower_bound":
-            out.update(t=self.t, group_size=self.group_size, bound_value=self.bound_value)
-        elif self.kind == "rip_distortion":
-            out.update(vector=self.vector.tolist(), ratio=self.ratio)
-        elif self.kind == "kernel_witness":
-            out.update(vector=self.vector.tolist())
+        out: dict = {"kind": self.kind}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            out[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
 
-def none_certificate(source: str) -> Certificate:
-    return Certificate(kind="none", source=source)
+def _image(A: SparseMatrix | OneSparseMap, x: np.ndarray) -> np.ndarray:
+    """A x; a one-sparse map applies itself, in exact integers for integer x."""
+    return A.apply(x) if isinstance(A, OneSparseMap) else apply(A, x)
 
 
-def verify_certificate(cert: Certificate, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
-    """Recompute a certificate's claim from raw data.
+@dataclass(frozen=True, eq=False)
+class NoFinding(_Certificate):
+    kind = "none"
 
-    Incoherence pairs re-derive the stored dot product within 1e-12;
-    distortion witnesses re-derive the ratio within 1e-9; kernel witnesses
-    must map to exactly zero in integer arithmetic.  Sparsity bound
-    certificates recheck their arithmetic.  The ``none`` kind verifies
-    trivially.
-    """
-    if cert.kind == "none":
+    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
         return True
-    if cert.kind == "incoherence_pair":
-        tol = 1e-12 if tol is None else tol
-        ci = A.submatrix_dense([cert.i])[:, 0]
-        cj = A.submatrix_dense([cert.j])[:, 0]
-        return abs(float(ci @ cj) - cert.dot) <= tol
-    if cert.kind == "sparsity_lower_bound":
-        tol = 1e-12 if tol is None else tol
-        scale = 0.25 if cert.source == "sign_pattern_certify" else 1.0 / (2.0 * TTYPE_GROUP_CONSTANT)
-        return abs(cert.bound_value - cert.t * (cert.group_size - 1) * scale) <= tol
-    if cert.kind == "rip_distortion":
-        tol = 1e-9 if tol is None else tol
-        x = cert.vector
-        if isinstance(A, OneSparseMap):
-            y = A.apply(x)
-        else:
-            y = apply(A, x)
-        ratio = float(y @ y) / float(x @ x)
-        return abs(ratio - cert.ratio) <= tol
-    if cert.kind == "kernel_witness":
-        x = np.asarray(cert.vector)
-        if not np.any(x):
+
+
+@dataclass(frozen=True, eq=False)
+class IncoherencePair(_Certificate):
+    """Verifies when columns i and j of A re-derive ``dot`` within tol (default 1e-12)."""
+
+    kind = "incoherence_pair"
+    i: int
+    j: int
+    dot: float
+
+    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+        ci, cj = (A.submatrix_dense([_integer(c, "column index")])[:, 0] for c in (self.i, self.j))
+        return abs(float(ci @ cj) - self.dot) <= (1e-12 if tol is None else tol)
+
+
+@dataclass(frozen=True, eq=False)
+class SparsityLowerBound(_Certificate):
+    """Verifies when ``bound_value`` is t(N-1)/d within tol (default 1e-12), with
+    N = ``group_size`` and d the source's divisor in :data:`PIGEONHOLE_DIVISORS`."""
+
+    kind = "sparsity_lower_bound"
+    t: int
+    group_size: int
+    bound_value: float
+
+    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+        divisor = PIGEONHOLE_DIVISORS.get(self.source)
+        if divisor is None:
             return False
+        return abs(self.bound_value - self.t * (self.group_size - 1) / divisor) <= (1e-12 if tol is None else tol)
+
+
+@dataclass(frozen=True, eq=False)
+class RipDistortion(_Certificate):
+    """Verifies when the nonzero x = ``vector`` has |Ax|^2 / |x|^2 = ``ratio`` within tol (default 1e-9)."""
+
+    kind = "rip_distortion"
+    vector: np.ndarray
+    ratio: float
+
+    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+        y, norm = _image(A, self.vector), float(self.vector @ self.vector)
+        return norm > 0 and abs(float(y @ y) / norm - self.ratio) <= (1e-9 if tol is None else tol)
+
+
+@dataclass(frozen=True, eq=False)
+class KernelWitness(_Certificate):
+    """Verifies when ``vector`` is a nonzero integer vector that A maps to exactly zero."""
+
+    kind = "kernel_witness"
+    vector: np.ndarray
+
+    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+        x = np.asarray(self.vector)
         xi = np.rint(x).astype(np.int64)
-        if not np.array_equal(xi, x):
-            return False
-        if isinstance(A, OneSparseMap):
-            y = A.apply(xi)
-            return bool(np.all(y == 0))
-        return bool(np.all(apply(A, x) == 0))
-    raise UnknownKind(f"unknown certificate kind {cert.kind!r}")
+        return bool(np.any(x)) and np.array_equal(xi, x) and bool(np.all(_image(A, xi) == 0))
+
+
+CERTIFICATES = {c.kind: c for c in (NoFinding, IncoherencePair, SparsityLowerBound, RipDistortion, KernelWitness)}
+
+
+def Certificate(kind: str, **fields) -> _Certificate:
+    """The certificate of `kind` with `fields`; :class:`UnknownKind` for a kind not in CERTIFICATES."""
+    if kind not in CERTIFICATES:
+        raise UnknownKind(f"unknown certificate kind {kind!r}")
+    return CERTIFICATES[kind](**fields)
+
+
+def verify_certificate(cert: _Certificate, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+    """Recompute a certificate's claim from A; `tol` overrides its kind's default."""
+    return cert.verify(A, tol)
 
 
 # --- row-mass overload search ---------------------------------------------------
@@ -149,7 +173,7 @@ def _max_dot_pair(A: SparseMatrix, cols: Sequence[int]) -> tuple[int, int, float
     return int(cols[p]), int(cols[q]), float(G[p, q])
 
 
-def row_mass_violation_search(A: SparseMatrix, eps: float) -> Certificate:
+def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
     """Scan rows for overloaded same-signed mass and certify the coherence
     violation it forces.
 
@@ -176,9 +200,8 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> Certificate:
             limit = 5.0 / x
             for group in (cols[(vals > 0) & (squares >= x)], cols[(vals < 0) & (squares >= x)]):
                 if group.size >= limit:
-                    i, j, dot = _max_dot_pair(A, group)
-                    return Certificate(kind="incoherence_pair", source=source, i=i, j=j, dot=dot)
-    return none_certificate(source)
+                    return IncoherencePair(source, *_max_dot_pair(A, group))
+    return NoFinding(source)
 
 
 # --- grouping columns by key ------------------------------------------------------
@@ -346,7 +369,19 @@ def _expose_incoherent_pair(A: SparseMatrix, cols: Sequence[int], eps: float) ->
     return None
 
 
-def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> Certificate:
+def _pigeonhole_tail(A: SparseMatrix, source: str, eps: float, t: int, group: np.ndarray) -> _Certificate:
+    """What the largest group of N columns forces: nothing when N < 2, else its
+    first pair with inner product above eps, else s >= t(N-1)/d (d by source)."""
+    N = len(group)
+    if N < 2:
+        return NoFinding(source)
+    exposed = _expose_incoherent_pair(A, group, eps)
+    if exposed is not None:
+        return IncoherencePair(source, *exposed)
+    return SparsityLowerBound(source, t, N, t * (N - 1) / PIGEONHOLE_DIVISORS[source])
+
+
+def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> _Certificate:
     """Group unit columns by t-type and certify what a large group forces.
 
     Requires t/s > C * eps with C = 2/(1 - 1/sqrt(2)).  If the largest group
@@ -354,7 +389,6 @@ def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> Certificate:
     eps (returned as an incoherence pair) or the group pigeonhole forces
     s >= t(N-1)/(2C), returned as a sparsity lower bound.
     """
-    source = "ttype_collision_certify"
     check_unit_columns(A)
     s = column_sparsity(A)
     if not 1 <= t <= s:
@@ -363,18 +397,7 @@ def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> Certificate:
         raise PreconditionViolated(
             f"need t/s > C*eps: {t}/{s} = {t / s:.6g} vs C*eps = {TTYPE_GROUP_CONSTANT * eps:.6g}"
         )
-    group = group_columns(_ttype_keys(A, t, s))
-    N = len(group)
-    if N < 2:
-        return none_certificate(source)
-    exposed = _expose_incoherent_pair(A, group, eps)
-    if exposed is not None:
-        i, j, dot = exposed
-        return Certificate(kind="incoherence_pair", source=source, i=i, j=j, dot=dot)
-    bound = t * (N - 1) / (2.0 * TTYPE_GROUP_CONSTANT)
-    return Certificate(
-        kind="sparsity_lower_bound", source=source, t=t, group_size=N, bound_value=bound
-    )
+    return _pigeonhole_tail(A, "ttype_collision_certify", eps, t, group_columns(_ttype_keys(A, t, s)))
 
 
 # --- sign-pattern certifier -------------------------------------------------------
@@ -384,7 +407,7 @@ _FULL_ENUM_MAX_S = 8
 
 def sign_pattern_certify(
     A: SparseMatrix, eps: float, t: int, full_enumeration: bool = False
-) -> Certificate:
+) -> _Certificate:
     """Group sign-matrix columns by a shared t-row sign pattern.
 
     Every entry must have magnitude 1/sqrt(s) with s = column_sparsity(A).
@@ -395,7 +418,6 @@ def sign_pattern_certify(
     The largest group either exposes an incoherence pair (some inner product
     above eps) or certifies the sparsity bound s >= t(N-1)/4.
     """
-    source = "sign_pattern_certify"
     s = column_sparsity(A)
     if not 1 <= t <= s:
         raise InvalidT(f"t={t} must lie in [1, s={s}]")
@@ -427,17 +449,7 @@ def sign_pattern_certify(
         valid = nnz >= t
         first = np.where(valid, A.indptr[:-1], 0)
         group = group_columns(codes[first[:, None] + np.arange(t)], valid)
-    N = len(group)
-    if N < 2:
-        return none_certificate(source)
-    exposed = _expose_incoherent_pair(A, group, eps)
-    if exposed is not None:
-        i, j, dot = exposed
-        return Certificate(kind="incoherence_pair", source=source, i=i, j=j, dot=dot)
-    bound = t * (N - 1) / 4.0
-    return Certificate(
-        kind="sparsity_lower_bound", source=source, t=t, group_size=N, bound_value=bound
-    )
+    return _pigeonhole_tail(A, "sign_pattern_certify", eps, t, group)
 
 
 # --- restricted-isometry pattern witness -------------------------------------------
@@ -517,7 +529,7 @@ def _check_scales(A: SparseMatrix) -> None:
         raise DegenerateColumn(f"column {bad[0]} has no qualifying scale")
 
 
-def rip_pattern_witness(A: SparseMatrix, k: int) -> Certificate:
+def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     """Search for a k-sparse flat vector that the matrix stretches.
 
     Every column must first admit a scale profile (else
@@ -549,15 +561,13 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> Certificate:
             best_ratio = ratio
             best_vector = v
     if best_vector is not None and best_ratio >= 1.0 + 1e-9:
-        return Certificate(
-            kind="rip_distortion", source=source, vector=best_vector, ratio=best_ratio
-        )
-    return none_certificate(source)
+        return RipDistortion(source, best_vector, best_ratio)
+    return NoFinding(source)
 
 
 # --- one-sparse map witnesses --------------------------------------------------------
 
-def ose_collision_witness(S: OneSparseMap, indices: Iterable[int] | None = None) -> Certificate:
+def ose_collision_witness(S: OneSparseMap, indices: Iterable[int] | None = None) -> _Certificate:
     """Exact kernel vector from a row collision among the selected columns
     (all of them when `indices` is None).
 
@@ -567,7 +577,7 @@ def ose_collision_witness(S: OneSparseMap, indices: Iterable[int] | None = None)
     hash to distinct rows.
     """
     source = "ose_collision_witness"
-    cols = sorted({int(i) for i in (range(S.n) if indices is None else indices)})
+    cols = range(S.n) if indices is None else sorted({_integer(i, "column index") for i in indices})
     if not cols:
         raise EmptyIndexSet("need at least one column index")
     for i in cols:
@@ -584,12 +594,12 @@ def ose_collision_witness(S: OneSparseMap, indices: Iterable[int] | None = None)
         else:
             first_for_row[row] = j
     if best is None:
-        return none_certificate(source)
+        return NoFinding(source)
     i, j = best
     x = np.zeros(S.n, dtype=np.int64)
     x[i] = int(S.sigma[j])
     x[j] = -int(S.sigma[i])
-    return Certificate(kind="kernel_witness", source=source, vector=x)
+    return KernelWitness(source, x)
 
 
 @dataclass(frozen=True)

@@ -535,11 +535,13 @@ class TestBadInputsExitOne:
         text = matrix_to_json(sample_sparse_sign_jl(8, 5, 3, 7))
         paths = {"truncated": tmp_path / "truncated.json", "map": tmp_path / "map.json",
                  "matrix": tmp_path / "matrix.json", "empty": tmp_path / "empty.json",
-                 "not_utf8": tmp_path / "not_utf8.json"}
+                 "not_utf8": tmp_path / "not_utf8.json", "huge_int": tmp_path / "huge_int.json"}
         paths["truncated"].write_text(text[: len(text) // 2])
         paths["matrix"].write_text(text)
         paths["empty"].write_text('{"cols": [[]], "m": 2, "n": 1}')
         paths["not_utf8"].write_bytes(b"\xff\xfe" + text.encode())
+        # m has 5001 digits, past json's 4300-digit limit for integers
+        paths["huge_int"].write_text('{"cols":[[[0,0.5]]],"m":1' + "0" * 5000 + ',"n":1}\n')
         paths["map"].write_text(one_sparse_map_to_json(sample_countsketch(4, 5, 1)))
         return {"nul": f"{paths['matrix']}\0", **{k: str(v) for k, v in paths.items()}}
 
@@ -552,6 +554,7 @@ class TestBadInputsExitOne:
         ("measure", {"measure": "rip_exact", "input": "matrix", "k": 0}),
         ("witness", {"witness": "sign_pattern", "input": "empty", "eps": 0.1, "t": 1}),
         ("measure", {"measure": "coherence", "input": "nul"}),
+        ("measure", {"measure": "coherence", "input": "huge_int"}),
     ])
     def test_unusable_artifact(self, command, params, artifacts, write_config, capsys):
         cfg = write_config({"command": command,
@@ -606,6 +609,16 @@ class TestBadInputsExitOne:
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_bytes(b"\xff\xfe" + json.dumps({"params": {"measure": "coherence"}}).encode())
+        code, _, err = run_cli(["measure", "--config", str(cfg)], capsys)
+        assert_one_error_line(code, err)
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": 1' + "0" * 5000 + ', "params": {"measure": "coherence"}}',  # past json's digit limit
+        "[" * 100_000 + "]" * 100_000,  # past the recursion limit
+    ], ids=["huge_seed", "deep_nesting"])
+    def test_config_past_json_limits(self, text, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
         code, _, err = run_cli(["measure", "--config", str(cfg)], capsys)
         assert_one_error_line(code, err)
 

@@ -5,10 +5,11 @@ single-column functions (``ttype_of``, ``pattern_at_scale``,
 ``scale_profile``) and a dict, as the searches did before they built their
 keys from the CSC arrays; the batched searches must return the same
 certificate or raise the same exception class.  Every certificate a search
-returns, other than ``none``, must verify against its matrix.
+returns must verify against its matrix, also once rebuilt from its JSON.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -39,9 +40,9 @@ from sketchbounds.constructions import sample_countsketch
 from sketchbounds.witnesses import (
     TTYPE_GROUP_CONSTANT,
     Certificate,
+    NoFinding,
     _expose_incoherent_pair,
     group_columns,
-    none_certificate,
     verify_certificate,
 )
 
@@ -60,7 +61,7 @@ def largest_group(members: dict) -> list[int]:
 def pigeonhole_certificate(A, source, eps, t, group, scale):
     N = len(group)
     if N < 2:
-        return none_certificate(source)
+        return NoFinding(source)
     exposed = _expose_incoherent_pair(A, group, eps)
     if exposed is not None:
         i, j, dot = exposed
@@ -132,7 +133,7 @@ def rip_oracle(A, k):
     if best_vector is not None and best_ratio >= 1.0 + 1e-9:
         return Certificate(kind="rip_distortion", source="rip_pattern_witness",
                            vector=best_vector, ratio=best_ratio)
-    return none_certificate("rip_pattern_witness")
+    return NoFinding("rip_pattern_witness")
 
 
 def outcome(search, *args):
@@ -250,6 +251,28 @@ def test_group_columns_edge_cases():
 
 # --- every certificate verifies -----------------------------------------------------
 
+# the number each kind claims, which must be exact to verify
+CLAIMED_NUMBER = {"incoherence_pair": "dot", "sparsity_lower_bound": "bound_value", "rip_distortion": "ratio"}
+
+
+def assert_rebuilds_and_verifies(cert, A):
+    """`cert` verifies against A, and so does its rebuild from JSON through
+    ``Certificate(**obj)`` with the vector as an array; moving its number (or
+    a kernel vector entry) by 1e-6 makes it fail."""
+    assert verify_certificate(cert, A), cert.source
+    obj = json.loads(json.dumps(cert.to_jsonable()))
+    if "vector" in obj:
+        obj["vector"] = np.asarray(obj["vector"])
+    rebuilt = Certificate(**obj)
+    assert json.dumps(rebuilt.to_jsonable()) == json.dumps(cert.to_jsonable())
+    assert verify_certificate(rebuilt, A), cert.source
+    if cert.kind in CLAIMED_NUMBER:
+        name = CLAIMED_NUMBER[cert.kind]
+        assert not verify_certificate(Certificate(**{**obj, name: obj[name] + 1e-6}), A), cert.source
+    elif cert.kind == "kernel_witness":
+        assert not verify_certificate(Certificate(**{**obj, "vector": obj["vector"] + 1e-6}), A)
+
+
 # each certificate search of the CLI, as a call on a matrix and the drawn eps, t, k
 MATRIX_SEARCHES = {
     "row_mass": lambda A, eps, t, k, full: WITNESSES["row_mass"].fn(A, eps),
@@ -275,7 +298,7 @@ def test_every_matrix_certificate_verifies(A, eps, t, k, full):
             cert = search(A, eps, t, k, full)
         except SketchboundsError:
             continue
-        assert cert.kind == "none" or verify_certificate(cert, A), name
+        assert_rebuilds_and_verifies(cert, A)
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,4 +307,4 @@ def test_every_collision_certificate_verifies(m, n, seed, data):
     S = sample_countsketch(m, n, seed)
     indices = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     cert = WITNESSES["ose_collision"].fn(S, indices)
-    assert cert.kind == "none" or verify_certificate(cert, S)
+    assert_rebuilds_and_verifies(cert, S)

@@ -11,6 +11,7 @@ from sketchbounds import (
     DimensionMismatch,
     EmptyIndexSet,
     IndexOutOfRange,
+    InvalidDimension,
     InvalidEntry,
     InvalidEps,
     InvalidSparsity,
@@ -365,6 +366,13 @@ class TestOseCollision:
         with pytest.raises(IndexOutOfRange):
             ose_collision_witness(S, [5])
 
+    @pytest.mark.parametrize("indices", [[0.5, 1], [True, 1], [0, 1.0]])
+    def test_non_integer_indices_refused(self, indices):
+        # int() would truncate 0.5 to column 0 and merge True with column 1
+        S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
+        with pytest.raises(InvalidDimension):
+            ose_collision_witness(S, indices)
+
     def test_always_finds_pigeonhole_collision(self):
         for seed in range(20):
             S = sample_countsketch(4, 10, seed)
@@ -441,6 +449,28 @@ class TestVerifyCertificate:
         S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
         forged = Certificate(kind="kernel_witness", source="x", vector=np.zeros(3))
         assert not verify_certificate(forged, S)
+
+    def test_zero_rip_vector_fails(self):
+        A = SparseMatrix(4, 10, [[(0, 1.0)]] * 10)
+        forged = Certificate(kind="rip_distortion", source="x", vector=np.zeros(10), ratio=1.0)
+        assert not verify_certificate(forged, A)
+
+    @pytest.mark.parametrize("i", [0.7, True, "0"])
+    def test_non_integer_pair_index_refused(self, i):
+        A = ten_duplicate_basis_columns()
+        forged = Certificate(kind="incoherence_pair", source="row_mass_violation_search", i=i, j=1, dot=1.0)
+        with pytest.raises(InvalidDimension):
+            verify_certificate(forged, A)
+
+    @pytest.mark.parametrize("source", ["whatever", "row_mass_violation_search", ""])
+    def test_bound_from_unknown_source_fails(self, source):
+        # t(N-1)/(2C) would match the t-type constant; no divisor is known for this source
+        bound = 2 * (3 - 1) / (2.0 * TTYPE_GROUP_CONSTANT)
+        forged = Certificate(kind="sparsity_lower_bound", source=source, t=2, group_size=3, bound_value=bound)
+        assert not verify_certificate(forged, dense(np.eye(2)))
+        genuine = Certificate(kind="sparsity_lower_bound", source="ttype_collision_certify",
+                              t=2, group_size=3, bound_value=bound)
+        assert verify_certificate(genuine, dense(np.eye(2)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
