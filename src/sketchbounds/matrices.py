@@ -403,10 +403,16 @@ def _map_from_object(obj) -> OneSparseMap:
     return OneSparseMap(obj["m"], obj["n"], obj["a"], obj["sigma"])
 
 
+def _constant_magnitude(A: SparseMatrix) -> float | None:
+    """c when every stored entry of A is +c or -c, else None (also for no entries)."""
+    c = abs(float(A.data[0])) if A.nnz else 0.0
+    return c if c and np.all(np.abs(A.data) == c) else None
+
+
 def matrix_to_json(A: SparseMatrix) -> str:
     ptr = A.indptr.tolist()
-    c = abs(float(A.data[0])) if A.nnz else 0.0
-    if not c or not np.all(np.abs(A.data) == c):
+    c = _constant_magnitude(A)
+    if c is None:
         cols = [
             [[r, v] for r, v in zip(A.indices[a:b].tolist(), A.data[a:b].tolist())]
             for a, b in zip(ptr, ptr[1:])

@@ -1,16 +1,24 @@
 """Exact quality measures for sparse matrices.
 
-Everything here is deterministic given its inputs: coherence and restricted
-isometry constants come from exact Gram-matrix eigensolves over enumerated or
-sampled column supports, and the two profile measures read entry magnitudes
-directly off the columns.  Randomized estimation (``rip_constant_lower_
-estimate``) draws its supports from one sequential seeded stream, so a longer
-run with the same seed extends a shorter one and the estimate can only grow.
+Everything here is deterministic given its inputs: coherence comes from the
+Gram matrix of the columns, restricted isometry constants from exact
+Gram-matrix eigensolves over enumerated or sampled column supports, and the
+two profile measures read entry magnitudes directly off the columns.
+Randomized estimation (``rip_constant_lower_estimate``) draws its supports
+from one sequential seeded stream, so a longer run with the same seed extends
+a shorter one and the estimate can only grow.
 The supports of a chunk come from one block of the stream's 32-bit draws,
 emulating ``choice`` for all of them at once (see :mod:`sketchbounds.rng`);
 a chunk where a draw could have rejected is drawn again, one ``choice`` per
 support, from the same place in the stream, so the supports are the ones a
 per-trial loop draws.
+
+``coherence`` multiplies 512-column slices of a dense copy.  When every
+stored entry is +-c, as in every sampled family, each dot is c^2 times an
+integer count (agreements minus disagreements), so the copy holds the +-1
+sign pattern in float32, whose Gram is exact while m <= 2^24, and the result
+is the correctly rounded float of c^2 * max |count|, independent of the BLAS.
+Other matrices, and taller ones, use the float64 Gram of the values.
 
 The restricted isometry constants stack their eigensolves: a chunk of supports
 becomes one (N, k, m) array of their columns, one batched ``np.matmul`` gives
@@ -26,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,13 +50,16 @@ from .errors import (
     TooFewColumns,
     TooManySupports,
 )
-from .matrices import SparseMatrix, OneSparseMap, _integer, column_norms
+from .matrices import SparseMatrix, OneSparseMap, _constant_magnitude, _integer, column_norms
 from .rng import choice_draws, choice_lanes, next_uint32s, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
 # bytes of stacked support columns per eigensolve chunk
 _CHUNK_BYTES = 2**20
+# float32 holds every integer up to 2^24, so a +-1 Gram over at most this
+# many rows is exact
+_FLOAT32_EXACT_ROWS = 2**24
 
 
 def check_unit_columns(A: SparseMatrix, tol: float = UNIT_NORM_TOL) -> None:
@@ -58,24 +70,44 @@ def check_unit_columns(A: SparseMatrix, tol: float = UNIT_NORM_TOL) -> None:
         raise NotNormalized(int(bad[0]), float(norms[bad[0]]))
 
 
-def coherence(A: SparseMatrix) -> float:
-    """Largest |<v_i, v_j>| over distinct unit columns of A."""
-    if A.n < 2:
-        raise TooFewColumns("coherence needs at least two columns")
-    check_unit_columns(A)
-    # The dense copy takes O(m*n) memory; Gram products of 512-column
-    # slices keep each product at O(block^2) for wide matrices.
+def _max_off_diagonal(D: np.ndarray) -> float:
+    """Largest |<d_i, d_j>| over distinct columns i, j of D, from Gram
+    products of 512-column slices, so each product is O(block^2) however
+    wide D is."""
     block = 512
     best = 0.0
-    D = A.to_dense()
-    for a in range(0, A.n, block):
+    n = D.shape[1]
+    for a in range(0, n, block):
         Da = D[:, a:a + block]
-        for b in range(a, A.n, block):
+        for b in range(a, n, block):
             G = Da.T @ D[:, b:b + block]
             if a == b:
                 np.fill_diagonal(G, 0.0)
-            best = max(best, float(np.abs(G).max()))
+            best = max(best, float(np.abs(G, out=G).max()))
     return best
+
+
+def coherence(A: SparseMatrix) -> float:
+    """Largest |<v_i, v_j>| over distinct unit columns of A.
+
+    When every stored entry is +-c (every sampled family), each dot is c^2
+    times an integer count, agreements minus disagreements on shared rows,
+    and the result is the correctly rounded float of c^2 * max |count|,
+    computed once in exact arithmetic.  The counts come from a float32 Gram
+    of the +-1 sign pattern, exact while m <= 2^24 (no partial sum exceeds
+    m).  Any other matrix, or m > 2^24, takes the float64 Gram of the
+    values, whose last bit follows the BLAS summation order.  Either way
+    the dense copy takes O(m*n) memory (4 or 8 bytes an entry).
+    """
+    if A.n < 2:
+        raise TooFewColumns("coherence needs at least two columns")
+    check_unit_columns(A)
+    c = _constant_magnitude(A)
+    if c is None or A.m > _FLOAT32_EXACT_ROWS:
+        return _max_off_diagonal(A.to_dense())
+    signs = np.zeros((A.m, A.n), dtype=np.float32)
+    signs[A.indices, np.repeat(np.arange(A.n), np.diff(A.indptr))] = np.sign(A.data)
+    return float(Fraction(c) ** 2 * int(_max_off_diagonal(signs)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,7 +105,8 @@ class IncoherencePair(_Certificate):
 @dataclass(frozen=True, eq=False)
 class SparsityLowerBound(_Certificate):
     """Verifies when ``bound_value`` is t(N-1)/d within tol (default 1e-12), with
-    N = ``group_size`` and d the source's divisor in :data:`PIGEONHOLE_DIVISORS`."""
+    N = ``group_size`` and d the source's divisor in :data:`PIGEONHOLE_DIVISORS`;
+    a t or N that is not an integer raises :class:`InvalidDimension`."""
 
     kind = "sparsity_lower_bound"
     t: int
@@ -113,10 +114,11 @@ class SparsityLowerBound(_Certificate):
     bound_value: float
 
     def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
-        divisor = PIGEONHOLE_DIVISORS.get(self.source)
+        divisor = PIGEONHOLE_DIVISORS.get(self.source) if isinstance(self.source, str) else None
         if divisor is None:
             return False
-        return abs(self.bound_value - self.t * (self.group_size - 1) / divisor) <= (1e-12 if tol is None else tol)
+        t, N = _integer(self.t, "t"), _integer(self.group_size, "group size")
+        return abs(self.bound_value - t * (N - 1) / divisor) <= (1e-12 if tol is None else tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +143,9 @@ class KernelWitness(_Certificate):
 
     def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
         x = np.asarray(self.vector)
+        # refuse NaN, infinities and magnitudes of 2^63 or more before the int64 cast
+        if x.dtype.kind != "i" and not np.all(np.abs(x) < 2.0**63):
+            return False
         xi = np.rint(x).astype(np.int64)
         return bool(np.any(x)) and np.array_equal(xi, x) and bool(np.all(_image(A, xi) == 0))
 
@@ -150,7 +155,7 @@ CERTIFICATES = {c.kind: c for c in (NoFinding, IncoherencePair, SparsityLowerBou
 
 def Certificate(kind: str, **fields) -> _Certificate:
     """The certificate of `kind` with `fields`; :class:`UnknownKind` for a kind not in CERTIFICATES."""
-    if kind not in CERTIFICATES:
+    if not isinstance(kind, str) or kind not in CERTIFICATES:
         raise UnknownKind(f"unknown certificate kind {kind!r}")
     return CERTIFICATES[kind](**fields)
 

@@ -28,7 +28,7 @@ from sketchbounds import (
     stream_update,
 )
 from sketchbounds.errors import InvalidEntry, MalformedArtifact
-from sketchbounds.matrices import canonical_json
+from sketchbounds.matrices import _constant_magnitude, canonical_json
 
 from conftest import dense
 
@@ -240,6 +240,24 @@ class TestOneSparseMap:
         S = OneSparseMap(2, 2, [0, 1], [1, -1])
         assert S == OneSparseMap(2, 2, [0, 1], [1, -1])
         assert S != OneSparseMap(2, 2, [0, 1], [1, 1])
+
+
+class TestConstantMagnitude:
+    @pytest.mark.parametrize("rows,c", [
+        ([[0.5, -0.5], [0.0, 0.5]], 0.5),
+        ([[-3.0]], 3.0),
+        ([[0.1, 0.0], [0.0, -0.1]], 0.1),
+    ])
+    def test_one_magnitude(self, rows, c):
+        assert _constant_magnitude(dense(rows)) == c
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.25], [0.0, 0.5]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[0.5, 0.5 + 2.0**-53]],
+    ])
+    def test_mixed_or_empty(self, rows):
+        assert _constant_magnitude(dense(rows)) is None
 
 
 class TestJson:

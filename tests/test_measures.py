@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +139,72 @@ class TestCoherence:
         D[0, ~D.any(axis=0)] = 1.0
         A = SparseMatrix.from_dense(D / np.sqrt((D * D).sum(axis=0)))
         assert coherence(A) == self.slices_1024_coherence(A)
+
+
+def sign_matrix(m, n, s, seed, patterns, scale):
+    """A +-c matrix with s entries per column and its int64 sign pattern.
+
+    Columns repeat one of `patterns` row sets with random signs, so a few
+    patterns give counts up to s.  c is fl(1/sqrt(s)) times `scale`, which
+    stays within the unit-norm tolerance."""
+    rng = np.random.default_rng(seed)
+    rows = np.sort(np.array([rng.choice(m, size=s, replace=False) for _ in range(patterns)]), axis=1)
+    indices = rows[rng.integers(patterns, size=n)].ravel()
+    signs = np.where(rng.random(n * s) < 0.5, -1, 1)
+    c = 1.0 / math.sqrt(s) * scale
+    A = SparseMatrix.from_csc(m, n, np.arange(n + 1) * s, indices, signs * c)
+    S = np.zeros((m, n), dtype=np.int64)
+    S[indices, np.repeat(np.arange(n), s)] = signs
+    return A, S, c
+
+
+@st.composite
+def sign_matrices(draw):
+    m = draw(st.integers(1, 40))
+    n = draw(st.one_of(st.integers(2, 40), st.sampled_from([511, 512, 513, 1023, 1024, 1025, 1537])))
+    s = draw(st.integers(1, min(m, 9)))
+    patterns = draw(st.integers(1, 2 * n))
+    scale = draw(st.sampled_from([1.0, 1.0 + 2.0**-40, 1.0 - 3.0**-30]))
+    return sign_matrix(m, n, s, draw(st.integers(0, 2**32)), patterns, scale)
+
+
+class TestIntegerCoherence:
+    """Constant-magnitude matrices: coherence is c^2 times the largest
+    off-diagonal |count|, rounded once."""
+
+    @staticmethod
+    def exact(S, c):
+        G = np.abs(S.T @ S)
+        np.fill_diagonal(G, 0)
+        return float(Fraction(c) ** 2 * int(G.max()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sign_matrices())
+    @example(sign_matrix(1, 2, 1, 0, 1, 1.0))
+    @example(sign_matrix(3, 513, 2, 1, 1026, 1.0))
+    @example(sign_matrix(8, 1025, 8, 2, 1, 1.0))
+    def test_equals_rounded_integer_gram(self, sample):
+        A, S, c = sample
+        assert coherence(A) == self.exact(S, c)
+
+    def test_large_count_is_exact(self):
+        # 2999 is odd and above 2^11, so a narrower float than float32 would round it
+        m = 3001
+        c = 1.0 / math.sqrt(m)
+        D = np.full((m, 2), c)
+        D[0, 1] = -c
+        assert coherence(SparseMatrix.from_dense(D)) == float(Fraction(c) ** 2 * 2999)
+
+    def test_code_matrix_value_is_rounded_once(self):
+        # count 4 at c = fl(1/sqrt(8)); a float64 Gram gave 0.49999999999999994
+        B = code_to_incoherent(random_code(16, 8, 400, 0.5, 4))
+        assert coherence(B) == 0.4999999999999999 == float(Fraction(float(B.data[0])) ** 2 * 4)
+
+    def test_past_float32_rows_takes_the_float64_gram(self, monkeypatch):
+        # with OpenBLAS this is 0.49999999999999994, one ulp off the exact path's value
+        B = code_to_incoherent(random_code(16, 8, 400, 0.5, 4))
+        monkeypatch.setattr(measures, "_FLOAT32_EXACT_ROWS", B.m - 1)
+        assert coherence(B) == TestCoherence.slices_1024_coherence(B)
 
 
 class TestRipExact:

@@ -23,6 +23,7 @@ from sketchbounds import (
     SparseMatrix,
     TooLarge,
     TType,
+    UnknownKind,
     TTYPE_GROUP_CONSTANT,
     code_to_incoherent,
     ose_collision_witness,
@@ -450,6 +451,14 @@ class TestVerifyCertificate:
         forged = Certificate(kind="kernel_witness", source="x", vector=np.zeros(3))
         assert not verify_certificate(forged, S)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e300, 2.0**63, -2.0**63])
+    def test_kernel_vector_without_int64_fails(self, entry):
+        # NaN, infinities and magnitudes of 2^63 or more are refused before
+        # the int64 cast (the suite turns numpy's invalid-cast warning into an error)
+        S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
+        forged = Certificate(kind="kernel_witness", source="x", vector=np.array([entry, entry, 0.0]))
+        assert not verify_certificate(forged, S)
+
     def test_zero_rip_vector_fails(self):
         A = SparseMatrix(4, 10, [[(0, 1.0)]] * 10)
         forged = Certificate(kind="rip_distortion", source="x", vector=np.zeros(10), ratio=1.0)
@@ -471,6 +480,24 @@ class TestVerifyCertificate:
         genuine = Certificate(kind="sparsity_lower_bound", source="ttype_collision_certify",
                               t=2, group_size=3, bound_value=bound)
         assert verify_certificate(genuine, dense(np.eye(2)))
+
+    @pytest.mark.parametrize("t,group_size", [(2.5, 2), (True, 2), (2, 2.5), (2, True), ("2", 2)])
+    def test_non_integer_bound_fields_refused(self, t, group_size):
+        # bound_value is t(N-1)/4 for these fields, so only the type check can refuse them
+        forged = Certificate(kind="sparsity_lower_bound", source="sign_pattern_certify", t=t,
+                             group_size=group_size, bound_value=float(t) * (float(group_size) - 1) / 4)
+        with pytest.raises(InvalidDimension):
+            verify_certificate(forged, dense(np.eye(2)))
+
+    def test_bound_from_non_string_source_fails(self):
+        forged = Certificate(kind="sparsity_lower_bound", source=["sign_pattern_certify"],
+                             t=2, group_size=2, bound_value=0.5)
+        assert not verify_certificate(forged, dense(np.eye(2)))
+
+    @pytest.mark.parametrize("kind", [["none"], {"none": 1}, None, 3])
+    def test_non_string_kind_rejected(self, kind):
+        with pytest.raises(UnknownKind):
+            Certificate(kind=kind, source="x")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
