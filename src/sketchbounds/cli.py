@@ -9,8 +9,8 @@ direct matrix application.
 
 Every command is a pure function of its config file plus seed: outputs carry
 no timestamps or environment data, JSON is emitted with sorted keys, and CSV
-uses '.' decimals, a header row, and newline line endings, so reruns are
-byte-identical.  Exit codes: 0 success, 2 witness violation found, 1 any
+(``sweep`` and ``stream-demo`` only) uses '.' decimals, a header row, and
+newline line endings, so reruns are byte-identical.  Exit codes: 0 success, 2 witness violation found, 1 any
 error.
 """
 
@@ -79,13 +79,8 @@ class ExperimentConfig:
     output_format: str
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "trials": self.trials,
-            "output_format": self.output_format,
-        }
+        """The config as a table payload repeats it: every field but ``output_path``."""
+        return {k: v for k, v in asdict(self).items() if k != "output_path"}
 
 
 def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> ExperimentConfig:
@@ -97,6 +92,12 @@ def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> Exper
         raise BadConfig(f"config file not found: {path}")
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or too deep
         raise BadConfig(f"config file {path} is not valid JSON: {exc}")
+    return _config(raw, command, seed, out, fmt)
+
+
+def _config(raw, command: str, seed, out, fmt) -> ExperimentConfig:
+    """The config the JSON value `raw` holds for `command`, with the overrides
+    that are not None folded in."""
     if not isinstance(raw, dict):
         raise BadConfig("config must be a JSON object")
     if "command" in raw and raw["command"] != command:
@@ -111,9 +112,12 @@ def load_config(path: str, command: str, seed=None, out=None, fmt=None) -> Exper
     out = raw.get("output_path") if out is None else out
     if out is not None and (not isinstance(out, str) or "\0" in out):
         raise BadConfig(f"config key 'output_path' must be a file path, got {out!r}")
-    fmt = (raw.get("output_format", "json") if fmt is None else fmt).lower()
+    fmt = raw.get("output_format", "json") if fmt is None else fmt
+    fmt = fmt.lower() if isinstance(fmt, str) else fmt
     if fmt not in ("json", "csv"):
         raise BadConfig(f"output_format must be 'json' or 'csv', got {fmt!r}")
+    if fmt == "csv" and command not in ("sweep", "stream-demo"):  # the two (param, value) tables
+        raise BadConfig(f"{command} writes output_format 'json' only; 'csv' is for sweep and stream-demo")
     return ExperimentConfig(
         command=command, params=params, seed=check_seed(seed), trials=trials,
         output_path=out, output_format=fmt,
@@ -163,10 +167,12 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
-def _csv(rows: list[tuple], header: str = "param,value") -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt_csv(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _table(cfg: ExperimentConfig, rows: list[tuple], summary: dict) -> tuple[str, int]:
+    """`rows` of (param, value) as CSV, or as JSON with the config and `summary`."""
+    if cfg.output_format == "csv":
+        return "".join(f"{_fmt_csv(p)},{_fmt_csv(v)}\n" for p, v in [("param", "value"), *rows]), 0
+    return canonical_json({"config": cfg.echo(), "rows": [{"param": p, "value": v} for p, v in rows],
+                           "summary": summary}), 0
 
 
 # --- dispatch tables ------------------------------------------------------------
@@ -286,10 +292,7 @@ WITNESSES = {
 # --- construct, measure, witness --------------------------------------------------
 
 def _run_construct(cfg: ExperimentConfig) -> tuple[str, int]:
-    family = _need(cfg.params, "family", str)
-    if cfg.output_format != "json":
-        raise BadConfig("construct emits JSON artifacts; use output_format 'json'")
-    return _run(FAMILIES, "construct family", family, cfg), 0
+    return _run(FAMILIES, "construct family", _need(cfg.params, "family", str), cfg), 0
 
 
 def _run_measure(cfg: ExperimentConfig) -> tuple[str, int]:
@@ -390,14 +393,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[str, int]:
     if axis not in axes:
         raise BadConfig(f"sweep {name} cannot vary {axis!r}; its grid param must be one of {', '.join(axes)}")
     rows = [(v, sweep.point(replace(cfg, params={**fixed, axis: v}), idx)) for idx, v in enumerate(values)]
-    if cfg.output_format == "csv":
-        return _csv(rows), 0
-    record = {
-        "config": cfg.echo(),
-        "rows": [{"param": p, "value": v} for p, v in rows],
-        "summary": {"points": len(rows)},
-    }
-    return canonical_json(record), 0
+    return _table(cfg, rows, {"points": len(rows)})
 
 
 # --- stream demo -----------------------------------------------------------------
@@ -429,14 +425,7 @@ def _run_stream_demo(cfg: ExperimentConfig) -> tuple[str, int]:
         ("touched_max", max(touched)),
         ("column_sparsity", column_sparsity(A)),
     ]
-    if cfg.output_format == "csv":
-        return _csv(summary), 0
-    record = {
-        "config": cfg.echo(),
-        "rows": [{"param": k, "value": v} for k, v in summary],
-        "summary": dict(summary),
-    }
-    return canonical_json(record), 0
+    return _table(cfg, summary, dict(summary))
 
 
 # --- entry point -------------------------------------------------------------------
@@ -483,18 +472,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if ns.command == "bounds" and ns.formula:
-            args = _parse_params_flag(ns.params or "")
-            payload = canonical_json(_evaluate_formula(ns.formula, args))
-            code = 0
-            out_path = ns.out
+            raw = {"params": {"formula": ns.formula, "args": _parse_params_flag(ns.params or "")}}
+            cfg = _config(raw, "bounds", ns.seed, ns.out, ns.fmt)
+        elif ns.config is None:
+            raise BadConfig("bounds needs either --formula or --config")
         else:
-            if getattr(ns, "config", None) is None:
-                raise BadConfig("bounds needs either --formula or --config")
             cfg = load_config(ns.config, ns.command, seed=ns.seed, out=ns.out, fmt=ns.fmt)
-            payload, code = _HANDLERS[ns.command](cfg)
-            out_path = cfg.output_path
-        if out_path:
-            with open(out_path, "w") as fh:
+        payload, code = _HANDLERS[cfg.command](cfg)
+        if cfg.output_path:
+            with open(cfg.output_path, "w") as fh:
                 fh.write(payload)
         else:
             sys.stdout.write(payload)

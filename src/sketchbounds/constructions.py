@@ -342,27 +342,18 @@ _ENUM_MAX_CELLS = 6
 _ENUM_MAX_ROWS = 16
 
 
-def _support_probability(m: int, s: int, sampler: str, rows_needed: frozenset[int]) -> Fraction:
+# sampler -> the supports one column can draw, all equally likely
+_SUPPORTS = {
+    "sign_jl": lambda m, s: itertools.combinations(range(m), s),
+    "block": lambda m, s: ((blk * (m // s) + off for blk, off in enumerate(offsets))
+                           for offsets in itertools.product(range(m // s), repeat=s)),
+}
+
+
+def _support_probability(supports: Iterable[Iterable[int]], rows_needed: set[int]) -> Fraction:
     """P(all rows in rows_needed lie in one column's support), by enumeration."""
-    if sampler == "sign_jl":
-        total = 0
-        hits = 0
-        for support in itertools.combinations(range(m), s):
-            total += 1
-            if rows_needed <= set(support):
-                hits += 1
-        return Fraction(hits, total)
-    if sampler == "block":
-        b = m // s
-        total = 0
-        hits = 0
-        for offsets in itertools.product(range(b), repeat=s):
-            total += 1
-            support = {blk * b + off for blk, off in enumerate(offsets)}
-            if rows_needed <= support:
-                hits += 1
-        return Fraction(hits, total)
-    raise UnknownKind(f"unknown sampler {sampler!r}; expected 'sign_jl' or 'block'")
+    hits = [rows_needed.issubset(support) for support in supports]
+    return Fraction(sum(hits), len(hits))
 
 
 def verify_osnap_properties(
@@ -373,7 +364,11 @@ def verify_osnap_properties(
     The expectation is computed with rational arithmetic by enumerating every
     possible per-column support of the named sampler (columns are
     independent), which is why the guards |cells| <= 6 and m <= 16 exist.
+    An unknown sampler raises :class:`UnknownKind` before any other check.
     """
+    supports = _SUPPORTS.get(sampler) if isinstance(sampler, str) else None
+    if supports is None:
+        raise UnknownKind(f"unknown sampler {sampler!r}; expected 'sign_jl' or 'block'")
     if not 1 <= s <= m:
         raise InvalidSparsity(f"sparsity s={s} must lie in [1, m={m}]")
     if sampler == "block" and m % s != 0:
@@ -396,7 +391,7 @@ def verify_osnap_properties(
         by_column.setdefault(j, set()).add(i)
     expectation = Fraction(1)
     for rows_needed in by_column.values():
-        expectation *= _support_probability(m, s, sampler, frozenset(rows_needed))
+        expectation *= _support_probability(supports(m, s), rows_needed)
     bound = Fraction(s, m) ** len(cell_set)
     return OsnapReport(
         expectation=float(expectation),

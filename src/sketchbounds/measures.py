@@ -62,10 +62,10 @@ _CHUNK_BYTES = 2**20
 _FLOAT32_EXACT_ROWS = 2**24
 
 
-def check_unit_columns(A: SparseMatrix, tol: float = UNIT_NORM_TOL) -> None:
-    """Raise :class:`NotNormalized` for the first column whose norm is off."""
+def check_unit_columns(A: SparseMatrix) -> None:
+    """Raise :class:`NotNormalized` for the first column whose norm is off by more than UNIT_NORM_TOL."""
     norms = column_norms(A)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
     if bad.size:
         raise NotNormalized(int(bad[0]), float(norms[bad[0]]))
 

@@ -1,7 +1,7 @@
 """Witness searches: executable certifiers and refuters.
 
 Each search returns a certificate, one frozen class per kind, holding the
-``source`` search and its own fields; ``cert.verify(A, tol)`` rechecks it:
+``source`` search and its own fields; ``cert.verify(A)`` rechecks it:
 
 * ``none`` — :class:`NoFinding`: the search found nothing;
 * ``incoherence_pair`` — :class:`IncoherencePair`: two columns whose inner
@@ -47,10 +47,9 @@ from .errors import (
     UnknownKind,
 )
 from .matrices import SparseMatrix, OneSparseMap, _integer, apply, column_sparsity, to_csr
-from .measures import check_unit_columns, dyadic_scale_count
+from .measures import check_unit_columns, dyadic_scale_count, subspace_distortion
 from .rng import derive_seed
 from .constructions import sample_countsketch, sample_coordinate_subspace
-from .measures import subspace_distortion
 
 # Group constant for the t-type certifier: C = 2 / (1 - 1/sqrt(2)).
 TTYPE_GROUP_CONSTANT = 2.0 / (1.0 - 1.0 / math.sqrt(2.0))
@@ -80,31 +79,43 @@ def _image(A: SparseMatrix | OneSparseMap, x: np.ndarray) -> np.ndarray:
     return A.apply(x) if isinstance(A, OneSparseMap) else apply(A, x)
 
 
+def _real(value, ndim: int) -> np.ndarray | None:
+    """`value` as an array of real numbers with `ndim` axes, or None when it
+    is not one (a string, None, bools, objects, ragged lists): a forged
+    field fails verification instead of breaking the arithmetic."""
+    try:
+        x = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    return x if x.dtype.kind in "iuf" and x.ndim == ndim else None
+
+
 @dataclass(frozen=True, eq=False)
 class NoFinding(_Certificate):
     kind = "none"
 
-    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
         return True
 
 
 @dataclass(frozen=True, eq=False)
 class IncoherencePair(_Certificate):
-    """Verifies when columns i and j of A re-derive ``dot`` within tol (default 1e-12)."""
+    """Verifies when columns i and j of A re-derive the number ``dot`` within 1e-12."""
 
     kind = "incoherence_pair"
     i: int
     j: int
     dot: float
 
-    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
         ci, cj = (A.submatrix_dense([_integer(c, "column index")])[:, 0] for c in (self.i, self.j))
-        return abs(float(ci @ cj) - self.dot) <= (1e-12 if tol is None else tol)
+        dot = _real(self.dot, 0)
+        return dot is not None and abs(float(ci @ cj) - float(dot)) <= 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class SparsityLowerBound(_Certificate):
-    """Verifies when ``bound_value`` is t(N-1)/d within tol (default 1e-12), with
+    """Verifies when the number ``bound_value`` is t(N-1)/d within 1e-12, with
     N = ``group_size`` and d the source's divisor in :data:`PIGEONHOLE_DIVISORS`;
     a t or N that is not an integer raises :class:`InvalidDimension`."""
 
@@ -113,25 +124,29 @@ class SparsityLowerBound(_Certificate):
     group_size: int
     bound_value: float
 
-    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
+    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
         divisor = PIGEONHOLE_DIVISORS.get(self.source) if isinstance(self.source, str) else None
         if divisor is None:
             return False
         t, N = _integer(self.t, "t"), _integer(self.group_size, "group size")
-        return abs(self.bound_value - t * (N - 1) / divisor) <= (1e-12 if tol is None else tol)
+        bound = _real(self.bound_value, 0)
+        return bound is not None and abs(float(bound) - t * (N - 1) / divisor) <= 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class RipDistortion(_Certificate):
-    """Verifies when the nonzero x = ``vector`` has |Ax|^2 / |x|^2 = ``ratio`` within tol (default 1e-9)."""
+    """Verifies when the nonzero real x = ``vector`` has |Ax|^2 / |x|^2 = ``ratio`` within 1e-9."""
 
     kind = "rip_distortion"
     vector: np.ndarray
     ratio: float
 
-    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
-        y, norm = _image(A, self.vector), float(self.vector @ self.vector)
-        return norm > 0 and abs(float(y @ y) / norm - self.ratio) <= (1e-9 if tol is None else tol)
+    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
+        x, ratio = _real(self.vector, 1), _real(self.ratio, 0)
+        if x is None or ratio is None:
+            return False
+        y, norm = _image(A, x), float(x @ x)
+        return norm > 0 and abs(float(y @ y) / norm - float(ratio)) <= 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +156,10 @@ class KernelWitness(_Certificate):
     kind = "kernel_witness"
     vector: np.ndarray
 
-    def verify(self, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
-        x = np.asarray(self.vector)
+    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
+        x = _real(self.vector, 1)
         # refuse NaN, infinities and magnitudes of 2^63 or more before the int64 cast
-        if x.dtype.kind != "i" and not np.all(np.abs(x) < 2.0**63):
+        if x is None or x.dtype.kind != "i" and not np.all(np.abs(x) < 2.0**63):
             return False
         xi = np.rint(x).astype(np.int64)
         return bool(np.any(x)) and np.array_equal(xi, x) and bool(np.all(_image(A, xi) == 0))
@@ -160,9 +175,9 @@ def Certificate(kind: str, **fields) -> _Certificate:
     return CERTIFICATES[kind](**fields)
 
 
-def verify_certificate(cert: _Certificate, A: SparseMatrix | OneSparseMap, tol: float | None = None) -> bool:
-    """Recompute a certificate's claim from A; `tol` overrides its kind's default."""
-    return cert.verify(A, tol)
+def verify_certificate(cert: _Certificate, A: SparseMatrix | OneSparseMap) -> bool:
+    """Recompute a certificate's claim from A."""
+    return cert.verify(A)
 
 
 # --- row-mass overload search ---------------------------------------------------
@@ -288,19 +303,10 @@ class TType:
             raise DimensionMismatch("locations, signs, rounded_squares must have equal length")
         if any(sg not in (-1, 1) for sg in self.signs):
             raise InvalidEntry("signs must be +1 or -1")
-        _check_rounded_squares(self.s, np.array([self.rounded_squares]))
-
-
-def _check_rounded_squares(s: int, rounded: np.ndarray) -> None:
-    """Raise :class:`InvalidEntry` for the first row of t rounded squares with
-    an entry outside [0, 2s + 1] or a sum above 2s + t."""
-    t = rounded.shape[1]
-    out_of_range = ((rounded < 0) | (rounded > 2 * s + 1)).any(axis=1)
-    bad = np.flatnonzero(out_of_range | (rounded.sum(axis=1) > 2 * s + t))
-    if bad.size and out_of_range[bad[0]]:
-        raise InvalidEntry(f"each rounded square must lie in [0, {2 * s + 1}]")
-    if bad.size:
-        raise InvalidEntry(f"rounded squares sum to more than {2 * s + t}")
+        if any(not 0 <= r <= 2 * self.s + 1 for r in self.rounded_squares):
+            raise InvalidEntry(f"each rounded square must lie in [0, {2 * self.s + 1}]")
+        if sum(self.rounded_squares) > 2 * self.s + t:
+            raise InvalidEntry(f"rounded squares sum to more than {2 * self.s + t}")
 
 
 def _round_half_down(x: float) -> int:
@@ -358,7 +364,6 @@ def _ttype_keys(A: SparseMatrix, t: int, s: int) -> np.ndarray:
         vals = np.concatenate((vals, np.zeros(fill_rows.size)))[order]
         keys[lo:hi, :t] = signed.reshape(-1, t)
         keys[lo:hi, t:] = np.ceil(vals * vals * 2 * s - 0.5).reshape(-1, t)
-    _check_rounded_squares(s, keys[:, t:])
     return keys
 
 

@@ -239,6 +239,12 @@ class TestBounds:
                                 "--params", "eps=0.1,N=100"], capsys)
         assert code == 1 and "error" in err
 
+    def test_formula_flag_refuses_csv(self, capsys):
+        code, out, err = run_cli(["bounds", "--formula", "min_sparsity", "--params", "q=100,r=10",
+                                  "--format", "csv"], capsys)
+        assert_one_error_line(code, err)
+        assert out == "" and "csv" in err
+
     def test_needs_formula_or_config(self, capsys):
         code, _, err = run_cli(["bounds"], capsys)
         assert code == 1
@@ -439,7 +445,8 @@ def _frozen_bound(formula, args, code, sha256):
 
 # one run per construct family, measure, witness, sweep experiment and bound
 # formula, with the exit code and the sha256 of the stdout the if-chain
-# dispatch produced: a change to any payload shows here
+# dispatch produced (and the stream demo in both formats, hashed before it
+# shared its table writer with sweep): a change to any payload shows here
 FROZEN_RUNS = [
     _frozen("sign_jl", "construct", {"family": "sign_jl", "m": 8, "n": 5, "s": 3},
             0, "c4d1f3bb863091a4fa994e633825f7e17fd8ef97e094eac5f3326be5cd48e389", seed=7),
@@ -498,6 +505,10 @@ FROZEN_RUNS = [
             {"experiment": "bounds", "formula": "code_size", "eps": 0.25, "k": 4,
              "grid": {"param": "n", "values": [256, 1024]}},
             0, "895b9808d2c695b7ab063f85002676e8ea8e6c5964ab27eb2af05b22c7409fbe", output_format="csv"),
+    _frozen("stream_demo", "stream-demo", {"m": 16, "n": 20, "s": 2, "updates": 50},
+            0, "3bd386c364dbdfdd1b9525f8058f81a00348db071f74ec64d78f917c06846af2", seed=9),
+    _frozen("stream_demo_csv", "stream-demo", {"m": 16, "n": 20, "s": 2, "updates": 50},
+            0, "23c02c336fb64d0f1764165a5f322ec9d73b69e2dfb54278ae66edf4a7022313", seed=9, output_format="csv"),
     _frozen_bound("min_sparsity", "q=100,r=10",
             0, "4707d8c3263785d795746f4bea696f84b9af8c1a585ad9c6d98f2ce8fbe64469"),
     _frozen_bound("incoherent_rows", "eps=0.1,N=1000",

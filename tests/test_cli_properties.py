@@ -103,3 +103,42 @@ def test_any_config_exits_cleanly(command, name, files):
             assert err.getvalue().startswith("sketchbounds: error: ")
 
     run()
+
+
+# for each subcommand, params that run to exit 0 or 2 when the output format is json
+RUNNABLE = {
+    "construct": {"family": "sign_jl", "m": 6, "n": 6, "s": 2},
+    "measure": {"measure": "coherence", "input": "A.json"},
+    "witness": {"witness": "row_mass", "input": "A.json", "eps": 0.3},
+    "bounds": {"formula": "min_sparsity", "q": 100, "r": 10},
+    "sweep": {"experiment": "bounds", "formula": "min_sparsity", "q": 100, "grid": {"param": "r", "values": [5, 10]}},
+    "stream-demo": {"m": 6, "n": 6, "s": 2, "updates": 3},
+}
+TABLE_COMMANDS = {"sweep", "stream-demo"}
+FORMATS = st.sampled_from(["json", "csv", "JSON", "Csv", "xml", ""]) | JSON | st.just(MISSING)
+
+
+@pytest.mark.parametrize("command", sorted(RUNNABLE))
+def test_any_output_format_is_checked(command, files):
+    params = {k: files[v] if k == "input" else v for k, v in RUNNABLE[command].items()}
+
+    @settings(max_examples=30, deadline=None)
+    @given(FORMATS, st.sampled_from([None, "json", "csv"]))
+    def run(fmt, flag):
+        config = {"command": command, "params": params, **({} if fmt is MISSING else {"output_format": fmt})}
+        with open(files["config.json"], "w") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", files["config.json"], *(["--format", flag] if flag else [])])
+        chosen = "json" if fmt is MISSING and flag is None else flag or fmt
+        chosen = chosen.lower() if isinstance(chosen, str) else chosen
+        if chosen == "json" or chosen == "csv" and command in TABLE_COMMANDS:
+            assert code in (0, 2) and err.getvalue() == ""
+            assert out.getvalue().startswith("param,value\n") == (chosen == "csv")
+        else:
+            lines = err.getvalue().splitlines()
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("sketchbounds: error: ")
+            assert out.getvalue() == ""
+
+    run()

@@ -361,6 +361,12 @@ class TestOsnapProperties:
         with pytest.raises(NotDivisible):
             verify_osnap_properties(10, 2, 3, "block", [(0, 0)])
 
+    @pytest.mark.parametrize("m,s,cells", [(4, 2, []), (4, 2, [(9, 0)]), (4, 9, [(0, 0)])])
+    def test_unknown_sampler_refused_first(self, m, s, cells):
+        # with no cells at all, and before any cell or sparsity check
+        with pytest.raises(UnknownKind):
+            verify_osnap_properties(m, 2, s, "bogus", cells)
+
     def test_duplicate_cells_collapse(self):
         rep = verify_osnap_properties(4, 2, 2, "block", [(0, 0), (0, 0)])
         assert rep.exact_expectation == Fraction(1, 2)

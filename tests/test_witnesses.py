@@ -494,6 +494,28 @@ class TestVerifyCertificate:
                              t=2, group_size=2, bound_value=0.5)
         assert not verify_certificate(forged, dense(np.eye(2)))
 
+    @pytest.mark.parametrize("dot", ["0.1", None])
+    def test_non_numeric_dot_fails(self, dot):
+        A = ten_duplicate_basis_columns()
+        forged = Certificate(kind="incoherence_pair", source="row_mass_violation_search", i=0, j=1, dot=dot)
+        assert not verify_certificate(forged, A)
+
+    def test_non_numeric_bound_fails(self):
+        forged = Certificate(kind="sparsity_lower_bound", source="sign_pattern_certify",
+                             t=2, group_size=2, bound_value="0.5")
+        assert not verify_certificate(forged, dense(np.eye(2)))
+
+    @pytest.mark.parametrize("vector,ratio", [(np.ones(2), "1"), ("ab", 1.0)], ids=["ratio", "vector"])
+    def test_non_numeric_rip_fields_fail(self, vector, ratio):
+        forged = Certificate(kind="rip_distortion", source="x", vector=vector, ratio=ratio)
+        assert not verify_certificate(forged, dense(np.eye(2)))
+
+    @pytest.mark.parametrize("vector", ["ab", None, np.array(["1", "-1", "0"])])
+    def test_non_numeric_kernel_vector_fails(self, vector):
+        S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
+        forged = Certificate(kind="kernel_witness", source="x", vector=vector)
+        assert not verify_certificate(forged, S)
+
     @pytest.mark.parametrize("kind", [["none"], {"none": 1}, None, 3])
     def test_non_string_kind_rejected(self, kind):
         with pytest.raises(UnknownKind):
