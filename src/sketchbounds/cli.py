@@ -37,7 +37,6 @@ from .constructions import (
 )
 from .errors import BadConfig, SketchboundsError
 from .matrices import (
-    OneSparseMap,
     SparseMatrix,
     _read_text,
     apply,
@@ -178,15 +177,15 @@ def _table(cfg: ExperimentConfig, rows: list[tuple], summary: dict) -> tuple[str
 # --- dispatch tables ------------------------------------------------------------
 
 class Entry(NamedTuple):
-    """One name in a subcommand's table: ``fn`` gets the artifact at param
-    'input' when ``load`` names its classes, then each param ``(key, kind[,
+    """One name in a subcommand's table: ``fn`` gets the matrix or map at
+    param 'input' when ``load`` is set, then each param ``(key, kind[,
     default])`` as a keyword, then ``trials`` and ``seed`` when flagged;
     ``payload`` turns its result into the output."""
 
     fn: Callable
     payload: Callable
     params: tuple = ()
-    load: type | tuple[type, ...] | None = None
+    load: bool = False
     trials: bool = False
     seed: bool = False
 
@@ -214,17 +213,9 @@ def _run(table: dict, what: str, name: str, cfg: ExperimentConfig):
         kwargs["trials"] = cfg.trials
     if entry.seed:
         kwargs["seed"] = cfg.seed
-    inputs = [_load_artifact(_need(cfg.params, "input", str), entry.load)] if entry.load else []
+    # the matrix or one-sparse map at param 'input': its JSON keys say which
+    inputs = [artifact_from_json(_read_text(_need(cfg.params, "input", str)))] if entry.load else []
     return _current(entry.payload)(_current(entry.fn)(*inputs, **kwargs))
-
-
-def _load_artifact(path: str, kind):
-    """The matrix or one-sparse map stored at `path` (its JSON keys say
-    which), which must be an instance of `kind`."""
-    artifact = artifact_from_json(_read_text(path))
-    if not isinstance(artifact, kind):
-        raise BadConfig(f"input {path} holds a {type(artifact).__name__}, which this command cannot use")
-    return artifact
 
 
 _MNS = (("m", int), ("n", int), ("s", int))
@@ -252,16 +243,16 @@ def _rip(est) -> dict:
 
 
 MEASURES = {
-    "coherence": Entry(coherence, _value, load=SparseMatrix),
-    "rip_exact": Entry(rip_constant_exact, _rip, (("k", int),), SparseMatrix),
-    "rip_lower_estimate": Entry(rip_constant_lower_estimate, _rip, (("k", int),), SparseMatrix,
+    "coherence": Entry(coherence, _value, load=True),
+    "rip_exact": Entry(rip_constant_exact, _rip, (("k", int),), load=True),
+    "rip_lower_estimate": Entry(rip_constant_lower_estimate, _rip, (("k", int),), load=True,
                                 trials=True, seed=True),
     "subspace_distortion": Entry(subspace_distortion, lambda lh: _value({"sigma_min": lh[0], "sigma_max": lh[1]}),
-                                 (("indices", list[int]),), (SparseMatrix, OneSparseMap)),
+                                 (("indices", list[int]),), load=True),
     "row_mass_profile": Entry(row_mass_profile, lambda p: _value({**asdict(p), "flagged_rows": p.flagged_rows}),
-                              (("x", float),), SparseMatrix),
-    "scale_profile": Entry(scale_profile, lambda p: _value(asdict(p)), (("column", int),), SparseMatrix),
-    "column_sparsity": Entry(column_sparsity, _value, load=SparseMatrix),
+                              (("x", float),), load=True),
+    "scale_profile": Entry(scale_profile, lambda p: _value(asdict(p)), (("column", int),), load=True),
+    "column_sparsity": Entry(column_sparsity, _value, load=True),
 }
 
 
@@ -280,12 +271,12 @@ def _ose_failure(report) -> tuple[dict, int]:
 WITNESSES = {
     "ose_failure": Entry(ose_failure_probability, _ose_failure, (("m", int), ("d", int), ("n", int)),
                          trials=True, seed=True),
-    "row_mass": Entry(row_mass_violation_search, _certificate, (("eps", float),), SparseMatrix),
-    "ttype_collision": Entry(ttype_collision_certify, _certificate, (("eps", float), ("t", int)), SparseMatrix),
+    "row_mass": Entry(row_mass_violation_search, _certificate, (("eps", float),), load=True),
+    "ttype_collision": Entry(ttype_collision_certify, _certificate, (("eps", float), ("t", int)), load=True),
     "sign_pattern": Entry(sign_pattern_certify, _certificate,
-                          (("eps", float), ("t", int), ("full_enumeration", bool, False)), SparseMatrix),
-    "rip_pattern": Entry(rip_pattern_witness, _certificate, (("k", int),), SparseMatrix),
-    "ose_collision": Entry(ose_collision_witness, _certificate, (("indices", list[int], None),), OneSparseMap),
+                          (("eps", float), ("t", int), ("full_enumeration", bool, False)), load=True),
+    "rip_pattern": Entry(rip_pattern_witness, _certificate, (("k", int),), load=True),
+    "ose_collision": Entry(ose_collision_witness, _certificate, (("indices", list[int], None),), load=True),
 }
 
 

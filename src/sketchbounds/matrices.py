@@ -1,16 +1,21 @@
 """Column-sparse matrices, one-sparse maps, and their JSON formats.
 
-The central type is :class:`SparseMatrix`, stored in compressed sparse column
+The one storage type is :class:`SparseMatrix`, in compressed sparse column
 (CSC) form as three read-only arrays ``indptr``, ``indices`` and ``data``:
 column j's rows are ``indices[indptr[j]:indptr[j + 1]]``, strictly
 increasing, and its values the same slice of ``data``, none of them zero, so
 ``np.diff(indptr)`` is each column's sparsity.  Every constructor, from
 (row, value) pairs, a dense array or CSC arrays (:meth:`SparseMatrix.from_csc`),
 goes through one vectorized validator.  All values are double precision and
-all indices are 0-based.  Instances are immutable after construction; every
-operation returns fresh data.  The lone deliberate exception is
-:func:`stream_update`, which accumulates into a caller-owned sketch buffer so
-that one turnstile update costs O(nonzeros of that column) instead of O(m).
+all indices are 0-based.  A one-sparse map (:class:`OneSparseMap`) is a
+SparseMatrix with one +-1 entry per column, so every function here and
+every measure and search takes one; it adds only the views ``a`` and
+``sigma`` and ``row_loads``.  :func:`apply` of an integer vector to a
+matrix of integer values is exact in int64.  Instances are immutable after
+construction; every operation returns fresh data.  The lone deliberate
+exception is :func:`stream_update`, which accumulates into a caller-owned
+sketch buffer so that one turnstile update costs O(nonzeros of that column)
+instead of O(m).
 
 Matrices serialize to JSON as ``{"m": int, "n": int, "cols": [[[row, value],
 ...], ...]}`` with one entry list per column.  One-sparse maps serialize as
@@ -37,6 +42,7 @@ from .errors import (
     InvalidDimension,
     InvalidEntry,
     MalformedArtifact,
+    TooLarge,
     ZeroColumn,
 )
 
@@ -115,33 +121,35 @@ class SparseMatrix:
             raise DimensionMismatch(f"expected {n} columns, got {indptr.size - 1}")
         nnz = indices.size
         if indices.shape != (nnz,) or data.shape != (nnz,) or indptr[0] != 0 or indptr[-1] != nnz \
-                or np.any(np.diff(indptr) < 0):
+                or (indptr[1:] < indptr[:-1]).any():
             raise DimensionMismatch("indptr must rise from 0 to the number of indices and values")
-        bad = np.flatnonzero(~np.isfinite(data))
-        if bad.size:
-            raise InvalidEntry(f"non-finite value {float(data[bad[0]])!r} at {_locate(indptr, indices, bad[0])}")
-        bad = np.flatnonzero((indices < 0) | (indices >= m))
-        if bad.size:
-            raise IndexOutOfRange(f"row index outside [0, {m}) at {_locate(indptr, indices, bad[0])}")
+        # Each check runs one cheap reduction; flatnonzero only locates a failure.
+        finite = np.isfinite(data)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)[0]
+            raise InvalidEntry(f"non-finite value {float(data[bad])!r} at {_locate(indptr, indices, bad)}")
+        if nnz and (indices.min() < 0 or indices.max() >= m):
+            bad = np.flatnonzero((indices < 0) | (indices >= m))[0]
+            raise IndexOutOfRange(f"row index outside [0, {m}) at {_locate(indptr, indices, bad)}")
         keep = data != 0.0  # constructors drop explicit zeros
         if not keep.all():
             indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
             indices, data = indices[keep], data[keep]
-        # Each step between neighbouring entries must rise, except where a
-        # new column starts.
-        rises = indices[1:] > indices[:-1]
-        starts = indptr[1:-1]
-        rises[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-        bad = np.flatnonzero(~rises)
-        if bad.size:
-            raise InvalidEntry(f"rows must be strictly increasing, with no duplicates, at {_locate(indptr, indices, bad[0] + 1)}")
+        # Entry p must rise above entry p - 1, unless p starts a column.
+        rises = np.empty(indices.size + 1, dtype=bool)
+        np.greater(indices[1:], indices[:-1], out=rises[1:-1])
+        rises[indptr] = True
+        if not rises.all():
+            bad = np.flatnonzero(~rises)[0]
+            raise InvalidEntry(f"rows must be strictly increasing, with no duplicates, at {_locate(indptr, indices, bad)}")
         for arr in (indptr, indices, data):
             arr.flags.writeable = False
-        for name, value in zip(self.__slots__, (m, n, indptr, indices, data)):
+        # SparseMatrix's slots, not self's: a subclass declares none of its own
+        for name, value in zip(SparseMatrix.__slots__, (m, n, indptr, indices, data)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SparseMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
@@ -198,81 +206,42 @@ class SparseMatrix:
         return hash((self.m, self.n, self.nnz))
 
     def __repr__(self):
-        return f"SparseMatrix(m={self.m}, n={self.n}, nnz={self.nnz})"
+        return f"{type(self).__name__}(m={self.m}, n={self.n}, nnz={self.nnz})"
 
 
-class OneSparseMap:
+class OneSparseMap(SparseMatrix):
     """A map with exactly one nonzero per column: column i is sigma(i) * e_a(i).
 
-    Stored as two length-n integer arrays: row choices ``a`` in [0, m) and
-    signs ``sigma`` in {-1, +1}.  Applying the map to an integer vector stays
-    in integer arithmetic, so kernel identities hold exactly.
+    It is a :class:`SparseMatrix` with ``indptr = arange(n + 1)``, row
+    choices ``a`` (the ``indices``) in [0, m) and signs ``sigma`` in
+    {-1, +1} (the ``data``), so everything a matrix does, a map does.
     """
 
-    __slots__ = ("m", "n", "a", "sigma")
+    __slots__ = ()
 
     def __init__(self, m: int, n: int, a: Sequence[int], sigma: Sequence[int]):
-        m, n = _integer(m, "row count"), _integer(n, "column count")
-        if m < 1 or n < 1:
-            raise InvalidDimension(f"map shape must be positive, got {m}x{n}")
-        a_arr = _array(a, "iu", "row choices must be integers").astype(np.int64)
-        s_arr = _array(sigma, "iu", "signs must be integers").astype(np.int64)
-        if a_arr.shape != (n,) or s_arr.shape != (n,):
-            raise DimensionMismatch(f"a and sigma must both have length {n}")
-        if a_arr.size and (a_arr.min() < 0 or a_arr.max() >= m):
-            raise IndexOutOfRange(f"row choices must lie in [0, {m})")
-        if not np.all(np.abs(s_arr) == 1):
+        # checked here, before _freeze drops zeros; a wrong length is left to
+        # _freeze, so indptr follows sigma and never an unchecked n
+        sigma = _array(sigma, "iu", "signs must be integers")
+        if not (np.abs(sigma) == 1).all():
             raise InvalidEntry("signs must be +1 or -1")
-        a_arr.flags.writeable = False
-        s_arr.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a_arr)
-        object.__setattr__(self, "sigma", s_arr)
+        self._freeze(m, n, np.arange(sigma.size + 1), a, sigma)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OneSparseMap is immutable")
+    @property
+    def a(self) -> np.ndarray:
+        """Each column's row, a read-only view of ``indices``."""
+        return self.indices
 
-    def apply(self, x) -> np.ndarray:
-        """Apply the map to x.  Integer input uses exact integer accumulation."""
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"expected vector of length {self.n}, got shape {x.shape}")
-        dtype = np.int64 if np.issubdtype(x.dtype, np.integer) else np.float64
-        y = np.zeros(self.m, dtype=dtype)
-        np.add.at(y, self.a, self.sigma * x.astype(dtype))
-        return y
-
-    def to_sparse_matrix(self) -> SparseMatrix:
-        return SparseMatrix.from_csc(self.m, self.n, np.arange(self.n + 1), self.a, self.sigma)
-
-    def submatrix_dense(self, indices: Sequence[int]) -> np.ndarray:
-        out = np.zeros((self.m, len(indices)))
-        for p, i in enumerate(indices):
-            i = int(i)
-            if not 0 <= i < self.n:
-                raise IndexOutOfRange(f"column index {i} outside [0, {self.n})")
-            out[self.a[i], p] = self.sigma[i]
-        return out
+    @property
+    def sigma(self) -> np.ndarray:
+        """Each column's sign as a read-only int64 array."""
+        signs = self.data.astype(np.int64)
+        signs.flags.writeable = False
+        return signs
 
     def row_loads(self) -> np.ndarray:
         """Number of columns hashed to each row (length-m histogram)."""
-        return np.bincount(self.a, minlength=self.m)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneSparseMap):
-            return NotImplemented
-        return (
-            (self.m, self.n) == (other.m, other.n)
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.sigma, other.sigma)
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.n))
-
-    def __repr__(self):
-        return f"OneSparseMap(m={self.m}, n={self.n})"
+        return np.bincount(self.indices, minlength=self.m)
 
 
 # --- linear operations -------------------------------------------------------
@@ -300,13 +269,28 @@ def normalize_columns(A: SparseMatrix) -> SparseMatrix:
 
 
 def apply(A: SparseMatrix, x) -> np.ndarray:
-    """Compute A @ x."""
-    x = np.asarray(x, dtype=np.float64)
+    """Compute A @ x.
+
+    An integer x on a matrix whose values are all integers gives the exact
+    int64 image, so kernel identities hold exactly; it raises
+    :class:`TooLarge` when max|value| * sum|x| reaches 2^62, where int64
+    could wrap.  Any other input is taken as float64.
+    """
+    x, values = np.asarray(x), A.data
+    if x.dtype.kind in "iu" and (values == np.rint(values)).all():
+        # Summed in float64, the bound still keeps every partial sum below
+        # 2^63; a value of 2^62 or more is no int64 term even for x = 0.
+        top = float(np.abs(values).max(initial=0.0))
+        if top * max(float(np.abs(x, dtype=np.float64).sum()), 1.0) >= 2.0**62:
+            raise TooLarge("an exact integer image needs max|value| * sum|x| < 2^62")
+        x, values = x.astype(np.int64), values.astype(np.int64)
+    else:
+        x = x.astype(np.float64, copy=False)
     if x.shape != (A.n,):
         raise DimensionMismatch(f"expected vector of length {A.n}, got shape {x.shape}")
     terms = np.repeat(x, np.diff(A.indptr))
-    terms *= A.data
-    y = np.zeros(A.m)
+    terms *= values
+    y = np.zeros(A.m, dtype=terms.dtype)
     # np.add.at adds the terms one at a time in storage order, so each y[r]
     # rounds as a loop adding x[j] * column j for ascending j does.  Columns
     # with x[j] == 0 add signed zeros, which leave every y[r] unchanged: y
@@ -495,7 +479,7 @@ def one_sparse_map_from_json(text: str) -> OneSparseMap:
     return _map_from_object(_parse(text, "map"))
 
 
-def artifact_from_json(text: str) -> SparseMatrix | OneSparseMap:
+def artifact_from_json(text: str) -> SparseMatrix:
     """Load either artifact kind, told apart by its keys: a one-sparse map
     holds ``a``, a matrix holds ``cols``."""
     csc = _canonical_csc(text)

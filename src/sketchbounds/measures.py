@@ -50,7 +50,7 @@ from .errors import (
     TooFewColumns,
     TooManySupports,
 )
-from .matrices import SparseMatrix, OneSparseMap, _constant_magnitude, _integer, column_norms
+from .matrices import SparseMatrix, _constant_magnitude, _integer, column_norms
 from .rng import choice_draws, choice_lanes, next_uint32s, substream
 
 UNIT_NORM_TOL = 1e-9
@@ -250,7 +250,7 @@ def _emulation_agrees(g: np.random.Generator, n: int, k: int, draws: int) -> boo
     return bool(flagged[0]) or np.array_equal(emulated[0], drawn)
 
 
-def subspace_distortion(A: SparseMatrix | OneSparseMap, indices: Sequence[int]) -> tuple[float, float]:
+def subspace_distortion(A: SparseMatrix, indices: Sequence[int]) -> tuple[float, float]:
     """(smallest, largest) singular value of the selected-column submatrix."""
     indices = list(indices)
     if not indices:

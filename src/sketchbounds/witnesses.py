@@ -46,7 +46,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import SparseMatrix, OneSparseMap, _integer, apply, column_sparsity, to_csr
+from .matrices import SparseMatrix, _integer, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count, subspace_distortion
 from .rng import derive_seed
 from .constructions import sample_countsketch, sample_coordinate_subspace
@@ -74,11 +74,6 @@ class _Certificate:
         return out
 
 
-def _image(A: SparseMatrix | OneSparseMap, x: np.ndarray) -> np.ndarray:
-    """A x; a one-sparse map applies itself, in exact integers for integer x."""
-    return A.apply(x) if isinstance(A, OneSparseMap) else apply(A, x)
-
-
 def _real(value, ndim: int) -> np.ndarray | None:
     """`value` as an array of real numbers with `ndim` axes, or None when it
     is not one (a string, None, bools, objects, ragged lists): a forged
@@ -94,7 +89,7 @@ def _real(value, ndim: int) -> np.ndarray | None:
 class NoFinding(_Certificate):
     kind = "none"
 
-    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
+    def verify(self, A: SparseMatrix) -> bool:
         return True
 
 
@@ -107,7 +102,7 @@ class IncoherencePair(_Certificate):
     j: int
     dot: float
 
-    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
+    def verify(self, A: SparseMatrix) -> bool:
         ci, cj = (A.submatrix_dense([_integer(c, "column index")])[:, 0] for c in (self.i, self.j))
         dot = _real(self.dot, 0)
         return dot is not None and abs(float(ci @ cj) - float(dot)) <= 1e-12
@@ -124,7 +119,7 @@ class SparsityLowerBound(_Certificate):
     group_size: int
     bound_value: float
 
-    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
+    def verify(self, A: SparseMatrix) -> bool:
         divisor = PIGEONHOLE_DIVISORS.get(self.source) if isinstance(self.source, str) else None
         if divisor is None:
             return False
@@ -135,34 +130,48 @@ class SparsityLowerBound(_Certificate):
 
 @dataclass(frozen=True, eq=False)
 class RipDistortion(_Certificate):
-    """Verifies when the nonzero real x = ``vector`` has |Ax|^2 / |x|^2 = ``ratio`` within 1e-9."""
+    """Verifies when the nonzero real x = ``vector`` has |Ax|^2 / |x|^2 = ``ratio``
+    within 1e-9, in float64; a vector whose squared norms overflow does not."""
 
     kind = "rip_distortion"
     vector: np.ndarray
     ratio: float
 
-    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
+    def verify(self, A: SparseMatrix) -> bool:
         x, ratio = _real(self.vector, 1), _real(self.ratio, 0)
         if x is None or ratio is None:
             return False
-        y, norm = _image(A, x), float(x @ x)
-        return norm > 0 and abs(float(y @ y) / norm - float(ratio)) <= 1e-9
+        x = x.astype(np.float64)
+        # an infinite or huge forged vector overflows to inf or NaN, which the
+        # test below refuses, instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = apply(A, x)
+            norm, image = float(x @ x), float(y @ y)
+        return 0 < norm < math.inf and abs(image / norm - float(ratio)) <= 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class KernelWitness(_Certificate):
-    """Verifies when ``vector`` is a nonzero integer vector that A maps to exactly zero."""
+    """Verifies when ``vector`` is a nonzero integer vector that A maps to
+    zero, exactly in int64 when A's values are all integers (a vector too
+    large for that, see :func:`apply`, does not verify), else in float64."""
 
     kind = "kernel_witness"
     vector: np.ndarray
 
-    def verify(self, A: SparseMatrix | OneSparseMap) -> bool:
+    def verify(self, A: SparseMatrix) -> bool:
         x = _real(self.vector, 1)
         # refuse NaN, infinities and magnitudes of 2^63 or more before the int64 cast
         if x is None or x.dtype.kind != "i" and not np.all(np.abs(x) < 2.0**63):
             return False
         xi = np.rint(x).astype(np.int64)
-        return bool(np.any(x)) and np.array_equal(xi, x) and bool(np.all(_image(A, xi) == 0))
+        if not (np.any(x) and np.array_equal(xi, x)):
+            return False
+        try:
+            image = apply(A, xi)
+        except TooLarge:
+            return False
+        return not image.any()
 
 
 CERTIFICATES = {c.kind: c for c in (NoFinding, IncoherencePair, SparsityLowerBound, RipDistortion, KernelWitness)}
@@ -175,7 +184,7 @@ def Certificate(kind: str, **fields) -> _Certificate:
     return CERTIFICATES[kind](**fields)
 
 
-def verify_certificate(cert: _Certificate, A: SparseMatrix | OneSparseMap) -> bool:
+def verify_certificate(cert: _Certificate, A: SparseMatrix) -> bool:
     """Recompute a certificate's claim from A."""
     return cert.verify(A)
 
@@ -577,9 +586,10 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
 
 # --- one-sparse map witnesses --------------------------------------------------------
 
-def ose_collision_witness(S: OneSparseMap, indices: Iterable[int] | None = None) -> _Certificate:
+def ose_collision_witness(S: SparseMatrix, indices: Iterable[int] | None = None) -> _Certificate:
     """Exact kernel vector from a row collision among the selected columns
-    (all of them when `indices` is None).
+    (all of them when `indices` is None) of a matrix whose columns each hold
+    one +-1 entry, as a one-sparse map's do (else :class:`PreconditionViolated`).
 
     Takes the lexicographically first pair i < j with a(i) == a(j) and emits
     x with x_i = sigma(j), x_j = -sigma(i): then S x = 0 exactly in integer
@@ -587,28 +597,33 @@ def ose_collision_witness(S: OneSparseMap, indices: Iterable[int] | None = None)
     hash to distinct rows.
     """
     source = "ose_collision_witness"
-    cols = range(S.n) if indices is None else sorted({_integer(i, "column index") for i in indices})
-    if not cols:
-        raise EmptyIndexSet("need at least one column index")
-    for i in cols:
-        if not 0 <= i < S.n:
-            raise IndexOutOfRange(f"column index {i} outside [0, {S.n})")
-    first_for_row: dict[int, int] = {}
-    best: tuple[int, int] | None = None
-    for j in cols:
-        row = int(S.a[j])
-        if row in first_for_row:
-            pair = (first_for_row[row], j)
-            if best is None or pair < best:
-                best = pair
-        else:
-            first_for_row[row] = j
-    if best is None:
+    if not (np.array_equal(S.indptr, np.arange(S.n + 1)) and (np.abs(S.data) == 1).all()):
+        raise PreconditionViolated("ose_collision_witness needs exactly one +-1 entry in every column")
+    if indices is None:
+        cols = np.arange(S.n)
+    else:
+        chosen = sorted({_integer(i, "column index") for i in indices})
+        if not chosen:
+            raise EmptyIndexSet("need at least one column index")
+        if chosen[0] < 0 or chosen[-1] >= S.n:
+            bad = next(i for i in chosen if not 0 <= i < S.n)
+            raise IndexOutOfRange(f"column index {bad} outside [0, {S.n})")
+        cols = np.array(chosen, dtype=np.int64)
+    # A stable sort by row keeps each row's columns ascending.  The first
+    # pair is a repeated row's first column with its second; taking the
+    # smallest first column over every neighbouring repeat finds it, since a
+    # later column of a row is never smaller than that row's first.
+    rows = S.indices[cols]
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if not repeats.size:
         return NoFinding(source)
-    i, j = best
+    p = repeats[np.argmin(order[repeats])]
+    i, j = int(cols[order[p]]), int(cols[order[p + 1]])
     x = np.zeros(S.n, dtype=np.int64)
-    x[i] = int(S.sigma[j])
-    x[j] = -int(S.sigma[i])
+    x[i] = int(S.data[j])
+    x[j] = -int(S.data[i])
     return KernelWitness(source, x)
 
 

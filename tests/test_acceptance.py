@@ -73,7 +73,7 @@ def test_criterion_02_kernel_witnesses_are_exact():
         assert cert.kind == "kernel_witness"
         x = cert.vector
         assert np.issubdtype(x.dtype, np.integer)
-        image = S.apply(x)
+        image = apply(S, x)
         assert not image.any()  # exactly zero, integer arithmetic
         assert int(x @ x) == 2
         assert verify_certificate(cert, S)

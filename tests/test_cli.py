@@ -15,7 +15,7 @@ from sketchbounds import (
     sample_countsketch,
     sample_sparse_sign_jl,
 )
-from sketchbounds.cli import load_config, main
+from sketchbounds.cli import MEASURES, WITNESSES, load_config, main
 
 from conftest import dense
 
@@ -533,6 +533,45 @@ class TestFrozenStdout:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# params for every table entry that loads an input, on a 6-column map into 4 rows
+MAP_PARAMS = {
+    ("measure", "coherence"): {},
+    ("measure", "rip_exact"): {"k": 2},
+    ("measure", "rip_lower_estimate"): {"k": 3},
+    ("measure", "subspace_distortion"): {"indices": [0, 2, 5]},
+    ("measure", "row_mass_profile"): {"x": 0.5},
+    ("measure", "scale_profile"): {"column": 1},
+    ("measure", "column_sparsity"): {},
+    ("witness", "row_mass"): {"eps": 0.3},
+    ("witness", "ttype_collision"): {"eps": 0.1, "t": 1},
+    ("witness", "sign_pattern"): {"eps": 0.1, "t": 1},
+    ("witness", "rip_pattern"): {"k": 2},
+    ("witness", "ose_collision"): {},
+    ("witness", "ose_collision", "indices"): {"indices": [5, 1, 3]},
+}
+
+
+def test_every_input_entry_is_run_on_a_map():
+    loading = {(command, name) for command, table in (("measure", MEASURES), ("witness", WITNESSES))
+               for name, entry in table.items() if entry.load}
+    assert loading == {key[:2] for key in MAP_PARAMS}
+
+
+@pytest.mark.parametrize("key", MAP_PARAMS, ids=["-".join(key) for key in MAP_PARAMS])
+def test_map_file_and_its_matrix_json_print_the_same(key, tmp_path, write_config, capsys):
+    command, name = key[:2]
+    S = sample_countsketch(4, 6, 2)
+    path = tmp_path / "input.json"
+    cfg = write_config({"command": command, "seed": 5, "trials": 4,
+                        "params": {command: name, "input": str(path), **MAP_PARAMS[key]}})
+    runs = []
+    for text in (one_sparse_map_to_json(S), matrix_to_json(S)):
+        path.write_text(text)
+        runs.append(run_cli([command, "--config", cfg], capsys))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2)
+
+
 def assert_one_error_line(code, err):
     assert code == 1
     assert "Traceback" not in err
@@ -559,7 +598,7 @@ class TestBadInputsExitOne:
     @pytest.mark.parametrize("command,params", [
         ("measure", {"measure": "coherence", "input": "truncated"}),
         ("measure", {"measure": "subspace_distortion", "input": "truncated", "indices": [0, 1]}),
-        ("measure", {"measure": "coherence", "input": "map"}),
+        ("measure", {"measure": "scale_profile", "input": "map", "column": 9}),
         ("witness", {"witness": "ose_collision", "input": "matrix"}),
         ("measure", {"measure": "coherence", "input": "not_utf8"}),
         ("measure", {"measure": "rip_exact", "input": "matrix", "k": 0}),

@@ -136,6 +136,26 @@ def rip_oracle(A, k):
     return NoFinding("rip_pattern_witness")
 
 
+def ose_collision_oracle(S, indices):
+    # the dict loop the search ran before its stable sort
+    cols = range(S.n) if indices is None else sorted(set(indices))
+    first_for_row, best = {}, None
+    for j in cols:
+        row = int(S.indices[j])
+        if row in first_for_row:
+            pair = (first_for_row[row], j)
+            if best is None or pair < best:
+                best = pair
+        else:
+            first_for_row[row] = j
+    if best is None:
+        return NoFinding("ose_collision_witness")
+    i, j = best
+    x = np.zeros(S.n, dtype=np.int64)
+    x[i], x[j] = int(S.data[j]), -int(S.data[i])
+    return Certificate(kind="kernel_witness", source="ose_collision_witness", vector=x)
+
+
 def outcome(search, *args):
     """A search's certificate as JSON, or the class of the error it raised."""
     try:
@@ -283,7 +303,7 @@ MATRIX_SEARCHES = {
 
 
 def test_every_certificate_search_is_covered():
-    searches = {name for name, entry in WITNESSES.items() if entry.load is not None}
+    searches = {name for name, entry in WITNESSES.items() if entry.load}
     assert searches == set(MATRIX_SEARCHES) | {"ose_collision"}
 
 
@@ -308,3 +328,15 @@ def test_every_collision_certificate_verifies(m, n, seed, data):
     indices = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     cert = WITNESSES["ose_collision"].fn(S, indices)
     assert_rebuilds_and_verifies(cert, S)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+def test_ose_collision_matches_oracle(m, n, seed, data):
+    S = sample_countsketch(m, n, seed)
+    indices = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    expected = outcome(ose_collision_oracle, S, indices)
+    assert outcome(WITNESSES["ose_collision"].fn, S, indices) == expected
+    # the same columns stored as a plain matrix
+    A = SparseMatrix.from_csc(S.m, S.n, S.indptr, S.indices, S.data)
+    assert outcome(WITNESSES["ose_collision"].fn, A, indices) == expected

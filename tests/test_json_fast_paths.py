@@ -119,7 +119,7 @@ def sampled(family, m, n, s, seed):
     if family == "osnap_block":
         return sample_osnap_block(m, n, s, seed)
     if family == "countsketch":
-        return sample_countsketch(m, n, seed).to_sparse_matrix()
+        return sample_countsketch(m, n, seed)
     if family == "code_matrix":  # q^3 words leave room for n distinct ones
         return code_to_incoherent(random_code(s + 1 + round(n ** (1 / 3)), 3, n, 1.0, seed))
     # spread vectors: k = 2t with t = 3, q = 2n/k

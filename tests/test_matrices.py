@@ -27,7 +27,7 @@ from sketchbounds import (
     save_one_sparse_map,
     stream_update,
 )
-from sketchbounds.errors import InvalidEntry, MalformedArtifact
+from sketchbounds.errors import InvalidEntry, MalformedArtifact, TooLarge
 from sketchbounds.matrices import _constant_magnitude, canonical_json
 
 from conftest import dense
@@ -147,6 +147,23 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             apply(A, np.ones(4))
 
+    def test_integer_vector_on_integer_matrix_is_exact(self):
+        A = SparseMatrix.from_dense([[1.0, 1.0, -1.0], [0.0, 3.0, 0.0]])
+        y = apply(A, np.array([2**53, 1, 2**53]))
+        assert y.dtype == np.int64 and y.tolist() == [1, 3]
+        # a float vector keeps the float path, which rounds the 1 away
+        assert apply(A, np.array([2.0**53, 1.0, 2.0**53])).tolist() == [0.0, 3.0]
+        # so does an integer vector on a matrix with a non-integer value
+        assert apply(SparseMatrix.from_dense([[0.5, 1.0]]), np.array([1, 1])).tolist() == [1.5]
+
+    def test_exact_image_past_the_bound_raises(self):
+        A = SparseMatrix.from_dense([[1.0, 1.0], [0.0, -2.0]])
+        assert apply(A, np.array([2**59, 2**59])).tolist() == [2**60, -(2**60)]
+        with pytest.raises(TooLarge):
+            apply(A, np.array([2**60, 2**60]))  # 2 * 2^61 = 2^62
+        with pytest.raises(TooLarge):
+            apply(SparseMatrix.from_dense([[2.0**62]]), np.array([0]))
+
 
 class TestStreamUpdate:
     def test_accumulates_like_apply(self):
@@ -210,13 +227,13 @@ class TestOneSparseMap:
 
     def test_apply_matches_dense(self):
         S = OneSparseMap(3, 4, [0, 2, 2, 1], [1, -1, 1, 1])
-        D = S.to_sparse_matrix().to_dense()
+        D = S.to_dense()
         x = np.array([1.0, 2.0, -3.0, 0.5])
-        assert np.max(np.abs(S.apply(x) - D @ x)) <= 1e-12
+        assert np.max(np.abs(apply(S, x) - D @ x)) <= 1e-12
 
     def test_integer_apply_stays_integer(self):
         S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
-        y = S.apply(np.array([1, 1, 0], dtype=np.int64))
+        y = apply(S, np.array([1, 1, 0], dtype=np.int64))
         assert y.dtype == np.int64
         assert y.tolist() == [0, 0]  # exact cancellation
 
@@ -225,7 +242,7 @@ class TestOneSparseMap:
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1.0
-            y = S.apply(e)
+            y = apply(S, e)
             assert y[S.a[i]] == S.sigma[i]
             assert np.count_nonzero(y) == 1
 
@@ -240,6 +257,13 @@ class TestOneSparseMap:
         S = OneSparseMap(2, 2, [0, 1], [1, -1])
         assert S == OneSparseMap(2, 2, [0, 1], [1, -1])
         assert S != OneSparseMap(2, 2, [0, 1], [1, 1])
+
+    def test_is_the_same_sparse_matrix(self):
+        S = OneSparseMap(3, 4, [0, 2, 2, 1], [1, -1, 1, 1])
+        A = SparseMatrix.from_dense(S.to_dense())
+        assert S == A and A == S and hash(S) == hash(A)
+        assert S.sigma.dtype == np.int64 and not S.sigma.flags.writeable
+        assert repr(S) == "OneSparseMap(m=3, n=4, nnz=4)"
 
 
 class TestConstantMagnitude:

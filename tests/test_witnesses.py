@@ -25,6 +25,7 @@ from sketchbounds import (
     TType,
     UnknownKind,
     TTYPE_GROUP_CONSTANT,
+    apply,
     code_to_incoherent,
     ose_collision_witness,
     ose_failure_probability,
@@ -340,7 +341,7 @@ class TestOseCollision:
         assert cert.vector.tolist() == [-1, -1, 0]
         assert cert.vector.dtype == np.int64
         assert int(cert.vector @ cert.vector) == 2
-        assert np.all(S.apply(cert.vector) == 0)
+        assert np.all(apply(S, cert.vector) == 0)
         assert verify_certificate(cert, S)
 
     def test_lexicographically_first_pair(self):
@@ -373,6 +374,17 @@ class TestOseCollision:
         S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
         with pytest.raises(InvalidDimension):
             ose_collision_witness(S, indices)
+
+    def test_any_one_sparse_sign_matrix(self):
+        S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
+        A = dense(S.to_dense())
+        assert ose_collision_witness(A, [1, 0]).to_jsonable() == ose_collision_witness(S, [0, 1]).to_jsonable()
+
+    @pytest.mark.parametrize("rows", [[[1.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                             ids=["two_entries", "not_a_sign", "empty_column"])
+    def test_needs_one_sign_entry_per_column(self, rows):
+        with pytest.raises(PreconditionViolated):
+            ose_collision_witness(dense(rows))
 
     def test_always_finds_pigeonhole_collision(self):
         for seed in range(20):
@@ -458,6 +470,23 @@ class TestVerifyCertificate:
         S = OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])
         forged = Certificate(kind="kernel_witness", source="x", vector=np.array([entry, entry, 0.0]))
         assert not verify_certificate(forged, S)
+
+    @pytest.mark.parametrize("A,vector", [
+        (OneSparseMap(1, 4, [0] * 4, [1] * 4), [2**62] * 4),  # the int64 image wraps 2^64 to 0
+        (dense([[1.0, 1.0, -1.0]]), [2**53, 1, 2**53]),  # the float image rounds the 1 away
+    ], ids=["int64_wrap", "float_rounding"])
+    def test_kernel_vector_past_the_exact_image_fails(self, A, vector):
+        forged = Certificate(kind="kernel_witness", source="x", vector=np.array(vector))
+        assert not verify_certificate(forged, A)
+
+    @pytest.mark.parametrize("A", [dense(np.eye(2)), OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])],
+                             ids=["matrix", "map"])
+    @pytest.mark.parametrize("head", [[math.inf, -math.inf], [1e300, 1e300]], ids=["inf", "huge"])
+    def test_overflowing_rip_vector_fails(self, A, head):
+        x = np.zeros(A.n)
+        x[:2] = head
+        forged = Certificate(kind="rip_distortion", source="x", vector=x, ratio=1.0)
+        assert not verify_certificate(forged, A)
 
     def test_zero_rip_vector_fails(self):
         A = SparseMatrix(4, 10, [[(0, 1.0)]] * 10)
