@@ -163,6 +163,7 @@ class SparseMatrix:
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Return read-only views (row indices, values) of column j."""
+        j = _integer(j, "column index")
         if not 0 <= j < self.n:
             raise IndexOutOfRange(f"column index {j} outside [0, {self.n})")
         a, b = self.indptr[j], self.indptr[j + 1]
@@ -190,7 +191,7 @@ class SparseMatrix:
         """Dense m-by-|I| matrix of the selected columns, in the given order."""
         out = np.zeros((self.m, len(indices)))
         for p, j in enumerate(indices):
-            rows, vals = self.column(int(j))
+            rows, vals = self.column(j)
             out[rows, p] = vals
         return out
 
@@ -307,7 +308,7 @@ def stream_update(sketch: np.ndarray, A: SparseMatrix, i: int, v: float) -> np.n
     """
     if sketch.shape != (A.m,):
         raise DimensionMismatch(f"sketch must have length {A.m}, got shape {sketch.shape}")
-    rows, vals = A.column(int(i))
+    rows, vals = A.column(i)
     sketch[rows] += v * vals
     return sketch
 

@@ -9,6 +9,7 @@ import pytest
 from sketchbounds import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidDimension,
     OneSparseMap,
     SketchboundsError,
     SparseMatrix,
@@ -26,6 +27,7 @@ from sketchbounds import (
     save_matrix,
     save_one_sparse_map,
     stream_update,
+    subspace_distortion,
 )
 from sketchbounds.errors import InvalidEntry, MalformedArtifact, TooLarge
 from sketchbounds.matrices import _constant_magnitude, canonical_json
@@ -187,6 +189,20 @@ class TestStreamUpdate:
         A = SparseMatrix.from_dense(DENSE_4X3)
         with pytest.raises(DimensionMismatch):
             stream_update(np.zeros(3), A, 0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: subspace_distortion(S, [0, 1.5]),
+    lambda S: subspace_distortion(S, [0, True]),
+    lambda S: S.submatrix_dense([1.9]),
+    lambda S: S.column(1.5),
+    lambda S: stream_update(np.zeros(S.m), S, 1.5, 1.0),
+], ids=["distortion_float", "distortion_bool", "submatrix_float", "column_float", "stream_update_float"])
+def test_non_integer_column_index_refused(call):
+    # int(j) would truncate each of these to column 1
+    S = OneSparseMap(4, 6, [0, 1, 2, 3, 0, 1], [1, -1, 1, 1, -1, 1])
+    with pytest.raises(InvalidDimension):
+        call(S)
 
 
 class TestNormalize:

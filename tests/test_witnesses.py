@@ -1,9 +1,11 @@
 """Witness searches: certifiers, refuters, and their verification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sketchbounds import (
     Certificate,
@@ -27,6 +29,7 @@ from sketchbounds import (
     TTYPE_GROUP_CONSTANT,
     apply,
     code_to_incoherent,
+    derive_seed,
     ose_collision_witness,
     ose_failure_probability,
     pattern_at_scale,
@@ -34,9 +37,11 @@ from sketchbounds import (
     rip_constant_exact,
     rip_pattern_witness,
     row_mass_violation_search,
+    sample_coordinate_subspace,
     sample_countsketch,
     sample_sparse_sign_jl,
     sign_pattern_certify,
+    subspace_distortion,
     ttype_collision_certify,
     ttype_count_bound,
     ttype_of,
@@ -428,6 +433,34 @@ class TestOseFailureProbability:
         with pytest.raises(ValueError):
             ose_failure_probability(4, 2, 8, trials=0, seed=0)
 
+    @pytest.mark.parametrize("m,d,n,trials", [(4, 2, 8, 2.5), (4, 2, 8, True), (4.0, 2, 8, 2), (4, True, 8, 2),
+                                              (4, 2, 8.5, 2)])
+    def test_non_integer_arguments_refused(self, m, d, n, trials):
+        with pytest.raises(InvalidDimension):
+            ose_failure_probability(m, d, n, trials=trials, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 64), n=st.integers(1, 128), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_trials_match_the_eigensolve(self, m, n, seed, data):
+        # each trial rebuilt and measured by subspace_distortion, the dense oracle
+        d = data.draw(st.integers(1, min(n, 12)), label="d")
+        rep = ose_failure_probability(m, d, n, trials=3, seed=seed)
+        for trial, rec in enumerate(rep.records):
+            smap = sample_countsketch(m, n, derive_seed(seed, trial, 0))
+            lo, hi = subspace_distortion(smap, sample_coordinate_subspace(n, d, derive_seed(seed, trial, 1)))
+            assert rec.failed == (lo < 0.5 or hi > 2.0)
+            assert rec.heavy_rows == int(np.count_nonzero(smap.row_loads() >= n / (10.0 * m)))
+            assert abs(rec.sigma_min - lo) <= 1e-6 and abs(rec.sigma_max - hi) <= 1e-6
+            assert rec.sigma_min == (0.0 if rec.failed else 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m,d", [(16, 8), (32, 8), (64, 8), (128, 8), (8, 3), (365, 23)])
+    def test_rate_within_binomial_band_of_birthday_probability(self, m, d, seed):
+        # a trial fails iff d uniform rows collide: p = 1 - prod_{i<d} (1 - i/m)
+        p = float(1 - math.prod(1 - Fraction(i, m) for i in range(d)))
+        rate = ose_failure_probability(m, d, 256, trials=400, seed=seed).rate
+        assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / 400) + 1 / 400
+
 
 class TestVerifyCertificate:
     def test_none_verifies_trivially(self):
@@ -478,6 +511,19 @@ class TestVerifyCertificate:
     def test_kernel_vector_past_the_exact_image_fails(self, A, vector):
         forged = Certificate(kind="kernel_witness", source="x", vector=np.array(vector))
         assert not verify_certificate(forged, A)
+
+    @pytest.mark.parametrize("vector,verifies", [([2**53, 1, 2**53], False), ([1, 0, 1], True)],
+                             ids=["float_rounding", "kernel"])
+    def test_kernel_vector_exact_on_non_integer_values(self, vector, verifies):
+        # A x = 0.5 for the first vector, which float64 rounds to 0
+        A = dense([[0.5, 0.5, -0.5]])
+        cert = Certificate(kind="kernel_witness", source="x", vector=np.array(vector))
+        assert verify_certificate(cert, A) is verifies
+
+    def test_kernel_vector_of_wrong_length_raises(self):
+        cert = Certificate(kind="kernel_witness", source="x", vector=np.array([1, 0, 1, 0]))
+        with pytest.raises(DimensionMismatch):
+            verify_certificate(cert, dense([[0.5, 0.5, -0.5]]))
 
     @pytest.mark.parametrize("A", [dense(np.eye(2)), OneSparseMap(2, 3, [0, 0, 1], [1, -1, 1])],
                              ids=["matrix", "map"])
