@@ -38,11 +38,10 @@ from .constructions import (
 from .errors import BadConfig, SketchboundsError
 from .matrices import (
     SparseMatrix,
-    _read_text,
     apply,
-    artifact_from_json,
     canonical_json,
     column_sparsity,
+    load_matrix,
     matrix_to_json,
     one_sparse_map_to_json,
     stream_update,
@@ -159,8 +158,6 @@ def _need(params: dict, key: str, kind, default=_REQUIRED):
 
 
 def _fmt_csv(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -214,7 +211,7 @@ def _run(table: dict, what: str, name: str, cfg: ExperimentConfig):
     if entry.seed:
         kwargs["seed"] = cfg.seed
     # the matrix or one-sparse map at param 'input': its JSON keys say which
-    inputs = [artifact_from_json(_read_text(_need(cfg.params, "input", str)))] if entry.load else []
+    inputs = [load_matrix(_need(cfg.params, "input", str))] if entry.load else []
     return _current(entry.payload)(_current(entry.fn)(*inputs, **kwargs))
 
 

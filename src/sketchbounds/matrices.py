@@ -19,7 +19,9 @@ instead of O(m).
 
 Matrices serialize to JSON as ``{"m": int, "n": int, "cols": [[[row, value],
 ...], ...]}`` with one entry list per column.  One-sparse maps serialize as
-``{"m": int, "n": int, "a": [...], "sigma": [...]}``.  Loaders reject
+``{"m": int, "n": int, "a": [...], "sigma": [...]}``.  :func:`matrix_from_json`
+and :func:`load_matrix` read either kind, told apart by its keys: text
+holding ``a`` loads as a :class:`OneSparseMap`.  Loaders reject
 non-finite values, non-integer, duplicate, decreasing or out-of-range
 indices, and malformed JSON with a ``SketchboundsError``.  When all of a
 matrix's entries have one magnitude, as in every sampled family, its
@@ -55,11 +57,11 @@ def _integer(value, what: str) -> int:
 
 
 def _holds_bool(values) -> bool:
-    """Whether a list or tuple, or any list or tuple nested in it, holds a bool."""
+    """Whether a list or tuple, or one nested in it, holds a Python or NumPy bool."""
     if not isinstance(values, (list, tuple)):
         return False
     types = set(map(type, values))
-    return bool in types or bool(types & {list, tuple}) and any(map(_holds_bool, values))
+    return bool(types & {bool, np.bool_}) or bool(types & {list, tuple}) and any(map(_holds_bool, values))
 
 
 def _array(values, kinds: str, message: str) -> np.ndarray:
@@ -376,10 +378,7 @@ def _matrix_from_object(obj) -> SparseMatrix:
         raise MalformedArtifact("cols must be a list of per-column entry lists")
     if not all(isinstance(pair, list) and len(pair) == 2 for col in cols for pair in col):
         raise MalformedArtifact("each entry must be a [row, value] pair")
-    indptr = np.cumsum([0] + [len(col) for col in cols])
-    rows = [pair[0] for col in cols for pair in col]
-    vals = [pair[1] for col in cols for pair in col]
-    return SparseMatrix.from_csc(obj["m"], obj["n"], indptr, rows, vals)
+    return SparseMatrix(obj["m"], obj["n"], cols)
 
 
 def _map_from_object(obj) -> OneSparseMap:
@@ -468,8 +467,15 @@ def _canonical_csc(text: str):
 
 
 def matrix_from_json(text: str) -> SparseMatrix:
+    """The matrix `text` holds, or the :class:`OneSparseMap` when it holds ``a``."""
     csc = _canonical_csc(text)
-    return SparseMatrix.from_csc(*csc) if csc else _matrix_from_object(_parse(text, "matrix"))
+    if csc:
+        return SparseMatrix.from_csc(*csc)
+    obj = _parse(text, "matrix")
+    del text  # the tree holds everything from here on; free the text before building
+    if isinstance(obj, dict) and "a" in obj:
+        return _map_from_object(obj)
+    return _matrix_from_object(obj)
 
 
 def one_sparse_map_to_json(S: OneSparseMap) -> str:
@@ -478,19 +484,6 @@ def one_sparse_map_to_json(S: OneSparseMap) -> str:
 
 def one_sparse_map_from_json(text: str) -> OneSparseMap:
     return _map_from_object(_parse(text, "map"))
-
-
-def artifact_from_json(text: str) -> SparseMatrix:
-    """Load either artifact kind, told apart by its keys: a one-sparse map
-    holds ``a``, a matrix holds ``cols``."""
-    csc = _canonical_csc(text)
-    if csc:
-        return SparseMatrix.from_csc(*csc)
-    obj = _parse(text, "artifact")
-    del text  # the tree holds everything from here on; free the text before building
-    if isinstance(obj, dict) and "a" in obj:
-        return _map_from_object(obj)
-    return _matrix_from_object(obj)
 
 
 def save_matrix(A: SparseMatrix, path) -> None:

@@ -46,7 +46,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import SparseMatrix, _integer, apply, column_sparsity, to_csr
+from .matrices import SparseMatrix, _array, _integer, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count
 from .rng import derive_seed
 from .constructions import sample_countsketch, sample_coordinate_subspace
@@ -79,9 +79,10 @@ def _real(value, ndim: int) -> np.ndarray | None:
     is not one (a string, None, bools, objects, ragged lists): a forged
     field fails verification instead of breaking the arithmetic."""
     try:
-        x = np.asarray(value)
-    except ValueError:  # ragged nesting
+        x = _array(value, "iuf", "not a real array")
+    except InvalidEntry:
         return None
+    # _array lets an empty array of any dtype through
     return x if x.dtype.kind in "iuf" and x.ndim == ndim else None
 
 
@@ -410,8 +411,11 @@ def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> _Certificate
     Requires t/s > C * eps with C = 2/(1 - 1/sqrt(2)).  If the largest group
     has N >= 2 members, either some pair inside it has inner product above
     eps (returned as an incoherence pair) or the group pigeonhole forces
-    s >= t(N-1)/(2C), returned as a sparsity lower bound.
+    s >= t(N-1)/(2C), returned as a sparsity lower bound.  A negative or
+    NaN eps raises :class:`InvalidEps`.
     """
+    if not eps >= 0:
+        raise InvalidEps(f"eps must be >= 0, got {eps}")
     check_unit_columns(A)
     s = column_sparsity(A)
     if not 1 <= t <= s:
@@ -439,8 +443,11 @@ def sign_pattern_certify(
     by s <= 8) every t-subset of every column's support is a pattern, which
     matches the pigeonhole argument exactly but costs C(s, t) per column.
     The largest group either exposes an incoherence pair (some inner product
-    above eps) or certifies the sparsity bound s >= t(N-1)/4.
+    above eps) or certifies the sparsity bound s >= t(N-1)/4.  A negative or
+    NaN eps raises :class:`InvalidEps`.
     """
+    if not eps >= 0:
+        raise InvalidEps(f"eps must be >= 0, got {eps}")
     s = column_sparsity(A)
     if not 1 <= t <= s:
         raise InvalidT(f"t={t} must lie in [1, s={s}]")

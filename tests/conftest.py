@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from sketchbounds import SparseMatrix
+
+# Hypothesis imports this module to report a failing example, and the import
+# warns (mypy_extensions.TypedDict is deprecated).  Under filterwarnings =
+# error that warning would abort the session instead of reporting the
+# failure, so import it once here with the warning silenced.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # One deterministic profile for every property test: each run draws the same
 # examples and keeps no example database, so two runs test the same inputs.

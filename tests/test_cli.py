@@ -676,3 +676,30 @@ class TestBadInputsExitOne:
     def test_non_finite_bound_argument(self, params, capsys):
         code, _, err = run_cli(["bounds", "--formula", "incoherent_rows", "--params", params], capsys)
         assert_one_error_line(code, err)
+
+
+@pytest.mark.parametrize("witness", ["ttype_collision", "sign_pattern"])
+@pytest.mark.parametrize("eps", [-1.0, -1e-300])
+def test_negative_eps_exits_one(witness, eps, tmp_path, write_config, capsys):
+    path = tmp_path / "A.json"
+    path.write_text(matrix_to_json(sample_sparse_sign_jl(16, 40, 4, 1)))
+    cfg = write_config({"command": "witness",
+                        "params": {"witness": witness, "input": str(path), "eps": eps, "t": 2}})
+    code, out, err = run_cli(["witness", "--config", cfg], capsys)
+    assert_one_error_line(code, err)
+    assert out == "" and "eps must be >= 0" in err
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("[1, 2]", ["measure"], "config must be a JSON object"),
+    ('{"params": [1]}', ["measure"], "'params' must be an object"),
+    (None, ["bounds", "--formula", "incoherent_rows", "--params", "eps=0.1,N=many"], "non-numeric value 'many'"),
+], ids=["config_not_object", "params_not_object", "non_numeric_params_flag"])
+def test_malformed_config_or_params_flag(config, argv, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert_one_error_line(code, err)
+    assert message in err

@@ -10,6 +10,7 @@ from sketchbounds import (
     BadArgs,
     Code,
     Exhausted,
+    IndexOutOfRange,
     InvalidCount,
     InvalidDimension,
     InvalidEps,
@@ -408,3 +409,30 @@ class TestSpreadVectors:
         words = [[0] * t]
         with pytest.raises(ShapeMismatch):
             spread_vectors(Code(q, t, words), n, k)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Code(2, 2, [[0, 1, 1]]), ShapeMismatch),
+    (lambda: Code(2, 2, [0, 1]), ShapeMismatch),
+    (lambda: Code(2, 2, np.empty((0, 2), dtype=np.int64)), InvalidDimension),
+    (lambda: Code(3, 2, [(0, 1)]) == "code", False),
+    (lambda: hash(Code(3, 2, [(0, 1)])) == hash(Code(3, 2, [(0, 1)])), True),
+    (lambda: repr(Code(3, 2, [(0, 1)])), "Code(q=3, t=2, size=1)"),
+    (lambda: sample_sparse_sign_jl(4, 0, 1, 0), InvalidDimension),
+    (lambda: sample_osnap_block(4, 0, 2, 0), InvalidDimension),
+    (lambda: sample_osnap_block(4, 3, 0, 0), InvalidSparsity),
+    (lambda: sample_osnap_block(4, 3, 5, 0), InvalidSparsity),
+    (lambda: sample_countsketch(0, 3, 0), InvalidDimension),
+    (lambda: sample_countsketch(4, 0, 0), InvalidDimension),
+    (lambda: verify_osnap_properties(4, 2, 5, "sign_jl", []), InvalidSparsity),
+    (lambda: verify_osnap_properties(4, 2, 2, "sign_jl", [(4, 0)]), IndexOutOfRange),
+    (lambda: verify_osnap_properties(4, 2, 2, "block", [(0, 2)]), IndexOutOfRange),
+], ids=["word_length", "flat_words", "no_words", "code_eq_other_type", "code_hash", "code_repr",
+        "sign_jl_no_columns", "osnap_no_columns", "osnap_s_zero", "osnap_s_above_m", "countsketch_no_rows",
+        "countsketch_no_columns", "osnap_check_s_above_m", "osnap_check_row", "osnap_check_column"])
+def test_edge_arguments(call, expected):
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected

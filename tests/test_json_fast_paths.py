@@ -20,7 +20,6 @@ from sketchbounds import (
     MalformedArtifact,
     SketchboundsError,
     SparseMatrix,
-    artifact_from_json,
     code_to_incoherent,
     load_matrix,
     matrix_from_json,
@@ -53,7 +52,7 @@ def oracle_from_json(text, what):
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedArtifact(f"invalid {what} JSON: {exc}") from exc
-    if what == "artifact" and isinstance(obj, dict) and "a" in obj:
+    if isinstance(obj, dict) and "a" in obj:
         return _map_from_object(obj)
     if not isinstance(obj, dict) or not {"m", "n", "cols"} <= set(obj):
         raise MalformedArtifact("matrix JSON must be an object with keys m, n, cols")
@@ -68,7 +67,7 @@ def oracle_from_json(text, what):
     return SparseMatrix.from_csc(obj["m"], obj["n"], indptr, rows, vals)
 
 
-LOADERS = [(matrix_from_json, "matrix"), (artifact_from_json, "artifact")]
+LOADERS = [(matrix_from_json, "matrix")]
 
 
 def outcome(load, *args):
@@ -265,7 +264,6 @@ def test_canonical_constant_magnitude_text_skips_json_loads(json_loads_calls, tm
     A = sample_sparse_sign_jl(32, 200, 4, 3)
     text = matrix_to_json(A)
     assert matrix_from_json(text) == A
-    assert artifact_from_json(text) == A
     save_matrix(A, tmp_path / "A.json")
     assert load_matrix(tmp_path / "A.json") == A
     assert json_loads_calls == []
@@ -281,10 +279,8 @@ def test_other_text_goes_through_json_loads(json_loads_calls, case):
         text = one_sparse_map_to_json(sample_countsketch(32, 200, 3))
     else:  # the final newline becomes a space
         text = matrix_to_json(A)[:-1] + " "
-    loads = [artifact_from_json] if case == "one_sparse_map" else [matrix_from_json, artifact_from_json]
-    for i, load in enumerate(loads, 1):
-        load(text)
-        assert len(json_loads_calls) == i
+    matrix_from_json(text)
+    assert len(json_loads_calls) == 1
 
 
 def test_fast_paths_peak_below_json_paths():

@@ -328,6 +328,12 @@ class TestJson:
         S = OneSparseMap(3, 4, [0, 2, 2, 1], [1, -1, 1, 1])
         assert one_sparse_map_from_json(one_sparse_map_to_json(S)) == S
 
+    def test_matrix_loaders_read_a_map(self, tmp_path):
+        S = OneSparseMap(3, 4, [0, 2, 2, 1], [1, -1, 1, 1])
+        save_one_sparse_map(S, tmp_path / "S.json")
+        for loaded in (matrix_from_json(one_sparse_map_to_json(S)), load_matrix(tmp_path / "S.json")):
+            assert type(loaded) is OneSparseMap and loaded == S
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -379,3 +385,18 @@ class TestJson:
         ps = tmp_path / "S.json"
         save_one_sparse_map(S, ps)
         assert load_one_sparse_map(ps) == S
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: SparseMatrix.from_dense([1.0, 2.0]), InvalidDimension),
+    (lambda: SparseMatrix.from_csc(2, 1, [0, 2], [np.False_, 1], [1.0, 1.0]), InvalidEntry),
+    (lambda: SparseMatrix.from_csc(2, 1, [0, 2], [0, 1], [np.True_, 1.0]), InvalidEntry),
+    (lambda: SparseMatrix.from_dense(np.eye(2)).__eq__("eye"), NotImplemented),
+    (lambda: SparseMatrix.from_dense(np.eye(2)) == "eye", False),
+], ids=["from_dense_1d", "numpy_bool_row", "numpy_bool_value", "eq_other_type", "equals_other_type"])
+def test_edge_inputs(call, expected):
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() is expected

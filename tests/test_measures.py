@@ -13,6 +13,7 @@ from sketchbounds import (
     EmptyIndexSet,
     InvalidCount,
     InvalidDimension,
+    InvalidSparsity,
     NonpositiveThreshold,
     NoScaleFound,
     NotNormalized,
@@ -537,3 +538,9 @@ class TestScaleProfile:
         A = SparseMatrix(2, 1, [[]])
         with pytest.raises(NoScaleFound):
             scale_profile(A, 0)
+
+
+@pytest.mark.parametrize("s", [0, -3])
+def test_dyadic_scale_count_needs_a_nonzero(s):
+    with pytest.raises(InvalidSparsity):
+        dyadic_scale_count(s)

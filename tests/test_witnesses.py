@@ -18,10 +18,12 @@ from sketchbounds import (
     InvalidEps,
     InvalidSparsity,
     InvalidT,
+    KernelWitness,
     NotNormalized,
     NotSignMatrix,
     OneSparseMap,
     PreconditionViolated,
+    RipDistortion,
     SparseMatrix,
     TooLarge,
     TType,
@@ -611,3 +613,31 @@ class TestVerifyCertificate:
             "j": 1,
             "dot": 1.0,
         }
+
+
+KERNEL_MAP = OneSparseMap(2, 3, [0, 0, 1], [1, 1, 1])  # [1, -1, 0] is in its kernel
+
+
+@pytest.mark.parametrize("cert, A", [
+    (KernelWitness("s", [True, -1, 0]), KERNEL_MAP),
+    (KernelWitness("s", (1, -1, False)), KERNEL_MAP),
+    (KernelWitness("s", [np.True_, -1, 0]), KERNEL_MAP),
+    (RipDistortion("s", [True, 1], 1.0), SparseMatrix.from_dense(np.eye(2))),
+], ids=["kernel_bool", "kernel_tuple_bool", "kernel_numpy_bool", "rip_bool"])
+def test_vector_holding_a_bool_does_not_verify(cert, A):
+    assert cert.verify(A) is False
+
+
+@pytest.mark.parametrize("cert, A", [
+    (KernelWitness("s", [[1], [-1, 0], 0]), KERNEL_MAP),
+    (RipDistortion("s", [[1], [1, 0]], 1.0), SparseMatrix.from_dense(np.eye(2))),
+], ids=["kernel", "rip"])
+def test_ragged_vector_does_not_verify(cert, A):
+    assert cert.verify(A) is False
+
+
+@pytest.mark.parametrize("search", [ttype_collision_certify, sign_pattern_certify])
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan])
+def test_negative_or_nan_eps_refused(search, eps):
+    with pytest.raises(InvalidEps):
+        search(sample_sparse_sign_jl(16, 40, 4, 1), eps, 2)
