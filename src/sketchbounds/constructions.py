@@ -375,7 +375,7 @@ def verify_osnap_properties(
         raise NotDivisible(f"s={s} must divide m={m} for block sampling")
     cell_set = set()
     for i, j in cells:
-        i, j = int(i), int(j)
+        i, j = _integer(i, "row index"), _integer(j, "column index")
         if not 0 <= i < m:
             raise IndexOutOfRange(f"row {i} outside [0, {m})")
         if not 0 <= j < n:

@@ -13,9 +13,9 @@ every measure and search takes one; it adds only the views ``a`` and
 ``sigma`` and ``row_loads``.  :func:`apply` of an integer vector to a
 matrix of integer values is exact in int64.  Instances are immutable after
 construction; every operation returns fresh data.  The lone deliberate
-exception is :func:`stream_update`, which accumulates into a caller-owned
-sketch buffer so that one turnstile update costs O(nonzeros of that column)
-instead of O(m).
+exception is :func:`stream_updates`, with :func:`stream_update` as its
+one-update case, which accumulates into a caller-owned sketch buffer so
+that a turnstile update costs O(nonzeros of its column) instead of O(m).
 
 Matrices serialize to JSON as ``{"m": int, "n": int, "cols": [[[row, value],
 ...], ...]}`` with one entry list per column.  One-sparse maps serialize as
@@ -64,15 +64,16 @@ def _holds_bool(values) -> bool:
     return bool(types & {bool, np.bool_}) or bool(types & {list, tuple}) and any(map(_holds_bool, values))
 
 
-def _array(values, kinds: str, message: str) -> np.ndarray:
+def _array(values, kinds: str, message: str, error=InvalidEntry) -> np.ndarray:
     """`values` as an array of dtype kind in `kinds` ("iu" integers, "iuf"
-    numbers).  Bools are refused even among ints, where NumPy converts them."""
+    numbers), or `error` raised with `message`.  Bools are refused even
+    among ints, where NumPy converts them."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
-        raise InvalidEntry(message) from exc
+        raise error(message) from exc
     if (arr.size and arr.dtype.kind not in kinds) or _holds_bool(values):
-        raise InvalidEntry(message)
+        raise error(message)
     return arr
 
 
@@ -302,17 +303,41 @@ def apply(A: SparseMatrix, x) -> np.ndarray:
     return y
 
 
-def stream_update(sketch: np.ndarray, A: SparseMatrix, i: int, v: float) -> np.ndarray:
-    """Fold the turnstile update (i, v) into the sketch: sketch += v * A e_i.
+def stream_updates(sketch: np.ndarray, A: SparseMatrix, i, v) -> np.ndarray:
+    """Fold the turnstile updates (i[k], v[k]), in order, into the sketch:
+    sketch += sum over k of v[k] * A e_i[k].
 
-    Mutates and returns ``sketch``; only the entries of column i are touched,
-    so the cost is the column's nonzero count, not m.
+    Mutates and returns ``sketch``; only the entries of the updated columns
+    are touched, so the cost is their nonzero count, not m per update.  Each
+    sketch entry rounds as it would under one :func:`stream_update` per
+    update.  Every input is checked before anything is written.
     """
     if sketch.shape != (A.m,):
         raise DimensionMismatch(f"sketch must have length {A.m}, got shape {sketch.shape}")
-    rows, vals = A.column(i)
-    sketch[rows] += v * vals
+    i = _array(i, "iu", "column indices must be integers", InvalidDimension)
+    v = _array(v, "iuf", "update values must be numbers").astype(np.float64)
+    if i.ndim != 1 or i.shape != v.shape:
+        raise DimensionMismatch(f"need one value per column index, got shapes {i.shape} and {v.shape}")
+    if i.size and (i.min() < 0 or i.max() >= A.n):
+        bad = int(i[(i < 0) | (i >= A.n)][0])
+        raise IndexOutOfRange(f"column index {bad} outside [0, {A.n})")
+    i = i.astype(np.int64, copy=False)  # an empty list is a float array
+    if not np.isfinite(v).all():
+        raise InvalidEntry(f"non-finite update value {float(v[~np.isfinite(v)][0])!r}")
+    # the updated columns' entries, concatenated in update order; np.add.at
+    # adds them one at a time, so each entry sees the sequence of additions
+    # a loop of single updates makes
+    starts = A.indptr[i]
+    counts = A.indptr[i + 1] - starts
+    entries = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    np.add.at(sketch, A.indices[entries], np.repeat(v, counts) * A.data[entries])
     return sketch
+
+
+def stream_update(sketch: np.ndarray, A: SparseMatrix, i: int, v: float) -> np.ndarray:
+    """Fold the turnstile update (i, v) into the sketch: sketch += v * A e_i;
+    :func:`stream_updates` with one update."""
+    return stream_updates(sketch, A, [i], [v])
 
 
 def column_sparsity(A: SparseMatrix) -> int:

@@ -405,17 +405,25 @@ def _pigeonhole_tail(A: SparseMatrix, source: str, eps: float, t: int, group: np
     return SparsityLowerBound(source, t, N, t * (N - 1) / PIGEONHOLE_DIVISORS[source])
 
 
+def _nonnegative_eps(eps) -> float:
+    """`eps` as a float; a negative, NaN or non-real eps raises :class:`InvalidEps`."""
+    value = _real(eps, 0)
+    if value is None or not value >= 0:
+        raise InvalidEps(f"eps must be >= 0, a real number, got {eps!r}")
+    return float(value)
+
+
 def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> _Certificate:
     """Group unit columns by t-type and certify what a large group forces.
 
     Requires t/s > C * eps with C = 2/(1 - 1/sqrt(2)).  If the largest group
     has N >= 2 members, either some pair inside it has inner product above
     eps (returned as an incoherence pair) or the group pigeonhole forces
-    s >= t(N-1)/(2C), returned as a sparsity lower bound.  A negative or
-    NaN eps raises :class:`InvalidEps`.
+    s >= t(N-1)/(2C), returned as a sparsity lower bound.  A negative, NaN
+    or non-real eps raises :class:`InvalidEps`, a bool or non-integer t
+    :class:`InvalidDimension`.
     """
-    if not eps >= 0:
-        raise InvalidEps(f"eps must be >= 0, got {eps}")
+    eps, t = _nonnegative_eps(eps), _integer(t, "t")
     check_unit_columns(A)
     s = column_sparsity(A)
     if not 1 <= t <= s:
@@ -443,11 +451,11 @@ def sign_pattern_certify(
     by s <= 8) every t-subset of every column's support is a pattern, which
     matches the pigeonhole argument exactly but costs C(s, t) per column.
     The largest group either exposes an incoherence pair (some inner product
-    above eps) or certifies the sparsity bound s >= t(N-1)/4.  A negative or
-    NaN eps raises :class:`InvalidEps`.
+    above eps) or certifies the sparsity bound s >= t(N-1)/4.  A negative,
+    NaN or non-real eps raises :class:`InvalidEps`, a bool or non-integer t
+    :class:`InvalidDimension`.
     """
-    if not eps >= 0:
-        raise InvalidEps(f"eps must be >= 0, got {eps}")
+    eps, t = _nonnegative_eps(eps), _integer(t, "t")
     s = column_sparsity(A)
     if not 1 <= t <= s:
         raise InvalidT(f"t={t} must lie in [1, s={s}]")

@@ -362,6 +362,12 @@ class TestOsnapProperties:
         with pytest.raises(NotDivisible):
             verify_osnap_properties(10, 2, 3, "block", [(0, 0)])
 
+    @pytest.mark.parametrize("cell", [(1.7, 0), (True, 0), (0, 1.5), (0, np.True_), ("1", 0)])
+    def test_non_integer_cell_refused(self, cell):
+        # int(i), int(j) would truncate each of these to a valid cell
+        with pytest.raises(InvalidDimension):
+            verify_osnap_properties(4, 2, 2, "sign_jl", [cell])
+
     @pytest.mark.parametrize("m,s,cells", [(4, 2, []), (4, 2, [(9, 0)]), (4, 9, [(0, 0)])])
     def test_unknown_sampler_refused_first(self, m, s, cells):
         # with no cells at all, and before any cell or sparsity check

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sketchbounds import (
     DimensionMismatch,
@@ -27,6 +28,7 @@ from sketchbounds import (
     save_matrix,
     save_one_sparse_map,
     stream_update,
+    stream_updates,
     subspace_distortion,
 )
 from sketchbounds.errors import InvalidEntry, MalformedArtifact, TooLarge
@@ -189,6 +191,73 @@ class TestStreamUpdate:
         A = SparseMatrix.from_dense(DENSE_4X3)
         with pytest.raises(DimensionMismatch):
             stream_update(np.zeros(3), A, 0, 1.0)
+
+
+class TestStreamUpdates:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bits_of_one_update_at_a_time(self, data):
+        # ragged columns of values of many magnitudes, and few columns, so
+        # that a batch updates some column more than once
+        m = data.draw(st.integers(1, 12), label="m")
+        n = data.draw(st.integers(1, 6), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+        values = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, size=(m, n))
+        A = SparseMatrix.from_dense(values * (rng.random((m, n)) < 0.6))
+        count = data.draw(st.integers(0, 40), label="count")
+        i = rng.integers(0, n, size=count)
+        v = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 9, size=count)
+        start = rng.standard_normal(m)
+        want = start.copy()
+        for j, value in zip(i.tolist(), v.tolist()):
+            stream_update(want, A, j, value)
+        got = start.copy()
+        assert stream_updates(got, A, i, v) is got
+        assert got.tobytes() == want.tobytes()
+        # and one update at a time is the loop over its column
+        loop = start.copy()
+        for j, value in zip(i.tolist(), v.tolist()):
+            rows, vals = A.column(j)
+            loop[rows] += value * vals
+        assert loop.tobytes() == want.tobytes()
+
+    def test_integer_and_list_inputs(self):
+        A = SparseMatrix.from_dense(DENSE_4X3)
+        got = stream_updates(np.zeros(4), A, [2, 0, 2], [1, -3, 2])
+        assert got.tolist() == apply(A, np.array([-3.0, 0.0, 3.0])).tolist()
+        assert stream_updates(np.ones(4), A, [], []).tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("i, v, error", [
+        ([1], [float("nan")], InvalidEntry),
+        ([0, 1], [1.0, float("inf")], InvalidEntry),
+        ([1], ["x"], InvalidEntry),
+        ([1], [True], InvalidEntry),
+        ([1], [None], InvalidEntry),
+        ([True], [1.0], InvalidDimension),
+        ([np.True_], [1.0], InvalidDimension),
+        ([1.5], [1.0], InvalidDimension),
+        (["1"], [1.0], InvalidDimension),
+        ([0, 3], [1.0, 1.0], IndexOutOfRange),
+        ([-1], [1.0], IndexOutOfRange),
+        ([2**64 - 1], [1.0], IndexOutOfRange),
+        ([0, 1], [1.0], DimensionMismatch),
+        ([[0]], [[1.0]], DimensionMismatch),
+        (0, 1.0, DimensionMismatch),
+    ])
+    def test_a_refused_batch_writes_nothing(self, i, v, error):
+        A = SparseMatrix.from_dense(DENSE_4X3)
+        sketch = np.arange(4.0)
+        # the valid updates of a refused batch are not applied either
+        with pytest.raises(error):
+            stream_updates(sketch, A, i, v)
+        assert sketch.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_one_update_refuses_nan(self):
+        A = SparseMatrix.from_dense(DENSE_4X3)
+        sketch = np.zeros(4)
+        with pytest.raises(InvalidEntry):
+            stream_update(sketch, A, 1, float("nan"))
+        assert not sketch.any()
 
 
 @pytest.mark.parametrize("call", [

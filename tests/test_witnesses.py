@@ -641,3 +641,18 @@ def test_ragged_vector_does_not_verify(cert, A):
 def test_negative_or_nan_eps_refused(search, eps):
     with pytest.raises(InvalidEps):
         search(sample_sparse_sign_jl(16, 40, 4, 1), eps, 2)
+
+
+@pytest.mark.parametrize("search", [ttype_collision_certify, sign_pattern_certify])
+@pytest.mark.parametrize("eps", ["x", None, True, np.True_, [0.1], 1j])
+def test_eps_that_is_not_a_real_number_refused(search, eps):
+    with pytest.raises(InvalidEps):
+        search(sample_sparse_sign_jl(16, 40, 4, 1), eps, 2)
+
+
+@pytest.mark.parametrize("search", [ttype_collision_certify, sign_pattern_certify])
+@pytest.mark.parametrize("t", [2.5, 2.0, True, "2", None])
+def test_non_integer_t_refused(search, t):
+    # t = True ran as t = 1, and t = 2.5 ended in a NumPy IndexError
+    with pytest.raises(InvalidDimension):
+        search(sample_sparse_sign_jl(16, 40, 4, 1), 0.0, t)
