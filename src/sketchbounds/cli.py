@@ -54,7 +54,7 @@ from .measures import (
     scale_profile,
     subspace_distortion,
 )
-from .rng import check_seed, derive_seed, substream, turnstile_draws
+from .rng import check_seed, derive_seed, substream
 from .witnesses import (
     ose_collision_witness,
     ose_failure_probability,
@@ -404,7 +404,9 @@ def _run_stream_demo(cfg: ExperimentConfig) -> tuple[str, int]:
     nnz = np.diff(A.indptr)
     touched = []  # each block's fewest and most nonzeros of an updated column
     for start in range(0, updates, _STREAM_BLOCK):
-        i, v = turnstile_draws(g, n, min(_STREAM_BLOCK, updates - start))
+        size = min(_STREAM_BLOCK, updates - start)
+        i = g.integers(0, n, size=size)
+        v = g.uniform(-1.0, 1.0, size=size)
         stream_updates(sketch, A, i, v)
         np.add.at(x, i, v)
         touched += [nnz[i].min(), nnz[i].max()]

@@ -369,6 +369,7 @@ def verify_osnap_properties(
     supports = _SUPPORTS.get(sampler) if isinstance(sampler, str) else None
     if supports is None:
         raise UnknownKind(f"unknown sampler {sampler!r}; expected 'sign_jl' or 'block'")
+    m, n, s = _integer(m, "row count"), _integer(n, "column count"), _integer(s, "sparsity")
     if not 1 <= s <= m:
         raise InvalidSparsity(f"sparsity s={s} must lie in [1, m={m}]")
     if sampler == "block" and m % s != 0:
@@ -412,6 +413,7 @@ def spread_vectors(c: Code, n: int, k: int) -> list[np.ndarray]:
     are disjoint, every vector has unit norm, and two vectors' dot product is
     (2/k) times their words' agreement count.
     """
+    n, k = _integer(n, "n"), _integer(k, "k")
     if k < 2 or k % 2 != 0:
         raise ShapeMismatch(f"k must be even and >= 2, got {k}")
     if (2 * n) % k != 0:

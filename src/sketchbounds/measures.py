@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -282,8 +283,8 @@ class RowMassProfile:
 def row_mass_profile(A: SparseMatrix, x: float) -> RowMassProfile:
     """Count, per row, entries strictly above sqrt(x) and strictly below
     -sqrt(x); a row is flagged when either count reaches 5/x."""
-    if x <= 0:
-        raise NonpositiveThreshold(f"threshold x must be positive, got {x}")
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
+        raise NonpositiveThreshold(f"threshold x must be a positive finite number, got {x!r}")
     thr = math.sqrt(x)
     pos = np.bincount(A.indices[A.data > thr], minlength=A.m)
     neg = np.bincount(A.indices[A.data < -thr], minlength=A.m)
@@ -304,6 +305,7 @@ class ScaleProfile:
 
 def dyadic_scale_count(s: int) -> int:
     """Number of candidate scales for a column with s nonzeros: max(1, ceil(log2 s))."""
+    s = _integer(s, "s")
     if s < 1:
         raise InvalidSparsity(f"need s >= 1, got {s}")
     return max(1, (s - 1).bit_length())

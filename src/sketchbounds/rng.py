@@ -24,19 +24,6 @@ every draw that could reject (at most ``range / 2^32`` per draw), and callers
 send a flagged lane back through ``substream``.  numpy does not promise the
 same ``Generator`` stream across versions, so callers also compare some
 emulated lanes with the real stream and fall back to it when they differ.
-
-The turnstile stream.  ``turnstile_draws(g, n, count)`` gives the updates
-of ``count`` iterations of ``(int(g.integers(0, n)), float(g.uniform(-1.0,
-1.0)))`` as two arrays, and leaves ``g`` where that loop would.  Every two
-updates read three raw 64-bit words: the low and high halves of the first
-are the two Lemire draws, ``(w * n) >> 32``, and the next two the uniforms,
-``-1 + 2 * ((u >> 11) * 2^-53)``.  A draw rejects only when its low product
-word is below ``2^32 mod n``; the updates before it are kept, ``g`` is put
-back just before it (``PCG64.advance`` plus the buffered half), it is drawn
-by ``g`` itself, and decoding resumes.  n = 1 draws no integer word, n =
-2^32 takes the raw 32-bit word, and n > 2^32 runs the loop, as do a
-generator other than PCG64 and a call whose first updates differ from a
-scalar loop on the same state.
 """
 
 from __future__ import annotations
@@ -74,20 +61,27 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, path); a path word that is a bool, not an
+    integer, or negative raises :class:`BadArgs`."""
+    for word in path:
+        if isinstance(word, bool) or not isinstance(word, (int, np.integer)) or word < 0:
+            raise BadArgs(f"seed path words must be integers >= 0, got {word!r}")
+    return np.random.SeedSequence(entropy=check_seed(seed), spawn_key=path)
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the PCG64 generator for (seed, path).
 
     The same (seed, path) always yields an identical stream; distinct paths
     yield statistically independent streams.
     """
-    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(path))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Derive a child 64-bit seed for a nested sampler call."""
-    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])
 
 
 # --- lane-wise emulation of substream(seed, j) -------------------------------
@@ -251,102 +245,3 @@ def choice_lanes(words: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndar
     picks.sort(axis=1)
     return picks, flagged
 
-
-# --- the turnstile stream ------------------------------------------------------
-
-_GUARD_UPDATES = 4  # updates per call checked against the generator's own methods
-
-
-def _loop_draws(g: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    i, v = np.empty(count, dtype=np.int64), np.empty(count)
-    for k in range(count):
-        i[k], v[k] = g.integers(0, n), g.uniform(-1.0, 1.0)
-    return i, v
-
-
-def _decode(g: np.random.Generator, n: int, i: np.ndarray, v: np.ndarray) -> int:
-    """Fill ``i`` and ``v`` with the next updates as if no integer draw
-    rejects, and return how many precede the first that does (all when none
-    does), leaving ``g`` just before that one."""
-    bits, k = g.bit_generator, i.size
-    state = bits.state
-    if n == 1:  # no integer draws; a buffered half stays buffered
-        i[:] = 0
-        v[:] = _uniform(bits.random_raw(k))
-        return k
-    # a buffered half is the first integer draw, the first word its uniform;
-    # from there every two updates read three words
-    held = [state["uinteger"]] if state["has_uint32"] else []
-    off, r = len(held), k - len(held)
-    raw = bits.random_raw(off + r + (r + 1) // 2)
-    triples = np.zeros(3 * ((r + 1) // 2), dtype=np.uint64)
-    triples[:raw.size - off] = raw[off:]
-    triples = triples.reshape(-1, 3)
-    halves = np.stack([triples[:, 0] & np.uint64(_M32), triples[:, 0] >> np.uint64(32)], axis=1).ravel()
-    draws = np.concatenate([np.array(held, dtype=np.uint64), halves])  # the 32-bit draws in order
-    words, uniforms = draws[:k], np.concatenate([raw[:off], triples[:, 1:].ravel()[:r]])
-    # Lemire: the value is the product's high word; numpy redraws while the
-    # low word is below 2^32 mod n
-    product = words * np.uint64(n)
-    i[:] = product >> np.uint64(32)
-    v[:] = _uniform(uniforms)
-    rejected = np.flatnonzero((product & np.uint64(_M32)) < 2**32 % n)
-    done = int(rejected[0]) if rejected.size else k
-    # the state after `done` updates: the words they read, and a half left
-    # buffered when an odd number of them drew from fresh words (numpy keeps
-    # the last half it used when none is left)
-    q = done - min(done, off)
-    used = min(done, off) + q + (q + 1) // 2
-    if used < raw.size:
-        bits.state = state
-        bits.advance(used)
-    buffered = (1, int(draws[done])) if q % 2 else (0, int(draws[done - 1])) if done else \
-        (state["has_uint32"], state["uinteger"])
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = buffered
-    bits.state = state
-    return done
-
-
-def _uniform(words: np.ndarray) -> np.ndarray:
-    """``uniform(-1.0, 1.0)`` from each 64-bit word: -1 + 2 * next_double."""
-    return -1.0 + 2.0 * ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
-
-
-def _draws_agree(g: np.random.Generator, start: dict, n: int, i: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the first decoded updates are what the generator's own methods
-    draw from ``start``; ``g`` is left where it was."""
-    bits = g.bit_generator
-    end = bits.state
-    bits.state = start
-    k = min(i.size, _GUARD_UPDATES)
-    want_i, want_v = _loop_draws(g, n, k)
-    bits.state = end
-    return np.array_equal(want_i, i[:k]) and want_v.tobytes() == v[:k].tobytes()
-
-
-def turnstile_draws(g: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, v) arrays of ``count`` turnstile updates ``(int(g.integers(0,
-    n)), float(g.uniform(-1.0, 1.0)))`` off the PCG64 generator ``g``,
-    leaving ``g`` where that loop would; see the module docstring."""
-    for value, what, low in ((n, "n", 1), (count, "count", 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise BadArgs(f"{what} must be an integer >= {low}, got {value!r}")
-    n, count = int(n), int(count)
-    start = g.bit_generator.state
-    if n <= 2**32 and isinstance(g.bit_generator, np.random.PCG64):
-        i, v = np.empty(count, dtype=np.int64), np.empty(count)
-        # a rejection wastes the rest of its span, so a span is about four
-        # expected gaps between rejections long
-        span = max(16, 2**34 // (2**32 % n)) if 2**32 % n else count
-        done = 0
-        while done < count:
-            stop = min(done + span, count)
-            done += _decode(g, n, i[done:stop], v[done:stop])
-            if done < stop:
-                i[done], v[done] = g.integers(0, n), g.uniform(-1.0, 1.0)
-                done += 1
-        if _draws_agree(g, start, n, i, v):
-            return i, v
-        g.bit_generator.state = start
-    return _loop_draws(g, n, count)

@@ -219,8 +219,10 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
     coherence really is <= eps no such overload can exist, so the search
     returns the ``none`` certificate.
     """
-    if not 0 < eps < 0.5:
-        raise InvalidEps(f"eps must lie in (0, 1/2), got {eps}")
+    value = _real(eps, 0)
+    if value is None or not 0 < value < 0.5:
+        raise InvalidEps(f"eps must lie in (0, 1/2), got {eps!r}")
+    eps = float(value)
     check_unit_columns(A)
     source = "row_mass_violation_search"
     row_ptr, columns, values = to_csr(A)
@@ -330,6 +332,7 @@ def _round_half_down(x: float) -> int:
 def ttype_of(v: np.ndarray, t: int, s: int) -> TType:
     """The t-type of a unit-norm vector with at most s nonzeros."""
     v = np.asarray(v, dtype=np.float64)
+    t, s = _integer(t, "t"), _integer(s, "s")
     if not 1 <= t <= s:
         raise InvalidT(f"t={t} must lie in [1, s={s}]")
     nnz = int(np.count_nonzero(v))
@@ -348,6 +351,7 @@ def ttype_of(v: np.ndarray, t: int, s: int) -> TType:
 
 def ttype_count_bound(m: int, s: int, t: int) -> int:
     """Cap on the number of distinct t-types of s-sparse vectors in R^m."""
+    m, s, t = _integer(m, "m"), _integer(s, "s"), _integer(t, "t")
     return 2**t * math.comb(m, t) * math.comb(2 * (s + t), t)
 
 
@@ -578,6 +582,7 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     certificate when it exceeds 1 + 1e-9.
     """
     source = "rip_pattern_witness"
+    k = _integer(k, "k")
     if k < 2:
         raise InvalidDimension(f"need k >= 2, got {k}")
     _check_scales(A)

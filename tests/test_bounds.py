@@ -1,5 +1,6 @@
 """Closed-form bound evaluators against hand values and the golden table."""
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -24,6 +25,7 @@ from sketchbounds import (
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "bounds_golden.json").read_text()
 )
+GENERATOR = pathlib.Path(__file__).parent.parent / "scripts" / "generate_golden.py"
 
 
 class TestMinSparsity:
@@ -198,3 +200,11 @@ def test_golden_table(row):
             assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
     else:
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_golden_table_is_what_its_generator_writes():
+    """The checked-in table has not drifted from the mpmath oracle."""
+    spec = importlib.util.spec_from_file_location("generate_golden", GENERATOR)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert generator.build_rows() == GOLDEN

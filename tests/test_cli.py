@@ -319,6 +319,21 @@ class TestStreamDemo:
         code, _, err = run_cli(["stream-demo", "--config", cfg], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("params", [
+        {"m": 16, "n": 20, "s": 2, "updates": -1},
+        {"m": 16, "n": 20, "s": 2, "updates": 1.5},
+        {"m": 16, "n": 20, "s": 2, "updates": True},
+        {"m": 16, "n": 20, "s": 2, "updates": "5"},
+        {"m": 16, "n": 20, "s": 2, "updates": None},
+        {"m": 16, "n": 20, "s": 2},
+        {"m": 16, "n": 0, "s": 2, "updates": 5},
+        {"m": 2, "n": 20, "s": 3, "updates": 5},
+    ])
+    def test_bad_params_refused(self, params, write_config, capsys):
+        cfg = write_config({"command": "stream-demo", "params": params})
+        code, _, err = run_cli(["stream-demo", "--config", cfg], capsys)
+        assert_one_error_line(code, err)
+
 
 class TestConfigHandling:
     def test_missing_file(self, capsys):
@@ -506,9 +521,9 @@ FROZEN_RUNS = [
              "grid": {"param": "n", "values": [256, 1024]}},
             0, "895b9808d2c695b7ab063f85002676e8ea8e6c5964ab27eb2af05b22c7409fbe", output_format="csv"),
     _frozen("stream_demo", "stream-demo", {"m": 16, "n": 20, "s": 2, "updates": 50},
-            0, "3bd386c364dbdfdd1b9525f8058f81a00348db071f74ec64d78f917c06846af2", seed=9),
+            0, "4e6a479b57e3d97e71b987b2a6c6f29b18ab1c8e3eb0b770330a2861cd5e8bb0", seed=9),
     _frozen("stream_demo_csv", "stream-demo", {"m": 16, "n": 20, "s": 2, "updates": 50},
-            0, "23c02c336fb64d0f1764165a5f322ec9d73b69e2dfb54278ae66edf4a7022313", seed=9, output_format="csv"),
+            0, "9e3775ee646267ab72479ac4dc1d38f801f6e2cda754b98ec1874757f1f9ed06", seed=9, output_format="csv"),
     _frozen_bound("min_sparsity", "q=100,r=10",
             0, "4707d8c3263785d795746f4bea696f84b9af8c1a585ad9c6d98f2ce8fbe64469"),
     _frozen_bound("incoherent_rows", "eps=0.1,N=1000",

@@ -37,7 +37,7 @@ from sketchbounds import (
     spread_vectors,
     verify_osnap_properties,
 )
-from sketchbounds.rng import check_seed
+from sketchbounds.rng import check_seed, derive_seed, substream
 
 ROOT2 = 1.0 / math.sqrt(2.0)
 
@@ -171,6 +171,21 @@ class TestCodeToIncoherent:
 def test_seed_must_be_a_64_bit_integer(seed):
     with pytest.raises(BadArgs):
         check_seed(seed)
+
+
+@pytest.mark.parametrize("word", [-1, 1.5, "a", True, None, np.int64(-2)])
+@pytest.mark.parametrize("make", [substream, derive_seed])
+def test_seed_path_words_must_be_non_negative_integers(make, word):
+    # SeedSequence raised a raw ValueError or TypeError for these
+    with pytest.raises(BadArgs):
+        make(1, 0, word)
+
+
+def test_every_non_negative_path_word_keeps_its_stream():
+    path = (0, 2**70, np.int64(4), np.uint64(2**63))
+    want = np.random.SeedSequence(3, spawn_key=(0, 2**70, 4, 2**63))
+    assert derive_seed(3, *path) == int(want.generate_state(1, np.uint64)[0])
+    assert substream(3, *path).bit_generator.state == np.random.PCG64(want).state
 
 
 class TestSignJlSampler:
@@ -368,6 +383,11 @@ class TestOsnapProperties:
         with pytest.raises(InvalidDimension):
             verify_osnap_properties(4, 2, 2, "sign_jl", [cell])
 
+    @pytest.mark.parametrize("m, n, s", [(4, 2, 2.5), (4.0, 2, 2), (4, 2.0, 2), (4, 2, True)])
+    def test_non_integer_dimension_refused(self, m, n, s):
+        with pytest.raises(InvalidDimension):
+            verify_osnap_properties(m, n, s, "sign_jl", [(0, 0)])
+
     @pytest.mark.parametrize("m,s,cells", [(4, 2, []), (4, 2, [(9, 0)]), (4, 9, [(0, 0)])])
     def test_unknown_sampler_refused_first(self, m, s, cells):
         # with no cells at all, and before any cell or sparsity check
@@ -415,6 +435,11 @@ class TestSpreadVectors:
         words = [[0] * t]
         with pytest.raises(ShapeMismatch):
             spread_vectors(Code(q, t, words), n, k)
+
+    @pytest.mark.parametrize("n, k", [(8.0, 4), (8, 4.0), (8, True)])
+    def test_non_integer_dimension_refused(self, n, k):
+        with pytest.raises(InvalidDimension):
+            spread_vectors(Code(4, 2, [[0, 1]]), n, k)
 
 
 @pytest.mark.parametrize("call, expected", [

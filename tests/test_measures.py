@@ -32,6 +32,7 @@ from sketchbounds import (
     rip_constant_exact,
     rip_constant_lower_estimate,
     row_mass_profile,
+    sample_sparse_sign_jl,
     scale_profile,
     subspace_distortion,
 )
@@ -490,6 +491,12 @@ class TestRowMassProfile:
         with pytest.raises(NonpositiveThreshold):
             row_mass_profile(dense([[1.0]]), 0.0)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan, "x", None, True])
+    def test_threshold_must_be_a_finite_real_number(self, x):
+        # x = inf flagged every row (its limit 5/x is 0), and NaN gave a NaN limit
+        with pytest.raises(NonpositiveThreshold):
+            row_mass_profile(sample_sparse_sign_jl(16, 40, 4, 1), x)
+
 
 class TestScaleProfile:
     @pytest.mark.parametrize(
@@ -543,4 +550,11 @@ class TestScaleProfile:
 @pytest.mark.parametrize("s", [0, -3])
 def test_dyadic_scale_count_needs_a_nonzero(s):
     with pytest.raises(InvalidSparsity):
+        dyadic_scale_count(s)
+
+
+@pytest.mark.parametrize("s", [2.5, 2.0, True, "2"])
+def test_dyadic_scale_count_needs_an_integer(s):
+    # 2.5 ended in an AttributeError, and True ran as s = 1
+    with pytest.raises(InvalidDimension):
         dyadic_scale_count(s)

@@ -656,3 +656,24 @@ def test_non_integer_t_refused(search, t):
     # t = True ran as t = 1, and t = 2.5 ended in a NumPy IndexError
     with pytest.raises(InvalidDimension):
         search(sample_sparse_sign_jl(16, 40, 4, 1), 0.0, t)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rip_pattern_witness(ten_duplicate_basis_columns(), 2.0),
+    lambda: rip_pattern_witness(ten_duplicate_basis_columns(), 2.5),
+    lambda: rip_pattern_witness(ten_duplicate_basis_columns(), "x"),
+    lambda: ttype_of(np.array([1.0, 0.0, 0.0, 0.0]), 1.5, 4),
+    lambda: ttype_of(np.array([1.0, 0.0, 0.0, 0.0]), 1, 4.0),
+    lambda: ttype_count_bound(4.0, 2, 1),
+    lambda: ttype_count_bound(4, 2, True),
+], ids=["rip_k_float", "rip_k_half", "rip_k_str", "ttype_t", "ttype_s", "bound_m", "bound_t_bool"])
+def test_non_integer_argument_refused(call):
+    # each ran on the float or ended in a raw TypeError
+    with pytest.raises(InvalidDimension):
+        call()
+
+
+@pytest.mark.parametrize("eps", ["x", None, True, [0.1], 1j])
+def test_row_mass_eps_that_is_not_a_real_number_refused(eps):
+    with pytest.raises(InvalidEps):
+        row_mass_violation_search(ten_duplicate_basis_columns(), eps)
