@@ -13,9 +13,9 @@ every measure and search takes one; it adds only the views ``a`` and
 ``sigma`` and ``row_loads``.  :func:`apply` of an integer vector to a
 matrix of integer values is exact in int64.  Instances are immutable after
 construction; every operation returns fresh data.  The lone deliberate
-exception is :func:`stream_updates`, with :func:`stream_update` as its
-one-update case, which accumulates into a caller-owned sketch buffer so
-that a turnstile update costs O(nonzeros of its column) instead of O(m).
+exception is :func:`stream_updates`, which accumulates into a
+caller-owned sketch buffer so that a turnstile update costs O(nonzeros of
+its column) instead of O(m).
 
 Matrices serialize to JSON as ``{"m": int, "n": int, "cols": [[[row, value],
 ...], ...]}`` with one entry list per column.  One-sparse maps serialize as
@@ -309,8 +309,9 @@ def stream_updates(sketch: np.ndarray, A: SparseMatrix, i, v) -> np.ndarray:
 
     Mutates and returns ``sketch``; only the entries of the updated columns
     are touched, so the cost is their nonzero count, not m per update.  Each
-    sketch entry rounds as it would under one :func:`stream_update` per
-    update.  Every input is checked before anything is written.
+    sketch entry rounds as it would if the updates were folded one at a
+    time, ``sketch[rows] += v * vals`` over each update's column.  Every
+    input is checked before anything is written.
     """
     if sketch.shape != (A.m,):
         raise DimensionMismatch(f"sketch must have length {A.m}, got shape {sketch.shape}")
@@ -332,12 +333,6 @@ def stream_updates(sketch: np.ndarray, A: SparseMatrix, i, v) -> np.ndarray:
     entries = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
     np.add.at(sketch, A.indices[entries], np.repeat(v, counts) * A.data[entries])
     return sketch
-
-
-def stream_update(sketch: np.ndarray, A: SparseMatrix, i: int, v: float) -> np.ndarray:
-    """Fold the turnstile update (i, v) into the sketch: sketch += v * A e_i;
-    :func:`stream_updates` with one update."""
-    return stream_updates(sketch, A, [i], [v])
 
 
 def column_sparsity(A: SparseMatrix) -> int:

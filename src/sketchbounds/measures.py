@@ -6,12 +6,10 @@ Gram-matrix eigensolves over enumerated or sampled column supports, and the
 two profile measures read entry magnitudes directly off the columns.
 Randomized estimation (``rip_constant_lower_estimate``) draws its supports
 from one sequential seeded stream, so a longer run with the same seed extends
-a shorter one and the estimate can only grow.
-The supports of a chunk come from one block of the stream's 32-bit draws,
-emulating ``choice`` for all of them at once (see :mod:`sketchbounds.rng`);
-a chunk where a draw could have rejected is drawn again, one ``choice`` per
-support, from the same place in the stream, so the supports are the ones a
-per-trial loop draws.
+a shorter one and the estimate can only grow.  A chunk of N supports is one
+``Generator.integers`` call with an array of bounds: the bounded draws of N
+Floyd samples, each followed by the draws of the shuffle ``choice`` makes,
+resolved for all N at once by :func:`sketchbounds.rng.floyd_picks`.
 
 ``coherence`` multiplies 512-column slices of a dense copy.  When every
 stored entry is +-c, as in every sampled family, each dot is c^2 times an
@@ -52,7 +50,7 @@ from .errors import (
     TooManySupports,
 )
 from .matrices import SparseMatrix, _constant_magnitude, _integer, column_norms
-from .rng import choice_draws, choice_lanes, next_uint32s, substream
+from .rng import floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
@@ -177,6 +175,8 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     Guarded by C(n, k) <= 10^6; the worst support is the lexicographically
     first achiever of the maximum.  The supports are solved in stacked
     chunks of at most 1 MiB of columns each (see the module docstring).
+    k = 1 solves its 1-by-1 Grams like every other k, so the sampled
+    estimate at the same k never exceeds it.
     """
     k = _integer(k, "k")
     if not 1 <= k <= A.n:
@@ -184,11 +184,6 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     count = math.comb(A.n, k)
     if count > MAX_EXACT_SUPPORTS:
         raise TooManySupports(f"C({A.n}, {k}) = {count} exceeds {MAX_EXACT_SUPPORTS}")
-    if k == 1:
-        norms_sq = column_norms(A) ** 2
-        deltas = np.maximum(norms_sq - 1.0, 1.0 - norms_sq)
-        j = int(np.argmax(deltas))  # argmax takes the first on ties
-        return _finish_estimate(A, k, "exact", (j,), float(deltas[j]))
     combos = itertools.combinations(range(A.n), k)
     size = _chunk_length(A, k)
     chunks = (np.fromiter(itertools.islice(combos, size), dtype=(np.intp, k))
@@ -203,8 +198,11 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     first supports of a longer run replicate a shorter run exactly and the
     estimate is monotone nondecreasing in `trials`.  They are drawn and
     solved in stacked chunks of at most 1 MiB of columns each (see the
-    module docstring).  Unless the first support emulated off the stream is
-    the one ``choice`` draws, every support is drawn by ``choice``.
+    module docstring).  Each support is the one
+    ``np.sort(g.choice(A.n, k, replace=False))`` draws wherever ``choice``
+    runs Floyd's algorithm, which is every shape but n > 10000 with
+    k > n // 50; there it is still a uniform k-subset, by Floyd's algorithm
+    over the same stream.
     """
     k, trials = _integer(k, "k"), _integer(trials, "trials")
     if not 1 <= k <= A.n:
@@ -212,43 +210,23 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     if trials < 1:
         raise InvalidCount(f"need trials >= 1, got {trials}")
     g = substream(seed)
-    draws = choice_draws(A.n, k)
-    if draws is not None and not _emulation_agrees(g, A.n, k, draws):
-        draws = None
     size = _chunk_length(A, k)
-    chunks = (_draw_supports(g, A.n, k, min(size, trials - start), draws) for start in range(0, trials, size))
+    chunks = (_draw_supports(g, A.n, k, min(size, trials - start)) for start in range(0, trials, size))
     return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, chunks))
 
 
-def _draw_supports(g: np.random.Generator, n: int, k: int, count: int, draws: int | None) -> np.ndarray:
-    """The next ``count`` supports off ``g``, each ``np.sort(g.choice(n, k,
-    replace=False))`` in turn, as a (count, k) array.
+def _draw_supports(g: np.random.Generator, n: int, k: int, count: int) -> np.ndarray:
+    """The next ``count`` sorted k-subsets of [0, n) off ``g``, as a
+    (count, k) array.
 
-    Each support takes ``draws`` 32-bit draws when none rejects, so the chunk
-    is emulated as ``count`` lanes of one block of draws
-    (:func:`sketchbounds.rng.choice_lanes`).  When a draw could have rejected,
-    or ``draws`` is None, ``g`` is rewound and the supports are drawn one by
-    one.
+    Each support takes 2k - 1 bounded draws in a row, in the order ``choice``
+    makes them: step i of Floyd's algorithm draws in [0, n - k + i], then the
+    shuffle draws in [0, i] for i = k - 1 down to 1.  Only the Floyd draws
+    pick; the shuffle draws are taken so that each support uses the stretch
+    of the stream that ``choice`` would.
     """
-    if draws is not None:
-        start = g.bit_generator.state
-        supports, flagged = choice_lanes(next_uint32s(g, count * draws).reshape(count, draws), n, k)
-        if not flagged.any():
-            return supports
-        g.bit_generator.state = start
-    return np.array([np.sort(g.choice(n, size=k, replace=False)) for _ in range(count)])
-
-
-def _emulation_agrees(g: np.random.Generator, n: int, k: int, draws: int) -> bool:
-    """Whether the next support emulated off ``g`` is the one ``g.choice``
-    draws, or may have rejected and so cannot be compared; ``g`` is left
-    where it was."""
-    start = g.bit_generator.state
-    emulated, flagged = choice_lanes(next_uint32s(g, draws).reshape(1, draws), n, k)
-    g.bit_generator.state = start
-    drawn = np.sort(g.choice(n, size=k, replace=False))
-    g.bit_generator.state = start
-    return bool(flagged[0]) or np.array_equal(emulated[0], drawn)
+    highs = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)])
+    return floyd_picks(g.integers(0, highs, size=(count, 2 * k - 1))[:, :k], n)
 
 
 def subspace_distortion(A: SparseMatrix, indices: Sequence[int]) -> tuple[float, float]:

@@ -22,8 +22,13 @@ and ``choice_lanes`` the Floyd path of ``Generator.choice(m, s,
 replace=False)`` over such draws.  Neither emulates a rejection: they flag
 every draw that could reject (at most ``range / 2^32`` per draw), and callers
 send a flagged lane back through ``substream``.  numpy does not promise the
-same ``Generator`` stream across versions, so callers also compare some
+same ``Generator`` stream across versions, so the samplers also compare some
 emulated lanes with the real stream and fall back to it when they differ.
+
+Floyd's algorithm itself, turning one bounded draw per step into an s-subset,
+is ``floyd_picks``.  ``choice_lanes`` feeds it emulated draws; the sampled
+RIP estimate feeds it draws from numpy's own ``Generator.integers``, which
+makes no emulation and so needs no comparison.
 """
 
 from __future__ import annotations
@@ -170,23 +175,6 @@ def lane_draws(seed: int, lanes: np.ndarray, count: int) -> np.ndarray:
     return out[:, :count]
 
 
-def next_uint32s(g: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` ``next_uint32`` draws of the PCG64 generator ``g``,
-    as uint64 values below 2^32, leaving ``g`` exactly where ``count`` draws
-    by its own methods would: a buffered high half is used first, and an
-    unused one is buffered again."""
-    bits = g.bit_generator
-    state = bits.state
-    head = [state["uinteger"]] if state["has_uint32"] else []
-    raw = bits.random_raw((count - len(head) + 1) // 2)
-    words = np.concatenate([np.array(head, dtype=np.uint64),
-                            np.stack([raw & np.uint64(_M32), raw >> np.uint64(32)], axis=1).ravel()])
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = (1, int(words[count])) if words.size > count else (0, 0)
-    bits.state = state
-    return words[:count]
-
-
 def bounded(words: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
     """Lemire's draw in [0, bound) from each 32-bit word, as numpy makes it
     for a range below 2^32, and whether that draw could have rejected the
@@ -206,25 +194,19 @@ def choice_draws(m: int, s: int) -> int | None:
     return 2 * s - 1 - (s == m)
 
 
-def choice_lanes(words: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.sort(g.choice(m, s, replace=False))`` for each lane whose next
-    ``choice_draws(m, s)`` draws are its row of ``words``, and a flag for the
-    lanes where some draw could have rejected (their rows are not valid).
+def floyd_picks(vals: np.ndarray, m: int) -> np.ndarray:
+    """Floyd's algorithm for s-subsets of [0, m), one lane per row of the
+    (lanes, s) array ``vals``, where step i drew ``vals[:, i]`` in [0, j]
+    for j = m - s + i; the picks come back sorted.
 
-    Floyd's algorithm: step i, for j = m - s + i, draws a value in [0, j]
-    and takes it, or takes j when the lane has taken the value already.  That
-    happens when an earlier step drew the same value, or when the value is
-    the j of an earlier step that took its own j.  Equal values are found
-    with one stable sort per lane and the chains of taken j's by a fixpoint,
-    so a lane costs O(s log s), not O(s^2).  The shuffle that follows only
-    uses up draws, because the rows are sorted.
+    Step i takes its value, or takes j when the lane has taken the value
+    already.  That happens when an earlier step drew the same value, or when
+    the value is the j of an earlier step that took its own j.  Equal values
+    are found with one stable sort per lane and the chains of taken j's by a
+    fixpoint, so a lane costs O(s log s), not O(s^2).
     """
-    lanes = words.shape[0]
+    lanes, s = vals.shape
     steps = np.arange(m - s, m)
-    first = int(steps[0] == 0)  # j = 0 draws nothing and takes 0
-    vals = np.zeros((lanes, s), dtype=np.int64)
-    vals[:, first:], reject = bounded(words[:, :s - first], steps[first:] + 1)
-    flagged = reject.any(axis=1)
     order = np.argsort(vals, axis=1, kind="stable")
     ordered = np.take_along_axis(vals, order, axis=1)
     repeat = np.zeros((lanes, s), dtype=bool)
@@ -239,9 +221,23 @@ def choice_lanes(words: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndar
             break
         taken = grown
     picks = np.where(taken, steps, vals)
+    picks.sort(axis=1)
+    return picks
+
+
+def choice_lanes(words: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.sort(g.choice(m, s, replace=False))`` for each lane whose next
+    ``choice_draws(m, s)`` draws are its row of ``words``, and a flag for the
+    lanes where some draw could have rejected (their rows are not valid).
+
+    The first draws are Floyd's steps (:func:`floyd_picks`), where j = 0
+    draws nothing and takes 0; the shuffle that follows only uses up draws,
+    because the rows are sorted.
+    """
+    first = int(m == s)
+    vals = np.zeros((words.shape[0], s), dtype=np.int64)
+    vals[:, first:], reject = bounded(words[:, :s - first], np.arange(m - s + first, m) + 1)
     # the shuffle draws in [0, i] for i = s - 1 down to 1
     shuffle = words[:, s - first:2 * s - 1 - first]
-    flagged |= bounded(shuffle, np.arange(s, 1, -1))[1].any(axis=1)
-    picks.sort(axis=1)
-    return picks, flagged
-
+    flagged = reject.any(axis=1) | bounded(shuffle, np.arange(s, 1, -1))[1].any(axis=1)
+    return floyd_picks(vals, m), flagged

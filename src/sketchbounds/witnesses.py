@@ -41,6 +41,7 @@ from .errors import (
     InvalidEps,
     InvalidSparsity,
     InvalidT,
+    MalformedArtifact,
     NotSignMatrix,
     PreconditionViolated,
     TooLarge,
@@ -183,10 +184,17 @@ CERTIFICATES = {c.kind: c for c in (NoFinding, IncoherencePair, SparsityLowerBou
 
 
 def Certificate(kind: str, **fields) -> _Certificate:
-    """The certificate of `kind` with `fields`; :class:`UnknownKind` for a kind not in CERTIFICATES."""
+    """The certificate of `kind` with `fields`; :class:`UnknownKind` for a
+    kind not in CERTIFICATES, :class:`MalformedArtifact` unless `fields`
+    names exactly the kind's fields."""
     if not isinstance(kind, str) or kind not in CERTIFICATES:
         raise UnknownKind(f"unknown certificate kind {kind!r}")
-    return CERTIFICATES[kind](**fields)
+    cls = CERTIFICATES[kind]
+    expected = [field.name for field in dataclasses.fields(cls)]
+    if set(fields) != set(expected):
+        raise MalformedArtifact(f"a {kind} certificate has the fields {', '.join(expected)}, "
+                                f"got {', '.join(sorted(fields)) or 'none'}")
+    return cls(**fields)
 
 
 def verify_certificate(cert: _Certificate, A: SparseMatrix) -> bool:

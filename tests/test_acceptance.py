@@ -28,7 +28,7 @@ from sketchbounds import (
     sample_countsketch,
     sample_osnap_block,
     sample_sparse_sign_jl,
-    stream_update,
+    stream_updates,
     ttype_count_bound,
     ttype_of,
     verify_certificate,
@@ -257,7 +257,7 @@ def test_criterion_10_streaming_updates_reproduce_apply():
         i = int(g.integers(0, 512))
         v = float(g.uniform(-1.0, 1.0))
         before = sketch.copy()
-        stream_update(sketch, A, i, v)
+        stream_updates(sketch, A, [i], [v])
         x[i] += v
         changed = np.nonzero(sketch != before)[0]
         rows, _ = A.column(i)

@@ -303,8 +303,8 @@ class TestStreamDemo:
         summary = json.loads(out)["summary"]
         assert summary["updates"] == 500
         assert summary["max_abs_deviation"] <= 1e-9
-        assert summary["touched_min"] == 4 and summary["touched_max"] == 4
         assert summary["column_sparsity"] == 4
+        assert sorted(summary) == ["column_sparsity", "max_abs_deviation", "updates"]
 
     def test_csv_output(self, write_config, capsys):
         cfg = write_config({"command": "stream-demo", "seed": 9, "output_format": "csv",
@@ -521,9 +521,9 @@ FROZEN_RUNS = [
              "grid": {"param": "n", "values": [256, 1024]}},
             0, "895b9808d2c695b7ab063f85002676e8ea8e6c5964ab27eb2af05b22c7409fbe", output_format="csv"),
     _frozen("stream_demo", "stream-demo", {"m": 16, "n": 20, "s": 2, "updates": 50},
-            0, "4e6a479b57e3d97e71b987b2a6c6f29b18ab1c8e3eb0b770330a2861cd5e8bb0", seed=9),
+            0, "80c6218609c9c14cb600ea2b71113d567a41fef8198e1476700f82fd2c8f5f9c", seed=9),
     _frozen("stream_demo_csv", "stream-demo", {"m": 16, "n": 20, "s": 2, "updates": 50},
-            0, "9e3775ee646267ab72479ac4dc1d38f801f6e2cda754b98ec1874757f1f9ed06", seed=9, output_format="csv"),
+            0, "b50c3647e662cfe12ebad37bc67fe9a9338af7859645e0639d670a3eb6c7faf5", seed=9, output_format="csv"),
     _frozen_bound("min_sparsity", "q=100,r=10",
             0, "4707d8c3263785d795746f4bea696f84b9af8c1a585ad9c6d98f2ce8fbe64469"),
     _frozen_bound("incoherent_rows", "eps=0.1,N=1000",

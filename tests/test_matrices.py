@@ -27,7 +27,6 @@ from sketchbounds import (
     one_sparse_map_to_json,
     save_matrix,
     save_one_sparse_map,
-    stream_update,
     stream_updates,
     subspace_distortion,
 )
@@ -176,7 +175,7 @@ class TestStreamUpdate:
         x = np.zeros(3)
         updates = [(0, 1.5), (2, -0.5), (0, 0.25), (1, 2.0), (2, 0.125)]
         for i, v in updates:
-            out = stream_update(sketch, A, i, v)
+            out = stream_updates(sketch, A, [i], [v])
             assert out is sketch  # in-place contract
             x[i] += v
         assert np.max(np.abs(sketch - apply(A, x))) <= 1e-12
@@ -184,13 +183,13 @@ class TestStreamUpdate:
     def test_touches_only_the_columns_rows(self):
         A = SparseMatrix.from_dense(DENSE_4X3)
         sketch = np.zeros(4)
-        stream_update(sketch, A, 2, 1.0)
+        stream_updates(sketch, A, [2], [1.0])
         assert np.nonzero(sketch)[0].tolist() == A.column(2)[0].tolist()
 
     def test_shape_checked(self):
         A = SparseMatrix.from_dense(DENSE_4X3)
         with pytest.raises(DimensionMismatch):
-            stream_update(np.zeros(3), A, 0, 1.0)
+            stream_updates(np.zeros(3), A, [0], [1.0])
 
 
 class TestStreamUpdates:
@@ -208,18 +207,14 @@ class TestStreamUpdates:
         i = rng.integers(0, n, size=count)
         v = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 9, size=count)
         start = rng.standard_normal(m)
+        # one update at a time is the scalar fold over its column
         want = start.copy()
         for j, value in zip(i.tolist(), v.tolist()):
-            stream_update(want, A, j, value)
+            rows, vals = A.column(j)
+            want[rows] += value * vals
         got = start.copy()
         assert stream_updates(got, A, i, v) is got
         assert got.tobytes() == want.tobytes()
-        # and one update at a time is the loop over its column
-        loop = start.copy()
-        for j, value in zip(i.tolist(), v.tolist()):
-            rows, vals = A.column(j)
-            loop[rows] += value * vals
-        assert loop.tobytes() == want.tobytes()
 
     def test_integer_and_list_inputs(self):
         A = SparseMatrix.from_dense(DENSE_4X3)
@@ -256,7 +251,7 @@ class TestStreamUpdates:
         A = SparseMatrix.from_dense(DENSE_4X3)
         sketch = np.zeros(4)
         with pytest.raises(InvalidEntry):
-            stream_update(sketch, A, 1, float("nan"))
+            stream_updates(sketch, A, [1], [float("nan")])
         assert not sketch.any()
 
 
@@ -265,7 +260,7 @@ class TestStreamUpdates:
     lambda S: subspace_distortion(S, [0, True]),
     lambda S: S.submatrix_dense([1.9]),
     lambda S: S.column(1.5),
-    lambda S: stream_update(np.zeros(S.m), S, 1.5, 1.0),
+    lambda S: stream_updates(np.zeros(S.m), S, [1.5], [1.0]),
 ], ids=["distortion_float", "distortion_bool", "submatrix_float", "column_float", "stream_update_float"])
 def test_non_integer_column_index_refused(call):
     # int(j) would truncate each of these to column 1

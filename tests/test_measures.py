@@ -26,7 +26,6 @@ from sketchbounds import (
     code_max_agreement,
     code_to_incoherent,
     coherence,
-    column_norms,
     dyadic_scale_count,
     random_code,
     rip_constant_exact,
@@ -345,12 +344,8 @@ def per_support_delta(A, support):
 
 def loop_exact(A, k):
     """The earlier `rip_constant_exact`: one eigensolve per support in
-    lexicographic order, replacing the best only on a strict >."""
-    if k == 1:
-        norms_sq = column_norms(A) ** 2
-        deltas = np.maximum(norms_sq - 1.0, 1.0 - norms_sq)
-        j = int(np.argmax(deltas))
-        return measures._finish_estimate(A, k, "exact", (j,), float(deltas[j]))
+    lexicographic order, replacing the best only on a strict >; k = 1
+    included, as in the sampled estimate."""
     best_delta, best_support = -math.inf, ()
     for support in itertools.combinations(range(A.n), k):
         delta = per_support_delta(A, support)

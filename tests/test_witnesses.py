@@ -19,6 +19,7 @@ from sketchbounds import (
     InvalidSparsity,
     InvalidT,
     KernelWitness,
+    MalformedArtifact,
     NotNormalized,
     NotSignMatrix,
     OneSparseMap,
@@ -597,6 +598,20 @@ class TestVerifyCertificate:
     def test_non_string_kind_rejected(self, kind):
         with pytest.raises(UnknownKind):
             Certificate(kind=kind, source="x")
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("none", {"source": "x", "bogus": 1}),
+        ("none", {}),
+        ("incoherence_pair", {"source": "x"}),
+        ("incoherence_pair", {"source": "x", "i": 0, "j": 1, "dot": 0.5, "eps": 0.1}),
+        ("sparsity_lower_bound", {"source": "x", "t": 2, "group_size": 3}),
+        ("rip_distortion", {"source": "x", "vector": [1.0], "ratio": 1.0, "k": 1}),
+        ("kernel_witness", {"vector": [1, -1]}),
+    ])
+    def test_unknown_or_missing_fields_rejected(self, kind, fields):
+        with pytest.raises(MalformedArtifact) as err:
+            Certificate(kind, **fields)
+        assert kind in str(err.value)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
