@@ -47,6 +47,7 @@ from .errors import (
     NoScaleFound,
     NotNormalized,
     TooFewColumns,
+    TooLarge,
     TooManySupports,
 )
 from .matrices import SparseMatrix, _constant_magnitude, _integer, column_norms
@@ -135,8 +136,11 @@ def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
     from one stacked matmul and one stacked eigensolve."""
     cols, inv = np.unique(supports, return_inverse=True)
     Bt = A.submatrix_dense(cols).T[inv.reshape(supports.shape)]
-    w = np.linalg.eigvalsh(np.matmul(Bt, Bt.transpose(0, 2, 1)))
-    return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+    # a Gram that overflows gives an infinite or NaN delta, which the
+    # callers refuse or pass over, so it need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.linalg.eigvalsh(np.matmul(Bt, Bt.transpose(0, 2, 1)))
+        return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
 
 
 def _worst_support(A: SparseMatrix, chunks: Iterable[np.ndarray]) -> tuple[tuple[int, ...], float]:
@@ -156,9 +160,13 @@ def _worst_support(A: SparseMatrix, chunks: Iterable[np.ndarray]) -> tuple[tuple
 
 
 def _finish_estimate(A: SparseMatrix, k: int, mode: str, support: tuple[int, ...], delta: float) -> RipEstimate:
-    """Recover the achieving direction for the winning support."""
+    """Recover the achieving direction for the winning support; refuse a
+    delta that is infinite, or -inf because every support's Gram overflowed."""
+    if not math.isfinite(delta):
+        raise TooLarge(f"the Gram matrices of the k={k} supports overflow float64")
     B = A.submatrix_dense(support)
-    w, V = np.linalg.eigh(B.T @ B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, V = np.linalg.eigh(B.T @ B)
     lo, hi = float(w[0]), float(w[-1])
     vec = V[:, -1] if hi - 1.0 >= 1.0 - lo else V[:, 0]
     nz = np.nonzero(vec)[0]

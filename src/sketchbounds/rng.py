@@ -10,19 +10,24 @@ command reproducible from its config plus seed alone.
 
 Lanes.  Drawing one ``substream`` per column costs one ``SeedSequence``, one
 ``PCG64`` and one ``Generator`` each, so the per-column streams are also
-emulated for many columns at once: each column is a lane, and
-``lane_draws(seed, lanes, count)`` gives every lane's first 32-bit draws as
-uint64 array operations over the lanes.  It vectorizes ``SeedSequence``'s
-hash mix over the spawn keys (the seed's own words mix the same way for every
-lane, so that part runs once in Python), seeds PCG64 as
-``pcg_setseq_128_srandom_r`` does and steps its XSL-RR output with a 128-bit
-multiply in 32-bit limbs, splitting each 64-bit output into its low and then
-its high half as ``next_uint32`` does.  ``bounded`` is Lemire's bounded draw
-and ``choice_lanes`` the Floyd path of ``Generator.choice(m, s,
-replace=False)`` over such draws.  Neither emulates a rejection: they flag
-every draw that could reject (at most ``range / 2^32`` per draw), and callers
-send a flagged lane back through ``substream``.  numpy does not promise the
-same ``Generator`` stream across versions, so the samplers also compare some
+emulated for many columns at once: each column is a lane.
+``spawn_states(entropy, *key)`` is ``SeedSequence``'s hash mix as uint64
+array operations over the lanes: the entropy is one seed for every lane
+(its words then mix the same way for every lane, so that part runs once in
+Python) or one seed per lane, and the spawn key has any number of words, each
+an int or one word per lane.  ``lane_draws(seed, lanes, count)`` gives every
+lane's first 32-bit draws: it seeds PCG64 as ``pcg_setseq_128_srandom_r``
+does and steps its XSL-RR output with a 128-bit multiply in 32-bit limbs,
+splitting each 64-bit output into its low and then its high half as
+``next_uint32`` does.  ``bounded`` is Lemire's bounded draw and
+``choice_lanes`` the Floyd path of ``Generator.choice(m, s, replace=False)``
+over such draws.  Neither emulates a rejection: they flag every draw that
+could reject (at most ``range / 2^32`` per draw), and callers send a flagged
+lane back through ``substream``.  ``derived_states(seed, *path)`` emulates
+only the seeding, of ``substream(derive_seed(seed, *path))``, and hands back
+PCG64 state dicts, so that numpy's own generator, with a state set, makes the
+draws and none needs emulating.  numpy does not promise the same
+``Generator`` stream across versions, so the callers also compare some
 emulated lanes with the real stream and fall back to it when they differ.
 
 Floyd's algorithm itself, turning one bounded draw per step into an s-subset,
@@ -105,13 +110,26 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def spawn_states(seed: int, lanes: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(4, np.uint64)``
-    for each j in ``lanes`` (each below 2^32), as four uint64 arrays."""
-    seed = check_seed(seed)
-    # the seed's words, padded to the pool size because a spawn key follows
+def spawn_states(entropy, *key, words: int = 4) -> list[np.ndarray]:
+    """``SeedSequence(entropy=entropy, spawn_key=key).generate_state(words,
+    np.uint64)`` lane-wise, as ``words`` uint64 arrays.
+
+    ``entropy`` is one seed for every lane, an int, or a uint64 array of
+    per-lane seeds.  Each spawn key word is an int or a uint64 array of
+    per-lane words, each below 2^32 (numpy splits a larger word in two).
+    """
+    if isinstance(entropy, np.ndarray):
+        entropy = entropy.astype(np.uint64)
+        run = [entropy & np.uint64(_M32), entropy >> np.uint64(32)]
+    else:
+        # Python ints, since a uint64 scalar would warn where _mix wraps
+        seed = check_seed(entropy)
+        run = [seed & _M32, seed >> 32]
+    # The seed's words, padded with zeros to the pool size.  numpy pads a
+    # seed that has a spawn key, and hashes 0 for a missing word when it has
+    # none, so a one-word seed (below 2^32) mixes the same either way.
     mixer, const = [], _INIT_A
-    for word in (seed & _M32, seed >> 32, 0, 0):
+    for word in run + [0] * (_POOL - len(run)):
         word, const = _hashmix(word, const)
         mixer.append(word)
     for src in range(_POOL):
@@ -119,20 +137,21 @@ def spawn_states(seed: int, lanes: np.ndarray) -> list[np.ndarray]:
             if src != dst:
                 word, const = _hashmix(mixer[src], const)
                 mixer[dst] = _mix(mixer[dst], word)
-    # the spawn key j is the one entropy word that differs between lanes
-    key = np.asarray(lanes, dtype=np.uint64)
-    pool = []
-    for dst in range(_POOL):
-        word, const = _hashmix(key, const)
-        pool.append(_mix(mixer[dst], word))
-    # generate_state: 8 uint32 words off the cycled pool, paired low-high
+    # each spawn key word then mixes into every pool word
+    for word in key:
+        word = int(word) if isinstance(word, (int, np.integer)) else np.asarray(word, dtype=np.uint64)
+        for dst in range(_POOL):
+            hashed, const = _hashmix(word, const)
+            mixer[dst] = _mix(mixer[dst], hashed)
+    # generate_state: 2 * words uint32 words off the cycled pool, paired
+    # low-high
     halves, const = [], _INIT_B
-    for i in range(2 * _POOL):
-        word = pool[i % _POOL] ^ const
+    for i in range(2 * words):
+        word = mixer[i % _POOL] ^ const
         const = const * _MULT_B & _M32
         word = word * const & _M32
-        halves.append(word ^ (word >> 16))
-    return [halves[2 * i] | (halves[2 * i + 1] << np.uint64(32)) for i in range(_POOL)]
+        halves.append(np.asarray(word ^ (word >> 16), dtype=np.uint64))
+    return [halves[2 * i] | (halves[2 * i + 1] << np.uint64(32)) for i in range(words)]
 
 
 def _mulhi64(a: np.ndarray, b0: np.uint64, b1: np.uint64) -> np.ndarray:
@@ -154,17 +173,22 @@ def _step(hi, lo, inc_hi, inc_lo):
     return _add128(hi, lo * _MUL_LO, inc_hi, inc_lo)
 
 
+def _srandom(w0, w1, w2, w3):
+    """PCG64's state and increment, as high and low uint64 words, when it is
+    seeded from ``generate_state(4, np.uint64)`` = [w0, w1, w2, w3]:
+    ``pcg_setseq_128_srandom_r(state=w0:w1, seq=w2:w3)`` sets state 0,
+    steps, adds the seed and steps."""
+    one = np.uint64(1)
+    inc_hi, inc_lo = (w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one
+    return (*_step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo), inc_hi, inc_lo)
+
+
 def lane_draws(seed: int, lanes: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` ``next_uint32`` draws of ``substream(seed, j)`` for
     each j in ``lanes`` (each below 2^32), as a (len(lanes), count) uint64
     array of values below 2^32."""
-    w0, w1, w2, w3 = spawn_states(seed, lanes)
-    # pcg_setseq_128_srandom_r(state=w0:w1, seq=w2:w3): state 0, step, add
-    # the seed, step
-    one = np.uint64(1)
-    inc_hi, inc_lo = (w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one
-    hi, lo = _step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo)
-    out = np.empty((w0.size, count + count % 2), dtype=np.uint64)
+    hi, lo, inc_hi, inc_lo = _srandom(*spawn_states(seed, lanes))
+    out = np.empty((hi.size, count + count % 2), dtype=np.uint64)
     for t in range(0, count, 2):
         hi, lo = _step(hi, lo, inc_hi, inc_lo)
         # XSL-RR: xor the halves, rotate right by the top 6 bits
@@ -173,6 +197,18 @@ def lane_draws(seed: int, lanes: np.ndarray, count: int) -> np.ndarray:
         out[:, t] = x & np.uint64(_M32)
         out[:, t + 1] = x >> np.uint64(32)
     return out[:, :count]
+
+
+def derived_states(seed: int, *path) -> list[dict]:
+    """``substream(derive_seed(seed, *path)).bit_generator.state`` lane-wise,
+    as PCG64 state dicts.  Each path word is an int or a uint64 array of
+    per-lane words, each below 2^32.  Setting one on a ``PCG64``'s ``state``
+    makes it that stream without a ``SeedSequence``."""
+    derived = spawn_states(seed, *path, words=1)[0]
+    words = (w.tolist() for w in _srandom(*spawn_states(derived)))
+    return [{"bit_generator": "PCG64", "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+             "has_uint32": 0, "uinteger": 0}
+            for hi, lo, inc_hi, inc_lo in zip(*words)]
 
 
 def bounded(words: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:

@@ -49,8 +49,8 @@ from .errors import (
 )
 from .matrices import SparseMatrix, _array, _integer, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count
-from .rng import derive_seed
-from .constructions import sample_countsketch, sample_coordinate_subspace
+from .rng import check_seed, derive_seed, derived_states, substream
+from .constructions import _check_size
 
 # Group constant for the t-type certifier: C = 2 / (1 - 1/sqrt(2)).
 TTYPE_GROUP_CONSTANT = 2.0 / (1.0 - 1.0 / math.sqrt(2.0))
@@ -680,6 +680,60 @@ class OseFailureReport:
     records: tuple[TrialRecord, ...]
 
 
+# trials whose stream states are derived at once; a trial index of 2^32 or
+# more is two SeedSequence words, so its streams are opened one by one
+_TRIAL_LANES = 1024
+_MAX_LANE_TRIALS = 2**32
+
+
+def _trial_streams(seed: int, trials: int):
+    """Yield each trial's two streams, ``substream(derive_seed(seed, trial,
+    c))`` for c = 0 (the map's) and c = 1 (the subset's).
+
+    The first and the last trial open their real streams.  Every trial
+    between takes states derived ``_TRIAL_LANES`` at a time by
+    :func:`sketchbounds.rng.derived_states`, set on the first trial's
+    generators, so a pair yielded is good until the next is asked for.  The
+    first chunk also derives the first and last trials' states; when either
+    differs from the real streams, every trial opens its real streams, as do
+    trials past 2^32.
+    """
+    def real(trial):
+        return tuple(substream(derive_seed(seed, trial, c)) for c in (0, 1))
+
+    def states(pair):
+        return tuple(g.bit_generator.state for g in pair)
+
+    derived = min(trials, _MAX_LANE_TRIALS)
+    pair = real(0)
+    last = real(derived - 1) if derived > 1 else ()
+    ends = [states(pair), states(last)]
+    yield pair
+    for start in range(1, derived - 1, _TRIAL_LANES):
+        lanes = np.arange(start, min(start + _TRIAL_LANES, derived - 1))
+        if start == 1:
+            lanes = np.r_[0, derived - 1, lanes]
+        flat = derived_states(seed, np.repeat(lanes, 2), np.tile([0, 1], lanes.size))
+        chunk = list(zip(flat[::2], flat[1::2]))
+        if start == 1:
+            if chunk[:2] != ends:
+                yield from (real(trial) for trial in range(1, derived - 1))
+                break
+            del chunk[:2]
+        for pair_states in chunk:
+            for g, state in zip(pair, pair_states):
+                g.bit_generator.state = state
+            yield pair
+    if last:
+        yield last
+    yield from (real(trial) for trial in range(derived, trials))
+
+
+def _run_lengths(values: np.ndarray) -> np.ndarray:
+    """How often each distinct value occurs in a sorted nonempty array."""
+    return np.diff(np.concatenate(([-1], np.flatnonzero(values[1:] != values[:-1]), [values.size - 1])))
+
+
 def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> OseFailureReport:
     """Monte Carlo failure rate of one-sparse maps on coordinate subspaces.
 
@@ -687,9 +741,17 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     fails iff the subspace distortion leaves [1/2, 2].  The selected columns'
     Gram is block diagonal, one rank-one block per hit row with the row's
     load L as eigenvalue, so sigma_min is 0 or 1, sigma_max = sqrt(max L),
-    and a trial fails iff two coordinates share a row.  Trials derive
-    independent streams from (seed, trial index).  The per-trial heavy-row
-    count (rows receiving at least n/(10m) columns) is a diagnostic only.
+    and a trial fails iff two coordinates share a row.  The per-trial
+    heavy-row count (rows receiving at least n/(10m) columns) is a
+    diagnostic only.
+
+    Trial t's map is ``sample_countsketch(m, n, derive_seed(seed, t, 0))``
+    and its subspace ``sample_coordinate_subspace(n, d, derive_seed(seed, t,
+    1))``, but only what a trial reads is drawn: the map's rows ``a``, the
+    first draw of its stream, and the subspace.  The streams come from
+    :func:`_trial_streams` without a ``SeedSequence`` each.  The loads are
+    run lengths of the sorted rows, or a ``bincount`` when m <= n, so a trial
+    takes O(n) memory at any m.
     """
     m, d, n = _integer(m, "row count"), _integer(d, "subspace dimension"), _integer(n, "column count")
     trials = _integer(trials, "trials")
@@ -697,13 +759,18 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
         raise InvalidCount(f"need trials >= 1, got {trials}")
     if m < 1 or not 1 <= d <= n:
         raise InvalidDimension(f"need m >= 1 and 1 <= d <= n, got m={m}, d={d}, n={n}")
+    seed = check_seed(seed)
+    _check_size("row count", m, 2**63, n)
     heavy_cut = n / (10.0 * m)
     records = []
-    for trial in range(trials):
-        smap = sample_countsketch(m, n, derive_seed(seed, trial, 0))
-        subset = sample_coordinate_subspace(n, d, derive_seed(seed, trial, 1))
-        load = int(np.bincount(smap.a[list(subset)]).max())
-        heavy = int(np.count_nonzero(smap.row_loads() >= heavy_cut))
+    for rows, coords in _trial_streams(seed, trials):
+        a = rows.integers(0, m, size=n)
+        subset = coords.choice(n, size=d, replace=False)
+        load = int(_run_lengths(np.sort(a[subset])).max())
+        # The loads of the rows hit; a row of load 0 is never heavy, as the
+        # cut is positive.  bincount is faster but sized by the largest row.
+        loads = np.bincount(a) if m <= n else _run_lengths(np.sort(a))
+        heavy = int(np.count_nonzero(loads >= heavy_cut))
         records.append(TrialRecord(failed=load > 1, sigma_min=0.0 if load > 1 else 1.0,
                                    sigma_max=math.sqrt(load), heavy_rows=heavy))
     failures = sum(r.failed for r in records)

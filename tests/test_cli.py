@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -691,6 +692,26 @@ class TestBadInputsExitOne:
     def test_non_finite_bound_argument(self, params, capsys):
         code, _, err = run_cli(["bounds", "--formula", "incoherent_rows", "--params", params], capsys)
         assert_one_error_line(code, err)
+
+
+@pytest.mark.parametrize("config", [
+    {"params": {"measure": "rip_exact", "k": 1}},
+    {"params": {"measure": "rip_exact", "k": 2}},
+    {"trials": 5, "seed": 1, "params": {"measure": "rip_lower_estimate", "k": 1}},
+    {"trials": 5, "seed": 1, "params": {"measure": "rip_lower_estimate", "k": 2}},
+])
+def test_overflowing_rip_gram_exits_one(config, tmp_path, write_config, capsys):
+    # column 0's squared norm, 1e400, overflows: at k = 1 its delta is inf,
+    # at k = 2 every support's Gram is inf and every delta NaN
+    path = tmp_path / "A.json"
+    path.write_text('{"m":2,"n":2,"cols":[[[0,1e200]],[[0,1.0],[1,1.0]]]}')
+    cfg = write_config({**config, "command": "measure", "params": {**config["params"], "input": str(path)}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["measure", "--config", cfg], capsys)
+    assert caught == []
+    assert_one_error_line(code, err)
+    assert out == "" and f"k={config['params']['k']}" in err and "overflow" in err
 
 
 @pytest.mark.parametrize("witness", ["ttype_collision", "sign_pattern"])

@@ -6,12 +6,15 @@ vectorized; the vectorized results must match it bit for bit.  The RIP
 estimate's oracle is the loop of ``choice`` calls, or a scalar loop of
 Floyd's algorithm on the shapes where ``choice`` shuffles instead.
 ``stream-demo`` is held in the same way to a fold of its block draws with one
-column update per update.
+column update per update, and the one-sparse OSE sweep to its samplers of
+record, one trial at a time.
 """
 
 import hashlib
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,11 +30,17 @@ from sketchbounds import (
     column_sparsity,
     constructions,
     measures,
+    ose_failure_probability,
     rip_constant_lower_estimate,
+    rng,
+    sample_coordinate_subspace,
+    sample_countsketch,
     sample_osnap_block,
     sample_sparse_sign_jl,
+    witnesses,
 )
-from sketchbounds.rng import derive_seed, lane_draws, spawn_states, substream
+from sketchbounds.rng import derive_seed, derived_states, lane_draws, spawn_states, substream
+from sketchbounds.witnesses import TrialRecord
 
 SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
 
@@ -104,6 +113,42 @@ class TestSeedingAndDraws:
             assert np.array_equal(row, halves)
 
 
+    @pytest.mark.parametrize("entropy", [[0], [1, 2**31, 2**32 - 1], [2**32, 2**32 + 1, 2**63, 2**64 - 1],
+                                         [5, 2**32, 7, 2**64 - 1]])
+    def test_spawn_states_with_per_lane_entropy(self, entropy):
+        # a seed below 2^32 is one SeedSequence word, from 2^32 on two
+        got = np.stack(spawn_states(np.array(entropy, dtype=np.uint64)), axis=1)
+        want = [np.random.SeedSequence(entropy=e).generate_state(4, np.uint64) for e in entropy]
+        assert np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1])
+    def test_a_two_word_key_is_derive_seed(self, seed):
+        trials = np.array([0, 1, 2**32 - 1])
+        for c in (0, 1, 2**32 - 1):
+            got = spawn_states(seed, trials, c, words=1)[0]
+            assert got.tolist() == [derive_seed(seed, int(t), c) for t in trials]
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)), min_size=1, max_size=6))
+    def test_derived_states_are_the_streams(self, seed, path):
+        trials, cs = (np.array(words, dtype=np.uint64) for words in zip(*path))
+        want = [substream(derive_seed(seed, t, c)).bit_generator.state for t, c in path]
+        assert derived_states(seed, trials, cs) == want
+        assert derived_states(seed, trials, int(cs[0])) == [
+            substream(derive_seed(seed, t, path[0][1])).bit_generator.state for t, _ in path]
+
+    def test_numpy_seeding_canary(self):
+        # The lanes copy numpy's SeedSequence and PCG64 seeding, and the
+        # samplers check the copy against numpy on two lanes only, falling
+        # back to the real streams when it differs.  A numpy release that
+        # seeds otherwise changes every seeded output; it fails here first.
+        assert derive_seed(7, 5, 0) == 4874126660533621739
+        assert substream(2**31).bit_generator.state["state"] == {
+            "state": 81254196147989919254429920274932465425, "inc": 53357903200174359269881312138910803979}
+        assert substream(derive_seed(7, 5, 1)).bit_generator.state["state"] == {
+            "state": 234307084661355904902738601781916490193, "inc": 302652904035693633911447155534275943855}
+
+
 class TestSamplersMatchTheLoop:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SEEDS)
@@ -166,6 +211,99 @@ class TestSamplersMatchTheLoop:
         assert substream_calls == [(j,) for j in range(500)]
         assert_same_bytes(got, want)
         assert_same_bytes(sample_osnap_block(64, 500, 4, 11), loop_osnap(64, 500, 4, 11))
+
+
+def loop_ose_records(m, d, n, trials, seed):
+    """Each trial off its samplers of record, one map and one subspace at a
+    time, with the loads counted by ``np.unique``."""
+    records = []
+    for trial in range(trials):
+        a = sample_countsketch(m, n, derive_seed(seed, trial, 0)).a
+        subset = sample_coordinate_subspace(n, d, derive_seed(seed, trial, 1))
+        load = int(np.unique(a[list(subset)], return_counts=True)[1].max())
+        heavy = int(np.count_nonzero(np.unique(a, return_counts=True)[1] >= n / (10.0 * m)))
+        records.append(TrialRecord(failed=load > 1, sigma_min=0.0 if load > 1 else 1.0,
+                                   sigma_max=math.sqrt(load), heavy_rows=heavy))
+    return tuple(records)
+
+
+@pytest.fixture
+def seeding_calls(monkeypatch):
+    """Count the ``substream`` and ``derive_seed`` calls made through any module."""
+    calls = {"substream": 0, "derive_seed": 0}
+    for name in calls:
+        original = getattr(rng, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (rng, constructions, witnesses, measures, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOseTrialsMatchTheLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SEEDS)
+    def test_random_shapes(self, data, seed):
+        m = data.draw(st.one_of(st.integers(1, 300), st.integers(2**32, 2**63)), label="m")
+        n = data.draw(st.integers(1, 300), label="n")
+        d = data.draw(st.integers(1, min(n, 12)), label="d")
+        trials = data.draw(st.integers(1, 6), label="trials")
+        assert ose_failure_probability(m, d, n, trials, seed).records == loop_ose_records(m, d, n, trials, seed)
+
+    @pytest.mark.parametrize("m, d, n, trials", [
+        (1, 1, 1, 3), (2, 2, 5, 4), (64, 8, 256, 20), (3000, 8, 256, 5),
+        (256, 300, 20000, 2),     # choice shuffles the tail of an arange here
+        (2**40, 201, 10001, 2),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**63 + 5, 2**64 - 1])
+    def test_fixed_shapes(self, m, d, n, trials, seed):
+        assert ose_failure_probability(m, d, n, trials, seed).records == loop_ose_records(m, d, n, trials, seed)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 9, 10])
+    def test_chunks_and_trials_past_the_lanes(self, monkeypatch, trials):
+        # chunks of 3 trials, and real streams from trial 6 on as from 2^32
+        monkeypatch.setattr(witnesses, "_TRIAL_LANES", 3)
+        monkeypatch.setattr(witnesses, "_MAX_LANE_TRIALS", 6)
+        assert ose_failure_probability(32, 4, 64, trials, 9).records == loop_ose_records(32, 4, 64, trials, 9)
+
+    def test_the_sweep_opens_only_the_guard_streams(self, seeding_calls):
+        # trials 0 and 299 open both their streams; the rest are derived
+        ose_failure_probability(64, 8, 256, 300, 7)
+        assert seeding_calls == {"substream": 4, "derive_seed": 4}
+
+    @pytest.mark.parametrize("trial, c", [(0, 0), (39, 1)])
+    def test_a_wrong_derived_state_sends_every_trial_to_its_real_streams(self, monkeypatch, seeding_calls,
+                                                                         trial, c):
+        want = loop_ose_records(64, 8, 256, 40, 3)
+
+        def wrong(seed, trials, cs):
+            states = derived_states(seed, trials, cs)
+            for lane in np.flatnonzero((trials == trial) & (cs == c)).tolist():
+                state = states[lane]["state"]
+                states[lane] = {**states[lane], "state": {**state, "inc": state["inc"] ^ 2}}
+            return states
+
+        monkeypatch.setattr(witnesses, "derived_states", wrong)
+        seeding_calls.update(substream=0, derive_seed=0)
+        assert ose_failure_probability(64, 8, 256, 40, 3).records == want
+        assert seeding_calls == {"substream": 80, "derive_seed": 80}
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        # a count per row of m = 2^40 rows would take 8 TiB
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rep = ose_failure_probability(2**40, 4, 64, 3, 5)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.records == loop_ose_records(2**40, 4, 64, 3, 5)
+        assert peak < 2**20 and elapsed < 1.0
 
 
 def choice_takes_floyds_path(n, k):

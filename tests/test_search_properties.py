@@ -3,7 +3,8 @@
 Each certificate or estimate bounds, from below, a quantity the library
 computes exactly: a sampled delta_k is at most the enumerated one, a
 pigeonhole sparsity bound is at most the matrix's column sparsity, and an
-exposed pair's dot is at most the coherence.  Tier-1 sized: n <= 40, k <= 3.
+exposed pair's dot is at most the coherence.  The pigeonhole itself holds: the
+largest t-type group is at least n over the count of t-types.  Tier-1 sized: n <= 40, k <= 3.
 """
 
 import math
@@ -22,8 +23,10 @@ from sketchbounds import (
     sample_sparse_sign_jl,
     sign_pattern_certify,
     ttype_collision_certify,
+    ttype_count_bound,
     TTYPE_GROUP_CONSTANT,
 )
+from sketchbounds.witnesses import _ttype_keys, group_columns
 
 SEEDS = st.integers(0, 2**64 - 1)
 
@@ -126,3 +129,17 @@ def test_the_planted_group_of_eight():
     cert = sign_pattern_certify(A, eps, t)
     assert (cert.kind, cert.group_size, cert.bound_value) == ("sparsity_lower_bound", 8, 5.25)
     assert cert.bound_value <= column_sparsity(A) == 17
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_largest_ttype_group_has_its_pigeonhole_share(data):
+    # small m, so that n columns outnumber the t-types and the bound bites
+    s = data.draw(st.integers(1, 3), label="s")
+    m = s * data.draw(st.integers(1, 2), label="m / s")
+    n = data.draw(st.integers(2, 200), label="n")
+    sampler = data.draw(st.sampled_from([sample_sparse_sign_jl, sample_osnap_block]), label="sampler")
+    A = sampler(m, n, s, data.draw(SEEDS, label="seed"))
+    t = data.draw(st.integers(1, s), label="t")
+    share = -(-n // ttype_count_bound(m, s, t))
+    assert group_columns(_ttype_keys(A, t, s)).size >= share
