@@ -137,7 +137,7 @@ def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
     cols, inv = np.unique(supports, return_inverse=True)
     Bt = A.submatrix_dense(cols).T[inv.reshape(supports.shape)]
     # a Gram that overflows gives an infinite or NaN delta, which the
-    # callers refuse or pass over, so it need not warn
+    # callers refuse, so it need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.linalg.eigvalsh(np.matmul(Bt, Bt.transpose(0, 2, 1)))
         return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
@@ -150,8 +150,8 @@ def _worst_support(A: SparseMatrix, chunks: Iterable[np.ndarray]) -> tuple[tuple
     best_support: tuple[int, ...] = ()
     for supports in chunks:
         deltas = _support_deltas(A, supports)
-        # a NaN delta (from a Gram that overflowed) never wins, as in a scan with >
-        deltas[np.isnan(deltas)] = -math.inf
+        # a NaN delta comes from a Gram that overflowed, so its true delta is huge
+        deltas[np.isnan(deltas)] = math.inf
         i = int(np.argmax(deltas))  # argmax takes the first on ties
         if deltas[i] > best_delta:
             best_delta = float(deltas[i])
@@ -160,8 +160,8 @@ def _worst_support(A: SparseMatrix, chunks: Iterable[np.ndarray]) -> tuple[tuple
 
 
 def _finish_estimate(A: SparseMatrix, k: int, mode: str, support: tuple[int, ...], delta: float) -> RipEstimate:
-    """Recover the achieving direction for the winning support; refuse a
-    delta that is infinite, or -inf because every support's Gram overflowed."""
+    """Recover the achieving direction for the winning support; refuse an
+    infinite delta, which some support's overflowing Gram gives."""
     if not math.isfinite(delta):
         raise TooLarge(f"the Gram matrices of the k={k} supports overflow float64")
     B = A.submatrix_dense(support)

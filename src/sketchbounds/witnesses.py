@@ -680,10 +680,8 @@ class OseFailureReport:
     records: tuple[TrialRecord, ...]
 
 
-# trials whose stream states are derived at once; a trial index of 2^32 or
-# more is two SeedSequence words, so its streams are opened one by one
+# trials whose stream states are derived at once
 _TRIAL_LANES = 1024
-_MAX_LANE_TRIALS = 2**32
 
 
 def _trial_streams(seed: int, trials: int):
@@ -693,45 +691,34 @@ def _trial_streams(seed: int, trials: int):
     The first and the last trial open their real streams.  Every trial
     between takes states derived ``_TRIAL_LANES`` at a time by
     :func:`sketchbounds.rng.derived_states`, set on the first trial's
-    generators, so a pair yielded is good until the next is asked for.  The
-    first chunk also derives the first and last trials' states; when either
-    differs from the real streams, every trial opens its real streams, as do
-    trials past 2^32.
+    generators, so a pair yielded is good until the next is asked for.  Each
+    chunk also derives the first and last trials' states; when they differ
+    from the real streams, the chunk's trials and every later one open their
+    real streams.  A trial index must be below 2^32, one ``SeedSequence``
+    word.
     """
     def real(trial):
         return tuple(substream(derive_seed(seed, trial, c)) for c in (0, 1))
 
-    def states(pair):
-        return tuple(g.bit_generator.state for g in pair)
-
-    derived = min(trials, _MAX_LANE_TRIALS)
     pair = real(0)
-    last = real(derived - 1) if derived > 1 else ()
-    ends = [states(pair), states(last)]
+    last = real(trials - 1) if trials > 1 else pair
+    ends = [tuple(g.bit_generator.state for g in p) for p in (pair, last)]
     yield pair
-    for start in range(1, derived - 1, _TRIAL_LANES):
-        lanes = np.arange(start, min(start + _TRIAL_LANES, derived - 1))
-        if start == 1:
-            lanes = np.r_[0, derived - 1, lanes]
+    for start in range(1, trials - 1, _TRIAL_LANES):
+        # the guard lanes ride in the chunk's call: each call has a fixed
+        # cost of about 0.5 ms, as much as a sweep of a few trials
+        lanes = np.r_[0, trials - 1, start:min(start + _TRIAL_LANES, trials - 1)]
         flat = derived_states(seed, np.repeat(lanes, 2), np.tile([0, 1], lanes.size))
         chunk = list(zip(flat[::2], flat[1::2]))
-        if start == 1:
-            if chunk[:2] != ends:
-                yield from (real(trial) for trial in range(1, derived - 1))
-                break
-            del chunk[:2]
-        for pair_states in chunk:
-            for g, state in zip(pair, pair_states):
+        if chunk[:2] != ends:
+            yield from (real(trial) for trial in range(start, trials - 1))
+            break
+        for states in chunk[2:]:
+            for g, state in zip(pair, states):
                 g.bit_generator.state = state
             yield pair
-    if last:
+    if trials > 1:
         yield last
-    yield from (real(trial) for trial in range(derived, trials))
-
-
-def _run_lengths(values: np.ndarray) -> np.ndarray:
-    """How often each distinct value occurs in a sorted nonempty array."""
-    return np.diff(np.concatenate(([-1], np.flatnonzero(values[1:] != values[:-1]), [values.size - 1])))
 
 
 def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> OseFailureReport:
@@ -750,13 +737,15 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     1))``, but only what a trial reads is drawn: the map's rows ``a``, the
     first draw of its stream, and the subspace.  The streams come from
     :func:`_trial_streams` without a ``SeedSequence`` each.  The loads are
-    run lengths of the sorted rows, or a ``bincount`` when m <= n, so a trial
-    takes O(n) memory at any m.
+    counted with ``np.unique`` over the rows hit, so a trial takes O(n)
+    memory at any m.  At most 2^32 trials are supported.
     """
     m, d, n = _integer(m, "row count"), _integer(d, "subspace dimension"), _integer(n, "column count")
     trials = _integer(trials, "trials")
     if trials < 1:
         raise InvalidCount(f"need trials >= 1, got {trials}")
+    if trials > 2**32:
+        raise TooLarge(f"at most 2^32 trials are supported, got {trials}")
     if m < 1 or not 1 <= d <= n:
         raise InvalidDimension(f"need m >= 1 and 1 <= d <= n, got m={m}, d={d}, n={n}")
     seed = check_seed(seed)
@@ -766,11 +755,10 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     for rows, coords in _trial_streams(seed, trials):
         a = rows.integers(0, m, size=n)
         subset = coords.choice(n, size=d, replace=False)
-        load = int(_run_lengths(np.sort(a[subset])).max())
-        # The loads of the rows hit; a row of load 0 is never heavy, as the
-        # cut is positive.  bincount is faster but sized by the largest row.
-        loads = np.bincount(a) if m <= n else _run_lengths(np.sort(a))
-        heavy = int(np.count_nonzero(loads >= heavy_cut))
+        load = int(np.unique(a[subset], return_counts=True)[1].max())
+        # only the rows hit are counted: a row of load 0 is never heavy, as
+        # the cut is positive
+        heavy = int(np.count_nonzero(np.unique(a, return_counts=True)[1] >= heavy_cut))
         records.append(TrialRecord(failed=load > 1, sigma_min=0.0 if load > 1 else 1.0,
                                    sigma_max=math.sqrt(load), heavy_rows=heavy))
     failures = sum(r.failed for r in records)

@@ -694,17 +694,22 @@ class TestBadInputsExitOne:
         assert_one_error_line(code, err)
 
 
+@pytest.mark.parametrize("artifact", [
+    '{"m":2,"n":2,"cols":[[[0,1e200]],[[0,1.0],[1,1.0]]]}',
+    '{"m":2,"n":3,"cols":[[[0,1e200]],[[0,1.0]],[[1,1.0]]]}',
+])
 @pytest.mark.parametrize("config", [
     {"params": {"measure": "rip_exact", "k": 1}},
     {"params": {"measure": "rip_exact", "k": 2}},
     {"trials": 5, "seed": 1, "params": {"measure": "rip_lower_estimate", "k": 1}},
     {"trials": 5, "seed": 1, "params": {"measure": "rip_lower_estimate", "k": 2}},
 ])
-def test_overflowing_rip_gram_exits_one(config, tmp_path, write_config, capsys):
+def test_overflowing_rip_gram_exits_one(config, artifact, tmp_path, write_config, capsys):
     # column 0's squared norm, 1e400, overflows: at k = 1 its delta is inf,
-    # at k = 2 every support's Gram is inf and every delta NaN
+    # at k = 2 the Gram of every support holding it is inf and its delta NaN;
+    # in the 3-column file the support (1, 2) is finite but must not win
     path = tmp_path / "A.json"
-    path.write_text('{"m":2,"n":2,"cols":[[[0,1e200]],[[0,1.0],[1,1.0]]]}')
+    path.write_text(artifact)
     cfg = write_config({**config, "command": "measure", "params": {**config["params"], "input": str(path)}})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

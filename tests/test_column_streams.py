@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sketchbounds import (
     NotNormalized,
     SparseMatrix,
+    TooLarge,
     apply,
     check_unit_columns,
     cli,
@@ -264,11 +265,15 @@ class TestOseTrialsMatchTheLoop:
         assert ose_failure_probability(m, d, n, trials, seed).records == loop_ose_records(m, d, n, trials, seed)
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 9, 10])
-    def test_chunks_and_trials_past_the_lanes(self, monkeypatch, trials):
-        # chunks of 3 trials, and real streams from trial 6 on as from 2^32
+    def test_chunks_of_three_trials(self, monkeypatch, trials):
         monkeypatch.setattr(witnesses, "_TRIAL_LANES", 3)
-        monkeypatch.setattr(witnesses, "_MAX_LANE_TRIALS", 6)
         assert ose_failure_probability(32, 4, 64, trials, 9).records == loop_ose_records(32, 4, 64, trials, 9)
+
+    def test_more_than_2_32_trials_refused(self, seeding_calls):
+        # a trial index of 2^32 would be two SeedSequence words
+        with pytest.raises(TooLarge, match="2\\^32 trials"):
+            ose_failure_probability(32, 4, 64, 2**32 + 1, 9)
+        assert seeding_calls == {"substream": 0, "derive_seed": 0}
 
     def test_the_sweep_opens_only_the_guard_streams(self, seeding_calls):
         # trials 0 and 299 open both their streams; the rest are derived

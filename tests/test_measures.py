@@ -20,6 +20,7 @@ from sketchbounds import (
     OneSparseMap,
     SparseMatrix,
     TooFewColumns,
+    TooLarge,
     TooManySupports,
     apply,
     check_unit_columns,
@@ -417,17 +418,18 @@ class TestStackedRipMatchesLoop:
         assert deltas == sorted(deltas)
         assert all(same_estimate(r, loop_estimate(A, k, trials, seed)) for trials, r in enumerate(runs, 1))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowed_gram_never_wins(self):
+    def test_an_overflowed_gram_is_refused(self):
         # the Gram of any support holding the huge column overflows, so its
-        # eigenvalues and delta are NaN; as in the loop, the finite support wins
+        # delta is NaN; the true delta_2 is huge, so the finite support (1, 2)
+        # must not win, in any chunking
         A = dense([[1e200, 1.0, 0.5], [0.0, 1.0, 0.5]])
         for per_chunk in (1, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(measures, "_CHUNK_BYTES", 8 * 2 * A.m * per_chunk)
-                assert same_estimate(rip_constant_exact(A, 2), loop_exact(A, 2))
-                assert rip_constant_exact(A, 2).worst_support == (1, 2)
-                assert same_estimate(rip_constant_lower_estimate(A, 2, 10, 1), loop_estimate(A, 2, 10, 1))
+                with pytest.raises(TooLarge, match="k=2"):
+                    rip_constant_exact(A, 2)
+                with pytest.raises(TooLarge, match="k=2"):
+                    rip_constant_lower_estimate(A, 2, 10, 1)
 
 
 class TestSubspaceDistortion:
