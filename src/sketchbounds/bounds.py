@@ -3,9 +3,10 @@
 Each evaluator turns an asymptotic lower bound into arithmetic you can run:
 multiplicative constants are normalized to 1, logarithms are natural, and
 the logarithmic denominators that could approach zero are clamped below at
-1.  Arguments are validated against each formula's stated domain and raise
-:class:`~sketchbounds.errors.RangeError` (or ``BadArgs`` / ``Infeasible``
-for the integer search) when outside it.  Every result is wrapped in
+1.  Every argument must be a real number a float holds (no bool, NaN,
+infinity or huge int) and lie in its formula's stated domain; either failure
+raises :class:`~sketchbounds.errors.RangeError` (or ``BadArgs`` /
+``Infeasible`` for the integer search's domain).  Every result is wrapped in
 :class:`BoundValue` so downstream consumers can see which formula produced
 the number and that its constant convention is the normalized one.
 """
@@ -13,6 +14,8 @@ the number and that its constant convention is the normalized one.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import BadArgs, Infeasible, RangeError
@@ -28,6 +31,17 @@ class BoundValue:
     normalized_constant: bool = True
 
 
+def finite_real(value) -> bool:
+    """Whether `value` is a real number a float holds: no bool, NaN, infinity or huge int."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _check_finite(**args) -> None:
+    bad = [f"{name}={value!r}" for name, value in args.items() if not finite_real(value)]
+    if bad:
+        raise RangeError(f"need finite real numbers; got {', '.join(bad)}")
+
+
 def min_sparsity_from_inequality(q: float, r: float) -> BoundValue:
     """Smallest integer s with s * ln(q/s) >= r, searched over [1, floor(q/e)].
 
@@ -35,6 +49,7 @@ def min_sparsity_from_inequality(q: float, r: float) -> BoundValue:
     search finds the threshold.  Requires r > 0 and q/r >= 2; raises
     :class:`Infeasible` when even the interval's right end falls short.
     """
+    _check_finite(q=q, r=r)
     if r <= 0:
         raise BadArgs(f"need r > 0, got r={r}")
     if q / r < 2:
@@ -59,6 +74,7 @@ def min_sparsity_from_inequality(q: float, r: float) -> BoundValue:
 def incoherent_rows_lower(eps: float, N: float) -> BoundValue:
     """Minimum ambient dimension for N pairwise eps-incoherent unit vectors:
     ln(N) / (eps^2 * ln(1/eps)).  Domain: 1/sqrt(N) < eps < 1/2."""
+    _check_finite(eps=eps, N=N)
     if N <= 1:
         raise RangeError(f"need N > 1, got N={N}")
     if not (N ** -0.5 < eps < 0.5):
@@ -72,6 +88,7 @@ def jl_sparsity_lower(eps: float, n: float, m: float) -> BoundValue:
     dimensions: (1/eps) * ln(n) / max(ln(m / ln n), 1).
 
     Domain: 1/sqrt(n) < eps < 1/2 and m > ln n."""
+    _check_finite(eps=eps, n=n, m=m)
     if n <= 1:
         raise RangeError(f"need n > 1, got n={n}")
     if not (n ** -0.5 < eps < 0.5):
@@ -88,6 +105,7 @@ def rip_sparsity_lower(k: float, n: float, m: float) -> BoundValue:
     min(k * ln(n/k) / max(ln(m / (k * ln(n/k))), 1), m).
 
     Domain: 2 <= k <= m <= n / (64 * ln(n)^3)."""
+    _check_finite(k=k, n=n, m=m)
     if k < 2:
         raise RangeError(f"need k >= 2, got k={k}")
     if m < k:
@@ -105,6 +123,7 @@ def rip_rows_lower(delta: float, k: float, n: float) -> BoundValue:
     (1 / ln(1/delta)) * min(k * ln(n/k) / delta + k / delta^2, n).
 
     Domain: 1/sqrt(n) <= delta <= 1/2 and 1 <= k <= delta * n / 2."""
+    _check_finite(delta=delta, k=k, n=n)
     if n <= 1:
         raise RangeError(f"need n > 1, got n={n}")
     if not (n ** -0.5 <= delta <= 0.5):
@@ -122,6 +141,7 @@ def code_size_exponents(eps: float, k: float, n: float) -> BoundValue:
     Domain: 0 < eps <= 1/2 and 1 <= k <= eps * n / 2.  The guaranteed size is
     exp(min(e1, e2)) with the convention that constants are 1; the exponents
     are returned unexponentiated so huge codes stay representable."""
+    _check_finite(eps=eps, k=k, n=n)
     if not 0 < eps <= 0.5:
         raise RangeError(f"need 0 < eps <= 1/2, got eps={eps}")
     if not (1 <= k <= eps * n / 2):

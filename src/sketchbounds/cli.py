@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import FORMULAS
+from .bounds import FORMULAS, finite_real
 from .constructions import (
     code_to_incoherent,
     code_to_json,
@@ -122,11 +122,6 @@ def _config(raw, command: str, seed, out, fmt) -> ExperimentConfig:
     )
 
 
-def _finite(value) -> bool:
-    """Whether `value` is a number a float holds: no bool, NaN, infinity or huge int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -134,7 +129,7 @@ def _is_int(value) -> bool:
 # param kind -> (what the error says a value must be, the check)
 _KINDS = {
     int: ("an integer", _is_int),
-    float: ("a finite number", _finite),
+    float: ("a finite number", finite_real),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     dict: ("an object", lambda v: isinstance(v, dict)),
@@ -300,7 +295,7 @@ def _evaluate_formula(formula: str, args: dict) -> dict:
     missing = [p for p in names if p not in args]
     if missing:
         raise BadConfig(f"formula {formula!r} needs params {', '.join(names)}; missing {missing}")
-    bad = [p for p in names if not _finite(args[p])]
+    bad = [p for p in names if not finite_real(args[p])]
     if bad:
         raise BadConfig(f"formula {formula!r} needs finite numbers; got {', '.join(f'{p}={args[p]!r}' for p in bad)}")
     args = {p: args[p] for p in names}
@@ -473,7 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(payload)
         return code
-    except (SketchboundsError, OSError) as exc:
+    # MemoryError: a kernel that allocates in m (a bincount, a dense row
+    # array) was asked for more than the host has
+    except (SketchboundsError, OSError, MemoryError) as exc:
         print(f"sketchbounds: error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,6 @@ either way.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -325,7 +324,7 @@ def sample_coordinate_subspace(n: int, d: int, seed: int) -> tuple[int, ...]:
     return tuple(int(i) for i in np.sort(g.choice(n, size=d, replace=False)))
 
 
-# --- exact support-distribution checks ---------------------------------------
+# --- exact support-distribution checks, by counting ---------------------------
 
 @dataclass(frozen=True)
 class OsnapReport:
@@ -338,22 +337,11 @@ class OsnapReport:
     exact_bound: Fraction
 
 
-_ENUM_MAX_CELLS = 6
-_ENUM_MAX_ROWS = 16
-
-
-# sampler -> the supports one column can draw, all equally likely
-_SUPPORTS = {
-    "sign_jl": lambda m, s: itertools.combinations(range(m), s),
-    "block": lambda m, s: ((blk * (m // s) + off for blk, off in enumerate(offsets))
-                           for offsets in itertools.product(range(m // s), repeat=s)),
+# sampler -> P(one column's support holds the rows R), see verify_osnap_properties
+_SUPPORT_PROBABILITY = {
+    "sign_jl": lambda m, s, R: Fraction(math.perm(s, len(R)), math.perm(m, len(R))),
+    "block": lambda m, s, R: Fraction(s, m) ** len(R) * (len({i * s // m for i in R}) == len(R)),
 }
-
-
-def _support_probability(supports: Iterable[Iterable[int]], rows_needed: set[int]) -> Fraction:
-    """P(all rows in rows_needed lie in one column's support), by enumeration."""
-    hits = [rows_needed.issubset(support) for support in supports]
-    return Fraction(sum(hits), len(hits))
 
 
 def verify_osnap_properties(
@@ -361,13 +349,14 @@ def verify_osnap_properties(
 ) -> OsnapReport:
     """Check E[prod of delta_{(i,j)} over cells] <= (s/m)^{|cells|} exactly.
 
-    The expectation is computed with rational arithmetic by enumerating every
-    possible per-column support of the named sampler (columns are
-    independent), which is why the guards |cells| <= 6 and m <= 16 exist.
-    An unknown sampler raises :class:`UnknownKind` before any other check.
+    Columns are independent, so the expectation is a product over columns of
+    P(the column's support holds its r distinct rows R), in closed form:
+    C(m-r, s-r)/C(m, s), 0 when r > s, for ``sign_jl``; (s/m)^r for ``block``
+    when R's rows lie in r distinct blocks of m/s rows, else 0.  An unknown
+    sampler raises :class:`UnknownKind` before any other check.
     """
-    supports = _SUPPORTS.get(sampler) if isinstance(sampler, str) else None
-    if supports is None:
+    probability = _SUPPORT_PROBABILITY.get(sampler) if isinstance(sampler, str) else None
+    if probability is None:
         raise UnknownKind(f"unknown sampler {sampler!r}; expected 'sign_jl' or 'block'")
     m, n, s = _integer(m, "row count"), _integer(n, "column count"), _integer(s, "sparsity")
     if not 1 <= s <= m:
@@ -382,17 +371,13 @@ def verify_osnap_properties(
         if not 0 <= j < n:
             raise IndexOutOfRange(f"column {j} outside [0, {n})")
         cell_set.add((i, j))
-    if len(cell_set) > _ENUM_MAX_CELLS:
-        raise TooLarge(f"enumeration supports at most {_ENUM_MAX_CELLS} cells, got {len(cell_set)}")
-    if m > _ENUM_MAX_ROWS:
-        raise TooLarge(f"enumeration supports at most m={_ENUM_MAX_ROWS} rows, got m={m}")
 
     by_column: dict[int, set[int]] = {}
     for i, j in cell_set:
         by_column.setdefault(j, set()).add(i)
     expectation = Fraction(1)
     for rows_needed in by_column.values():
-        expectation *= _support_probability(supports(m, s), rows_needed)
+        expectation *= probability(m, s, rows_needed)
     bound = Fraction(s, m) ** len(cell_set)
     return OsnapReport(
         expectation=float(expectation),

@@ -14,6 +14,7 @@ from sketchbounds import (
     BoundValue,
     Infeasible,
     RangeError,
+    SketchboundsError,
     code_size_exponents,
     incoherent_rows_lower,
     jl_sparsity_lower,
@@ -183,6 +184,31 @@ class TestRegistry:
             assert isinstance(out, BoundValue)
             assert out.formula_id == formula_id
             assert out.normalized_constant is True
+
+
+# one in-domain argument tuple per formula, in FORMULAS parameter order
+VALID_ARGS = {
+    "min_sparsity": (100, 10),
+    "incoherent_rows": (0.25, 100),
+    "jl_sparsity": (0.25, 100, 50),
+    "rip_sparsity": (2, 10**8, 50),
+    "rip_rows": (0.25, 2, 100),
+    "code_size": (0.5, 2, 100),
+}
+
+
+@pytest.mark.parametrize("formula", sorted(FORMULAS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None, True, 10**400],
+                         ids=["nan", "inf", "-inf", "str", "None", "bool", "huge_int"])
+def test_non_finite_argument_refused(formula, bad):
+    # each evaluator refuses these before its domain checks can misread them
+    fn, names = FORMULAS[formula]
+    assert isinstance(fn(*VALID_ARGS[formula]), BoundValue)
+    for p in range(len(names)):
+        args = list(VALID_ARGS[formula])
+        args[p] = bad
+        with pytest.raises(SketchboundsError, match="need finite real numbers"):
+            fn(*args)
 
 
 @pytest.mark.parametrize(

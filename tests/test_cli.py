@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import sketchbounds
 from sketchbounds import (
     code_to_json,
     matrix_from_json,
@@ -744,3 +749,44 @@ def test_malformed_config_or_params_flag(config, argv, message, tmp_path, capsys
     code, _, err = run_cli(argv, capsys)
     assert_one_error_line(code, err)
     assert message in err
+
+
+@pytest.mark.parametrize("command, params", [
+    ("measure", {"measure": "row_mass_profile", "x": 0.5}),
+    ("measure", {"measure": "coherence"}),
+    ("witness", {"witness": "row_mass", "eps": 0.25}),
+])
+def test_allocation_past_any_address_space_exits_one(command, params, tmp_path, write_config, capsys):
+    # m = 2^56: an array of m int64 or float64 values (512 PiB or more) is
+    # larger than any 57-bit address space, so numpy's MemoryError comes at once
+    path = tmp_path / "A.json"
+    path.write_text('{"m":72057594037927936,"n":2,"cols":[[[0,1.0]],[[1,1.0]]]}')
+    cfg = write_config({"command": command, "params": {**params, "input": str(path)}})
+    code, out, err = run_cli([command, "--config", cfg], capsys)
+    assert_one_error_line(code, err)
+    assert out == "" and "Unable to allocate" in err
+
+
+def test_module_entry_point_exit_codes(tmp_path, write_config, capsys):
+    # `python -m sketchbounds.cli` hands main's return value to the process
+    src = str(pathlib.Path(sketchbounds.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(argv):
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "sketchbounds.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    argv = ["bounds", "--formula", "min_sparsity", "--params", "q=100,r=10"]
+    assert run(argv) == (0, *run_cli(argv, capsys)[1:])
+    path = tmp_path / "dup.json"
+    path.write_text(matrix_to_json(dense([[1.0] * 10, [0.0] * 10])))
+    argv = ["witness", "--config", write_config({"command": "witness",
+                                                  "params": {"witness": "row_mass", "input": str(path), "eps": 0.25}})]
+    code, out, err = run(argv)
+    assert (code, out) == (2, run_cli(argv, capsys)[1]) and err == ""
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    code, out, err = run(["measure", "--config", str(bad)])
+    assert out == "" and err.startswith("sketchbounds: error: config must be a JSON object")
+    assert_one_error_line(code, err)

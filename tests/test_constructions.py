@@ -1,10 +1,13 @@
 """Codes, samplers, exact support-distribution checks, spread vectors."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchbounds import (
     BadArgs,
@@ -16,6 +19,7 @@ from sketchbounds import (
     InvalidEps,
     InvalidSparsity,
     NotDivisible,
+    OsnapReport,
     ShapeMismatch,
     SketchboundsError,
     TooFewWords,
@@ -368,10 +372,10 @@ class TestOsnapProperties:
         assert rep.exact_expectation == Fraction(0)
 
     def test_guards(self):
-        with pytest.raises(TooLarge):
-            verify_osnap_properties(4, 8, 2, "sign_jl", [(0, j) for j in range(7)])
-        with pytest.raises(TooLarge):
-            verify_osnap_properties(32, 2, 2, "sign_jl", [(0, 0)])
+        rep = verify_osnap_properties(4, 8, 2, "sign_jl", [(0, j) for j in range(7)])
+        assert rep.exact_expectation == rep.exact_bound == Fraction(1, 128)
+        rep = verify_osnap_properties(32, 2, 2, "sign_jl", [(0, 0)])
+        assert rep.exact_expectation == rep.exact_bound == Fraction(1, 16)
         with pytest.raises(UnknownKind):
             verify_osnap_properties(4, 2, 2, "bogus", [(0, 0)])
         with pytest.raises(NotDivisible):
@@ -398,6 +402,53 @@ class TestOsnapProperties:
         rep = verify_osnap_properties(4, 2, 2, "block", [(0, 0), (0, 0)])
         assert rep.exact_expectation == Fraction(1, 2)
         assert rep.exact_bound == Fraction(1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_support_enumeration(self, data):
+        sampler = data.draw(st.sampled_from(["sign_jl", "block"]))
+        m = data.draw(st.integers(1, 16))
+        divisors = [s for s in range(1, m + 1) if sampler == "sign_jl" or m % s == 0]
+        s = data.draw(st.sampled_from(divisors))
+        cells = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, 2)), max_size=6))
+        assert verify_osnap_properties(m, 3, s, sampler, cells) == _enumerated_report(m, s, sampler, cells)
+
+    def test_benchmark_shape(self):
+        # m = 256, s = 8: C(254, 6)/C(256, 8) = (8 * 7)/(256 * 255), under (8/256)^2
+        rep = verify_osnap_properties(256, 10000, 8, "sign_jl", [(0, 0), (1, 0)])
+        assert rep.exact_expectation == Fraction(7, 8160)
+        assert rep.exact_bound == Fraction(1, 1024)
+        assert rep.holds
+
+    @pytest.mark.parametrize("sampler, draw", [("sign_jl", sample_sparse_sign_jl), ("block", sample_osnap_block)])
+    @pytest.mark.parametrize("R", [(0,), (3, 9), (0, 1), (2, 7, 13), (4, 5, 12)])
+    def test_counts_of_shipped_samplers(self, sampler, draw, R):
+        # the closed form is P(R within one column's rows) for the samplers
+        # that ship: the columns holding R number 20000 P(R), within 5 sigma
+        n = 20000
+        rows = draw(16, n, 4, 2024).indices.reshape(n, 4)
+        hits = int(np.logical_and.reduce([(rows == i).any(axis=1) for i in R]).sum())
+        p = float(verify_osnap_properties(16, n, 4, sampler, [(i, 0) for i in R]).exact_expectation)
+        assert abs(hits - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+
+
+def _enumerated_report(m, s, sampler, cells):
+    """The OSNAP report by listing every support one column can draw, all
+    equally likely: C(m, s) subsets, or (m/s)^s choices of one row per block."""
+    if sampler == "sign_jl":
+        supports = [set(rows) for rows in itertools.combinations(range(m), s)]
+    else:
+        b = m // s
+        supports = [{blk * b + off for blk, off in enumerate(offsets)}
+                    for offsets in itertools.product(range(b), repeat=s)]
+    by_column = {}
+    for i, j in set(cells):
+        by_column.setdefault(j, set()).add(i)
+    expectation = Fraction(1)
+    for rows in by_column.values():
+        expectation *= Fraction(sum(rows <= support for support in supports), len(supports))
+    bound = Fraction(s, m) ** len(set(cells))
+    return OsnapReport(float(expectation), float(bound), expectation <= bound, expectation, bound)
 
 
 class TestSpreadVectors:
