@@ -33,6 +33,7 @@ messages.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -47,6 +48,14 @@ from .errors import (
     TooLarge,
     ZeroColumn,
 )
+
+
+def _check_addressable(shape: tuple[int, ...]) -> None:
+    """Refuse with :class:`TooLarge` an array of that shape and 8-byte
+    entries whose byte count overflows intp, which numpy refuses with a
+    ValueError before it tries to allocate."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise TooLarge(f"an array of shape {shape} with 8-byte entries is larger than any address space")
 
 
 def _integer(value, what: str) -> int:
@@ -186,12 +195,14 @@ class SparseMatrix:
         return out
 
     def to_dense(self) -> np.ndarray:
+        _check_addressable((self.m, self.n))
         out = np.zeros((self.m, self.n))
         out[self.indices, np.repeat(np.arange(self.n), np.diff(self.indptr))] = self.data
         return out
 
     def submatrix_dense(self, indices: Sequence[int]) -> np.ndarray:
         """Dense m-by-|I| matrix of the selected columns, in the given order."""
+        _check_addressable((self.m, len(indices)))
         out = np.zeros((self.m, len(indices)))
         for p, j in enumerate(indices):
             rows, vals = self.column(j)
@@ -346,6 +357,7 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Row r's entries are the slice ``row_ptr[r]:row_ptr[r + 1]`` of the other
     two arrays, in ascending column order (one stable sort of ``indices``).
     """
+    _check_addressable((A.m,))
     order = np.argsort(A.indices, kind="stable")
     row_ptr = np.concatenate(([0], np.cumsum(np.bincount(A.indices, minlength=A.m))))
     return row_ptr, np.repeat(np.arange(A.n), np.diff(A.indptr))[order], A.data[order]

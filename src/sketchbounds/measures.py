@@ -11,12 +11,22 @@ a shorter one and the estimate can only grow.  A chunk of N supports is one
 Floyd samples, each followed by the draws of the shuffle ``choice`` makes,
 resolved for all N at once by :func:`sketchbounds.rng.floyd_picks`.
 
-``coherence`` multiplies 512-column slices of a dense copy.  When every
-stored entry is +-c, as in every sampled family, each dot is c^2 times an
-integer count (agreements minus disagreements), so the copy holds the +-1
-sign pattern in float32, whose Gram is exact while m <= 2^24, and the result
-is the correctly rounded float of c^2 * max |count|, independent of the BLAS.
-Other matrices, and taller ones, use the float64 Gram of the values.
+When every stored entry is +-c, as in every sampled family, each dot is c^2
+times an integer count (agreements minus disagreements), and ``coherence``
+is the correctly rounded float of c^2 * max |count| K, independent of the
+BLAS.  Unit columns of +-c entries each hold the same number s of them.  Two
+columns with |count| >= tau agree, or disagree, on tau shared rows, so they
+share a sign pattern on tau rows, up to one global flip: the paper's
+pigeonhole.  The pattern probe keys every column by its C(s, tau) such
+patterns, one int64 each, sorts the keys, and counts exactly only the pairs
+whose keys match, so it finds K whenever K >= tau, in O(n * C(s, tau))
+memory rather than O(m * n).  tau is picked from (m, n, s) alone by the
+predicted work.  The float32 Gram of the +-1 sign pattern, exact while
+m <= 2^24, multiplied in 512-column slices of a dense copy, gives K instead
+when no level's key fits 63 bits or the probe is predicted to cost more,
+when the matched pairs exceed that prediction's budget (many duplicate
+columns, say), or when the probe finds K < tau.  Other matrices, and taller
+ones, take the float64 Gram of the values.
 
 The restricted isometry constants stack their eigensolves: a chunk of supports
 becomes one (N, k, m) array of their columns, one batched ``np.matmul`` gives
@@ -50,7 +60,7 @@ from .errors import (
     TooLarge,
     TooManySupports,
 )
-from .matrices import SparseMatrix, _constant_magnitude, _integer, column_norms
+from .matrices import SparseMatrix, _check_addressable, _constant_magnitude, _integer, column_norms
 from .rng import floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
@@ -60,6 +70,12 @@ _CHUNK_BYTES = 2**20
 # float32 holds every integer up to 2^24, so a +-1 Gram over at most this
 # many rows is exact
 _FLOAT32_EXACT_ROWS = 2**24
+# entries in each chunk of coherence's pattern-probe arrays
+_PROBE_CHUNK = 2**17
+# the sign Gram's multiply-adds that take about as long as one pattern-probe
+# key: on a 2-core x86 VM at 256 x 10000, about 37 ns a key against 0.017 ns
+# a multiply-add of the float32 BLAS Gram
+_MADDS_PER_KEY = 2000
 
 
 def check_unit_columns(A: SparseMatrix) -> None:
@@ -87,17 +103,141 @@ def _max_off_diagonal(D: np.ndarray) -> float:
     return best
 
 
+def _key_bits(m: int, n: int, tau: int) -> int:
+    """Bits of a pattern-probe key: tau rows, tau - 1 relative signs, a column."""
+    return tau * (m - 1).bit_length() + tau - 1 + (n - 1).bit_length()
+
+
+def _probe_level(m: int, n: int, s: int) -> tuple[int, int] | None:
+    """(tau, budget) for the pattern probe on m-by-n columns of s entries
+    +-c, or None when the sign Gram is predicted to be cheaper.
+
+    The budget is the Gram's m * n * (n - 1) / 2 multiply-adds in keys'
+    worth of work.  tau in [2, s] minimizes the predicted work for
+    independent uniform columns: n * C(s, tau) keys, plus the expected
+    candidate pairs E = C(n, 2) * C(s, tau)^2 / (2^(tau-1) * C(m, tau)),
+    plus the budget times exp(-E), about the chance that no pair reaches
+    |count| >= tau and the Gram runs after all.  A level whose key needs
+    more than 63 bits, or whose keys take more bytes than the float32 sign
+    copy (8 * C(s, tau) > 4 * m), is passed over.
+    """
+    budget = m * n * (n - 1) // (2 * _MADDS_PER_KEY)
+    best = None
+    # every row takes at least one bit, so no key of 63 bits has tau > 32
+    for tau in range(2, min(s, 32) + 1):
+        subsets = math.comb(s, tau)
+        if _key_bits(m, n, tau) > 63 or 2 * subsets > m:
+            continue
+        pairs = math.comb(n, 2) * subsets**2 / (2 ** (tau - 1) * math.comb(m, tau))
+        work = n * subsets + pairs + budget * math.exp(-pairs)
+        if work <= budget and (best is None or work < best[0]):
+            best = (work, tau)
+    return None if best is None else (best[1], budget)
+
+
+def _max_abs_count(codes: np.ndarray, i: np.ndarray, j: np.ndarray) -> int:
+    """max |count| over the column pairs (i[p], j[p]), from rows of `codes`
+    that hold each column's 2 * row + (1 if negative) in ascending order."""
+    both = codes[np.stack((i, j), axis=1)].reshape(i.size, -1)
+    both.sort(axis=1)
+    agree = both[:, 1:] == both[:, :-1]
+    both >>= 1
+    # each row appears at most once per column, so equal neighbours are shared rows
+    shared = both[:, 1:] == both[:, :-1]
+    return int(np.abs(2 * agree.sum(axis=1) - shared.sum(axis=1)).max())
+
+
+def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int | None:
+    """Largest |count| over the column pairs of A that share a sign pattern
+    on tau rows, or None when those pairs and the keys exceed `budget`.
+
+    Every column of A holds s entries +-c.  A pair with |count| >= tau agrees
+    (or disagrees) on tau shared rows, so it shares the pattern of those
+    rows: the result is the exact max |count| when it reaches tau, and below
+    tau exactly when the max |count| is.  Each column's C(s, tau) row
+    subsets become int64 keys (the rows, each later sign relative to the
+    first, the column in the low bits), built a chunk at a time and sorted
+    in place; runs of keys with one pattern give the candidate pairs, whose
+    counts are taken exactly a chunk at a time.  The keys take
+    8 * n * C(s, tau) bytes and every other array at most ``_PROBE_CHUNK``
+    entries.
+    """
+    n = A.n
+    row_bits, col_bits = (A.m - 1).bit_length(), (n - 1).bit_length()
+    if _key_bits(A.m, n, tau) > 63:
+        raise TooLarge(f"a tau={tau} key of {A.m}-by-{n} columns needs more than 63 bits")
+    subsets = np.array(list(itertools.combinations(range(s), tau)))
+    rows = A.indices.reshape(n, s)
+    negative = (A.data < 0).reshape(n, s)
+    keys = np.empty(n * len(subsets), dtype=np.int64)
+    step = max(1, _PROBE_CHUNK // len(subsets))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        key = rows[lo:hi, subsets[:, 0]]
+        for t in range(1, tau):
+            key <<= row_bits
+            key |= rows[lo:hi, subsets[:, t]]
+        first = negative[lo:hi, subsets[:, 0]]
+        for t in range(1, tau):
+            key <<= 1
+            key |= negative[lo:hi, subsets[:, t]] != first
+        key <<= col_bits
+        key |= np.arange(lo, hi)[:, None]
+        keys[lo * len(subsets):hi * len(subsets)] = key.ravel()
+    keys.sort()
+    # key p and key p + 1 share a pattern for each p in linked
+    linked = []
+    for a in range(0, keys.size - 1, _PROBE_CHUNK):
+        b = min(a + _PROBE_CHUNK, keys.size - 1)
+        diff = keys[a + 1:b + 1] ^ keys[a:b]
+        diff >>= col_bits
+        linked.append(np.flatnonzero(diff == 0) + a)
+    linked = np.concatenate(linked)
+    if not linked.size:
+        return 0
+    # a run of g - 1 consecutive links is a group of g keys with one pattern
+    breaks = np.flatnonzero(np.diff(linked) != 1) + 1
+    starts = linked[np.concatenate(([0], breaks))]
+    sizes = np.diff(np.concatenate(([0], breaks, [linked.size]))) + 1
+    if keys.size + int((sizes * (sizes - 1) // 2).sum()) > budget:
+        return None
+    keys &= (1 << col_bits) - 1
+    codes = 2 * rows + negative
+    step = max(1, _PROBE_CHUNK // (2 * s))
+    best = 0
+    # each group member pairs with the member d places later, for d = 1, 2, ...
+    members = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    left = np.repeat(starts + sizes - 1, sizes) - members
+    for d in itertools.count(1):
+        keep = left >= d
+        members, left = members[keep], left[keep]
+        if not members.size:
+            break
+        for a in range(0, members.size, step):
+            at = members[a:a + step]
+            best = max(best, _max_abs_count(codes, keys[at], keys[at + d]))
+    return best
+
+
 def coherence(A: SparseMatrix) -> float:
     """Largest |<v_i, v_j>| over distinct unit columns of A.
 
     When every stored entry is +-c (every sampled family), each dot is c^2
     times an integer count, agreements minus disagreements on shared rows,
     and the result is the correctly rounded float of c^2 * max |count|,
-    computed once in exact arithmetic.  The counts come from a float32 Gram
-    of the +-1 sign pattern, exact while m <= 2^24 (no partial sum exceeds
-    m).  Any other matrix, or m > 2^24, takes the float64 Gram of the
-    values, whose last bit follows the BLAS summation order.  Either way
-    the dense copy takes O(m*n) memory (4 or 8 bytes an entry).
+    computed once in exact arithmetic.  Unit columns of +-c entries all hold
+    the same number s of them.  The max |count| K comes from the pattern
+    probe (:func:`_pattern_max_count`) at the level tau that
+    :func:`_probe_level` picks from (m, n, s): only column pairs sharing a
+    sign pattern on tau rows are counted, in O(n * C(s, tau)) memory, never
+    more than the sign copy the Gram would take.  The
+    float32 Gram of the +-1 sign pattern, exact while m <= 2^24 (no partial
+    sum exceeds m), in O(m*n) memory, gives K instead when s < 2, when no
+    level's key fits 63 bits, when the probe is predicted to cost more than
+    the Gram, when the candidate pairs turn out to (duplicate columns, say),
+    or when the probe finds K < tau.  Any other matrix, or m > 2^24, takes
+    the float64 Gram of the values, whose last bit follows the BLAS
+    summation order, in 8*m*n bytes.
     """
     if A.n < 2:
         raise TooFewColumns("coherence needs at least two columns")
@@ -105,9 +245,16 @@ def coherence(A: SparseMatrix) -> float:
     c = _constant_magnitude(A)
     if c is None or A.m > _FLOAT32_EXACT_ROWS:
         return _max_off_diagonal(A.to_dense())
-    signs = np.zeros((A.m, A.n), dtype=np.float32)
-    signs[A.indices, np.repeat(np.arange(A.n), np.diff(A.indptr))] = np.sign(A.data)
-    return float(Fraction(c) ** 2 * int(_max_off_diagonal(signs)))
+    # a column of s1 < s2 <= 2^24 entries +-c would put a norm ratio of at
+    # least 1 + 2^-25 between them, past UNIT_NORM_TOL: every column has s
+    s = A.nnz // A.n
+    level = _probe_level(A.m, A.n, s)
+    K = None if level is None else _pattern_max_count(A, s, *level)
+    if K is None or K < level[0]:
+        signs = np.zeros((A.m, A.n), dtype=np.float32)
+        signs[A.indices, np.repeat(np.arange(A.n), np.diff(A.indptr))] = np.sign(A.data)
+        K = int(_max_off_diagonal(signs))
+    return float(Fraction(c) ** 2 * K)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +419,7 @@ def row_mass_profile(A: SparseMatrix, x: float) -> RowMassProfile:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
         raise NonpositiveThreshold(f"threshold x must be a positive finite number, got {x!r}")
     thr = math.sqrt(x)
+    _check_addressable((A.m,))
     pos = np.bincount(A.indices[A.data > thr], minlength=A.m)
     neg = np.bincount(A.indices[A.data < -thr], minlength=A.m)
     per_row = tuple((int(p), int(q)) for p, q in zip(pos.tolist(), neg.tolist()))

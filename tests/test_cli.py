@@ -767,6 +767,25 @@ def test_allocation_past_any_address_space_exits_one(command, params, tmp_path, 
     assert out == "" and "Unable to allocate" in err
 
 
+@pytest.mark.parametrize("m", [2**60, 2**62])
+@pytest.mark.parametrize("command, params", [
+    ("measure", {"measure": "row_mass_profile", "x": 0.5}),
+    ("measure", {"measure": "coherence"}),
+    ("measure", {"measure": "rip_exact", "k": 2}),
+    ("measure", {"measure": "subspace_distortion", "indices": [0, 1]}),
+    ("witness", {"witness": "row_mass", "eps": 0.25}),
+])
+def test_array_bytes_past_intp_exit_one(command, params, m, tmp_path, write_config, capsys):
+    # an array of m int64 or float64 values has 2^63 bytes or more, which
+    # overflows intp: numpy would raise a ValueError, not a MemoryError
+    path = tmp_path / "A.json"
+    path.write_text(f'{{"m":{m},"n":2,"cols":[[[0,1.0]],[[1,1.0]]]}}')
+    cfg = write_config({"command": command, "params": {**params, "input": str(path)}})
+    code, out, err = run_cli([command, "--config", cfg], capsys)
+    assert_one_error_line(code, err)
+    assert out == "" and "larger than any address space" in err
+
+
 def test_module_entry_point_exit_codes(tmp_path, write_config, capsys):
     # `python -m sketchbounds.cli` hands main's return value to the process
     src = str(pathlib.Path(sketchbounds.__file__).parents[1])

@@ -37,7 +37,7 @@ from sketchbounds import (
     subspace_distortion,
 )
 from sketchbounds import measures
-from sketchbounds.rng import substream
+from sketchbounds.rng import derive_seed, substream
 
 from conftest import dense, unit_random_sparse
 
@@ -175,10 +175,14 @@ class TestIntegerCoherence:
     off-diagonal |count|, rounded once."""
 
     @staticmethod
-    def exact(S, c):
+    def max_count(S):
         G = np.abs(S.T @ S)
         np.fill_diagonal(G, 0)
-        return float(Fraction(c) ** 2 * int(G.max()))
+        return int(G.max())
+
+    @staticmethod
+    def exact(S, c):
+        return float(Fraction(c) ** 2 * TestIntegerCoherence.max_count(S))
 
     @settings(max_examples=60, deadline=None)
     @given(sign_matrices())
@@ -207,6 +211,105 @@ class TestIntegerCoherence:
         B = code_to_incoherent(random_code(16, 8, 400, 0.5, 4))
         monkeypatch.setattr(measures, "_FLOAT32_EXACT_ROWS", B.m - 1)
         assert coherence(B) == TestCoherence.slices_1024_coherence(B)
+
+
+@st.composite
+def probe_inputs(draw):
+    """A sign matrix with some of its columns appended again, each copy
+    either as it is or negated."""
+    A, S, c = draw(sign_matrices())
+    copies = draw(st.lists(st.integers(0, A.n - 1), max_size=6))
+    flips = draw(st.lists(st.sampled_from([1, -1]), min_size=len(copies), max_size=len(copies)))
+    S = np.hstack((S, S[:, copies] * np.array(flips, dtype=np.int64)))
+    return SparseMatrix.from_dense(S * c), S, c
+
+
+def sign_oracle(A):
+    """coherence by the float32 sign Gram alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_probe_level", lambda m, n, s: None)
+        return coherence(A)
+
+
+class TestPatternProbe:
+    """The pattern probe returns the exact max |count| K when K >= tau and
+    something below tau otherwise; coherence falls back to the sign Gram
+    whenever the probe cannot vouch for K."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_inputs())
+    @example(sign_matrix(2, 2, 2, 0, 1, 1.0))
+    @example(sign_matrix(8, 1025, 8, 2, 1, 1.0))
+    def test_contract_at_every_level(self, sample):
+        A, S, c = sample
+        s = A.nnz // A.n
+        K = TestIntegerCoherence.max_count(S)
+        for tau in range(2, s + 1):
+            if measures._key_bits(A.m, A.n, tau) > 63:
+                continue
+            found = measures._pattern_max_count(A, s, tau, math.inf)
+            if K >= tau:
+                assert found == K
+                assert float(Fraction(c) ** 2 * found) == TestIntegerCoherence.exact(S, c)
+            else:
+                assert found < tau
+
+    def test_a_key_past_63_bits_is_refused(self):
+        A = sample_sparse_sign_jl(256, 10000, 8, 1)
+        with pytest.raises(TooLarge):
+            measures._pattern_max_count(A, 8, 6, math.inf)
+
+    @pytest.mark.parametrize("m, n, s", [(32, 1500, 3), (48, 1200, 2), (64, 2000, 4), (100, 2500, 5),
+                                         (128, 3000, 6), (1024, 4000, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_routed_shapes_equal_the_gram(self, m, n, s, seed, monkeypatch):
+        A = sample_sparse_sign_jl(m, n, s, seed)
+        S = np.zeros((m, n))
+        S[A.indices, np.repeat(np.arange(n), s)] = np.sign(A.data)
+        # float64 holds every count exactly, and its BLAS Gram is quick
+        expected = TestIntegerCoherence.exact(S, float(np.abs(A.data[0])))
+
+        def no_gram(D):
+            raise AssertionError("the sign Gram ran")
+
+        monkeypatch.setattr(measures, "_max_off_diagonal", no_gram)
+        assert measures._probe_level(m, n, s) is not None
+        assert coherence(A) == expected
+
+    def test_below_tau_falls_back_to_the_gram(self, monkeypatch):
+        # K = 3 here, so a probe at tau = s = 4 finds no candidate pair
+        A = sample_sparse_sign_jl(64, 2000, 4, 0)
+        expected = coherence(A)
+        assert expected == float(Fraction(float(A.data[0])) ** 2 * 3)
+        assert measures._pattern_max_count(A, 4, 4, math.inf) < 4
+        monkeypatch.setattr(measures, "_probe_level", lambda m, n, s: (4, math.inf))
+        assert coherence(A) == expected
+
+    def test_a_large_group_falls_back_without_counting_its_pairs(self, monkeypatch):
+        # 400 copies of one column: C(4, 3) = 4 groups of 400 keys hold
+        # 4 * C(400, 2) pairs, far past the budget
+        A = sample_sparse_sign_jl(64, 2000, 4, 0)
+        rows = A.indices.reshape(A.n, 4).copy()
+        vals = A.data.reshape(A.n, 4).copy()
+        rows[1600:], vals[1600:] = rows[0], vals[0]
+        A = SparseMatrix.from_csc(A.m, A.n, A.indptr, rows.ravel(), vals.ravel())
+        tau, budget = measures._probe_level(A.m, A.n, 4)
+        assert 4 * math.comb(400, 2) > budget
+
+        def no_pairs(codes, i, j):
+            raise AssertionError("candidate pairs were counted")
+
+        monkeypatch.setattr(measures, "_max_abs_count", no_pairs)
+        assert measures._pattern_max_count(A, 4, tau, budget) is None
+        assert coherence(A) == 1.0 == float(Fraction(float(A.data[0])) ** 2 * 4)
+
+    @pytest.mark.parametrize("seed, value", [(1, 0.6249999999999999), (2, 0.6249999999999999),
+                                             (3, 0.4999999999999999)])
+    def test_benchmark_shape_equals_the_gram(self, seed, value):
+        # the matrix the benchmark's measure workload writes for each seed
+        A = sample_sparse_sign_jl(256, 10000, 8, derive_seed(seed, 1))
+        assert measures._probe_level(A.m, A.n, 8) == (3, 256 * 10000 * 9999 // (2 * measures._MADDS_PER_KEY))
+        assert coherence(A) == sign_oracle(A) == value
 
 
 class TestRipExact:
