@@ -25,8 +25,9 @@ predicted work.  The float32 Gram of the +-1 sign pattern, exact while
 m <= 2^24, multiplied in 512-column slices of a dense copy, gives K instead
 when no level's key fits 63 bits or the probe is predicted to cost more,
 when the matched pairs exceed that prediction's budget (many duplicate
-columns, say), or when the probe finds K < tau.  Other matrices, and taller
-ones, take the float64 Gram of the values.
+columns, say), or when the probe finds K < tau at a tau >= 2; at tau = 1
+its K is exact even when 0, as every pair with a nonzero count shares a row.
+Other matrices, and taller ones, take the float64 Gram of the values.
 
 The restricted isometry constants stack their eigensolves: a chunk of supports
 becomes one (N, k, m) array of their columns, one batched ``np.matmul`` gives
@@ -41,13 +42,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bounds import finite_real
 from .errors import (
     EmptyIndexSet,
     InvalidCount,
@@ -113,23 +114,24 @@ def _probe_level(m: int, n: int, s: int) -> tuple[int, int] | None:
     +-c, or None when the sign Gram is predicted to be cheaper.
 
     The budget is the Gram's m * n * (n - 1) / 2 multiply-adds in keys'
-    worth of work.  tau in [2, s] minimizes the predicted work for
+    worth of work.  tau in [1, s] minimizes the predicted work for
     independent uniform columns: n * C(s, tau) keys, plus the expected
     candidate pairs E = C(n, 2) * C(s, tau)^2 / (2^(tau-1) * C(m, tau)),
-    plus the budget times exp(-E), about the chance that no pair reaches
-    |count| >= tau and the Gram runs after all.  A level whose key needs
-    more than 63 bits, or whose keys take more bytes than the float32 sign
-    copy (8 * C(s, tau) > 4 * m), is passed over.
+    plus, when tau >= 2, the budget times exp(-E), about the chance that no
+    pair reaches |count| >= tau and the Gram runs after all.  A level whose
+    key needs more than 63 bits, or whose keys take more bytes than the
+    float32 sign copy (8 * C(s, tau) > 4 * m), is passed over.
     """
     budget = m * n * (n - 1) // (2 * _MADDS_PER_KEY)
     best = None
     # every row takes at least one bit, so no key of 63 bits has tau > 32
-    for tau in range(2, min(s, 32) + 1):
+    for tau in range(1, min(s, 32) + 1):
         subsets = math.comb(s, tau)
         if _key_bits(m, n, tau) > 63 or 2 * subsets > m:
             continue
         pairs = math.comb(n, 2) * subsets**2 / (2 ** (tau - 1) * math.comb(m, tau))
-        work = n * subsets + pairs + budget * math.exp(-pairs)
+        # at tau = 1 the probe is exact whatever it finds
+        work = n * subsets + pairs + (budget * math.exp(-pairs) if tau > 1 else 0)
         if work <= budget and (best is None or work < best[0]):
             best = (work, tau)
     return None if best is None else (best[1], budget)
@@ -232,12 +234,13 @@ def coherence(A: SparseMatrix) -> float:
     sign pattern on tau rows are counted, in O(n * C(s, tau)) memory, never
     more than the sign copy the Gram would take.  The
     float32 Gram of the +-1 sign pattern, exact while m <= 2^24 (no partial
-    sum exceeds m), in O(m*n) memory, gives K instead when s < 2, when no
-    level's key fits 63 bits, when the probe is predicted to cost more than
-    the Gram, when the candidate pairs turn out to (duplicate columns, say),
-    or when the probe finds K < tau.  Any other matrix, or m > 2^24, takes
-    the float64 Gram of the values, whose last bit follows the BLAS
-    summation order, in 8*m*n bytes.
+    sum exceeds m), in O(m*n) memory, gives K instead when no level's key
+    fits 63 bits, when the probe is predicted to cost more than the Gram,
+    when the candidate pairs turn out to (duplicate columns, say), or when
+    the probe finds K < tau at a tau >= 2.  At tau = 1 every pair with a
+    nonzero count shares a row, so the probe is exact even when it finds 0.
+    Any other matrix, or m > 2^24, takes the float64 Gram of the values,
+    whose last bit follows the BLAS summation order, in 8*m*n bytes.
     """
     if A.n < 2:
         raise TooFewColumns("coherence needs at least two columns")
@@ -250,7 +253,7 @@ def coherence(A: SparseMatrix) -> float:
     s = A.nnz // A.n
     level = _probe_level(A.m, A.n, s)
     K = None if level is None else _pattern_max_count(A, s, *level)
-    if K is None or K < level[0]:
+    if K is None or (level[0] > 1 and K < level[0]):
         signs = np.zeros((A.m, A.n), dtype=np.float32)
         signs[A.indices, np.repeat(np.arange(A.n), np.diff(A.indptr))] = np.sign(A.data)
         K = int(_max_off_diagonal(signs))
@@ -415,15 +418,17 @@ class RowMassProfile:
 
 def row_mass_profile(A: SparseMatrix, x: float) -> RowMassProfile:
     """Count, per row, entries strictly above sqrt(x) and strictly below
-    -sqrt(x); a row is flagged when either count reaches 5/x."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
-        raise NonpositiveThreshold(f"threshold x must be a positive finite number, got {x!r}")
+    -sqrt(x); a row is flagged when either count reaches 5/x.  An x that is
+    not a positive real number with a finite 5/x is refused."""
+    limit = 5.0 / float(x) if finite_real(x) and float(x) > 0 else math.inf
+    if limit == math.inf:
+        raise NonpositiveThreshold(f"threshold x must be a positive number with 5/x finite, got {x!r}")
     thr = math.sqrt(x)
     _check_addressable((A.m,))
     pos = np.bincount(A.indices[A.data > thr], minlength=A.m)
     neg = np.bincount(A.indices[A.data < -thr], minlength=A.m)
     per_row = tuple((int(p), int(q)) for p, q in zip(pos.tolist(), neg.tolist()))
-    return RowMassProfile(x=float(x), per_row=per_row, limit=5.0 / x)
+    return RowMassProfile(x=float(x), per_row=per_row, limit=limit)
 
 
 @dataclass(frozen=True)

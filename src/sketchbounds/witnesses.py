@@ -684,41 +684,29 @@ class OseFailureReport:
 _TRIAL_LANES = 1024
 
 
-def _trial_streams(seed: int, trials: int):
-    """Yield each trial's two streams, ``substream(derive_seed(seed, trial,
-    c))`` for c = 0 (the map's) and c = 1 (the subset's).
+def _trial_states(seed: int, trials: int):
+    """Yield each trial's two PCG64 state dicts, those of
+    ``substream(derive_seed(seed, trial, c))`` for c = 0 (the map's) and
+    c = 1 (the subset's).
 
-    The first and the last trial open their real streams.  Every trial
-    between takes states derived ``_TRIAL_LANES`` at a time by
-    :func:`sketchbounds.rng.derived_states`, set on the first trial's
-    generators, so a pair yielded is good until the next is asked for.  Each
-    chunk also derives the first and last trials' states; when they differ
-    from the real streams, the chunk's trials and every later one open their
-    real streams.  A trial index must be below 2^32, one ``SeedSequence``
-    word.
+    States are derived ``_TRIAL_LANES`` trials at a time by
+    :func:`sketchbounds.rng.derived_states`.  Each chunk's call also derives
+    the first and last trials' states, and when these differ from their real
+    streams' the chunk's states are read off the real streams instead.  A
+    trial index must be below 2^32, one ``SeedSequence`` word.
     """
     def real(trial):
-        return tuple(substream(derive_seed(seed, trial, c)) for c in (0, 1))
+        return tuple(substream(derive_seed(seed, trial, c)).bit_generator.state for c in (0, 1))
 
-    pair = real(0)
-    last = real(trials - 1) if trials > 1 else pair
-    ends = [tuple(g.bit_generator.state for g in p) for p in (pair, last)]
-    yield pair
-    for start in range(1, trials - 1, _TRIAL_LANES):
+    ends = [real(0), real(trials - 1)]
+    for start in range(0, trials, _TRIAL_LANES):
+        chunk = range(start, min(start + _TRIAL_LANES, trials))
         # the guard lanes ride in the chunk's call: each call has a fixed
         # cost of about 0.5 ms, as much as a sweep of a few trials
-        lanes = np.r_[0, trials - 1, start:min(start + _TRIAL_LANES, trials - 1)]
+        lanes = np.r_[0, trials - 1, chunk.start:chunk.stop]
         flat = derived_states(seed, np.repeat(lanes, 2), np.tile([0, 1], lanes.size))
-        chunk = list(zip(flat[::2], flat[1::2]))
-        if chunk[:2] != ends:
-            yield from (real(trial) for trial in range(start, trials - 1))
-            break
-        for states in chunk[2:]:
-            for g, state in zip(pair, states):
-                g.bit_generator.state = state
-            yield pair
-    if trials > 1:
-        yield last
+        pairs = list(zip(flat[::2], flat[1::2]))
+        yield from pairs[2:] if pairs[:2] == ends else map(real, chunk)
 
 
 def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> OseFailureReport:
@@ -735,10 +723,11 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     Trial t's map is ``sample_countsketch(m, n, derive_seed(seed, t, 0))``
     and its subspace ``sample_coordinate_subspace(n, d, derive_seed(seed, t,
     1))``, but only what a trial reads is drawn: the map's rows ``a``, the
-    first draw of its stream, and the subspace.  The streams come from
-    :func:`_trial_streams` without a ``SeedSequence`` each.  The loads are
-    counted with ``np.unique`` over the rows hit, so a trial takes O(n)
-    memory at any m.  At most 2^32 trials are supported.
+    first draw of its stream, and the subspace.  One pair of generators
+    draws every trial, set to the trial's states from :func:`_trial_states`,
+    so no trial makes a ``SeedSequence``.  The loads are counted with
+    ``np.unique`` over the rows hit, so a trial takes O(n) memory at any m.
+    At most 2^32 trials are supported.
     """
     m, d, n = _integer(m, "row count"), _integer(d, "subspace dimension"), _integer(n, "column count")
     trials = _integer(trials, "trials")
@@ -752,7 +741,9 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     _check_size("row count", m, 2**63, n)
     heavy_cut = n / (10.0 * m)
     records = []
-    for rows, coords in _trial_streams(seed, trials):
+    rows, coords = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
+    for states in _trial_states(seed, trials):
+        rows.bit_generator.state, coords.bit_generator.state = states
         a = rows.integers(0, m, size=n)
         subset = coords.choice(n, size=d, replace=False)
         load = int(np.unique(a[subset], return_counts=True)[1].max())

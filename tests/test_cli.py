@@ -767,6 +767,18 @@ def test_allocation_past_any_address_space_exits_one(command, params, tmp_path, 
     assert out == "" and "Unable to allocate" in err
 
 
+@pytest.mark.parametrize("x", [1e-310, 5e-324])
+def test_row_mass_threshold_whose_limit_overflows_exits_one(x, tmp_path, write_config, capsys):
+    # 5/x is past the largest float: the profile's limit was inf, and writing
+    # it failed as a JSON error
+    path = tmp_path / "A.json"
+    path.write_text(matrix_to_json(sample_sparse_sign_jl(8, 5, 3, 7)))
+    cfg = write_config({"command": "measure", "params": {"measure": "row_mass_profile", "input": str(path), "x": x}})
+    code, out, err = run_cli(["measure", "--config", cfg], capsys)
+    assert_one_error_line(code, err)
+    assert out == "" and "threshold x" in err and "JSON" not in err
+
+
 @pytest.mark.parametrize("m", [2**60, 2**62])
 @pytest.mark.parametrize("command, params", [
     ("measure", {"measure": "row_mass_profile", "x": 0.5}),

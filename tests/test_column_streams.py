@@ -264,6 +264,15 @@ class TestOseTrialsMatchTheLoop:
     def test_fixed_shapes(self, m, d, n, trials, seed):
         assert ose_failure_probability(m, d, n, trials, seed).records == loop_ose_records(m, d, n, trials, seed)
 
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    def test_trial_states_are_the_real_streams(self, monkeypatch, lanes, seed):
+        monkeypatch.setattr(witnesses, "_TRIAL_LANES", lanes)
+        for trials in range(1, 8):
+            want = [tuple(substream(derive_seed(seed, t, c)).bit_generator.state for c in (0, 1))
+                    for t in range(trials)]
+            assert list(witnesses._trial_states(seed, trials)) == want
+
     @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 9, 10])
     def test_chunks_of_three_trials(self, monkeypatch, trials):
         monkeypatch.setattr(witnesses, "_TRIAL_LANES", 3)
@@ -295,7 +304,9 @@ class TestOseTrialsMatchTheLoop:
         monkeypatch.setattr(witnesses, "derived_states", wrong)
         seeding_calls.update(substream=0, derive_seed=0)
         assert ose_failure_probability(64, 8, 256, 40, 3).records == want
-        assert seeding_calls == {"substream": 80, "derive_seed": 80}
+        # the two guard trials' 4 streams, then all 40 trials' 80 in the chunk,
+        # the guard trials among them
+        assert seeding_calls == {"substream": 84, "derive_seed": 84}
 
     def test_memory_does_not_grow_with_the_rows(self):
         # a count per row of m = 2^40 rows would take 8 TiB

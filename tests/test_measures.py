@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from sketchbounds import (
     rip_constant_exact,
     rip_constant_lower_estimate,
     row_mass_profile,
+    sample_countsketch,
     sample_sparse_sign_jl,
     scale_profile,
     subspace_distortion,
@@ -236,19 +238,28 @@ class TestPatternProbe:
     something below tau otherwise; coherence falls back to the sign Gram
     whenever the probe cannot vouch for K."""
 
+    @pytest.fixture
+    def no_gram(self, monkeypatch):
+        def gram(D):
+            raise AssertionError("the sign Gram ran")
+
+        monkeypatch.setattr(measures, "_max_off_diagonal", gram)
+
     @settings(max_examples=60, deadline=None)
     @given(probe_inputs())
     @example(sign_matrix(2, 2, 2, 0, 1, 1.0))
     @example(sign_matrix(8, 1025, 8, 2, 1, 1.0))
+    @example(sign_matrix(40, 3, 1, 2, 3, 1.0))  # K = 0
     def test_contract_at_every_level(self, sample):
         A, S, c = sample
         s = A.nnz // A.n
         K = TestIntegerCoherence.max_count(S)
-        for tau in range(2, s + 1):
+        for tau in range(1, s + 1):
             if measures._key_bits(A.m, A.n, tau) > 63:
                 continue
             found = measures._pattern_max_count(A, s, tau, math.inf)
-            if K >= tau:
+            # at tau = 1 every pair with a nonzero count shares a key, so a K of 0 is found too
+            if K >= tau or tau == 1:
                 assert found == K
                 assert float(Fraction(c) ** 2 * found) == TestIntegerCoherence.exact(S, c)
             else:
@@ -259,22 +270,35 @@ class TestPatternProbe:
         with pytest.raises(TooLarge):
             measures._pattern_max_count(A, 8, 6, math.inf)
 
-    @pytest.mark.parametrize("m, n, s", [(32, 1500, 3), (48, 1200, 2), (64, 2000, 4), (100, 2500, 5),
-                                         (128, 3000, 6), (1024, 4000, 4)])
+    @pytest.mark.parametrize("sampler, m, n, s", [
+        *((sample_sparse_sign_jl, *shape) for shape in [(32, 1500, 3), (48, 1200, 2), (64, 2000, 4),
+                                                        (100, 2500, 5), (128, 3000, 6), (1024, 4000, 4)]),
+        # one entry a column, as sign matrices and as one-sparse maps
+        (sample_sparse_sign_jl, 64, 2000, 1), (sample_sparse_sign_jl, 1024, 3000, 1),
+        (lambda m, n, s, seed: sample_countsketch(m, n, seed), 64, 2000, 1),
+        (lambda m, n, s, seed: sample_countsketch(m, n, seed), 1024, 3000, 1),
+        # tall, with K = 1 < s at these seeds: the Gram's sign copy would take 4 GiB
+        (sample_sparse_sign_jl, 2**20, 1000, 2),
+    ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_routed_shapes_equal_the_gram(self, m, n, s, seed, monkeypatch):
-        A = sample_sparse_sign_jl(m, n, s, seed)
-        S = np.zeros((m, n))
-        S[A.indices, np.repeat(np.arange(n), s)] = np.sign(A.data)
+    def test_routed_shapes_equal_the_gram(self, sampler, m, n, s, seed, no_gram):
+        A = sampler(m, n, s, seed)
+        # only the rows hit take part in a count
+        rows = np.unique(A.indices, return_inverse=True)[1]
+        S = np.zeros((rows.max() + 1, n))
+        S[rows, np.repeat(np.arange(n), s)] = np.sign(A.data)
         # float64 holds every count exactly, and its BLAS Gram is quick
         expected = TestIntegerCoherence.exact(S, float(np.abs(A.data[0])))
-
-        def no_gram(D):
-            raise AssertionError("the sign Gram ran")
-
-        monkeypatch.setattr(measures, "_max_off_diagonal", no_gram)
         assert measures._probe_level(m, n, s) is not None
         assert coherence(A) == expected
+
+    def test_the_witness_workloads_map_takes_the_probe(self, no_gram):
+        # the one-sparse map the benchmark's witness workload writes for seed 1,
+        # whose float32 sign Gram takes 20000^2 * 4096 multiply-adds
+        A = sample_countsketch(4096, 20000, derive_seed(1, 5))
+        assert np.unique(A.a).size < A.n
+        assert measures._probe_level(A.m, A.n, 1)[0] == 1
+        assert coherence(A) == 1.0
 
     def test_below_tau_falls_back_to_the_gram(self, monkeypatch):
         # K = 3 here, so a probe at tau = s = 4 finds no candidate pair
@@ -591,11 +615,24 @@ class TestRowMassProfile:
         with pytest.raises(NonpositiveThreshold):
             row_mass_profile(dense([[1.0]]), 0.0)
 
-    @pytest.mark.parametrize("x", [math.inf, math.nan, "x", None, True])
+    @pytest.mark.parametrize("x", [math.inf, math.nan, "x", None, True, 10**400])
     def test_threshold_must_be_a_finite_real_number(self, x):
-        # x = inf flagged every row (its limit 5/x is 0), and NaN gave a NaN limit
+        # x = inf flagged every row (its limit 5/x is 0), NaN gave a NaN limit,
+        # and 10**400 an OverflowError
         with pytest.raises(NonpositiveThreshold):
             row_mass_profile(sample_sparse_sign_jl(16, 40, 4, 1), x)
+
+    @pytest.mark.parametrize("x", [1e-310, 5e-324, 2.7e-308, Fraction(1, 10**400)])
+    def test_threshold_whose_limit_overflows_is_refused(self, x):
+        # 5/x past the largest float gave limit = inf, which no JSON holds, and
+        # a Fraction that rounds to 0.0 a ZeroDivisionError
+        with pytest.raises(NonpositiveThreshold, match="threshold x"):
+            row_mass_profile(sample_sparse_sign_jl(16, 40, 4, 1), x)
+
+    def test_smallest_threshold_with_a_finite_limit(self):
+        x = 5.0 / sys.float_info.max
+        prof = row_mass_profile(sample_sparse_sign_jl(16, 40, 4, 1), x)
+        assert prof.limit == 5.0 / x < math.inf and prof.x == x
 
 
 class TestScaleProfile:
