@@ -17,11 +17,13 @@ Every sampler is a pure function of its parameters plus a 64-bit seed.  In
 the two sign samplers column j is what its own stream ``substream(seed, j)``
 gives (see :mod:`sketchbounds.rng`), but the columns are computed as lanes,
 ``_LANES`` at a time, from an emulation of those streams in numpy array
-operations, not one ``Generator`` per column.  A lane falls back to its real
-stream when one of its draws could have rejected; every column does when
-numpy samples the shape another way, or when a guard finds the first or last
-emulated column different from its stream.  So the output is the same bytes
-either way.
+operations, not one ``Generator`` per column.  Each sampler names its row
+draws once, as the bounds numpy draws below (``choice``'s Floyd draws, or one
+draw per block), plus a pick that turns the drawn values into rows.  A lane
+falls back to its real stream when one of its draws could have rejected;
+every column does when numpy samples the shape another way, or when a guard
+finds the first or last emulated column different from its stream.  So the
+output is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
     UnknownKind,
 )
 from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, _read_text, canonical_json
-from .rng import bounded, check_seed, choice_draws, choice_lanes, lane_draws, substream
+from .rng import bounded, check_seed, choice_bounds, choice_is_floyd, floyd_picks, lane_draws, substream
 
 
 class Code:
@@ -223,29 +225,37 @@ def _emulation_agrees(seed: int, j: int, s: int, draw_rows, rows: np.ndarray, si
     return np.array_equal(rows[j], want_rows) and np.array_equal(signs[j], want_signs)
 
 
-def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows, lane_rows, row_draws) -> SparseMatrix:
+def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows, highs, pick) -> SparseMatrix:
     """s entries of +-1/sqrt(s) per column.  Column j is what its own stream
     substream(seed, j) gives: first its sorted rows, ``draw_rows(g)``, then
     its s signs, ``g.integers(0, 2, size=s)``.
 
-    The columns are lanes, computed ``_LANES`` at a time from their first
-    32-bit draws (:func:`sketchbounds.rng.lane_draws`): ``lane_rows`` turns
-    the first ``row_draws`` into rows plus a flag for lanes where a draw could
-    have rejected, and the next s draws are the signs, ``u >> 31``, which
-    never reject.  Flagged lanes are drawn from ``substream`` in a loop; so is
-    every column when ``row_draws`` is None (numpy samples that shape another
-    way) or when the first or last emulated column differs from its stream.
+    ``draw_rows`` makes one draw below each bound of ``highs`` in turn, a
+    bound of 1 drawing nothing and giving 0, and ``pick`` turns the
+    (lanes, len(highs)) array of those values into sorted rows.  The columns
+    are lanes, computed ``_LANES`` at a time from their first 32-bit draws
+    (:func:`sketchbounds.rng.lane_draws`): Lemire's draws below the bounds,
+    with a flag for lanes where one could have rejected, and then the signs,
+    ``u >> 31``, which never reject.  Flagged lanes are drawn from
+    ``substream`` in a loop; so is every column when ``highs`` is None
+    (numpy samples that shape another way) or reaches 2^32 (numpy's other
+    draws), or when the first or last emulated column differs from its
+    stream.
     """
     seed = check_seed(seed)
     rows = np.empty((n, s), dtype=np.int64)
     data = np.empty((n, s))
     loop = np.ones(n, dtype=bool)
-    if row_draws is not None:
+    if highs is not None and highs.max() < 2**32:
+        drawn = highs > 1
+        count = int(drawn.sum())
         for start in range(0, n, _LANES):
             lanes = slice(start, min(start + _LANES, n))
-            words = lane_draws(seed, np.arange(lanes.start, lanes.stop), row_draws + s)
-            rows[lanes], loop[lanes] = lane_rows(words[:, :row_draws])
-            data[lanes] = words[:, row_draws:] >> np.uint64(31)
+            words = lane_draws(seed, np.arange(lanes.start, lanes.stop), count + s)
+            vals = np.zeros((words.shape[0], highs.size), dtype=np.int64)
+            vals[:, drawn], reject = bounded(words[:, :count], highs[drawn])
+            rows[lanes], loop[lanes] = pick(vals), reject.any(axis=1)
+            data[lanes] = words[:, count:] >> np.uint64(31)
         emulated = np.flatnonzero(~loop)
         if emulated.size and not all(_emulation_agrees(seed, int(j), s, draw_rows, rows, data)
                                      for j in emulated[[0, -1]]):
@@ -269,8 +279,8 @@ def sample_sparse_sign_jl(m: int, n: int, s: int, seed: int) -> SparseMatrix:
     return _sample_sign_columns(
         m, n, s, seed,
         lambda g: np.sort(g.choice(m, size=s, replace=False)),
-        lambda words: choice_lanes(words, m, s),
-        choice_draws(m, s),
+        choice_bounds(m, s) if choice_is_floyd(m, s) else None,
+        lambda vals: floyd_picks(vals[:, :s], m),
     )
 
 
@@ -285,18 +295,11 @@ def sample_osnap_block(m: int, n: int, s: int, seed: int) -> SparseMatrix:
     _check_columns(m, n, s)
     b = m // s
     block_starts = np.arange(s, dtype=np.int64) * b
-
-    def lane_rows(words):
-        offsets, reject = bounded(words, b)
-        return block_starts + offsets, reject.any(axis=1)
-
-    # one Lemire draw per block; a block of one row draws nothing, and a
-    # block of 2^32 rows or more takes numpy's other paths
     return _sample_sign_columns(
         m, n, s, seed,
         lambda g: block_starts + g.integers(0, b, size=s),
-        lane_rows,
-        s if 2 <= b < 2**32 else None,
+        np.full(s, b),
+        lambda vals: block_starts + vals,
     )
 
 

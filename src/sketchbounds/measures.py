@@ -62,7 +62,7 @@ from .errors import (
     TooManySupports,
 )
 from .matrices import SparseMatrix, _check_addressable, _constant_magnitude, _integer, column_norms
-from .rng import floyd_picks, substream
+from .rng import choice_bounds, floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
@@ -377,14 +377,12 @@ def _draw_supports(g: np.random.Generator, n: int, k: int, count: int) -> np.nda
     """The next ``count`` sorted k-subsets of [0, n) off ``g``, as a
     (count, k) array.
 
-    Each support takes 2k - 1 bounded draws in a row, in the order ``choice``
-    makes them: step i of Floyd's algorithm draws in [0, n - k + i], then the
-    shuffle draws in [0, i] for i = k - 1 down to 1.  Only the Floyd draws
+    Each support takes the 2k - 1 draws ``choice`` makes on Floyd's path, below
+    :func:`sketchbounds.rng.choice_bounds`.  Only the first k, Floyd's steps,
     pick; the shuffle draws are taken so that each support uses the stretch
     of the stream that ``choice`` would.
     """
-    highs = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)])
-    return floyd_picks(g.integers(0, highs, size=(count, 2 * k - 1))[:, :k], n)
+    return floyd_picks(g.integers(0, choice_bounds(n, k), size=(count, 2 * k - 1))[:, :k], n)
 
 
 def subspace_distortion(A: SparseMatrix, indices: Sequence[int]) -> tuple[float, float]:

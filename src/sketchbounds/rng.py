@@ -19,21 +19,22 @@ an int or one word per lane.  ``lane_draws(seed, lanes, count)`` gives every
 lane's first 32-bit draws: it seeds PCG64 as ``pcg_setseq_128_srandom_r``
 does and steps its XSL-RR output with a 128-bit multiply in 32-bit limbs,
 splitting each 64-bit output into its low and then its high half as
-``next_uint32`` does.  ``bounded`` is Lemire's bounded draw and
-``choice_lanes`` the Floyd path of ``Generator.choice(m, s, replace=False)``
-over such draws.  Neither emulates a rejection: they flag every draw that
-could reject (at most ``range / 2^32`` per draw), and callers send a flagged
-lane back through ``substream``.  ``derived_states(seed, *path)`` emulates
-only the seeding, of ``substream(derive_seed(seed, *path))``, and hands back
-PCG64 state dicts, so that numpy's own generator, with a state set, makes the
-draws and none needs emulating.  numpy does not promise the same
-``Generator`` stream across versions, so the callers also compare some
-emulated lanes with the real stream and fall back to it when they differ.
+``next_uint32`` does.  ``bounded`` is Lemire's bounded draw over such
+draws.  It emulates no rejection: it flags every draw that could reject (at
+most ``range / 2^32`` per draw), and callers send a flagged lane back through
+``substream``.  ``derived_states(seed, *path)`` emulates only the seeding, of
+``substream(derive_seed(seed, *path))``, and hands back PCG64 state dicts, so
+that numpy's own generator, with a state set, makes the draws and none needs
+emulating.  numpy does not promise the same ``Generator`` stream across
+versions, so the callers also compare some emulated lanes with the real
+stream and fall back to it when they differ.
 
-Floyd's algorithm itself, turning one bounded draw per step into an s-subset,
-is ``floyd_picks``.  ``choice_lanes`` feeds it emulated draws; the sampled
-RIP estimate feeds it draws from numpy's own ``Generator.integers``, which
-makes no emulation and so needs no comparison.
+``choice_bounds(m, s)`` lists the bounds of the draws
+``Generator.choice(m, s, replace=False)`` makes when ``choice_is_floyd(m, s)``
+holds, and ``floyd_picks`` turns the Floyd draws among them into an s-subset.
+The sign sampler feeds it emulated draws below those bounds; the sampled RIP
+estimate feeds it draws from numpy's own ``Generator.integers``, which makes
+no emulation and so needs no comparison.
 """
 
 from __future__ import annotations
@@ -220,14 +221,18 @@ def bounded(words: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
     return (product >> np.uint64(32)).astype(np.int64), (product & np.uint64(_M32)) < bound
 
 
-def choice_draws(m: int, s: int) -> int | None:
-    """32-bit draws that ``Generator.choice(m, s, replace=False)`` makes when
-    none rejects: s Floyd draws (s - 1 when s = m, where j = 0 draws
-    nothing) and s - 1 for the shuffle.  None when numpy takes another path:
-    the tail shuffle, or a range of 2^32 or more."""
-    if m >= 2**32 or (m > _FLOYD_MAX_POP and s > m // _FLOYD_CUTOFF):
-        return None
-    return 2 * s - 1 - (s == m)
+def choice_is_floyd(m: int, s: int) -> bool:
+    """Whether ``Generator.choice(m, s, replace=False)`` runs Floyd's
+    algorithm; otherwise it shuffles the tail of an arange."""
+    return not (m > _FLOYD_MAX_POP and s > m // _FLOYD_CUTOFF)
+
+
+def choice_bounds(m: int, s: int) -> np.ndarray:
+    """The exclusive bounds of the 2s - 1 draws ``Generator.choice(m, s,
+    replace=False)`` makes on Floyd's path, in order: step i of Floyd's
+    algorithm draws below m - s + 1 + i, then the shuffle draws below i + 1
+    for i = s - 1 down to 1.  A bound of 1 draws nothing and gives 0."""
+    return np.concatenate([np.arange(m - s, m) + 1, np.arange(s, 1, -1)])
 
 
 def floyd_picks(vals: np.ndarray, m: int) -> np.ndarray:
@@ -259,21 +264,3 @@ def floyd_picks(vals: np.ndarray, m: int) -> np.ndarray:
     picks = np.where(taken, steps, vals)
     picks.sort(axis=1)
     return picks
-
-
-def choice_lanes(words: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.sort(g.choice(m, s, replace=False))`` for each lane whose next
-    ``choice_draws(m, s)`` draws are its row of ``words``, and a flag for the
-    lanes where some draw could have rejected (their rows are not valid).
-
-    The first draws are Floyd's steps (:func:`floyd_picks`), where j = 0
-    draws nothing and takes 0; the shuffle that follows only uses up draws,
-    because the rows are sorted.
-    """
-    first = int(m == s)
-    vals = np.zeros((words.shape[0], s), dtype=np.int64)
-    vals[:, first:], reject = bounded(words[:, :s - first], np.arange(m - s + first, m) + 1)
-    # the shuffle draws in [0, i] for i = s - 1 down to 1
-    shuffle = words[:, s - first:2 * s - 1 - first]
-    flagged = reject.any(axis=1) | bounded(shuffle, np.arange(s, 1, -1))[1].any(axis=1)
-    return floyd_picks(vals, m), flagged

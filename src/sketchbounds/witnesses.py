@@ -97,7 +97,8 @@ class NoFinding(_Certificate):
 
 @dataclass(frozen=True, eq=False)
 class IncoherencePair(_Certificate):
-    """Verifies when columns i and j of A re-derive the number ``dot`` within 1e-12."""
+    """Verifies when distinct columns i and j of A re-derive the number ``dot``
+    within 1e-12."""
 
     kind = "incoherence_pair"
     i: int
@@ -106,6 +107,8 @@ class IncoherencePair(_Certificate):
 
     def verify(self, A: SparseMatrix) -> bool:
         ci, cj = (A.column_dense(c) for c in (self.i, self.j))
+        if self.i == self.j:
+            return False
         dot = _real(self.dot, 0)
         return dot is not None and abs(float(ci @ cj) - float(dot)) <= 1e-12
 

@@ -170,6 +170,8 @@ class TestSamplersMatchTheLoop:
     @pytest.mark.parametrize("m, n, s", [
         (256, 300, 8), (64, 300, 4), (30, 200, 30), (1000, 250, 3), (5, 150, 1), (1, 5, 1),
         (12, 100, 12),        # s = m: the j = 0 step makes no draw
+        (10001, 20, 200),     # Floyd's cut-off: s = m // 50 still runs Floyd
+        (10000, 20, 400),     # and so does m = 10000 for any s
         (10001, 20, 201),     # the tail shuffle
         (20000, 10, 401),
         (2**32, 20, 2),       # a range of 2^32 takes numpy's raw 32-bit path
@@ -187,9 +189,17 @@ class TestSamplersMatchTheLoop:
         assert_same_bytes(sample_sparse_sign_jl(64, n, 4, 2**63 + 5), loop_sign_jl(64, n, 4, 2**63 + 5))
         assert_same_bytes(sample_osnap_block(64, n, 4, 3), loop_osnap(64, n, 4, 3))
 
-    def test_emulated_lanes_open_only_the_two_guard_streams(self, substream_calls):
-        sample_sparse_sign_jl(256, 3000, 8, 7)
-        assert substream_calls == [(0,), (2999,)]
+    @pytest.mark.parametrize("sampler, m, n, s", [
+        (sample_sparse_sign_jl, 256, 3000, 8),
+        (sample_sparse_sign_jl, 12, 100, 12),       # s = m
+        (sample_sparse_sign_jl, 10001, 30, 200),    # Floyd's cut-off
+        (sample_sparse_sign_jl, 10000, 30, 400),
+        (sample_osnap_block, 8, 50, 8),             # blocks of one row
+        (sample_osnap_block, 16, 300, 16),
+    ])
+    def test_emulated_lanes_open_only_the_two_guard_streams(self, substream_calls, sampler, m, n, s):
+        sampler(m, n, s, 7)
+        assert substream_calls == [(0,), (n - 1,)]
 
     def test_lanes_that_could_reject_fall_back(self, substream_calls):
         # a range near 2^32 makes most draws possible rejections

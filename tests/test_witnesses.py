@@ -542,6 +542,12 @@ class TestVerifyCertificate:
         forged = Certificate(kind="rip_distortion", source="x", vector=np.zeros(10), ratio=1.0)
         assert not verify_certificate(forged, A)
 
+    def test_self_pair_fails(self):
+        # <a_3, a_3> = 1 on a unit-column matrix, which says nothing of its incoherence
+        A = sample_sparse_sign_jl(16, 40, 4, 1)
+        forged = Certificate(kind="incoherence_pair", source="x", i=3, j=3, dot=1.0)
+        assert not verify_certificate(forged, A)
+
     @pytest.mark.parametrize("i", [0.7, True, "0"])
     def test_non_integer_pair_index_refused(self, i):
         A = ten_duplicate_basis_columns()
