@@ -24,10 +24,12 @@ and :func:`load_matrix` read either kind, told apart by its keys: text
 holding ``a`` loads as a :class:`OneSparseMap`.  Loaders reject
 non-finite values, non-integer, duplicate, decreasing or out-of-range
 indices, and malformed JSON with a ``SketchboundsError``.  When all of a
-matrix's entries have one magnitude, as in every sampled family, its
-canonical bytes are written and read without the json module; any other
-valid JSON still loads through ``json.loads``, with the same checks and
-messages.
+matrix's entries have one magnitude c, as in every sampled family, one
+codec writes and reads its canonical bytes without the json module: the
+writer formats each distinct ``[row, +-c]`` string once, and the loader
+decodes the text permissively, then proves the arrays by re-encoding them
+and comparing with the text byte for byte.  Any other text, valid or not,
+loads through ``json.loads``, with the same checks and messages.
 """
 
 from __future__ import annotations
@@ -365,14 +367,13 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # --- JSON formats -------------------------------------------------------------
 
-# The canonical text of a constant-magnitude matrix, written and read without
-# json by matrix_to_json and _canonical_csc.
+# The canonical text of a constant-magnitude matrix, written by _signed_text
+# and read back by _canonical_csc.
 _HEAD = '{"cols":['
 _TAIL = re.compile(r'\],"m":([0-9]+),"n":([0-9]+)\}\n')
-_DELETE_NUMBERS = str.maketrans("", "", "0123456789+-.e")
-_SPACE_BRACKETS = str.maketrans("[],", "   ")
 _CHUNK_CHARS = 1 << 16  # the loader's chunks: whole columns, about 64 KB of text
 _BLOCK_COLUMNS = 1024  # the writer's blocks
+_MAX_ROW_DIGITS = 18  # a row token of at most this many digits is below 2^63
 
 
 def canonical_json(obj) -> str:
@@ -425,27 +426,69 @@ def _constant_magnitude(A: SparseMatrix) -> float | None:
     return c if c and np.all(np.abs(A.data) == c) else None
 
 
+def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
+    """Yield, in pieces, what :func:`canonical_json` writes for the m-by-n
+    matrix whose entry p is ``[indices[p], -c if negative[p] else c]``.
+
+    The arrays must be CSC arrays (`indptr` rising from 0 to the entry
+    count, one column per step), with rows in [0, 2^63) and c finite;
+    `n` is only written, so it may differ from the column count.  Each
+    column is a run of items joined by commas: its entries, the first
+    opening the column with ``[`` and the last closing it with ``]``, or
+    the one item ``[]``.  An item's string depends only on its code:
+    4 * the rank of ``2 * row + negative`` among the ones present, plus 2
+    when it opens a column and 1 when it closes one.  So each string is
+    formatted once, and the columns are joined from lookups, one block of
+    ``_BLOCK_COLUMNS`` columns at a time.
+    """
+    counts = np.diff(indptr)
+    full = counts > 0
+    # What np.unique(codes, return_inverse=True) gives, with at most three
+    # entry-sized arrays alive at once where it holds six: this sets the
+    # loader's peak memory.
+    codes = indices.astype(np.uint64)
+    codes *= 2
+    codes += negative
+    order = np.argsort(codes)
+    codes = codes[order]
+    firsts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))  # where each key starts
+    keys = codes[firsts].tolist()  # the distinct codes, ascending
+    del codes
+    items = np.empty(order.size, np.int64)
+    items[order] = np.repeat(np.arange(0, 4 * len(keys), 4), np.diff(firsts, append=order.size))
+    del order
+    items[indptr[:-1][full]] += 2
+    items[indptr[1:][full] - 1] += 1
+    starts = np.concatenate(([0], np.cumsum(np.maximum(counts, 1))))  # each column's first item
+    empty = 4 * len(keys)  # the code of "[]"
+    if not full.all():
+        spaced = np.full(starts[-1], empty)
+        spaced[np.arange(items.size) + np.repeat(starts[:-1] - indptr[:-1], counts)] = items
+        items = spaced
+    used = np.flatnonzero(np.bincount(items, minlength=empty + 1)[:empty])
+    value, opening, closing = (repr(c), repr(-c)), ("", "["), ("", "]")
+    table = np.empty(empty + 1, object)
+    table[empty] = "[]"
+    table[used] = np.fromiter((f"{opening[x >> 1 & 1]}[{keys[x >> 2] >> 1},{value[keys[x >> 2] & 1]}]"
+                               f"{closing[x & 1]}" for x in used.tolist()), object, used.size)
+    yield _HEAD
+    for lo in range(0, counts.size, _BLOCK_COLUMNS):
+        if lo:
+            yield ","
+        yield ",".join(table[items[starts[lo]:starts[min(lo + _BLOCK_COLUMNS, counts.size)]]].tolist())
+    yield f'],"m":{m},"n":{n}}}\n'
+
+
 def matrix_to_json(A: SparseMatrix) -> str:
-    ptr = A.indptr.tolist()
     c = _constant_magnitude(A)
     if c is None:
+        ptr = A.indptr.tolist()
         cols = [
             [[r, v] for r, v in zip(A.indices[a:b].tolist(), A.data[a:b].tolist())]
             for a, b in zip(ptr, ptr[1:])
         ]
         return canonical_json({"m": A.m, "n": A.n, "cols": cols})
-    # Every entry is +-c: format both once, as json.dumps formats a finite
-    # float (float.__repr__), and join the entries one block of columns at a
-    # time, so only one block's strings are alive besides the text.
-    value = (repr(c), repr(-c))
-    blocks = []
-    for lo in range(0, A.n, _BLOCK_COLUMNS):
-        hi = min(lo + _BLOCK_COLUMNS, A.n)
-        a, b = ptr[lo], ptr[hi]
-        entries = [f"[{r},{value[neg]}]" for r, neg in zip(A.indices[a:b].tolist(), (A.data[a:b] < 0).tolist())]
-        blocks.append(",".join(["[" + ",".join(entries[p - a:q - a]) + "]"
-                                for p, q in zip(ptr[lo:hi], ptr[lo + 1:hi + 1])]))
-    return _HEAD + ",".join(blocks) + f'],"m":{A.m},"n":{A.n}}}\n'
+    return "".join(_signed_text(A.m, A.n, A.indptr, A.indices, A.data < 0, c))
 
 
 def _canonical_csc(text: str):
@@ -453,49 +496,64 @@ def _canonical_csc(text: str):
     :func:`matrix_to_json` writes for a matrix whose entries are all +-c,
     else None.
 
-    The text is taken in chunks of whole columns.  With its number
-    characters deleted, a chunk must equal the skeleton rebuilt from its
-    column counts, with no slot left empty and two number tokens per entry;
-    each row token must be ``str(int(token))`` and each value token
-    ``repr(c)`` or ``repr(-c)``.  So the arrays are the ones ``json.loads``
+    The text is decoded in chunks of whole columns, permissively: a ``[``
+    before a digit opens an entry and any other ``[`` a column; a row is
+    the digits up to the entry's comma, negative when a ``-`` follows it,
+    and c is the first value's magnitude.  The arrays are then proved by
+    re-encoding: the text must equal, piece by piece, what
+    :func:`_signed_text` writes for them.  The writer's text is what
+    ``canonical_json`` writes, so the arrays are the ones ``json.loads``
     would give, and any other text, valid or not, is left to it.
     """
+    tail = _TAIL.fullmatch(text, max(text.rfind('],"m":'), 0)) \
+        if text.isascii() and text.startswith(_HEAD) else None
+    if tail is None:
+        return None
     try:
-        tail = _TAIL.fullmatch(text, max(text.rfind('],"m":'), 0)) if text.startswith(_HEAD) else None
-        if tail is None or any(str(int(t)) != t for t in tail.groups()):
-            return None
+        m, n = map(int, tail.groups())
         start, end = len(_HEAD), tail.start()
-        value, skeletons, counts, rows, vals = None, {}, [], [], []
+        c, counts, rows, negatives = None, [], [], []
         while start < end:
             cut = text.find("]],[", start + _CHUNK_CHARS, end)
             cut = end if cut < 0 else cut + 2
-            chunk, start = text[start:cut], cut + 1
-            tokens = chunk.translate(_SPACE_BRACKETS).split()
-            if value is None:  # c comes from the first value token
-                c = abs(float(tokens[1]))
-                value = {repr(c): c, repr(-c): -c}
-            # a value token that is not +-c raises KeyError here, before the
-            # rest of the chunk is checked
-            vals.append(np.fromiter(map(value.__getitem__, tokens[1::2]), np.float64, len(tokens) // 2))
-            skeleton = chunk.translate(_DELETE_NUMBERS)
-            k = [(len(col) + 1) // 2 for col in skeleton[1:-1].replace("[,]", "x").split("],[")]
-            for size in set(k).difference(skeletons):
-                skeletons[size] = "[" + ",".join(["[,]"] * size) + "]"
-            if ",".join(map(skeletons.__getitem__, k)) != skeleton or "[," in chunk or ",]" in chunk \
-                    or len(tokens) != 2 * sum(k):
+            chunk = np.frombuffer(text[start:cut].encode("ascii"), np.uint8)
+            opens = np.flatnonzero(chunk == ord("["))
+            entry = chunk[opens + 1] - ord("0") < 10
+            firsts = opens[entry]
+            commas = np.flatnonzero(chunk == ord(","))
+            commas = commas[np.searchsorted(commas, firsts)]  # each entry's comma
+            widths = commas - firsts - 1
+            top = int(widths.max(initial=0))
+            if top > _MAX_ROW_DIGITS:
                 return None
-            row_tokens = tokens[0::2]
-            row = {t: int(t) for t in set(row_tokens)}
-            if any(str(r) != t for t, r in row.items()):
+            row = np.zeros(firsts.size, np.int64)
+            for k in range(top):  # the k-th digit from the right
+                digit = np.where(widths > k, chunk[commas - 1 - k] - ord("0"), 0)
+                if digit.max(initial=0) > 9:
+                    return None
+                row += digit.astype(np.int64) * 10**k
+            if c is None and firsts.size:  # c comes from the first value token
+                at = start + int(commas[0]) + 1
+                c = abs(float(text[at:text.index("]", at)]))
+            rows.append(row)
+            negatives.append(chunk[commas + 1] == ord("-"))
+            counts.append(np.diff(np.searchsorted(firsts, opens[~entry]), append=firsts.size))
+            start = cut + 1
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        indices, negative = np.concatenate(rows), np.concatenate(negatives)
+        del counts, rows, negatives
+        if c is None or not 0 < c < math.inf or indptr[-1] != indices.size:
+            return None
+        at = 0
+        for piece in _signed_text(m, n, indptr, indices, negative, c):
+            if not text.startswith(piece, at):
                 return None
-            rows.append(np.fromiter(map(row.__getitem__, row_tokens), np.int64, len(row_tokens)))
-            counts += k
-    except (IndexError, KeyError, OverflowError, ValueError):
+            at += len(piece)
+    except (IndexError, ValueError):
         return None
-    if value is None:
+    if at != len(text):
         return None
-    m, n = map(int, tail.groups())
-    return m, n, np.cumsum([0] + counts), np.concatenate(rows), np.concatenate(vals)
+    return m, n, indptr, indices, np.where(negative, -c, c)
 
 
 def matrix_from_json(text: str) -> SparseMatrix:

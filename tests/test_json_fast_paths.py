@@ -10,6 +10,7 @@ the same message.
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from sketchbounds import (
     SketchboundsError,
     SparseMatrix,
     code_to_incoherent,
+    derive_seed,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -172,6 +174,53 @@ def test_long_text_loads_in_many_chunks():
         assert load(text) == oracle_from_json(text, what) == A
 
 
+@st.composite
+def edge_matrices(draw):
+    """+-c matrices at the codec's edges: m = 1, rows on both sides of 2^31
+    and 2^53, rows just below 2^63 (19-digit tokens, which the loader
+    leaves to json.loads), and empty first and last columns."""
+    m = draw(st.sampled_from([1, 2, 2**31 + 3, 2**53 + 3, 2**63 - 1]))
+    n = draw(st.integers(1, 6))
+    counts = [draw(st.integers(0, min(m, 4))) for _ in range(n)]
+    if draw(st.booleans()):
+        counts[0] = 0
+    if draw(st.booleans()):
+        counts[-1] = 0
+    rows = [sorted(draw(st.sets(st.integers(max(0, m - 12), m - 1), min_size=k, max_size=k)))
+            for k in counts]
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=sum(counts), max_size=sum(counts))))
+    indices = np.array([r for col in rows for r in col], dtype=np.int64)
+    return SparseMatrix.from_csc(m, n, np.cumsum([0] + counts), indices, draw(MAGNITUDES) * signs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_matrices())
+def test_writer_and_loader_at_the_edges(A):
+    text = matrix_to_json(A)
+    assert text == oracle_to_json(A)
+    for load, what in LOADERS:
+        assert load(text) == oracle_from_json(text, what) == A
+
+
+def test_writer_formats_only_the_rows_present():
+    """m = 2^40 with three entries: a table of all 2m entry strings would
+    not fit in memory, let alone in milliseconds."""
+    A = SparseMatrix.from_csc(2**40, 3, [0, 1, 1, 3], [2**40 - 1, 0, 2**39], [0.5, -0.5, 0.5])
+    began = time.perf_counter()
+    text = matrix_to_json(A)
+    elapsed = time.perf_counter() - began
+    tracemalloc.start()
+    try:
+        matrix_to_json(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == oracle_to_json(A)
+    assert elapsed < 1.0  # milliseconds in practice; slack for a loaded host
+    assert peak < 2**14, peak  # a few kilobytes of numpy overhead, whatever m is
+    assert_loads_as_json_loads_does(text)
+
+
 # --- mutated canonical text -------------------------------------------------------
 
 ROW = r"(?<=\[)-?[0-9]+(?=,)"
@@ -269,6 +318,14 @@ def test_canonical_constant_magnitude_text_skips_json_loads(json_loads_calls, tm
     assert json_loads_calls == []
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("family", ["sign_jl", "osnap_block"])
+def test_benchmark_shaped_text_skips_json_loads(json_loads_calls, family, seed):
+    A = sampled(family, 256, 10000, 8, derive_seed(seed, 1))
+    assert matrix_from_json(matrix_to_json(A)) == A
+    assert json_loads_calls == []
+
+
 @pytest.mark.parametrize("case", ["gaussian", "one_sparse_map", "mutated_byte"])
 def test_other_text_goes_through_json_loads(json_loads_calls, case):
     A = sample_sparse_sign_jl(32, 200, 4, 3)
@@ -296,6 +353,26 @@ def test_fast_paths_peak_below_json_paths():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1] and peaks[2] <= peaks[3], peaks
+
+
+def test_fast_load_of_the_benchmark_shape_copies_no_whole_text():
+    """At 256x10000, s = 8: both fast paths peak below the json paths, and
+    the loader holds at most the matrix's arrays plus the text's length of
+    working memory, which a decode of the whole text at once exceeds."""
+    A = sample_sparse_sign_jl(256, 10000, 8, derive_seed(1, 1))
+    text = oracle_to_json(A)
+    peaks = []
+    for fn, arg in [(matrix_to_json, A), (oracle_to_json, A),
+                    (matrix_from_json, text), (lambda t: oracle_from_json(t, "matrix"), text)]:
+        tracemalloc.start()
+        try:
+            fn(arg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    arrays = A.indptr.nbytes + A.indices.nbytes + A.data.nbytes
+    assert peaks[0] <= peaks[1] and peaks[2] <= peaks[3], peaks
+    assert peaks[2] <= len(text) + arrays, (peaks[2], len(text), arrays)
 
 
 def long_text():
@@ -333,3 +410,62 @@ def two_column_text():
 ])
 def test_near_canonical_text_loads_or_fails_as_json_loads_does(text):
     assert_loads_as_json_loads_does(text)
+
+
+def late_replace(text, old, new):
+    """`text` with the first `old` in its last quarter replaced, well past
+    the first chunk."""
+    at = text.index(old, 3 * len(text) // 4)
+    return text[:at] + new + text[at + len(old):]
+
+
+def empty_column_after_a_cut():
+    """A canonical text with an empty column right after the loader's first
+    chunk cut, so its next chunk starts with ``[]``."""
+    A = sample_sparse_sign_jl(64, 6000, 4, 2)
+    text = oracle_to_json(A)
+    cut = text.index("]],[", len('{"cols":[') + 2**16)
+    j = text.count("]]", 0, cut + 2)  # every column has entries, so this is the next column
+    keep = np.ones(A.nnz, bool)
+    keep[A.indptr[j]:A.indptr[j + 1]] = False
+    B = SparseMatrix.from_csc(A.m, A.n, np.concatenate(([0], np.cumsum(keep)))[A.indptr],
+                              A.indices[keep], A.data[keep])
+    text = oracle_to_json(B)
+    assert text.index("]],[", len('{"cols":[') + 2**16) == cut and text[cut:cut + 6] == "]],[],"
+    return text
+
+
+def last_column_only():
+    A = SparseMatrix.from_csc(8, 5000, [0] * 5000 + [2], [1, 6], [0.5, -0.5])
+    return oracle_to_json(A)
+
+
+# Texts the loader must decline, or accept only as json.loads does: row tokens
+# past its 18 digits, a second magnitude, a non-ASCII digit late in the text,
+# an empty column at a chunk cut, and entries only in the last column.
+@pytest.mark.parametrize("text", [
+    *(f'{{"cols":[[[{10**(w - 1) + 7},0.5]]],"m":{10**w},"n":1}}\n' for w in range(19, 26)),
+    *(long_text().replace("[5,", f"[{10**(w - 1) + 7},") for w in (19, 25)),
+    f'{{"cols":[[[{2**63},0.5]]],"m":{2**63 + 1},"n":1}}\n',
+    f'{{"cols":[[[{2**63 - 1},0.5]]],"m":{2**63},"n":1}}\n',
+    late_replace(long_text(), "[5,", f"[{2**63},"),
+    '{"cols":[[[0,0.5],[1,0.25]]],"m":2,"n":1}\n',
+    '{"cols":[[[0,0.5]],[[1,-0.25]]],"m":2,"n":2}\n',
+    late_replace(long_text(), ",0.5]", ",0.25]"),
+    late_replace(long_text(), ",-0.5]", ",-0.5000000000000001]"),
+    late_replace(long_text(), "[5,", "[\u0665,"),  # an Arabic-Indic digit
+    late_replace(long_text(), "[5,", "[\uff15,"),  # a fullwidth digit
+    empty_column_after_a_cut(),
+    empty_column_after_a_cut().replace("]],[],", "]],[,],", 1),
+    last_column_only(),
+    last_column_only().replace('"n":5000', '"n":4999'),
+])
+def test_loader_fallbacks_load_or_fail_as_json_loads_does(text):
+    assert_loads_as_json_loads_does(text)
+
+
+@pytest.mark.parametrize("make", [empty_column_after_a_cut, last_column_only, two_column_text])
+def test_canonical_text_at_chunk_edges_skips_json_loads(json_loads_calls, make):
+    text = make()
+    assert matrix_to_json(matrix_from_json(text)) == text
+    assert json_loads_calls == []
