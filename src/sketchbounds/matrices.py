@@ -371,6 +371,7 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # and read back by _canonical_csc.
 _HEAD = '{"cols":['
 _TAIL = re.compile(r'\],"m":([0-9]+),"n":([0-9]+)\}\n')
+_CUT = re.compile(r"[\[\]]\],\[")  # where a column, with entries or empty, ends and another begins
 _CHUNK_CHARS = 1 << 16  # the loader's chunks: whole columns, about 64 KB of text
 _BLOCK_COLUMNS = 1024  # the writer's blocks
 _MAX_ROW_DIGITS = 18  # a row token of at most this many digits is below 2^63
@@ -443,19 +444,23 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     """
     counts = np.diff(indptr)
     full = counts > 0
-    # What np.unique(codes, return_inverse=True) gives, with at most three
-    # entry-sized arrays alive at once where it holds six: this sets the
-    # loader's peak memory.
-    codes = indices.astype(np.uint64)
+    # What np.unique(codes, return_inverse=True) gives, with at most one
+    # argsort and two narrower entry-sized arrays alive at once where it
+    # holds six int64 ones (the codes are sorted in place, and both they and
+    # the items take 32 bits wherever they fit): this sets the loader's and
+    # the writer's peak memory.
+    codes = indices.astype(np.uint32 if indices.max(initial=0) < 2**31 else np.uint64)
     codes *= 2
     codes += negative
     order = np.argsort(codes)
-    codes = codes[order]
-    firsts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))  # where each key starts
+    codes.sort()
+    firsts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    firsts = np.concatenate(([0], firsts))  # where each key starts
     keys = codes[firsts].tolist()  # the distinct codes, ascending
     del codes
-    items = np.empty(order.size, np.int64)
-    items[order] = np.repeat(np.arange(0, 4 * len(keys), 4), np.diff(firsts, append=order.size))
+    code_type = np.int32 if 4 * len(keys) < 2**31 else np.int64
+    items = np.empty(order.size, code_type)
+    items[order] = np.repeat(np.arange(0, 4 * len(keys), 4, dtype=code_type), np.diff(firsts, append=order.size))
     del order
     items[indptr[:-1][full]] += 2
     items[indptr[1:][full] - 1] += 1
@@ -479,7 +484,9 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     yield f'],"m":{m},"n":{n}}}\n'
 
 
-def matrix_to_json(A: SparseMatrix) -> str:
+def _json_pieces(A: SparseMatrix):
+    """Yield the pieces of ``matrix_to_json(A)``: a block of columns at a
+    time for a +-c matrix, else the whole text at once."""
     c = _constant_magnitude(A)
     if c is None:
         ptr = A.indptr.tolist()
@@ -487,8 +494,13 @@ def matrix_to_json(A: SparseMatrix) -> str:
             [[r, v] for r, v in zip(A.indices[a:b].tolist(), A.data[a:b].tolist())]
             for a, b in zip(ptr, ptr[1:])
         ]
-        return canonical_json({"m": A.m, "n": A.n, "cols": cols})
-    return "".join(_signed_text(A.m, A.n, A.indptr, A.indices, A.data < 0, c))
+        yield canonical_json({"m": A.m, "n": A.n, "cols": cols})
+    else:
+        yield from _signed_text(A.m, A.n, A.indptr, A.indices, A.data < 0, c)
+
+
+def matrix_to_json(A: SparseMatrix) -> str:
+    return "".join(_json_pieces(A))
 
 
 def _canonical_csc(text: str):
@@ -514,8 +526,8 @@ def _canonical_csc(text: str):
         start, end = len(_HEAD), tail.start()
         c, counts, rows, negatives = None, [], [], []
         while start < end:
-            cut = text.find("]],[", start + _CHUNK_CHARS, end)
-            cut = end if cut < 0 else cut + 2
+            cut = _CUT.search(text, start + _CHUNK_CHARS, end)
+            cut = end if cut is None else cut.start() + 2
             chunk = np.frombuffer(text[start:cut].encode("ascii"), np.uint8)
             opens = np.flatnonzero(chunk == ord("["))
             entry = chunk[opens + 1] - ord("0") < 10
@@ -577,8 +589,9 @@ def one_sparse_map_from_json(text: str) -> OneSparseMap:
 
 
 def save_matrix(A: SparseMatrix, path) -> None:
+    """Write ``matrix_to_json(A)`` to `path`, a piece at a time."""
     with open(path, "w") as fh:
-        fh.write(matrix_to_json(A))
+        fh.writelines(_json_pieces(A))
 
 
 def load_matrix(path) -> SparseMatrix:

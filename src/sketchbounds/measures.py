@@ -35,7 +35,27 @@ the N k-by-k Gram matrices and one ``np.linalg.eigvalsh`` their eigenvalues.
 A chunk holds at most ``_CHUNK_BYTES`` (1 MiB) of stacked columns, or one
 support when a single one is larger.  Its other arrays, the distinct columns
 and the N Gram matrices, are no larger than the stack unless k > m, so the
-memory stays bounded however many supports are scanned.
+memory stays bounded however many supports are scanned.  The exact scan
+unranks its chunks of supports in lexicographic order, so it never holds more
+than a chunk of them either.
+
+Most supports are never solved.  By Gershgorin's theorem every eigenvalue of
+a support's Gram G_S lies in some disc [G_ii - R_i, G_ii + R_i], with
+R_i = sum over j in S, j != i, of |G_ij|, so delta(S) <= b(S) =
+max over i in S of |G_ii - 1| + R_i, read off one n-by-n |G| of the whole
+matrix.  The first chunk solves its 64 supports of largest b; from then on a
+support is solved only when b(S) + margin reaches the largest delta solved so
+far.  The margin, 2^-30 * (1 + k * max_i G_ii) over the finite G_ii, exceeds
+the rounding of both b and the stacked eigensolve wherever |G| is built
+(there m <= 2^17, and both errors stay below 2^-34 * k * max_i G_ii).  A
+support is skipped only when its delta is strictly below one already solved,
+so the maximum and its first achiever in scan order are those of the
+unpruned scan, bit for bit: a support's delta does not depend on the chunk
+it is solved in.  A b that is infinite or NaN (an overflowing Gram) is never
+below anything, so such a support is always solved.  |G| and the dense copy
+it comes from are built only when both fit ``_CHUNK_BYTES``
+(8 * n * max(m, n) bytes); past that every b is +inf and every support is
+solved.
 """
 
 from __future__ import annotations
@@ -44,7 +64,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,8 +86,11 @@ from .rng import choice_bounds, floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
-# bytes of stacked support columns per eigensolve chunk
+# bytes of stacked support columns per eigensolve chunk, and of the dense
+# copy and the Gram the RIP scans bound their supports by
 _CHUNK_BYTES = 2**20
+# supports the first chunk solves before any is pruned, those of largest bound
+_SEED_SOLVES = 64
 # float32 holds every integer up to 2^24, so a +-1 Gram over at most this
 # many rows is exact
 _FLOAT32_EXACT_ROWS = 2**24
@@ -283,25 +306,60 @@ def _chunk_length(A: SparseMatrix, k: int) -> int:
 
 def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
     """delta of the Gram matrix on each row of an (N, k) array of supports,
-    from one stacked matmul and one stacked eigensolve."""
+    from one stacked matmul and one stacked eigensolve; a support's delta
+    has the same bits whatever chunk it is solved in."""
     cols, inv = np.unique(supports, return_inverse=True)
     Bt = A.submatrix_dense(cols).T[inv.reshape(supports.shape)]
     # a Gram that overflows gives an infinite or NaN delta, which the
     # callers refuse, so it need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.linalg.eigvalsh(np.matmul(Bt, Bt.transpose(0, 2, 1)))
-        return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+        deltas = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+    # a NaN delta comes from a Gram that overflowed, so its true delta is huge
+    deltas[np.isnan(deltas)] = math.inf
+    return deltas
 
 
-def _worst_support(A: SparseMatrix, chunks: Iterable[np.ndarray]) -> tuple[tuple[int, ...], float]:
+def _gershgorin(A: SparseMatrix, k: int):
+    """A function from an (N, k) array of supports to their Gershgorin bounds
+    plus the rounding margin (see the module docstring), each at least the
+    support's delta; every bound is +inf when the dense copy or the Gram
+    would exceed ``_CHUNK_BYTES``."""
+    if 8 * A.n * max(A.m, A.n) > _CHUNK_BYTES:
+        return lambda supports: np.full(len(supports), math.inf)
+    D = A.to_dense()
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = D.T @ D
+    diagonal = G.diagonal().copy()
+    # H holds |G_ij| off the diagonal and |G_ii - 1| on it, so the largest
+    # row sum of H on S is b(S)
+    H = np.abs(G, out=G)
+    np.fill_diagonal(H, np.abs(diagonal - 1.0))
+    margin = 2.0**-30 * (1.0 + k * diagonal[np.isfinite(diagonal)].max(initial=0.0))
+    return lambda supports: H[supports[:, :, None], supports[:, None, :]].sum(axis=2).max(axis=1) + margin
+
+
+def _worst_support(A: SparseMatrix, k: int, chunks: Iterable[np.ndarray]) -> tuple[tuple[int, ...], float]:
     """The support with the largest delta over a sequence of (N, k) chunks,
-    and that delta; ties keep the first support in scan order."""
+    and that delta; ties keep the first support in scan order.  A NaN delta
+    counts as +inf.  Only the supports whose Gershgorin bound reaches the
+    largest delta solved so far are solved (see the module docstring)."""
+    bound = _gershgorin(A, k)
     best_delta = -math.inf
     best_support: tuple[int, ...] = ()
     for supports in chunks:
-        deltas = _support_deltas(A, supports)
-        # a NaN delta comes from a Gram that overflowed, so its true delta is huge
-        deltas[np.isnan(deltas)] = math.inf
+        b = bound(supports)
+        deltas = np.full(len(supports), -math.inf)
+        todo = np.ones(len(supports), dtype=bool)
+        if best_delta == -math.inf:
+            # the first chunk's largest bounds set the floor the rest is held to
+            first = np.argsort(-b)[:_SEED_SOLVES]
+            deltas[first] = _support_deltas(A, supports[first])
+            todo[first] = False
+        # b < floor is False for a NaN b, so such a support is solved
+        todo &= ~(b < max(best_delta, deltas.max()))
+        if todo.any():
+            deltas[todo] = _support_deltas(A, supports[todo])
         i = int(np.argmax(deltas))  # argmax takes the first on ties
         if deltas[i] > best_delta:
             best_delta = float(deltas[i])
@@ -331,10 +389,17 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     """delta_k by exhaustive enumeration of all C(n, k) column supports.
 
     Guarded by C(n, k) <= 10^6; the worst support is the lexicographically
-    first achiever of the maximum.  The supports are solved in stacked
-    chunks of at most 1 MiB of columns each (see the module docstring).
-    k = 1 solves its 1-by-1 Grams like every other k, so the sampled
-    estimate at the same k never exceeds it.
+    first achiever of the maximum.  The supports are unranked in
+    lexicographic order and scanned in chunks of at most 1 MiB of stacked
+    columns each.  A support is solved only when its Gershgorin bound b(S)
+    = max_i |G_ii - 1| + sum_{j != i} |G_ij|, plus the margin
+    2^-30 * (1 + k * max_i G_ii), reaches the largest delta already solved
+    (the first chunk solves its 64 largest b first), so every achiever of
+    the maximum is solved and the result is that of solving every support,
+    bit for bit.  Past 8 * n * max(m, n) > 1 MiB no bound is built and
+    every support is solved (see the module docstring).  k = 1 solves its
+    1-by-1 Grams like every other k, so the sampled estimate at the same k
+    never exceeds it.
     """
     k = _integer(k, "k")
     if not 1 <= k <= A.n:
@@ -342,11 +407,7 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     count = math.comb(A.n, k)
     if count > MAX_EXACT_SUPPORTS:
         raise TooManySupports(f"C({A.n}, {k}) = {count} exceeds {MAX_EXACT_SUPPORTS}")
-    combos = itertools.combinations(range(A.n), k)
-    size = _chunk_length(A, k)
-    chunks = (np.fromiter(itertools.islice(combos, size), dtype=(np.intp, k))
-              for _ in range(0, count, size))
-    return _finish_estimate(A, k, "exact", *_worst_support(A, chunks))
+    return _finish_estimate(A, k, "exact", *_worst_support(A, k, _lex_supports(A.n, k, _chunk_length(A, k))))
 
 
 def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int) -> RipEstimate:
@@ -355,8 +416,11 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     Supports come off a single sequential stream, so with a fixed seed the
     first supports of a longer run replicate a shorter run exactly and the
     estimate is monotone nondecreasing in `trials`.  They are drawn and
-    solved in stacked chunks of at most 1 MiB of columns each (see the
-    module docstring).  Each support is the one
+    scanned in chunks of at most 1 MiB of stacked columns each, and pruned
+    as in :func:`rip_constant_exact`: a support is solved only when its
+    Gershgorin bound plus the margin reaches the largest delta already
+    solved, so the result is the first drawn achiever, as if every support
+    were solved (see the module docstring).  Each support is the one
     ``np.sort(g.choice(A.n, k, replace=False))`` draws wherever ``choice``
     runs Floyd's algorithm, which is every shape but n > 10000 with
     k > n // 50; there it is still a uniform k-subset, by Floyd's algorithm
@@ -370,7 +434,39 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     g = substream(seed)
     size = _chunk_length(A, k)
     chunks = (_draw_supports(g, A.n, k, min(size, trials - start)) for start in range(0, trials, size))
-    return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, chunks))
+    return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, k, chunks))
+
+
+def _lex_supports(n: int, k: int, size: int) -> Iterator[np.ndarray]:
+    """The k-subsets of [0, n) in lexicographic order, as (size, k) arrays
+    (the last one shorter).
+
+    The support c of lexicographic rank r has combinatorial number
+    sum_i C(n - 1 - c_i, k - i) = C(n, k) - 1 - r, so each chunk is
+    unranked at once: position i takes the largest x with C(x, k - i) at
+    most what is left of the number, and c_i = n - 1 - x.  The tables hold
+    C(x, j) from x = j - 1 (where it is 0) up to the last x at which it
+    stays below C(n, k); C(x, 1) = x needs none.
+    """
+    count = math.comb(n, k)
+    tables = {}
+    for j in range(2, k + 1):
+        table, x, value = [0], j, 1
+        while value < count:
+            table.append(value)
+            x += 1
+            value = value * x // (x - j)
+        tables[j] = np.array(table, dtype=np.int64)
+    for start in range(0, count, size):
+        left = np.arange(count - 1 - start, max(count - 1 - start - size, -1), -1, dtype=np.int64)
+        supports = np.empty((left.size, k), dtype=np.intp)
+        for i in range(k - 1):
+            table = tables[k - i]
+            at = np.searchsorted(table, left, side="right") - 1  # x = at + k - i - 1
+            supports[:, i] = n - (k - i) - at
+            left -= table[at]
+        supports[:, -1] = n - 1 - left
+        yield supports
 
 
 def _draw_supports(g: np.random.Generator, n: int, k: int, count: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from sketchbounds import (
     save_matrix,
     spread_vectors,
 )
-from sketchbounds.matrices import _map_from_object
+from sketchbounds.matrices import _CHUNK_CHARS, _map_from_object
 
 
 # --- the oracle -------------------------------------------------------------------
@@ -469,3 +469,42 @@ def test_canonical_text_at_chunk_edges_skips_json_loads(json_loads_calls, make):
     text = make()
     assert matrix_to_json(matrix_from_json(text)) == text
     assert json_loads_calls == []
+
+
+def test_save_matrix_writes_a_piece_at_a_time(tmp_path):
+    """At 256x10000, s = 8 the file holds matrix_to_json's bytes, and the
+    write peaks below the text's length: the joined text is never held."""
+    A = sample_sparse_sign_jl(256, 10000, 8, derive_seed(1, 1))
+    text = matrix_to_json(A)
+    peaks = []
+    for fn in (lambda: matrix_to_json(A), lambda: save_matrix(A, tmp_path / "A.json")):
+        tracemalloc.start()
+        try:
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "A.json").read_text() == text
+    assert peaks[1] < len(text) and peaks[1] + len(text) < peaks[0], (peaks, len(text))
+    B = SparseMatrix.from_csc(A.m, A.n, A.indptr, A.indices, np.linspace(0.1, 1.0, A.nnz))
+    save_matrix(B, tmp_path / "B.json")
+    assert (tmp_path / "B.json").read_text() == matrix_to_json(B) == oracle_to_json(B)
+
+
+def test_a_text_of_empty_columns_is_decoded_in_chunks(json_loads_calls, monkeypatch):
+    """Entries only in the last of 100,000 columns: the loader cuts its
+    chunks after empty columns too, so it peaks well below a decode of the
+    whole text at once."""
+    A = SparseMatrix.from_csc(8, 100000, [0] * 100000 + [2], [1, 6], [0.5, -0.5])
+    text = matrix_to_json(A)
+    peaks = []
+    for chunk_chars in (_CHUNK_CHARS, len(text)):
+        monkeypatch.setattr("sketchbounds.matrices._CHUNK_CHARS", chunk_chars)
+        tracemalloc.start()
+        try:
+            assert matrix_from_json(text) == A
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert json_loads_calls == []
+    assert peaks[0] + 2 * len(text) < peaks[1], (peaks, len(text))

@@ -559,6 +559,135 @@ class TestStackedRipMatchesLoop:
                     rip_constant_lower_estimate(A, 2, 10, 1)
 
 
+@st.composite
+def wide_rip_inputs(draw):
+    """(A, k) with n up to 40, so that C(n, k) far exceeds the first chunk's
+    64 seed solves: gaussian or +-1/sqrt(s) sign columns, each kept or
+    scaled by 2^20, 2^-20 or 3.7e5, and some columns repeated as they are
+    or negated."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(12, 40))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        D = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7) / math.sqrt(m)
+    else:
+        s = draw(st.integers(1, m))
+        D = sign_matrix(m, n, s, seed, draw(st.integers(1, n)), 1.0)[0].to_dense()
+    scales = draw(st.sampled_from([[1.0], [1.0, 2.0**20], [1.0, 2.0**-20], [1.0, 3.7e5],
+                                   [1.0, 2.0**20, 2.0**-20, 3.7e5]]))
+    D *= rng.choice(scales, size=n)
+    repeat = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    D[:, repeat] = D[:, rng.integers(0, n, size=int(repeat.sum()))] * rng.choice([1.0, -1.0], size=int(repeat.sum()))
+    return SparseMatrix.from_dense(D), k
+
+
+def unpruned(mp):
+    """Patch the Gershgorin bound to +inf, so every support is solved."""
+    mp.setattr(measures, "_gershgorin", lambda A, k: lambda supports: np.full(len(supports), np.inf))
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The row counts of every chunk `_support_deltas` solves."""
+    counts = []
+    real = measures._support_deltas
+
+    def spy(A, supports):
+        counts.append(len(supports))
+        return real(A, supports)
+
+    monkeypatch.setattr(measures, "_support_deltas", spy)
+    return counts
+
+
+class TestGershgorinPruning:
+    """The scans solve only the supports their Gershgorin bound cannot rule
+    out, and report what solving every support reports, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_rip_inputs(), st.integers(0, 2**16))
+    def test_bit_for_bit_at_the_default_chunk(self, inp, seed):
+        A, k = inp
+        assert same_estimate(rip_constant_exact(A, k), loop_exact(A, k))
+        assert same_estimate(rip_constant_lower_estimate(A, k, 300, seed), loop_estimate(A, k, 300, seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(wide_rip_inputs(), st.integers(0, 2**16), st.integers(1, 3))
+    def test_bit_for_bit_at_chunks_of_one_two_and_three(self, inp, seed, per_chunk):
+        # the chunk length is patched, not _CHUNK_BYTES, so |G| is still built
+        A, k = inp
+        exact, estimate = loop_exact(A, k), loop_estimate(A, k, 60, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+            assert same_estimate(rip_constant_exact(A, k), exact)
+            assert same_estimate(rip_constant_lower_estimate(A, k, 60, seed), estimate)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_benchmark_matrix_solves_fewer_supports_than_it_scans(self, solved, seed):
+        A = sample_sparse_sign_jl(64, 60, 4, derive_seed(seed, 2))
+        runs = [lambda: rip_constant_exact(A, 3),
+                lambda: rip_constant_lower_estimate(A, 8, 5000, derive_seed(seed, 3))]
+        for run, scanned in zip(runs, [math.comb(60, 3), 5000]):
+            solved.clear()
+            pruned = run()
+            assert 0 < sum(solved) * 10 < scanned, sum(solved)
+            solved.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                unpruned(mp)
+                assert same_estimate(run(), pruned)
+            assert sum(solved) == scanned
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(rip_inputs(), wide_rip_inputs()), st.data())
+    def test_a_support_has_the_same_delta_in_any_chunk(self, inp, data):
+        A, k = inp
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        chunk = np.sort(np.array([rng.choice(A.n, k, replace=False) for _ in range(40)]), axis=1)
+        deltas = measures._support_deltas(A, chunk)
+        part = np.array(data.draw(st.permutations(range(len(chunk)))))[:data.draw(st.integers(1, len(chunk)))]
+        assert measures._support_deltas(A, chunk[part]).tobytes() == deltas[part].tobytes()
+        for i in range(len(chunk)):
+            assert measures._support_deltas(A, chunk[i:i + 1]).tobytes() == deltas[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**20, 3.7e5])
+    @pytest.mark.parametrize("m", [1, 8, 16, 33, 64, 128])
+    def test_the_bound_is_never_below_a_solved_delta(self, m, scale):
+        # from m = 16 the Gram's diagonal from D.T @ D and from the stacked
+        # matmul can differ in the last bit, up to about 1e-2 at 3.7e5; the
+        # margin scales with max G_ii to cover that
+        rng = np.random.default_rng(m)
+        D = rng.standard_normal((m, 40)) * rng.choice([1.0, scale], size=40)
+        A = SparseMatrix.from_dense(D)
+        for k in (1, 2, 3):
+            supports = np.array(list(itertools.combinations(range(40), k))[::7])
+            assert (measures._gershgorin(A, k)(supports) >= measures._support_deltas(A, supports)).all()
+
+    def test_an_overflowed_gram_late_in_a_wide_scan_is_refused(self, solved):
+        # column 39 holds 1e200, so the Gram of every support holding it
+        # overflows; its bound is infinite, so pruning never skips it
+        rng = np.random.default_rng(5)
+        D = rng.standard_normal((2, 40))
+        D /= np.sqrt((D * D).sum(axis=0))
+        D[:, 39] = [1e200, 0.0]
+        A = SparseMatrix.from_dense(D)
+        draws = measures._draw_supports(substream(1), A.n, 2, 200)
+        assert np.flatnonzero((draws == 39).any(axis=1))[0] > 3  # past a first chunk of up to 3
+        for per_chunk in (None, 1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                if per_chunk is not None:
+                    mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+                solved.clear()
+                with pytest.raises(TooLarge, match="k=2"):
+                    rip_constant_exact(A, 2)
+                assert sum(solved) < math.comb(40, 2)
+                solved.clear()
+                with pytest.raises(TooLarge, match="k=2"):
+                    rip_constant_lower_estimate(A, 2, 200, 1)
+                assert sum(solved) < 200
+
+
 class TestSubspaceDistortion:
     def test_orthonormal_columns(self):
         lo, hi = subspace_distortion(dense(np.eye(4)), [0, 2])
