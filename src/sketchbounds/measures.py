@@ -47,14 +47,14 @@ matrix.  The first chunk solves its 64 supports of largest b; from then on a
 support is solved only when b(S) + margin reaches the largest delta solved so
 far.  The margin, 2^-30 * (1 + k * max_i G_ii) over the finite G_ii, exceeds
 the rounding of both b and the stacked eigensolve wherever |G| is built
-(there m <= 2^17, and both errors stay below 2^-34 * k * max_i G_ii).  A
+(there m <= 2^21, and each error stays below 2^-31 * k * max_i G_ii).  A
 support is skipped only when its delta is strictly below one already solved,
 so the maximum and its first achiever in scan order are those of the
 unpruned scan, bit for bit: a support's delta does not depend on the chunk
 it is solved in.  A b that is infinite or NaN (an overflowing Gram) is never
 below anything, so such a support is always solved.  |G| and the dense copy
-it comes from are built only when both fit ``_CHUNK_BYTES``
-(8 * n * max(m, n) bytes); past that every b is +inf and every support is
+it comes from are built only when both fit ``_GERSHGORIN_BYTES`` (16 MiB;
+8 * n * max(m, n) bytes); past that every b is +inf and every support is
 solved.
 """
 
@@ -86,9 +86,10 @@ from .rng import choice_bounds, floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
-# bytes of stacked support columns per eigensolve chunk, and of the dense
-# copy and the Gram the RIP scans bound their supports by
+# bytes of stacked support columns per eigensolve chunk
 _CHUNK_BYTES = 2**20
+# bytes of the dense copy and of the Gram the RIP scans bound their supports by
+_GERSHGORIN_BYTES = 2**24
 # supports the first chunk solves before any is pruned, those of largest bound
 _SEED_SOLVES = 64
 # float32 holds every integer up to 2^24, so a +-1 Gram over at most this
@@ -324,8 +325,8 @@ def _gershgorin(A: SparseMatrix, k: int):
     """A function from an (N, k) array of supports to their Gershgorin bounds
     plus the rounding margin (see the module docstring), each at least the
     support's delta; every bound is +inf when the dense copy or the Gram
-    would exceed ``_CHUNK_BYTES``."""
-    if 8 * A.n * max(A.m, A.n) > _CHUNK_BYTES:
+    would exceed ``_GERSHGORIN_BYTES``."""
+    if 8 * A.n * max(A.m, A.n) > _GERSHGORIN_BYTES:
         return lambda supports: np.full(len(supports), math.inf)
     D = A.to_dense()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -396,7 +397,7 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     2^-30 * (1 + k * max_i G_ii), reaches the largest delta already solved
     (the first chunk solves its 64 largest b first), so every achiever of
     the maximum is solved and the result is that of solving every support,
-    bit for bit.  Past 8 * n * max(m, n) > 1 MiB no bound is built and
+    bit for bit.  Past 8 * n * max(m, n) > 16 MiB no bound is built and
     every support is solved (see the module docstring).  k = 1 solves its
     1-by-1 Grams like every other k, so the sampled estimate at the same k
     never exceeds it.

@@ -712,6 +712,38 @@ def _trial_states(seed: int, trials: int):
         yield from pairs[2:] if pairs[:2] == ends else map(real, chunk)
 
 
+# bytes of map rows the OSE sweep counts in one block of trials
+_TRIAL_BYTES = 2**20
+
+
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the length of each run of equal values in a row-sorted
+    2-D array, in order; a run never spans two rows."""
+    width = x.shape[1]
+    flat = x.ravel()
+    new = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    new[::width] = True
+    starts = np.flatnonzero(new)
+    return starts // width, np.diff(starts, append=flat.size)
+
+
+def _block_records(a: np.ndarray, subsets: np.ndarray, heavy_cut: float) -> list[TrialRecord]:
+    """The records of a block of trials, one map's rows and one subset per
+    row of ``a`` and ``subsets``; sorts ``a`` in place."""
+    hit = np.take_along_axis(a, subsets, 1)
+    hit.sort(axis=1)
+    a.sort(axis=1)
+    load = np.zeros(len(a), dtype=np.int64)
+    np.maximum.at(load, *_runs(hit))
+    # only the rows hit are counted: a row of load 0 is never heavy, as the
+    # cut is positive
+    trial, length = _runs(a)
+    heavy = np.bincount(trial[length >= heavy_cut], minlength=len(a))
+    return [TrialRecord(failed=L > 1, sigma_min=0.0 if L > 1 else 1.0, sigma_max=math.sqrt(L), heavy_rows=h)
+            for L, h in zip(load.tolist(), heavy.tolist())]
+
+
 def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> OseFailureReport:
     """Monte Carlo failure rate of one-sparse maps on coordinate subspaces.
 
@@ -728,9 +760,12 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     1))``, but only what a trial reads is drawn: the map's rows ``a``, the
     first draw of its stream, and the subspace.  One pair of generators
     draws every trial, set to the trial's states from :func:`_trial_states`,
-    so no trial makes a ``SeedSequence``.  The loads are counted with
-    ``np.unique`` over the rows hit, so a trial takes O(n) memory at any m.
-    At most 2^32 trials are supported.
+    so no trial makes a ``SeedSequence``.  The loads are counted a block of
+    trials at a time: the block's rows ``a`` and those of its subsets are
+    sorted row-wise, and each run of equal values is one row hit, its length
+    the row's load.  A block holds at most ``_TRIAL_BYTES`` (1 MiB) of rows,
+    or one trial when a single one is larger, so a trial takes O(n) memory
+    at any m.  At most 2^32 trials are supported.
     """
     m, d, n = _integer(m, "row count"), _integer(d, "subspace dimension"), _integer(n, "column count")
     trials = _integer(trials, "trials")
@@ -743,18 +778,17 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     seed = check_seed(seed)
     _check_size("row count", m, 2**63, n)
     heavy_cut = n / (10.0 * m)
+    block = min(trials, max(1, _TRIAL_BYTES // (8 * n)))
+    a, subsets = np.empty((block, n), dtype=np.int64), np.empty((block, d), dtype=np.int64)
     records = []
     rows, coords = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
-    for states in _trial_states(seed, trials):
+    for trial, states in enumerate(_trial_states(seed, trials)):
+        t = trial % block
         rows.bit_generator.state, coords.bit_generator.state = states
-        a = rows.integers(0, m, size=n)
-        subset = coords.choice(n, size=d, replace=False)
-        load = int(np.unique(a[subset], return_counts=True)[1].max())
-        # only the rows hit are counted: a row of load 0 is never heavy, as
-        # the cut is positive
-        heavy = int(np.count_nonzero(np.unique(a, return_counts=True)[1] >= heavy_cut))
-        records.append(TrialRecord(failed=load > 1, sigma_min=0.0 if load > 1 else 1.0,
-                                   sigma_max=math.sqrt(load), heavy_rows=heavy))
+        a[t] = rows.integers(0, m, size=n)
+        subsets[t] = coords.choice(n, size=d, replace=False)
+        if t == block - 1 or trial == trials - 1:
+            records += _block_records(a[:t + 1], subsets[:t + 1], heavy_cut)
     failures = sum(r.failed for r in records)
     return OseFailureReport(
         m=m, d=d, n=n, trials=trials, failures=failures, rate=failures / trials,

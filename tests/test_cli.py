@@ -522,6 +522,11 @@ FROZEN_RUNS = [
     _frozen("sweep_ose_failure", "sweep",
             {"experiment": "ose_failure", "d": 2, "n": 8, "grid": {"param": "m", "values": [4, 8]}},
             0, "b83825255e19b8127068843e3956b3f420a8e78614a651fce429514641931edf", seed=5, trials=10),
+    # the benchmark's sample sweep at its seed 1, derive_seed(1, 0, 3)
+    _frozen("sweep_ose_failure_benchmark", "sweep",
+            {"experiment": "ose_failure", "d": 8, "n": 256, "grid": {"param": "m", "values": [32, 64, 128]}},
+            0, "babe20bd4f987d9988b148c1730ae23cc76eb989aedd95fa79dc1b71fba7689a",
+            seed=12697330072698581940, trials=300),
     _frozen("sweep_bounds", "sweep",
             {"experiment": "bounds", "formula": "code_size", "eps": 0.25, "k": 4,
              "grid": {"param": "n", "values": [256, 1024]}},

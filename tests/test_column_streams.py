@@ -262,11 +262,13 @@ class TestOseTrialsMatchTheLoop:
         m = data.draw(st.one_of(st.integers(1, 300), st.integers(2**32, 2**63)), label="m")
         n = data.draw(st.integers(1, 300), label="n")
         d = data.draw(st.integers(1, min(n, 12)), label="d")
-        trials = data.draw(st.integers(1, 6), label="trials")
+        # up to 40 trials, so one block holds many trials with repeated rows
+        trials = data.draw(st.integers(1, 40), label="trials")
         assert ose_failure_probability(m, d, n, trials, seed).records == loop_ose_records(m, d, n, trials, seed)
 
     @pytest.mark.parametrize("m, d, n, trials", [
         (1, 1, 1, 3), (2, 2, 5, 4), (64, 8, 256, 20), (3000, 8, 256, 5),
+        (1000, 8, 10000, 20),     # the heavy cut n / (10 m) is 1: a row hit once is heavy
         (256, 300, 20000, 2),     # choice shuffles the tail of an arange here
         (2**40, 201, 10001, 2),
     ])
@@ -287,6 +289,24 @@ class TestOseTrialsMatchTheLoop:
     def test_chunks_of_three_trials(self, monkeypatch, trials):
         monkeypatch.setattr(witnesses, "_TRIAL_LANES", 3)
         assert ose_failure_probability(32, 4, 64, trials, 9).records == loop_ose_records(32, 4, 64, trials, 9)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @pytest.mark.parametrize("m, d, n", [(1, 1, 1), (5, 3, 40), (64, 8, 256), (2**40, 4, 64)])
+    def test_blocks_of_one_two_and_three_trials(self, monkeypatch, per_block, m, d, n):
+        monkeypatch.setattr(witnesses, "_TRIAL_BYTES", 8 * n * per_block)
+        for trials in range(1, 3 * per_block + 2):
+            assert ose_failure_probability(m, d, n, trials, 4).records == loop_ose_records(m, d, n, trials, 4)
+
+    def test_memory_stays_near_the_block_budget(self):
+        # all 300 trials' rows at once would be 48 MB; a block holds 6 trials
+        tracemalloc.start()
+        try:
+            rep = ose_failure_probability(2**20, 8, 20000, 300, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * witnesses._TRIAL_BYTES, peak
+        assert rep.records == loop_ose_records(2**20, 8, 20000, 300, 3)
 
     def test_more_than_2_32_trials_refused(self, seeding_calls):
         # a trial index of 2^32 would be two SeedSequence words

@@ -639,6 +639,18 @@ class TestGershgorinPruning:
                 assert same_estimate(run(), pruned)
             assert sum(solved) == scanned
 
+    def test_the_readme_matrix_past_the_chunk_budget_is_pruned(self, solved):
+        # its 8 MB |G| exceeds _CHUNK_BYTES but not _GERSHGORIN_BYTES; the
+        # unpruned scan stands in for loop_exact, which takes about 10 s here
+        A = sample_sparse_sign_jl(64, 1000, 8, 7)
+        assert 8 * A.n * max(A.m, A.n) > measures._CHUNK_BYTES
+        pruned = rip_constant_exact(A, 2)
+        assert 0 < sum(solved) * 100 < math.comb(1000, 2), sum(solved)
+        assert (pruned.delta, pruned.worst_support) == (0.625, (4, 18))
+        with pytest.MonkeyPatch.context() as mp:
+            unpruned(mp)
+            assert same_estimate(rip_constant_exact(A, 2), pruned)
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(rip_inputs(), wide_rip_inputs()), st.data())
     def test_a_support_has_the_same_delta_in_any_chunk(self, inp, data):
