@@ -52,10 +52,13 @@ support is skipped only when its delta is strictly below one already solved,
 so the maximum and its first achiever in scan order are those of the
 unpruned scan, bit for bit: a support's delta does not depend on the chunk
 it is solved in.  A b that is infinite or NaN (an overflowing Gram) is never
-below anything, so such a support is always solved.  |G| and the dense copy
-it comes from are built only when both fit ``_GERSHGORIN_BYTES`` (16 MiB;
-8 * n * max(m, n) bytes); past that every b is +inf and every support is
-solved.
+below anything, so such a support is always solved.  |G| costs about
+m * n^2 multiply-adds and can save about k^2 * m for each support scanned,
+so it is built only when n^2 <= k^2 * (supports scanned): never at k = 1,
+nor for a few sampled supports of a wide matrix.  It is then no larger than
+8 * k^2 bytes a support, and it is multiplied from column slabs of at most
+``_CHUNK_BYTES`` each, so no dense copy of A is held.  Otherwise, or past
+m = 2^21, every b is +inf and every support is solved.
 """
 
 from __future__ import annotations
@@ -86,10 +89,9 @@ from .rng import choice_bounds, floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
-# bytes of stacked support columns per eigensolve chunk
+# bytes of stacked support columns per eigensolve chunk, and of each column
+# slab the RIP scans' Gram is multiplied from
 _CHUNK_BYTES = 2**20
-# bytes of the dense copy and of the Gram the RIP scans bound their supports by
-_GERSHGORIN_BYTES = 2**24
 # supports the first chunk solves before any is pruned, those of largest bound
 _SEED_SOLVES = 64
 # float32 holds every integer up to 2^24, so a +-1 Gram over at most this
@@ -321,16 +323,32 @@ def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
     return deltas
 
 
-def _gershgorin(A: SparseMatrix, k: int):
+def _gershgorin(A: SparseMatrix, k: int, count: int):
     """A function from an (N, k) array of supports to their Gershgorin bounds
     plus the rounding margin (see the module docstring), each at least the
-    support's delta; every bound is +inf when the dense copy or the Gram
-    would exceed ``_GERSHGORIN_BYTES``."""
-    if 8 * A.n * max(A.m, A.n) > _GERSHGORIN_BYTES:
+    support's delta; every bound is +inf when m > 2^21 or when |G| would cost
+    more than solving the ``count`` supports scanned saves."""
+    m, n = A.m, A.n
+    if m > 2**21 or n * n > k * k * count:
         return lambda supports: np.full(len(supports), math.inf)
-    D = A.to_dense()
+    width = max(1, _CHUNK_BYTES // (8 * m))
+
+    def slab(lo):
+        """The dense columns [lo, lo + width) of A."""
+        hi = min(lo + width, n)
+        D = np.zeros((m, hi - lo))
+        p, q = A.indptr[lo], A.indptr[hi]
+        D[A.indices[p:q], np.repeat(np.arange(hi - lo), np.diff(A.indptr[lo:hi + 1]))] = A.data[p:q]
+        return D
+
+    G = np.empty((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        G = D.T @ D
+        for a in range(0, n, width):
+            Da = slab(a)
+            np.matmul(Da.T, Da, out=G[a:a + width, a:a + width])
+            for b in range(a + width, n, width):
+                block = np.matmul(Da.T, slab(b), out=G[a:a + width, b:b + width])
+                G[b:b + width, a:a + width] = block.T
     diagonal = G.diagonal().copy()
     # H holds |G_ij| off the diagonal and |G_ii - 1| on it, so the largest
     # row sum of H on S is b(S)
@@ -340,12 +358,14 @@ def _gershgorin(A: SparseMatrix, k: int):
     return lambda supports: H[supports[:, :, None], supports[:, None, :]].sum(axis=2).max(axis=1) + margin
 
 
-def _worst_support(A: SparseMatrix, k: int, chunks: Iterable[np.ndarray]) -> tuple[tuple[int, ...], float]:
-    """The support with the largest delta over a sequence of (N, k) chunks,
-    and that delta; ties keep the first support in scan order.  A NaN delta
-    counts as +inf.  Only the supports whose Gershgorin bound reaches the
-    largest delta solved so far are solved (see the module docstring)."""
-    bound = _gershgorin(A, k)
+def _worst_support(A: SparseMatrix, k: int, count: int,
+                   chunks: Iterable[np.ndarray]) -> tuple[tuple[int, ...], float]:
+    """The support with the largest delta over a sequence of (N, k) chunks
+    holding ``count`` supports, and that delta; ties keep the first support
+    in scan order.  A NaN delta counts as +inf.  Only the supports whose
+    Gershgorin bound reaches the largest delta solved so far are solved (see
+    the module docstring)."""
+    bound = _gershgorin(A, k, count)
     best_delta = -math.inf
     best_support: tuple[int, ...] = ()
     for supports in chunks:
@@ -397,10 +417,10 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     2^-30 * (1 + k * max_i G_ii), reaches the largest delta already solved
     (the first chunk solves its 64 largest b first), so every achiever of
     the maximum is solved and the result is that of solving every support,
-    bit for bit.  Past 8 * n * max(m, n) > 16 MiB no bound is built and
-    every support is solved (see the module docstring).  k = 1 solves its
-    1-by-1 Grams like every other k, so the sampled estimate at the same k
-    never exceeds it.
+    bit for bit.  Where n^2 > k^2 * C(n, k), as at k = 1 for n > 1, or past
+    m = 2^21, no bound is built and every support is solved (see the module
+    docstring).  k = 1 solves its 1-by-1 Grams like every other k, so the
+    sampled estimate at the same k never exceeds it.
     """
     k = _integer(k, "k")
     if not 1 <= k <= A.n:
@@ -408,7 +428,8 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     count = math.comb(A.n, k)
     if count > MAX_EXACT_SUPPORTS:
         raise TooManySupports(f"C({A.n}, {k}) = {count} exceeds {MAX_EXACT_SUPPORTS}")
-    return _finish_estimate(A, k, "exact", *_worst_support(A, k, _lex_supports(A.n, k, _chunk_length(A, k))))
+    supports = _lex_supports(A.n, k, _chunk_length(A, k))
+    return _finish_estimate(A, k, "exact", *_worst_support(A, k, count, supports))
 
 
 def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int) -> RipEstimate:
@@ -435,7 +456,7 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     g = substream(seed)
     size = _chunk_length(A, k)
     chunks = (_draw_supports(g, A.n, k, min(size, trials - start)) for start in range(0, trials, size))
-    return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, k, chunks))
+    return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, k, trials, chunks))
 
 
 def _lex_supports(n: int, k: int, size: int) -> Iterator[np.ndarray]:

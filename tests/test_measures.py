@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sketchbounds import (
     Code,
@@ -585,7 +585,7 @@ def wide_rip_inputs(draw):
 
 def unpruned(mp):
     """Patch the Gershgorin bound to +inf, so every support is solved."""
-    mp.setattr(measures, "_gershgorin", lambda A, k: lambda supports: np.full(len(supports), np.inf))
+    mp.setattr(measures, "_gershgorin", lambda A, k, count: lambda supports: np.full(len(supports), np.inf))
 
 
 @pytest.fixture
@@ -616,7 +616,6 @@ class TestGershgorinPruning:
     @settings(max_examples=25, deadline=None)
     @given(wide_rip_inputs(), st.integers(0, 2**16), st.integers(1, 3))
     def test_bit_for_bit_at_chunks_of_one_two_and_three(self, inp, seed, per_chunk):
-        # the chunk length is patched, not _CHUNK_BYTES, so |G| is still built
         A, k = inp
         exact, estimate = loop_exact(A, k), loop_estimate(A, k, 60, seed)
         with pytest.MonkeyPatch.context() as mp:
@@ -640,8 +639,8 @@ class TestGershgorinPruning:
             assert sum(solved) == scanned
 
     def test_the_readme_matrix_past_the_chunk_budget_is_pruned(self, solved):
-        # its 8 MB |G| exceeds _CHUNK_BYTES but not _GERSHGORIN_BYTES; the
-        # unpruned scan stands in for loop_exact, which takes about 10 s here
+        # its 8 MB |G| exceeds _CHUNK_BYTES but pays for itself; the unpruned
+        # scan stands in for loop_exact, which takes about 10 s here
         A = sample_sparse_sign_jl(64, 1000, 8, 7)
         assert 8 * A.n * max(A.m, A.n) > measures._CHUNK_BYTES
         pruned = rip_constant_exact(A, 2)
@@ -663,18 +662,78 @@ class TestGershgorinPruning:
         for i in range(len(chunk)):
             assert measures._support_deltas(A, chunk[i:i + 1]).tobytes() == deltas[i:i + 1].tobytes()
 
+    @pytest.mark.parametrize("width", [None, 1, 3])
     @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**20, 3.7e5])
     @pytest.mark.parametrize("m", [1, 8, 16, 33, 64, 128])
-    def test_the_bound_is_never_below_a_solved_delta(self, m, scale):
+    def test_the_bound_is_never_below_a_solved_delta(self, m, scale, width):
         # from m = 16 the Gram's diagonal from D.T @ D and from the stacked
         # matmul can differ in the last bit, up to about 1e-2 at 3.7e5; the
-        # margin scales with max G_ii to cover that
+        # margin scales with max G_ii to cover that.  |G| is multiplied from
+        # one slab of all 40 columns, or from slabs of 1 or 3 columns
         rng = np.random.default_rng(m)
         D = rng.standard_normal((m, 40)) * rng.choice([1.0, scale], size=40)
         A = SparseMatrix.from_dense(D)
-        for k in (1, 2, 3):
-            supports = np.array(list(itertools.combinations(range(40), k))[::7])
-            assert (measures._gershgorin(A, k)(supports) >= measures._support_deltas(A, supports)).all()
+        with pytest.MonkeyPatch.context() as mp:
+            if width is not None:
+                mp.setattr(measures, "_CHUNK_BYTES", 8 * m * width)
+            for k in (1, 2, 3):
+                supports = np.array(list(itertools.combinations(range(40), k))[::7])
+                bound = measures._gershgorin(A, k, 40 * 40)(supports)
+                assert np.isfinite(bound).all()
+                assert (bound >= measures._support_deltas(A, supports)).all()
+
+    def test_the_bound_is_built_only_where_it_can_pay(self):
+        # |G| costs about m * n^2 multiply-adds against k^2 * m a support
+        # solved, and the margin covers the rounding only up to m = 2^21
+        A = SparseMatrix.from_dense(np.random.default_rng(0).standard_normal((3, 5)))
+        for k in range(1, 6):
+            supports = np.array(list(itertools.combinations(range(5), k)))
+            for count in range(1, 30):
+                built = np.isfinite(measures._gershgorin(A, k, count)(supports))
+                assert built.all() if 25 <= k * k * count else not built.any()
+        tall = SparseMatrix(2**21 + 1, 2, [[(0, 1.0)], [(2**21, 1.0)]])
+        assert np.isinf(measures._gershgorin(tall, 2, 10**6)(np.array([[0, 1]]))).all()
+        tall = SparseMatrix(2**21, 2, [[(0, 1.0)], [(2**21 - 1, 1.0)]])
+        assert np.isfinite(measures._gershgorin(tall, 2, 10**6)(np.array([[0, 1]]))).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rip_inputs(), st.integers(0, 2**16), st.sampled_from([None, 1, 2, 3]))
+    def test_bit_for_bit_where_the_bound_is_not_built(self, inp, seed, per_chunk):
+        # the most trials for which |G| would cost more than it saves, and the
+        # exact scan at k = 1: every bound is +inf and every support is solved
+        A, k = inp
+        assume(A.n > k)
+        trials = (A.n * A.n - 1) // (k * k)
+        counts = []
+        real = measures._support_deltas
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_support_deltas", lambda A, s: counts.append(len(s)) or real(A, s))
+            if per_chunk is not None:
+                mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+            assert same_estimate(rip_constant_lower_estimate(A, k, trials, seed), loop_estimate(A, k, trials, seed))
+            assert sum(counts) == trials
+            if k == 1:
+                counts.clear()
+                assert same_estimate(rip_constant_exact(A, 1), loop_exact(A, 1))
+                assert sum(counts) == A.n
+
+    def test_an_overflowed_gram_is_refused_where_the_bound_is_not_built(self, solved):
+        # at k = 1 and at two sampled supports of 3 columns, no |G| is built;
+        # every draw of seed 2 holds the huge column
+        A = dense([[1e200, 1.0, 0.5], [0.0, 1.0, 0.5]])
+        assert (measures._draw_supports(substream(2), A.n, 2, 2) == 0).any(axis=1).all()
+        for per_chunk in (None, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                if per_chunk is not None:
+                    mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+                solved.clear()
+                with pytest.raises(TooLarge, match="k=1"):
+                    rip_constant_exact(A, 1)
+                assert sum(solved) == 3
+                solved.clear()
+                with pytest.raises(TooLarge, match="k=2"):
+                    rip_constant_lower_estimate(A, 2, 2, 2)
+                assert sum(solved) == 2
 
     def test_an_overflowed_gram_late_in_a_wide_scan_is_refused(self, solved):
         # column 39 holds 1e200, so the Gram of every support holding it
@@ -684,7 +743,7 @@ class TestGershgorinPruning:
         D /= np.sqrt((D * D).sum(axis=0))
         D[:, 39] = [1e200, 0.0]
         A = SparseMatrix.from_dense(D)
-        draws = measures._draw_supports(substream(1), A.n, 2, 200)
+        draws = measures._draw_supports(substream(1), A.n, 2, 400)
         assert np.flatnonzero((draws == 39).any(axis=1))[0] > 3  # past a first chunk of up to 3
         for per_chunk in (None, 1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
@@ -695,9 +754,10 @@ class TestGershgorinPruning:
                     rip_constant_exact(A, 2)
                 assert sum(solved) < math.comb(40, 2)
                 solved.clear()
+                # 400 supports pay for the 40-column |G|; 399 would not
                 with pytest.raises(TooLarge, match="k=2"):
-                    rip_constant_lower_estimate(A, 2, 200, 1)
-                assert sum(solved) < 200
+                    rip_constant_lower_estimate(A, 2, 400, 1)
+                assert sum(solved) < 400
 
 
 class TestSubspaceDistortion:
