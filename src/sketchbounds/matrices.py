@@ -427,6 +427,18 @@ def _constant_magnitude(A: SparseMatrix) -> float | None:
     return c if c and np.all(np.abs(A.data) == c) else None
 
 
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat start and the length of each run of equal items in a
+    nonempty array whose rows are each sorted, in order; a run never spans
+    two rows.  Items are compared by ``!=``, so a void view compares rows."""
+    flat = x.ravel()
+    new = np.empty(flat.size, dtype=bool)
+    new[1:] = flat[1:] != flat[:-1]
+    new[::x.shape[-1]] = True
+    starts = np.flatnonzero(new)
+    return starts, np.diff(starts, append=flat.size)
+
+
 def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     """Yield, in pieces, what :func:`canonical_json` writes for the m-by-n
     matrix whose entry p is ``[indices[p], -c if negative[p] else c]``.
@@ -454,13 +466,12 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     codes += negative
     order = np.argsort(codes)
     codes.sort()
-    firsts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-    firsts = np.concatenate(([0], firsts))  # where each key starts
+    firsts, lengths = _runs(codes)
     keys = codes[firsts].tolist()  # the distinct codes, ascending
-    del codes
+    del codes, firsts
     code_type = np.int32 if 4 * len(keys) < 2**31 else np.int64
     items = np.empty(order.size, code_type)
-    items[order] = np.repeat(np.arange(0, 4 * len(keys), 4, dtype=code_type), np.diff(firsts, append=order.size))
+    items[order] = np.repeat(np.arange(0, 4 * len(keys), 4, dtype=code_type), lengths)
     del order
     items[indptr[:-1][full]] += 2
     items[indptr[1:][full] - 1] += 1

@@ -84,7 +84,7 @@ from .errors import (
     TooLarge,
     TooManySupports,
 )
-from .matrices import SparseMatrix, _check_addressable, _constant_magnitude, _integer, column_norms
+from .matrices import SparseMatrix, _check_addressable, _constant_magnitude, _integer, _runs, column_norms
 from .rng import choice_bounds, floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
@@ -185,10 +185,11 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
     tau exactly when the max |count| is.  Each column's C(s, tau) row
     subsets become int64 keys (the rows, each later sign relative to the
     first, the column in the low bits), built a chunk at a time and sorted
-    in place; runs of keys with one pattern give the candidate pairs, whose
-    counts are taken exactly a chunk at a time.  The keys take
-    8 * n * C(s, tau) bytes and every other array at most ``_PROBE_CHUNK``
-    entries.
+    in place.  Links join neighbouring keys of one pattern, and each run of
+    consecutive links (:func:`_runs`) is a group, whose pairs' counts are
+    taken exactly a chunk at a time.  The keys take 8 * n * C(s, tau) bytes,
+    the links and groups at most as many, and every other array at most
+    ``_PROBE_CHUNK`` entries.
     """
     n = A.n
     row_bits, col_bits = (A.m - 1).bit_length(), (n - 1).bit_length()
@@ -223,10 +224,9 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
     linked = np.concatenate(linked)
     if not linked.size:
         return 0
-    # a run of g - 1 consecutive links is a group of g keys with one pattern
-    breaks = np.flatnonzero(np.diff(linked) != 1) + 1
-    starts = linked[np.concatenate(([0], breaks))]
-    sizes = np.diff(np.concatenate(([0], breaks, [linked.size]))) + 1
+    # g - 1 consecutive links, one run of linked - position, join g keys
+    firsts, sizes = _runs(linked - np.arange(linked.size))
+    starts, sizes = linked[firsts], sizes + 1
     if keys.size + int((sizes * (sizes - 1) // 2).sum()) > budget:
         return None
     keys &= (1 << col_bits) - 1

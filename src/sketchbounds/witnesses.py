@@ -47,7 +47,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import SparseMatrix, _array, _integer, apply, column_sparsity, to_csr
+from .matrices import SparseMatrix, _array, _integer, _runs, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count
 from .rng import check_seed, derive_seed, derived_states, substream
 from .constructions import _check_size
@@ -254,8 +254,8 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
 # --- grouping columns by key ------------------------------------------------------
 #
 # The three pigeonhole searches give each column an integer key row, built
-# straight from the CSC arrays a chunk of columns at a time, and take the
-# largest group of equal rows.
+# straight from the CSC arrays a chunk of columns at a time, sort the rows
+# stably and take the longest run of equal rows (matrices._runs).
 
 _KEY_CHUNK = 2048
 
@@ -273,9 +273,12 @@ def group_columns(keys: np.ndarray, valid: np.ndarray | None = None) -> np.ndarr
         return members
     block = np.ascontiguousarray(keys if valid is None else keys[members])
     rows = block.view(np.dtype((np.void, block.dtype.itemsize * block.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
-    tied = np.flatnonzero(counts == counts.max())
-    return members[inverse == tied[np.argmin(first[tied])]]
+    # a stable sort keeps each group's members ascending
+    order = np.argsort(rows, kind="stable")
+    starts, lengths = _runs(rows[order])
+    tied = starts[lengths == lengths.max()]
+    start = tied[np.argmin(order[tied])]
+    return members[order[start:start + lengths.max()]]
 
 
 def _signed_rows(A: SparseMatrix) -> np.ndarray:
@@ -644,14 +647,13 @@ def ose_collision_witness(S: SparseMatrix, indices: Iterable[int] | None = None)
             bad = next(i for i in chosen if not 0 <= i < S.n)
             raise IndexOutOfRange(f"column index {bad} outside [0, {S.n})")
         cols = np.array(chosen, dtype=np.int64)
-    # A stable sort by row keeps each row's columns ascending.  The first
-    # pair is a repeated row's first column with its second; taking the
-    # smallest first column over every neighbouring repeat finds it, since a
-    # later column of a row is never smaller than that row's first.
+    # A stable sort by row keeps each row's columns ascending, so the first
+    # pair is the first two columns of the repeated row whose first column
+    # is smallest.
     rows = S.indices[cols]
     order = np.argsort(rows, kind="stable")
-    ranked = rows[order]
-    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+    starts, lengths = _runs(rows[order])
+    repeats = starts[lengths > 1]
     if not repeats.size:
         return NoFinding(source)
     p = repeats[np.argmin(order[repeats])]
@@ -716,18 +718,6 @@ def _trial_states(seed: int, trials: int):
 _TRIAL_BYTES = 2**20
 
 
-def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row and the length of each run of equal values in a row-sorted
-    2-D array, in order; a run never spans two rows."""
-    width = x.shape[1]
-    flat = x.ravel()
-    new = np.empty(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    new[::width] = True
-    starts = np.flatnonzero(new)
-    return starts // width, np.diff(starts, append=flat.size)
-
-
 def _block_records(a: np.ndarray, subsets: np.ndarray, heavy_cut: float) -> list[TrialRecord]:
     """The records of a block of trials, one map's rows and one subset per
     row of ``a`` and ``subsets``; sorts ``a`` in place."""
@@ -735,11 +725,12 @@ def _block_records(a: np.ndarray, subsets: np.ndarray, heavy_cut: float) -> list
     hit.sort(axis=1)
     a.sort(axis=1)
     load = np.zeros(len(a), dtype=np.int64)
-    np.maximum.at(load, *_runs(hit))
+    starts, lengths = _runs(hit)
+    np.maximum.at(load, starts // hit.shape[1], lengths)
     # only the rows hit are counted: a row of load 0 is never heavy, as the
     # cut is positive
-    trial, length = _runs(a)
-    heavy = np.bincount(trial[length >= heavy_cut], minlength=len(a))
+    starts, lengths = _runs(a)
+    heavy = np.bincount(starts[lengths >= heavy_cut] // a.shape[1], minlength=len(a))
     return [TrialRecord(failed=L > 1, sigma_min=0.0 if L > 1 else 1.0, sigma_max=math.sqrt(L), heavy_rows=h)
             for L, h in zip(load.tolist(), heavy.tolist())]
 

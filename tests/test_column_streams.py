@@ -308,6 +308,20 @@ class TestOseTrialsMatchTheLoop:
         assert peak < 8 * witnesses._TRIAL_BYTES, peak
         assert rep.records == loop_ose_records(2**20, 8, 20000, 300, 3)
 
+    def test_run_arrays_stay_small_when_every_row_is_hit_once(self):
+        # at m = 2^40 nearly every map row of a 6-trial block is a run of its
+        # own, 120,000 runs where m = 64 gives 384
+        ose_failure_probability(64, 8, 256, 3, 3)  # first-call allocations
+        peaks = {}
+        for m in (64, 2**40):
+            tracemalloc.start()
+            try:
+                ose_failure_probability(m, 8, 20000, 300, 3)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2**40] - peaks[64] < 3 * 2**20, peaks
+
     def test_more_than_2_32_trials_refused(self, seeding_calls):
         # a trial index of 2^32 would be two SeedSequence words
         with pytest.raises(TooLarge, match="2\\^32 trials"):

@@ -37,6 +37,7 @@ from sketchbounds import (
 )
 from sketchbounds.cli import WITNESSES
 from sketchbounds.constructions import sample_countsketch
+from sketchbounds.matrices import _runs
 from sketchbounds.witnesses import (
     TTYPE_GROUP_CONSTANT,
     Certificate,
@@ -250,10 +251,19 @@ def dict_group(keys, valid):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_group_columns_matches_dict_grouping(n, w, spread, seed):
+@given(st.integers(1, 40), st.integers(1, 8), st.integers(1, 4), st.integers(0, 6),
+       st.sampled_from([0, 2**62, -2**62, 2**63 - 1, -(2**63 - 1)]), st.integers(0, 2**32 - 1))
+@example(40, 8, 1, 2, 2**63 - 1, 0)
+@example(40, 8, 4, 3, -(2**63 - 1), 1)
+def test_group_columns_matches_dict_grouping(n, w, spread, groups, edge, seed):
+    # int32 keys around 0, or int64 keys reaching `edge` (a width of 8 is that
+    # of rip_pattern's keys at s = 8); groups > 0 draws every row from the
+    # first `groups` rows, for many ties
     rng = np.random.default_rng(seed)
-    keys = rng.integers(-spread, spread + 1, size=(n, w)).astype(np.int32)
+    offsets = rng.integers(0, 2 * spread + 1, size=(n, w))
+    keys = (offsets - spread).astype(np.int32) if edge == 0 else np.int64(edge) - np.sign(edge) * offsets
+    if groups:
+        keys = keys[rng.integers(0, min(groups, n), size=n)]
     valid = rng.random(n) < 0.8
     assert group_columns(keys, valid).tolist() == dict_group(keys, valid)
     assert group_columns(keys).tolist() == dict_group(keys, np.ones(n, dtype=bool))
@@ -267,6 +277,40 @@ def test_group_columns_edge_cases():
     assert group_columns(keys, np.array([False, True, True, True, True])).tolist() == [1, 3]
     # all keys distinct: every group is a singleton, the first one wins
     assert group_columns(np.arange(12, dtype=np.int32).reshape(6, 2)).tolist() == [0]
+
+
+# --- the run kernel ----------------------------------------------------------------
+
+EDGES = {np.int32: [-(2**31), -1, 0, 1, 2**31 - 1], np.int64: [-(2**63 - 1), -(2**62), -1, 0, 1, 2**62, 2**63 - 1]}
+
+
+def groupby_runs(x):
+    """(flat start, length) of each run of equal items, a row at a time, by
+    ``itertools.groupby``."""
+    lengths = [len(list(run)) for row in x.reshape(-1, x.shape[-1]).tolist() for _, run in itertools.groupby(row)]
+    return np.cumsum([0] + lengths[:-1]).tolist(), lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 30), st.integers(1, 8), st.integers(1, 6),
+       st.sampled_from(["int64", "int32 rows", "int64 rows"]), st.integers(0, 2**32 - 1))
+@example(0, 1, 1, 1, "int64", 0)
+@example(1, 1, 3, 1, "int32 rows", 0)
+@example(1, 30, 8, 2, "int64 rows", 0)
+@example(4, 1, 2, 1, "int64", 0)
+def test_runs_match_groupby(rows, width, w, distinct, kind, seed):
+    # rows == 0 draws a 1-D array; each item is one of `distinct` draws, for
+    # many ties.  An item is one int64 value or the void view of a row of w
+    # int32 or int64 values, drawn from the dtype's edges.
+    rng = np.random.default_rng(seed)
+    dtype = np.int32 if kind == "int32 rows" else np.int64
+    shape = (width,) if rows == 0 else (rows, width)
+    pool = rng.choice(np.array(EDGES[dtype], dtype=dtype), size=(distinct, w))
+    keys = pool[rng.integers(0, distinct, size=shape)]
+    x = keys[..., 0] if kind == "int64" else keys.view(np.dtype((np.void, keys.itemsize * w)))[..., 0]
+    x = np.sort(x, axis=-1)
+    starts, lengths = _runs(x)
+    assert (starts.tolist(), lengths.tolist()) == groupby_runs(x)
 
 
 # --- every certificate verifies -----------------------------------------------------
