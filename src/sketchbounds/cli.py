@@ -381,7 +381,10 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[str, int]:
 
 # --- stream demo -----------------------------------------------------------------
 
-_STREAM_BLOCK = 1 << 16  # updates drawn and folded at once: memory is O(block * s)
+# Updates drawn and folded at once.  The block fixes the order of the draws
+# off the stream, so it is part of the output (another block size prints
+# another max_abs_deviation), not a memory chunk under matrices._BUDGET.
+_STREAM_BLOCK = 1 << 16
 
 
 def _run_stream_demo(cfg: ExperimentConfig) -> tuple[str, int]:

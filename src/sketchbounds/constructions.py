@@ -16,7 +16,8 @@ flat k/2-sparse unit vectors (``spread_vectors``).
 Every sampler is a pure function of its parameters plus a 64-bit seed.  In
 the two sign samplers column j is what its own stream ``substream(seed, j)``
 gives (see :mod:`sketchbounds.rng`), but the columns are computed as lanes,
-``_LANES`` at a time, from an emulation of those streams in numpy array
+``rng._LANES`` at a time (a lane count, not a share of the memory budget:
+fewer lanes cost speed), from an emulation of those streams in numpy array
 operations, not one ``Generator`` per column.  Each sampler names its row
 draws once, as the bounds numpy draws below (``choice``'s Floyd draws, or one
 draw per block), plus a pick that turns the drawn values into rows.  A lane
@@ -51,7 +52,7 @@ from .errors import (
     UnknownKind,
 )
 from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, _read_text, canonical_json
-from .rng import bounded, check_seed, choice_bounds, choice_is_floyd, floyd_picks, lane_draws, substream
+from .rng import _LANES, bounded, check_seed, choice_bounds, choice_is_floyd, floyd_picks, lane_draws, substream
 
 
 class Code:
@@ -190,9 +191,6 @@ def code_to_incoherent(c: Code) -> SparseMatrix:
 
 # --- random matrix samplers ---------------------------------------------------
 
-# columns computed per chunk of lanes: the lane arrays stay a few hundred KB,
-# so peak memory does not grow with n
-_LANES = 1024
 # Generator.integers draws int64 below at most 2^63, and Generator.choice
 # needs its population to fit an int64.  Sampled entries, and so column
 # indices (one 32-bit spawn-key word each), are capped at 2^32.

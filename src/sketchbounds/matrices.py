@@ -52,6 +52,24 @@ from .errors import (
 )
 
 
+# The package's one memory budget, in bytes.  Every kernel derives its
+# working chunks from it, and each states its peak as a multiple of it plus
+# its input and output.
+_BUDGET = 2**20
+
+
+def _spans(ptr: np.ndarray, limit: int):
+    """Yield ``(lo, hi)`` for consecutive spans of whole columns that cover
+    all ``len(ptr) - 1`` of them, column j holding the items
+    ``ptr[j]:ptr[j + 1]``: each span holds at most `limit` items, or is one
+    column that alone holds more."""
+    n, lo = len(ptr) - 1, 0
+    while lo < n:
+        hi = max(int(np.searchsorted(ptr, ptr[lo] + limit, side="right")) - 1, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def _check_addressable(shape: tuple[int, ...]) -> None:
     """Refuse with :class:`TooLarge` an array of that shape and 8-byte
     entries whose byte count overflows intp, which numpy refuses with a
@@ -372,8 +390,6 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _HEAD = '{"cols":['
 _TAIL = re.compile(r'\],"m":([0-9]+),"n":([0-9]+)\}\n')
 _CUT = re.compile(r"[\[\]]\],\[")  # where a column, with entries or empty, ends and another begins
-_CHUNK_CHARS = 1 << 16  # the loader's chunks: whole columns, about 64 KB of text
-_BLOCK_COLUMNS = 1024  # the writer's blocks
 _MAX_ROW_DIGITS = 18  # a row token of at most this many digits is below 2^63
 
 
@@ -452,7 +468,10 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     4 * the rank of ``2 * row + negative`` among the ones present, plus 2
     when it opens a column and 1 when it closes one.  So each string is
     formatted once, and the columns are joined from lookups, one block of
-    ``_BLOCK_COLUMNS`` columns at a time.
+    whole columns at a time: at most ``_BUDGET // 128`` items, or one column
+    that alone has more.  Peak memory: at most 4 * max(_BUDGET, 128 bytes an
+    item of the largest column) for a block, plus 20 bytes an entry and 40 a
+    column, plus 128 bytes for each distinct item string.
     """
     counts = np.diff(indptr)
     full = counts > 0
@@ -478,7 +497,7 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     starts = np.concatenate(([0], np.cumsum(np.maximum(counts, 1))))  # each column's first item
     empty = 4 * len(keys)  # the code of "[]"
     if not full.all():
-        spaced = np.full(starts[-1], empty)
+        spaced = np.full(starts[-1], empty, dtype=items.dtype)
         spaced[np.arange(items.size) + np.repeat(starts[:-1] - indptr[:-1], counts)] = items
         items = spaced
     used = np.flatnonzero(np.bincount(items, minlength=empty + 1)[:empty])
@@ -488,10 +507,10 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     table[used] = np.fromiter((f"{opening[x >> 1 & 1]}[{keys[x >> 2] >> 1},{value[keys[x >> 2] & 1]}]"
                                f"{closing[x & 1]}" for x in used.tolist()), object, used.size)
     yield _HEAD
-    for lo in range(0, counts.size, _BLOCK_COLUMNS):
+    for lo, hi in _spans(starts, _BUDGET // 128):
         if lo:
             yield ","
-        yield ",".join(table[items[starts[lo]:starts[min(lo + _BLOCK_COLUMNS, counts.size)]]].tolist())
+        yield ",".join(table[items[starts[lo]:starts[hi]]].tolist())
     yield f'],"m":{m},"n":{n}}}\n'
 
 
@@ -526,7 +545,11 @@ def _canonical_csc(text: str):
     re-encoding: the text must equal, piece by piece, what
     :func:`_signed_text` writes for them.  The writer's text is what
     ``canonical_json`` writes, so the arrays are the ones ``json.loads``
-    would give, and any other text, valid or not, is left to it.
+    would give, and any other text, valid or not, is left to it.  A chunk
+    ends at the first column end past ``_BUDGET // 16`` characters.  Peak
+    memory, beyond the text: at most 4 * max(_BUDGET, 16 bytes a character
+    of the largest column's text) for a chunk, plus 48 bytes an entry and 80
+    a column, plus the re-encoding's 128 bytes for each distinct item string.
     """
     tail = _TAIL.fullmatch(text, max(text.rfind('],"m":'), 0)) \
         if text.isascii() and text.startswith(_HEAD) else None
@@ -537,7 +560,7 @@ def _canonical_csc(text: str):
         start, end = len(_HEAD), tail.start()
         c, counts, rows, negatives = None, [], [], []
         while start < end:
-            cut = _CUT.search(text, start + _CHUNK_CHARS, end)
+            cut = _CUT.search(text, start + _BUDGET // 16, end)
             cut = end if cut is None else cut.start() + 2
             chunk = np.frombuffer(text[start:cut].encode("ascii"), np.uint8)
             opens = np.flatnonzero(chunk == ord("["))
@@ -600,7 +623,9 @@ def one_sparse_map_from_json(text: str) -> OneSparseMap:
 
 
 def save_matrix(A: SparseMatrix, path) -> None:
-    """Write ``matrix_to_json(A)`` to `path`, a piece at a time."""
+    """Write ``matrix_to_json(A)`` to `path`, a piece at a time, so a +-c
+    matrix never holds its whole text (see :func:`_signed_text` for the
+    peak memory)."""
     with open(path, "w") as fh:
         fh.writelines(_json_pieces(A))
 

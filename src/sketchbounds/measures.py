@@ -32,12 +32,13 @@ Other matrices, and taller ones, take the float64 Gram of the values.
 The restricted isometry constants stack their eigensolves: a chunk of supports
 becomes one (N, k, m) array of their columns, one batched ``np.matmul`` gives
 the N k-by-k Gram matrices and one ``np.linalg.eigvalsh`` their eigenvalues.
-A chunk holds at most ``_CHUNK_BYTES`` (1 MiB) of stacked columns, or one
-support when a single one is larger.  Its other arrays, the distinct columns
-and the N Gram matrices, are no larger than the stack unless k > m, so the
-memory stays bounded however many supports are scanned.  The exact scan
-unranks its chunks of supports in lexicographic order, so it never holds more
-than a chunk of them either.
+A chunk holds at most the memory budget (``matrices._BUDGET``, 1 MiB) of
+stacked columns, or one support when a single one is larger.  Its other
+arrays, the distinct columns and the N Gram matrices, are no larger than the
+stack unless k > m, where the Grams are k/m times larger (see
+:func:`_chunk_length`), so the memory stays bounded however many supports
+are scanned.  The exact scan unranks its chunks of supports in lexicographic
+order, so it never holds more than a chunk of them either.
 
 Most supports are never solved.  By Gershgorin's theorem every eigenvalue of
 a support's Gram G_S lies in some disc [G_ii - R_i, G_ii + R_i], with
@@ -57,7 +58,7 @@ m * n^2 multiply-adds and can save about k^2 * m for each support scanned,
 so it is built only when n^2 <= k^2 * (supports scanned): never at k = 1,
 nor for a few sampled supports of a wide matrix.  It is then no larger than
 8 * k^2 bytes a support, and it is multiplied from column slabs of at most
-``_CHUNK_BYTES`` each, so no dense copy of A is held.  Otherwise, or past
+``_BUDGET`` bytes each, so no dense copy of A is held.  Otherwise, or past
 m = 2^21, every b is +inf and every support is solved.
 """
 
@@ -84,21 +85,16 @@ from .errors import (
     TooLarge,
     TooManySupports,
 )
-from .matrices import SparseMatrix, _check_addressable, _constant_magnitude, _integer, _runs, column_norms
+from .matrices import _BUDGET, SparseMatrix, _check_addressable, _constant_magnitude, _integer, _runs, column_norms
 from .rng import choice_bounds, floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
 MAX_EXACT_SUPPORTS = 10**6
-# bytes of stacked support columns per eigensolve chunk, and of each column
-# slab the RIP scans' Gram is multiplied from
-_CHUNK_BYTES = 2**20
 # supports the first chunk solves before any is pruned, those of largest bound
 _SEED_SOLVES = 64
 # float32 holds every integer up to 2^24, so a +-1 Gram over at most this
 # many rows is exact
 _FLOAT32_EXACT_ROWS = 2**24
-# entries in each chunk of coherence's pattern-probe arrays
-_PROBE_CHUNK = 2**17
 # the sign Gram's multiply-adds that take about as long as one pattern-probe
 # key: on a 2-core x86 VM at 256 x 10000, about 37 ns a key against 0.017 ns
 # a multiply-add of the float32 BLAS Gram
@@ -189,7 +185,9 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
     consecutive links (:func:`_runs`) is a group, whose pairs' counts are
     taken exactly a chunk at a time.  The keys take 8 * n * C(s, tau) bytes,
     the links and groups at most as many, and every other array at most
-    ``_PROBE_CHUNK`` entries.
+    ``_BUDGET // 8`` entries (or one column's C(s, tau) keys).  Peak memory:
+    at most 4 * _BUDGET plus twice the keys, plus 20 bytes an entry and 40 a
+    column.
     """
     n = A.n
     row_bits, col_bits = (A.m - 1).bit_length(), (n - 1).bit_length()
@@ -199,7 +197,8 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
     rows = A.indices.reshape(n, s)
     negative = (A.data < 0).reshape(n, s)
     keys = np.empty(n * len(subsets), dtype=np.int64)
-    step = max(1, _PROBE_CHUNK // len(subsets))
+    chunk = _BUDGET // 8  # entries
+    step = max(1, chunk // len(subsets))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         key = rows[lo:hi, subsets[:, 0]]
@@ -216,8 +215,8 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
     keys.sort()
     # key p and key p + 1 share a pattern for each p in linked
     linked = []
-    for a in range(0, keys.size - 1, _PROBE_CHUNK):
-        b = min(a + _PROBE_CHUNK, keys.size - 1)
+    for a in range(0, keys.size - 1, chunk):
+        b = min(a + chunk, keys.size - 1)
         diff = keys[a + 1:b + 1] ^ keys[a:b]
         diff >>= col_bits
         linked.append(np.flatnonzero(diff == 0) + a)
@@ -231,7 +230,7 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
         return None
     keys &= (1 << col_bits) - 1
     codes = 2 * rows + negative
-    step = max(1, _PROBE_CHUNK // (2 * s))
+    step = max(1, chunk // (2 * s))
     best = 0
     # each group member pairs with the member d places later, for d = 1, 2, ...
     members = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
@@ -303,8 +302,17 @@ class RipEstimate:
 
 
 def _chunk_length(A: SparseMatrix, k: int) -> int:
-    """Supports per chunk: their (N, k, m) column stack fits ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // (8 * k * A.m))
+    """Supports per chunk: their (N, k, m) column stack fits ``_BUDGET``, or
+    N = 1 when one support's 8 * k * m bytes do not.
+
+    The N k-by-k Grams, and the bounds' (N, k, k) gather, take k/m times the
+    stack, so a scan peaks at about 2 * max(_BUDGET, 8 * k * m) * max(1, k/m),
+    plus |G| where it is built (8 * n^2 bytes) and 20 bytes an entry and 40 a
+    column of A: 68 MiB for a 2 x 400 matrix at k = 128.  Sizing the chunk by
+    max(k, m) would hold that at 2.4 MiB, but made the 3,000-trial estimate
+    there take 4.2 s instead of 2.6 s, so the k/m factor stays.
+    """
+    return max(1, _BUDGET // (8 * k * A.m))
 
 
 def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
@@ -331,7 +339,7 @@ def _gershgorin(A: SparseMatrix, k: int, count: int):
     m, n = A.m, A.n
     if m > 2**21 or n * n > k * k * count:
         return lambda supports: np.full(len(supports), math.inf)
-    width = max(1, _CHUNK_BYTES // (8 * m))
+    width = max(1, _BUDGET // (8 * m))
 
     def slab(lo):
         """The dense columns [lo, lo + width) of A."""
@@ -411,8 +419,9 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
 
     Guarded by C(n, k) <= 10^6; the worst support is the lexicographically
     first achiever of the maximum.  The supports are unranked in
-    lexicographic order and scanned in chunks of at most 1 MiB of stacked
-    columns each.  A support is solved only when its Gershgorin bound b(S)
+    lexicographic order and scanned in chunks of at most 1 MiB (the memory
+    budget) of stacked columns each; :func:`_chunk_length` states the peak.
+    A support is solved only when its Gershgorin bound b(S)
     = max_i |G_ii - 1| + sum_{j != i} |G_ij|, plus the margin
     2^-30 * (1 + k * max_i G_ii), reaches the largest delta already solved
     (the first chunk solves its 64 largest b first), so every achiever of
@@ -438,7 +447,8 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     Supports come off a single sequential stream, so with a fixed seed the
     first supports of a longer run replicate a shorter run exactly and the
     estimate is monotone nondecreasing in `trials`.  They are drawn and
-    scanned in chunks of at most 1 MiB of stacked columns each, and pruned
+    scanned in chunks of at most 1 MiB (the memory budget) of stacked
+    columns each (:func:`_chunk_length` states the peak), and pruned
     as in :func:`rip_constant_exact`: a support is solved only when its
     Gershgorin bound plus the margin reaches the largest delta already
     solved, so the result is the first drawn achiever, as if every support

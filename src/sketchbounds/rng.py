@@ -57,6 +57,14 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MUL_HI, _MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 _MUL_LO0, _MUL_LO1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
 
+# Columns or trials whose streams one emulation call covers at once.  Each
+# call has a fixed Python cost, and lane_draws steps once per pair of words
+# for the whole chunk, so this stays a lane count outside the memory budget
+# (matrices._BUDGET): the lane arrays stay a few hundred KB, and 16 lanes, a
+# count derived from the budget's bytes, made sample_sparse_sign_jl(4096,
+# 2048, 512) take 4.1 s instead of 0.39 s on a 2-core x86 VM.
+_LANES = 1024
+
 # Generator.choice(m, s, replace=False) shuffles the tail of an arange
 # instead of running Floyd's algorithm when m > 10000 and s > m // 50
 _FLOYD_MAX_POP = 10000

@@ -47,9 +47,9 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import SparseMatrix, _array, _integer, _runs, apply, column_sparsity, to_csr
+from .matrices import _BUDGET, SparseMatrix, _array, _integer, _runs, _spans, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count
-from .rng import check_seed, derive_seed, derived_states, substream
+from .rng import _LANES, check_seed, derive_seed, derived_states, substream
 from .constructions import _check_size
 
 # Group constant for the t-type certifier: C = 2 / (1 - 1/sqrt(2)).
@@ -254,10 +254,12 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
 # --- grouping columns by key ------------------------------------------------------
 #
 # The three pigeonhole searches give each column an integer key row, built
-# straight from the CSC arrays a chunk of columns at a time, sort the rows
-# stably and take the longest run of equal rows (matrices._runs).
-
-_KEY_CHUNK = 2048
+# straight from the CSC arrays a span of whole columns at a time (at most
+# _BUDGET // 64 entries, or one column), sort the rows stably and take the
+# longest run of equal rows (matrices._runs).  A search's peak memory is at
+# most 4 * max(_BUDGET, 64 bytes an entry of the largest column) for a span,
+# plus 20 bytes an entry and 40 a column, plus, for grouping, four times
+# the block of key rows and 40 bytes a row.
 
 
 def group_columns(keys: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
@@ -285,7 +287,8 @@ def _signed_rows(A: SparseMatrix) -> np.ndarray:
     """Every stored entry as the integer (row + 1) * sign, which is never 0,
     so 0 can pad a key; int32 unless the rows need more."""
     dtype = np.int32 if A.m < np.iinfo(np.int32).max else np.int64
-    codes = (A.indices + 1).astype(dtype)
+    codes = A.indices.astype(dtype)
+    codes += 1
     codes[A.data < 0] *= -1
     return codes
 
@@ -376,8 +379,7 @@ def _ttype_keys(A: SparseMatrix, t: int, s: int) -> np.ndarray:
     codes = _signed_rows(A)
     keys = np.empty((A.n, 2 * t), dtype=codes.dtype)
     nnz = np.diff(A.indptr)
-    for lo in range(0, A.n, _KEY_CHUNK):
-        hi = min(lo + _KEY_CHUNK, A.n)
+    for lo, hi in _spans(A.indptr, _BUDGET // 64):
         col, pos = _top_entries(A, lo, hi, t)
         rows, vals = A.indices[pos], A.data[pos]
         # A column with fewer than t nonzeros takes zero coordinates at its
@@ -439,7 +441,8 @@ def ttype_collision_certify(A: SparseMatrix, eps: float, t: int) -> _Certificate
     eps (returned as an incoherence pair) or the group pigeonhole forces
     s >= t(N-1)/(2C), returned as a sparsity lower bound.  A negative, NaN
     or non-real eps raises :class:`InvalidEps`, a bool or non-integer t
-    :class:`InvalidDimension`.
+    :class:`InvalidDimension`.  Peak memory: that of the key searches (see
+    "grouping columns by key"), with n key rows of 2t codes.
     """
     eps, t = _nonnegative_eps(eps), _integer(t, "t")
     check_unit_columns(A)
@@ -471,7 +474,11 @@ def sign_pattern_certify(
     The largest group either exposes an incoherence pair (some inner product
     above eps) or certifies the sparsity bound s >= t(N-1)/4.  A negative,
     NaN or non-real eps raises :class:`InvalidEps`, a bool or non-integer t
-    :class:`InvalidDimension`.
+    :class:`InvalidDimension`.  Peak memory: that of the key searches (see
+    "grouping columns by key"), with n key rows of t codes, or with full
+    enumeration a row for each t-subset of each support.  Full enumeration
+    builds the positions of a span's columns that have a t-subset as one
+    (columns, C(s, t), t) fancy index.
     """
     eps, t = _nonnegative_eps(eps), _integer(t, "t")
     s = column_sparsity(A)
@@ -490,16 +497,20 @@ def sign_pattern_certify(
     if full_enumeration:
         if s > _FULL_ENUM_MAX_S:
             raise TooLarge(f"full enumeration allows s <= {_FULL_ENUM_MAX_S}, got s={s}")
-        # one key row per (column, t-subset of its support), in column order
+        # one key row per (column, t-subset of its support), in column order:
+        # the t-subsets of range(s) that lie in range(nnz) are those of
+        # range(nnz), in the same lexicographic order
+        combos = np.array(list(itertools.combinations(range(s), t)))
         counts = np.array([math.comb(size, t) for size in range(s + 1)])[nnz]
-        start = np.cumsum(counts) - counts
-        keys = np.empty((int(counts.sum()), t), dtype=codes.dtype)
-        for size in range(t, s + 1):
-            combos = np.array(list(itertools.combinations(range(size), t)))
-            cols = np.flatnonzero(nnz == size)
-            for c in range(0, cols.size, _KEY_CHUNK):
-                chunk = cols[c:c + _KEY_CHUNK]
-                keys[start[chunk, None] + np.arange(len(combos))] = codes[A.indptr[chunk, None, None] + combos]
+        start = np.concatenate(([0], np.cumsum(counts)))
+        keys = np.empty((int(start[-1]), t), dtype=codes.dtype)
+        # only columns with a key take part, so that empty ones cost nothing;
+        # a span's (columns, C(s, t), t) positions hold at most _BUDGET // 64
+        cols = np.flatnonzero(nnz >= t)
+        for lo, hi in _spans(np.arange(cols.size + 1) * combos.size, _BUDGET // 64):
+            span = cols[lo:hi]
+            inside = combos[:, -1] < nnz[span, None]
+            keys[start[span[0]]:start[span[-1] + 1]] = codes[(A.indptr[span, None, None] + combos)[inside]]
         group = np.repeat(np.arange(A.n), counts)[group_columns(keys)]
     else:
         valid = nnz >= t
@@ -558,8 +569,7 @@ def _pattern_keys(A: SparseMatrix, t: int, k: int, s: int, codes: np.ndarray) ->
     width = min(_pattern_size(t, k, s), s)
     threshold_sq = 2.0 ** (t - 3) / s
     keys = np.zeros((A.n, width), dtype=codes.dtype)
-    for lo in range(0, A.n, _KEY_CHUNK):
-        hi = min(lo + _KEY_CHUNK, A.n)
+    for lo, hi in _spans(A.indptr, _BUDGET // 64):
         vals = A.data[A.indptr[lo]:A.indptr[hi]]
         col, pos = _top_entries(A, lo, hi, width, keep=vals * vals >= threshold_sq)
         keys[col, _ranks(col)] = codes[pos]
@@ -593,7 +603,10 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     their canonical pattern; the largest group of size z >= 2 proposes the
     indicator vector of its first min(z, k) members, and the best ratio
     |Av|^2 / |v|^2 over all scales is returned as a ``rip_distortion``
-    certificate when it exceeds 1 + 1e-9.
+    certificate when it exceeds 1 + 1e-9.  Peak memory: that of the key
+    searches (see "grouping columns by key"), with n key rows of the widest
+    pattern, min(u, s) codes, but 36 bytes an entry, as the scale check
+    holds four entry-sized arrays.
     """
     source = "rip_pattern_witness"
     k = _integer(k, "k")
@@ -685,16 +698,12 @@ class OseFailureReport:
     records: tuple[TrialRecord, ...]
 
 
-# trials whose stream states are derived at once
-_TRIAL_LANES = 1024
-
-
 def _trial_states(seed: int, trials: int):
     """Yield each trial's two PCG64 state dicts, those of
     ``substream(derive_seed(seed, trial, c))`` for c = 0 (the map's) and
     c = 1 (the subset's).
 
-    States are derived ``_TRIAL_LANES`` trials at a time by
+    States are derived ``_LANES`` trials at a time by
     :func:`sketchbounds.rng.derived_states`.  Each chunk's call also derives
     the first and last trials' states, and when these differ from their real
     streams' the chunk's states are read off the real streams instead.  A
@@ -704,18 +713,14 @@ def _trial_states(seed: int, trials: int):
         return tuple(substream(derive_seed(seed, trial, c)).bit_generator.state for c in (0, 1))
 
     ends = [real(0), real(trials - 1)]
-    for start in range(0, trials, _TRIAL_LANES):
-        chunk = range(start, min(start + _TRIAL_LANES, trials))
+    for start in range(0, trials, _LANES):
+        chunk = range(start, min(start + _LANES, trials))
         # the guard lanes ride in the chunk's call: each call has a fixed
         # cost of about 0.5 ms, as much as a sweep of a few trials
         lanes = np.r_[0, trials - 1, chunk.start:chunk.stop]
         flat = derived_states(seed, np.repeat(lanes, 2), np.tile([0, 1], lanes.size))
         pairs = list(zip(flat[::2], flat[1::2]))
         yield from pairs[2:] if pairs[:2] == ends else map(real, chunk)
-
-
-# bytes of map rows the OSE sweep counts in one block of trials
-_TRIAL_BYTES = 2**20
 
 
 def _block_records(a: np.ndarray, subsets: np.ndarray, heavy_cut: float) -> list[TrialRecord]:
@@ -754,9 +759,10 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     so no trial makes a ``SeedSequence``.  The loads are counted a block of
     trials at a time: the block's rows ``a`` and those of its subsets are
     sorted row-wise, and each run of equal values is one row hit, its length
-    the row's load.  A block holds at most ``_TRIAL_BYTES`` (1 MiB) of rows,
-    or one trial when a single one is larger, so a trial takes O(n) memory
-    at any m.  At most 2^32 trials are supported.
+    the row's load.  A block holds at most ``_BUDGET`` (1 MiB) of rows, or
+    one trial when a single one is larger, so a trial takes O(n) memory at
+    any m: the peak is at most 5 * max(_BUDGET, 8 * n) bytes plus the
+    records.  At most 2^32 trials are supported.
     """
     m, d, n = _integer(m, "row count"), _integer(d, "subspace dimension"), _integer(n, "column count")
     trials = _integer(trials, "trials")
@@ -769,7 +775,7 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     seed = check_seed(seed)
     _check_size("row count", m, 2**63, n)
     heavy_cut = n / (10.0 * m)
-    block = min(trials, max(1, _TRIAL_BYTES // (8 * n)))
+    block = min(trials, max(1, _BUDGET // (8 * n)))
     a, subsets = np.empty((block, n), dtype=np.int64), np.empty((block, d), dtype=np.int64)
     records = []
     rows, coords = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))

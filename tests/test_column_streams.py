@@ -279,7 +279,7 @@ class TestOseTrialsMatchTheLoop:
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
     def test_trial_states_are_the_real_streams(self, monkeypatch, lanes, seed):
-        monkeypatch.setattr(witnesses, "_TRIAL_LANES", lanes)
+        monkeypatch.setattr(witnesses, "_LANES", lanes)
         for trials in range(1, 8):
             want = [tuple(substream(derive_seed(seed, t, c)).bit_generator.state for c in (0, 1))
                     for t in range(trials)]
@@ -287,13 +287,13 @@ class TestOseTrialsMatchTheLoop:
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 9, 10])
     def test_chunks_of_three_trials(self, monkeypatch, trials):
-        monkeypatch.setattr(witnesses, "_TRIAL_LANES", 3)
+        monkeypatch.setattr(witnesses, "_LANES", 3)
         assert ose_failure_probability(32, 4, 64, trials, 9).records == loop_ose_records(32, 4, 64, trials, 9)
 
     @pytest.mark.parametrize("per_block", [1, 2, 3])
     @pytest.mark.parametrize("m, d, n", [(1, 1, 1), (5, 3, 40), (64, 8, 256), (2**40, 4, 64)])
     def test_blocks_of_one_two_and_three_trials(self, monkeypatch, per_block, m, d, n):
-        monkeypatch.setattr(witnesses, "_TRIAL_BYTES", 8 * n * per_block)
+        monkeypatch.setattr(witnesses, "_BUDGET", 8 * n * per_block)
         for trials in range(1, 3 * per_block + 2):
             assert ose_failure_probability(m, d, n, trials, 4).records == loop_ose_records(m, d, n, trials, 4)
 
@@ -305,7 +305,7 @@ class TestOseTrialsMatchTheLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * witnesses._TRIAL_BYTES, peak
+        assert peak < 8 * witnesses._BUDGET, peak
         assert rep.records == loop_ose_records(2**20, 8, 20000, 300, 3)
 
     def test_run_arrays_stay_small_when_every_row_is_hit_once(self):

@@ -13,6 +13,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sketchbounds import (
@@ -35,6 +36,7 @@ from sketchbounds import (
     ttype_collision_certify,
     ttype_of,
 )
+from sketchbounds import witnesses
 from sketchbounds.cli import WITNESSES
 from sketchbounds.constructions import sample_countsketch
 from sketchbounds.matrices import _runs
@@ -238,6 +240,20 @@ def test_sign_pattern_matches_oracle(A, t, eps, full):
 @given(matrices(), st.sampled_from([2, 3, 5]))
 def test_rip_pattern_matches_oracle(A, k):
     assert outcome(rip_pattern_witness, A, k) == outcome(rip_oracle, A, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), T_VALUES, st.sampled_from([2, 3, 5]), st.sampled_from([1, 2, 3, 5, 8, 13, 40, 100, 300]))
+def test_searches_match_oracles_in_spans_of_a_few_entries(A, t, k, entries):
+    # key spans of at most `entries` entries, or one column, cut the
+    # matrices above into many spans; full enumeration counts C(s, t) * t
+    # positions a column
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witnesses, "_BUDGET", 64 * entries)
+        assert outcome(ttype_collision_certify, A, 0.01, t) == outcome(ttype_oracle, A, 0.01, t)
+        for full in (False, True):
+            assert outcome(sign_pattern_certify, A, 0.0, t, full) == outcome(sign_oracle, A, 0.0, t, full)
+        assert outcome(rip_pattern_witness, A, k) == outcome(rip_oracle, A, k)
 
 
 # --- group_columns -----------------------------------------------------------------

@@ -34,7 +34,7 @@ from sketchbounds import (
     save_matrix,
     spread_vectors,
 )
-from sketchbounds.matrices import _CHUNK_CHARS, _map_from_object
+from sketchbounds.matrices import _BUDGET, _map_from_object
 
 
 # --- the oracle -------------------------------------------------------------------
@@ -498,8 +498,8 @@ def test_a_text_of_empty_columns_is_decoded_in_chunks(json_loads_calls, monkeypa
     A = SparseMatrix.from_csc(8, 100000, [0] * 100000 + [2], [1, 6], [0.5, -0.5])
     text = matrix_to_json(A)
     peaks = []
-    for chunk_chars in (_CHUNK_CHARS, len(text)):
-        monkeypatch.setattr("sketchbounds.matrices._CHUNK_CHARS", chunk_chars)
+    for chunk_chars in (_BUDGET // 16, len(text)):
+        monkeypatch.setattr("sketchbounds.matrices._BUDGET", 16 * chunk_chars)
         tracemalloc.start()
         try:
             assert matrix_from_json(text) == A

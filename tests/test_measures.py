@@ -530,7 +530,7 @@ class TestStackedRipMatchesLoop:
             # fall on chunk boundaries
             for per_chunk in (None, 1, 2, 3):
                 if per_chunk is not None:
-                    mp.setattr(measures, "_CHUNK_BYTES", 8 * k * A.m * per_chunk)
+                    mp.setattr(measures, "_BUDGET", 8 * k * A.m * per_chunk)
                 assert same_estimate(rip_constant_exact(A, k), exact)
                 assert same_estimate(rip_constant_lower_estimate(A, k, 12, seed), estimate)
 
@@ -539,7 +539,7 @@ class TestStackedRipMatchesLoop:
     def test_estimate_monotone_in_trials_across_chunks(self, inp, seed, per_chunk):
         A, k = inp
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measures, "_CHUNK_BYTES", 8 * k * A.m * per_chunk)
+            mp.setattr(measures, "_BUDGET", 8 * k * A.m * per_chunk)
             runs = [rip_constant_lower_estimate(A, k, trials, seed) for trials in range(1, 9)]
         deltas = [r.delta for r in runs]
         assert deltas == sorted(deltas)
@@ -552,7 +552,7 @@ class TestStackedRipMatchesLoop:
         A = dense([[1e200, 1.0, 0.5], [0.0, 1.0, 0.5]])
         for per_chunk in (1, 3):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(measures, "_CHUNK_BYTES", 8 * 2 * A.m * per_chunk)
+                mp.setattr(measures, "_BUDGET", 8 * 2 * A.m * per_chunk)
                 with pytest.raises(TooLarge, match="k=2"):
                     rip_constant_exact(A, 2)
                 with pytest.raises(TooLarge, match="k=2"):
@@ -639,10 +639,10 @@ class TestGershgorinPruning:
             assert sum(solved) == scanned
 
     def test_the_readme_matrix_past_the_chunk_budget_is_pruned(self, solved):
-        # its 8 MB |G| exceeds _CHUNK_BYTES but pays for itself; the unpruned
+        # its 8 MB |G| exceeds _BUDGET but pays for itself; the unpruned
         # scan stands in for loop_exact, which takes about 10 s here
         A = sample_sparse_sign_jl(64, 1000, 8, 7)
-        assert 8 * A.n * max(A.m, A.n) > measures._CHUNK_BYTES
+        assert 8 * A.n * max(A.m, A.n) > measures._BUDGET
         pruned = rip_constant_exact(A, 2)
         assert 0 < sum(solved) * 100 < math.comb(1000, 2), sum(solved)
         assert (pruned.delta, pruned.worst_support) == (0.625, (4, 18))
@@ -675,7 +675,7 @@ class TestGershgorinPruning:
         A = SparseMatrix.from_dense(D)
         with pytest.MonkeyPatch.context() as mp:
             if width is not None:
-                mp.setattr(measures, "_CHUNK_BYTES", 8 * m * width)
+                mp.setattr(measures, "_BUDGET", 8 * m * width)
             for k in (1, 2, 3):
                 supports = np.array(list(itertools.combinations(range(40), k))[::7])
                 bound = measures._gershgorin(A, k, 40 * 40)(supports)

@@ -1,0 +1,322 @@
+"""The package's one memory budget, ``matrices._BUDGET``.
+
+Every kernel derives its working chunks from that one byte count, and its
+docstring states its peak as a multiple of the budget plus bytes per entry
+and per column of its input, plus its output.  The tests here hold each
+statement under tracemalloc at the benchmark's shapes and at adversarial
+ones: wide columns (s = 512), 200,000 empty columns, one column of 2^17
+entries, m = 2^40, and k > m for the RIP scans.  They also list the
+package's size knobs, and check that the budget gives the benchmark's shapes
+the chunks they had when each kernel had its own constant.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import math
+import pathlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import sketchbounds
+from sketchbounds import (
+    SparseMatrix,
+    coherence,
+    matrix_from_json,
+    matrix_to_json,
+    ose_failure_probability,
+    rip_constant_exact,
+    rip_constant_lower_estimate,
+    rip_pattern_witness,
+    sample_sparse_sign_jl,
+    save_matrix,
+    sign_pattern_certify,
+    ttype_collision_certify,
+)
+from sketchbounds import matrices, measures, witnesses
+from sketchbounds.matrices import _BUDGET, _spans
+from sketchbounds.measures import _probe_level
+
+# --- shapes ---------------------------------------------------------------------
+
+
+def _signed(m, cols, sign):
+    """The matrix whose column j holds the rows cols[j], with random signs,
+    each entry of magnitude 1/sqrt(largest column) when `sign`, else of
+    1/sqrt(its column's size), which gives unit columns."""
+    sizes = np.array([len(c) for c in cols])
+    indices = np.concatenate([np.asarray(c, dtype=np.int64) for c in cols])
+    mag = np.full(indices.size, 1 / math.sqrt(sizes.max())) if sign else \
+        np.repeat(1 / np.sqrt(np.maximum(sizes, 1)), sizes)
+    data = mag * np.random.default_rng(5).choice([-1.0, 1.0], indices.size)
+    return SparseMatrix.from_csc(m, len(cols), np.concatenate(([0], np.cumsum(sizes))), indices, data)
+
+
+def _shape(name, sign):
+    """A matrix at a shape the statements are held at; `sign` asks for one
+    magnitude throughout, as ``sign_pattern_certify`` needs, else unit columns."""
+    if name == "benchmark":  # the witness and codec workloads' sign-JL matrix
+        return sample_sparse_sign_jl(256, 10000, 8, 1)
+    if name == "wide":
+        return sample_sparse_sign_jl(4096, 2048, 512, 1)
+    if name == "empty":  # 200,000 empty columns, then one full one
+        return _signed(8, [[]] * 200000 + [range(8)], sign)
+    if name == "long":  # one column of 2^17 entries among short ones
+        rng = np.random.default_rng(2)
+        cols = [np.sort(rng.choice(2**17, rng.integers(1, 5), replace=False)) for _ in range(15)]
+        return _signed(2**17, cols[:7] + [range(2**17)] + cols[7:], sign)
+    if name == "tall":  # m = 2^40 with a few entries, no two columns on the same rows
+        return _signed(2**40, [[0, 2**40 - 1], [5, 2**39], [1, 2**40 - 2], [7, 2**40 - 3], [1, 2]], sign)
+    if name == "measure":  # the measure workload's RIP matrix
+        return sample_sparse_sign_jl(64, 60, 4, 1)
+    if name == "readme":  # the README tour's matrix, whose exact k = 2 scan builds an 8 MB |G|
+        return sample_sparse_sign_jl(64, 1000, 8, 7)
+    if name == "short":  # k > m: two rows, 400 columns
+        return SparseMatrix.from_dense(np.random.default_rng(0).standard_normal((2, 400)))
+    raise KeyError(name)
+
+
+@pytest.fixture(scope="module")
+def shape():
+    """:func:`_shape`, each matrix built once for this module's tests."""
+    built = {}
+
+    def get(name, sign=True):
+        if (name, sign) not in built:
+            built[name, sign] = _shape(name, sign)
+        return built[name, sign]
+
+    yield get
+    built.clear()
+
+
+def _largest(A):
+    """Entries in A's largest column."""
+    return int(np.diff(A.indptr).max())
+
+
+def _code_bytes(A):
+    """Bytes of one signed-row code, as ``witnesses._signed_rows`` stores it."""
+    return 4 if A.m < 2**31 - 1 else 8
+
+
+def _distinct_strings(A):
+    """The entry strings the +-c writer formats: one per distinct (row, sign,
+    opens its column, closes it), plus ``[]`` when a column is empty."""
+    nnz = np.diff(A.indptr)
+    items = 8 * A.indices + 4 * (A.data < 0)
+    items[A.indptr[:-1][nnz > 0]] += 2
+    items[A.indptr[1:][nnz > 0] - 1] += 1
+    return np.unique(items).size + int((nnz == 0).any())
+
+
+# --- the statements ---------------------------------------------------------------
+#
+# Each entry gives a kernel's run on A and the peak its docstring states,
+# in bytes.  A span or block holds at most its share of the budget, or one
+# column (support, trial) that alone holds more: that is the max(...) term.
+
+def _writer(A):
+    # matrices._signed_text
+    return 4 * max(_BUDGET, 128 * _largest(A)) + 20 * A.nnz + 40 * A.n + 128 * _distinct_strings(A)
+
+
+def _loader(A):
+    # matrices._canonical_csc, whose proof re-encodes with the writer; a
+    # column's text is at most 64 characters an entry
+    return 4 * max(_BUDGET, 1024 * _largest(A)) + 48 * A.nnz + 80 * A.n + 128 * _distinct_strings(A)
+
+
+def _keys(A, rows, width, per_entry=20):
+    # witnesses' key spans, then the block of `rows` keys of `width` codes
+    # and its grouping
+    return 4 * max(_BUDGET, 64 * _largest(A)) + per_entry * A.nnz + 40 * A.n \
+        + 4 * rows * width * _code_bytes(A) + 40 * rows
+
+
+def _ttype(A, t):
+    return _keys(A, A.n, 2 * t)
+
+
+def _sign_pattern(A, t):
+    return _keys(A, A.n, t)
+
+
+def _full_enumeration(A, t):
+    return _keys(A, sum(math.comb(int(c), t) for c in np.diff(A.indptr)), t)
+
+
+def _rip_pattern(A, k):
+    # the scale check holds four entry-sized arrays
+    s = _largest(A)
+    return _keys(A, A.n, min(witnesses._pattern_size(1, k, s), s), per_entry=36)
+
+
+def _rip(A, k, count):
+    # the stacked columns and Grams of a chunk, k/m times larger than the
+    # stack when k > m; |G| where it is built; the worst direction
+    G = 8 * A.n**2 if A.m <= 2**21 and A.n**2 <= k * k * count else 0
+    return 2 * max(_BUDGET, 8 * k * A.m) * max(1, k / A.m) + G + 20 * A.nnz + 40 * A.n
+
+
+def _probe(A):
+    # coherence by the pattern probe: 8 * n * C(s, tau) bytes of keys, with
+    # links and groups at most as many
+    tau, _ = _probe_level(A.m, A.n, A.nnz // A.n)
+    return 4 * _BUDGET + 2 * 8 * A.n * math.comb(A.nnz // A.n, tau) + 20 * A.nnz + 40 * A.n
+
+
+def _sweep(n, trials):
+    # a block of trials' rows, or one trial's 8n bytes, and the records
+    return 5 * max(_BUDGET, 8 * n) + 256 * trials
+
+
+CASES = {
+    # (kernel, shape): (run, stated peak)
+    **{("save_matrix", name): (lambda A, tmp: save_matrix(A, tmp / "A.json"), _writer)
+       for name in ("benchmark", "wide", "empty", "long", "tall")},
+    # matrix_to_json also holds the pieces and the joined text
+    **{("matrix_to_json", name): (lambda A, tmp: matrix_to_json(A),
+                                  lambda A: _writer(A) + 2 * len(matrix_to_json(A)))
+       for name in ("benchmark", "empty", "tall")},
+    # (the text is written before the trace starts)
+    **{("matrix_from_json", name): (None, _loader) for name in ("benchmark", "wide", "empty", "long", "tall")},
+    **{("ttype_collision_certify", name): (lambda A, tmp: ttype_collision_certify(A, 0.0, 2),
+                                           lambda A: _ttype(A, 2))
+       for name in ("benchmark", "wide", "long", "tall")},
+    **{("sign_pattern_certify", name): (lambda A, tmp: sign_pattern_certify(A, 0.0, 2),
+                                        lambda A: _sign_pattern(A, 2))
+       for name in ("benchmark", "wide", "empty", "long", "tall")},
+    **{("full_enumeration", name): (lambda A, tmp: sign_pattern_certify(A, 0.0, min(4, _largest(A)), True),
+                                    lambda A: _full_enumeration(A, min(4, _largest(A))))
+       for name in ("benchmark", "empty", "tall")},
+    **{("rip_pattern_witness", name): (lambda A, tmp: rip_pattern_witness(A, 4), lambda A: _rip_pattern(A, 4))
+       for name in ("benchmark", "wide", "long", "tall")},
+    ("rip_constant_exact", "measure"): (lambda A, tmp: rip_constant_exact(A, 3),
+                                        lambda A: _rip(A, 3, math.comb(A.n, 3))),
+    ("rip_constant_exact", "readme"): (lambda A, tmp: rip_constant_exact(A, 2),
+                                       lambda A: _rip(A, 2, math.comb(A.n, 2))),
+    ("rip_constant_exact", "long"): (lambda A, tmp: rip_constant_exact(A, 2),
+                                     lambda A: _rip(A, 2, math.comb(A.n, 2))),
+    ("rip_constant_lower_estimate", "measure"): (lambda A, tmp: rip_constant_lower_estimate(A, 8, 5000, 1),
+                                                 lambda A: _rip(A, 8, 5000)),
+    ("rip_constant_lower_estimate", "wide"): (lambda A, tmp: rip_constant_lower_estimate(A, 4, 300, 1),
+                                              lambda A: _rip(A, 4, 300)),
+    ("rip_constant_lower_estimate", "empty"): (lambda A, tmp: rip_constant_lower_estimate(A, 2, 2000, 1),
+                                               lambda A: _rip(A, 2, 2000)),
+    ("rip_constant_lower_estimate", "long"): (lambda A, tmp: rip_constant_lower_estimate(A, 3, 200, 1),
+                                              lambda A: _rip(A, 3, 200)),
+    # k > m: a chunk's 512 Grams at k = 128 are 64 times its 1 MiB stack
+    **{("rip_constant_lower_estimate", "short", k): (
+        lambda A, tmp, k=k: rip_constant_lower_estimate(A, k, _BUDGET // (16 * k), 1),
+        lambda A, k=k: _rip(A, k, _BUDGET // (16 * k)))
+       for k in (64, 128)},
+    ("coherence", "benchmark"): (lambda A, tmp: coherence(A), _probe),
+}
+
+SWEEPS = [  # (m, d, n, trials)
+    (64, 8, 256, 300),           # the benchmark's sweep point: one block
+    (64, 8, 20000, 300),         # 6 trials a block
+    (2**40, 8, 20000, 300),      # nearly every row hit once
+    (2**40, 8, 400000, 4),       # one trial is larger than the budget
+]
+
+
+def _traced_peak(fn):
+    fn()  # first-call allocations (lazy imports, caches) are not the kernel's
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=lambda case: "-".join(map(str, case)))
+def test_peak_is_as_stated(case, shape, tmp_path):
+    kernel, name = case[:2]
+    run, stated = CASES[case]
+    A = shape(name, sign=kernel in ("sign_pattern_certify", "full_enumeration"))
+    if kernel == "matrix_from_json":
+        text = matrix_to_json(A)
+        peak = _traced_peak(lambda: matrix_from_json(text))
+    else:
+        peak = _traced_peak(lambda: run(A, tmp_path))
+    bound = stated(A)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("m, d, n, trials", SWEEPS)
+def test_sweep_peak_is_as_stated(m, d, n, trials):
+    peak = _traced_peak(lambda: ose_failure_probability(m, d, n, trials, 3))
+    assert peak <= _sweep(n, trials), (peak, _sweep(n, trials))
+
+
+# --- the chunks the budget derives ---------------------------------------------------
+
+
+def test_the_benchmark_shapes_keep_their_chunks(shape, monkeypatch):
+    """At the benchmark's shapes the derived chunks equal the constants the
+    kernels had before the budget: 2,048 key columns and 1,024 writer
+    columns at s = 8, 65,536 loader characters, 131,072 probe entries, RIP
+    chunks of 682 and 256 supports on 64 rows, one block for the sweep."""
+    A = shape("benchmark")
+    widths, blocks = [], []
+
+    def spans(*args):
+        cut = list(_spans(*args))
+        widths.append([hi - lo for lo, hi in cut])
+        return cut
+
+    monkeypatch.setattr(witnesses, "_spans", spans)
+    ttype_collision_certify(A, 0.03, 2)
+    assert widths == [[2048] * 4 + [10000 - 4 * 2048]]
+    # the writer's pieces: the head, 10 blocks of at most 1,024 columns
+    # with a comma between each two, the tail
+    assert len(list(matrices._json_pieces(A))) == 1 + 10 + 9 + 1
+    assert (_BUDGET // 16, _BUDGET // 8) == (65536, 131072)
+    B = shape("measure")
+    assert (measures._chunk_length(B, 3), measures._chunk_length(B, 8)) == (682, 256)
+    records = witnesses._block_records
+    monkeypatch.setattr(witnesses, "_block_records", lambda a, *args: blocks.append(len(a)) or records(a, *args))
+    ose_failure_probability(64, 8, 256, 300, 3)
+    assert blocks == [300]
+
+
+def test_spans_cover_every_column_once():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        sizes = rng.choice([0, 0, 1, 3, 50], size=rng.integers(1, 40))
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        limit = int(rng.integers(1, 60))
+        spans = list(_spans(ptr, limit))
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == sizes.size
+        for lo, hi in spans:
+            # within the limit, or one column; and no room for the next column
+            assert ptr[hi] - ptr[lo] <= limit or hi == lo + 1
+            assert hi == sizes.size or ptr[hi + 1] - ptr[lo] > limit
+
+
+# --- one knob -------------------------------------------------------------------------
+
+
+def test_the_size_knobs_are_the_budget_the_lanes_and_the_stream_block():
+    """Module-level integer constants named as sizes: the budget, which sizes
+    every memory chunk; the lanes of an emulation call, which set speed; and
+    stream-demo's update block, which sets the draws."""
+    found = set()
+    for path in pathlib.Path(sketchbounds.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"sketchbounds.{path.stem}" if path.stem != "__init__" else "sketchbounds")
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith(
+                        ("BUDGET", "CHUNK", "BYTES", "BLOCK", "COLUMNS", "CHARS", "LANES")) \
+                        and isinstance(getattr(module, target.id, None), int):
+                    found.add(f"{path.stem}.{target.id}")
+    assert found == {"matrices._BUDGET", "rng._LANES", "cli._STREAM_BLOCK"}
