@@ -253,34 +253,33 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
 
 # --- grouping columns by key ------------------------------------------------------
 #
-# The three pigeonhole searches give each column an integer key row, built
-# straight from the CSC arrays a span of whole columns at a time (at most
-# _BUDGET // 64 entries, or one column), sort the rows stably and take the
+# The three pigeonhole searches give each column an integer key row (or one
+# per t-subset of its support), built straight from the CSC arrays a span of
+# whole columns at a time (at most _BUDGET // 64 entries, or one column),
+# leave out the columns with no key, sort the rows stably and take the
 # longest run of equal rows (matrices._runs).  A search's peak memory is at
 # most 4 * max(_BUDGET, 64 bytes an entry of the largest column) for a span,
 # plus 20 bytes an entry and 40 a column, plus, for grouping, four times
 # the block of key rows and 40 bytes a row.
 
 
-def group_columns(keys: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+def group_columns(keys: np.ndarray) -> np.ndarray:
     """Ascending members of the largest group of equal rows of `keys`.
 
-    `keys` is an n-by-w integer block with one row per member; only rows
-    where the boolean mask `valid` holds take part.  Ties go to the group
-    with the smallest first member.  The result is empty when no row takes
-    part.
+    `keys` is an n-by-w integer block with one row per member.  Ties go to
+    the group with the smallest first member.  The result is empty when
+    `keys` has no rows.
     """
-    members = np.arange(keys.shape[0]) if valid is None else np.flatnonzero(valid)
-    if members.size == 0:
-        return members
-    block = np.ascontiguousarray(keys if valid is None else keys[members])
+    if keys.shape[0] == 0:
+        return np.arange(0)
+    block = np.ascontiguousarray(keys)
     rows = block.view(np.dtype((np.void, block.dtype.itemsize * block.shape[1]))).ravel()
     # a stable sort keeps each group's members ascending
     order = np.argsort(rows, kind="stable")
     starts, lengths = _runs(rows[order])
     tied = starts[lengths == lengths.max()]
     start = tied[np.argmin(order[tied])]
-    return members[order[start:start + lengths.max()]]
+    return order[start:start + lengths.max()]
 
 
 def _signed_rows(A: SparseMatrix) -> np.ndarray:
@@ -295,7 +294,10 @@ def _signed_rows(A: SparseMatrix) -> np.ndarray:
 
 def _ranks(col: np.ndarray) -> np.ndarray:
     """Each entry's index within its run of equal values of the sorted `col`."""
-    return np.arange(col.size) - np.searchsorted(col, col)
+    if col.size == 0:
+        return np.arange(0)
+    starts, lengths = _runs(col)
+    return np.arange(col.size) - np.repeat(starts, lengths)
 
 
 def _top_entries(A: SparseMatrix, lo: int, hi: int, width: int, keep: np.ndarray | None = None):
@@ -476,9 +478,9 @@ def sign_pattern_certify(
     NaN or non-real eps raises :class:`InvalidEps`, a bool or non-integer t
     :class:`InvalidDimension`.  Peak memory: that of the key searches (see
     "grouping columns by key"), with n key rows of t codes, or with full
-    enumeration a row for each t-subset of each support.  Full enumeration
-    builds the positions of a span's columns that have a t-subset as one
-    (columns, C(s, t), t) fancy index.
+    enumeration a row for each t-subset of each support.  Both modes build
+    the positions of a span's columns that have a pattern as one (columns,
+    C(s, t) or 1, t) fancy index.
     """
     eps, t = _nonnegative_eps(eps), _integer(t, "t")
     s = column_sparsity(A)
@@ -492,30 +494,25 @@ def sign_pattern_certify(
     if t < 2 * eps * s:
         raise PreconditionViolated(f"need t >= 2*eps*s: t={t} vs 2*eps*s={2 * eps * s:.6g}")
 
+    if full_enumeration and s > _FULL_ENUM_MAX_S:
+        raise TooLarge(f"full enumeration allows s <= {_FULL_ENUM_MAX_S}, got s={s}")
     codes = _signed_rows(A)
     nnz = np.diff(A.indptr)
-    if full_enumeration:
-        if s > _FULL_ENUM_MAX_S:
-            raise TooLarge(f"full enumeration allows s <= {_FULL_ENUM_MAX_S}, got s={s}")
-        # one key row per (column, t-subset of its support), in column order:
-        # the t-subsets of range(s) that lie in range(nnz) are those of
-        # range(nnz), in the same lexicographic order
-        combos = np.array(list(itertools.combinations(range(s), t)))
-        counts = np.array([math.comb(size, t) for size in range(s + 1)])[nnz]
-        start = np.concatenate(([0], np.cumsum(counts)))
-        keys = np.empty((int(start[-1]), t), dtype=codes.dtype)
-        # only columns with a key take part, so that empty ones cost nothing;
-        # a span's (columns, C(s, t), t) positions hold at most _BUDGET // 64
-        cols = np.flatnonzero(nnz >= t)
-        for lo, hi in _spans(np.arange(cols.size + 1) * combos.size, _BUDGET // 64):
-            span = cols[lo:hi]
-            inside = combos[:, -1] < nnz[span, None]
-            keys[start[span[0]]:start[span[-1] + 1]] = codes[(A.indptr[span, None, None] + combos)[inside]]
-        group = np.repeat(np.arange(A.n), counts)[group_columns(keys)]
-    else:
-        valid = nnz >= t
-        first = np.where(valid, A.indptr[:-1], 0)
-        group = group_columns(codes[first[:, None] + np.arange(t)], valid)
+    # one key row per (column, combo inside its support), in column order:
+    # the t-subsets of range(s) that lie in range(nnz) are those of
+    # range(nnz), in the same lexicographic order, and the first is range(t)
+    combos = np.array(list(itertools.combinations(range(s), t)) if full_enumeration else [range(t)])
+    counts = np.searchsorted(np.sort(combos[:, -1]), nnz)  # the combos inside each column
+    start = np.concatenate(([0], np.cumsum(counts)))
+    keys = np.empty((int(start[-1]), t), dtype=codes.dtype)
+    # only columns with a key take part, so that empty ones cost nothing;
+    # a span's (columns, combos, t) positions hold at most _BUDGET // 64
+    cols = np.flatnonzero(nnz >= t)
+    for lo, hi in _spans(np.arange(cols.size + 1) * combos.size, _BUDGET // 64):
+        span = cols[lo:hi]
+        inside = combos[:, -1] < nnz[span, None]
+        keys[start[span[0]]:start[span[-1] + 1]] = codes[(A.indptr[span, None, None] + combos)[inside]]
+    group = np.repeat(np.arange(A.n), counts)[group_columns(keys)]
     return _pigeonhole_tail(A, "sign_pattern_certify", eps, t, group)
 
 
@@ -581,15 +578,18 @@ def _check_scales(A: SparseMatrix) -> None:
     profile (see :func:`~sketchbounds.measures.scale_profile`), counting
     every column's large entries once per scale."""
     nnz = np.diff(A.indptr)
-    col = np.repeat(np.arange(A.n), nnz)
-    sparsity = np.repeat(nnz, nnz)  # each entry's column sparsity
-    squares = A.data * A.data
     found = np.zeros(A.n, dtype=bool)
-    for t in range(1, dyadic_scale_count(max(column_sparsity(A), 1)) + 1):
-        # t <= dyadic_scale_count(nnz) for a nonempty column
-        in_range = (nnz > 2 ** (t - 1)) if t > 1 else (nnz > 0)
-        actual = np.bincount(col[squares >= 2.0 ** (t - 3) / sparsity], minlength=A.n)
-        found |= in_range & (actual >= 2.0 ** (-t - 1) * nnz / (t * t))
+    scales = dyadic_scale_count(max(column_sparsity(A), 1))
+    for lo, hi in _spans(A.indptr, _BUDGET // 64):
+        size = nnz[lo:hi]
+        col = np.repeat(np.arange(hi - lo), size)
+        sparsity = np.repeat(size, size)  # each entry's column sparsity
+        squares = np.square(A.data[A.indptr[lo]:A.indptr[hi]])
+        for t in range(1, scales + 1):
+            # t <= dyadic_scale_count(nnz) for a nonempty column
+            in_range = (size > 2 ** (t - 1)) if t > 1 else (size > 0)
+            actual = np.bincount(col[squares >= 2.0 ** (t - 3) / sparsity], minlength=hi - lo)
+            found[lo:hi] |= in_range & (actual >= 2.0 ** (-t - 1) * size / (t * t))
     bad = np.flatnonzero(~found)
     if bad.size:
         raise DegenerateColumn(f"column {bad[0]} has no qualifying scale")
@@ -603,10 +603,10 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     their canonical pattern; the largest group of size z >= 2 proposes the
     indicator vector of its first min(z, k) members, and the best ratio
     |Av|^2 / |v|^2 over all scales is returned as a ``rip_distortion``
-    certificate when it exceeds 1 + 1e-9.  Peak memory: that of the key
-    searches (see "grouping columns by key"), with n key rows of the widest
-    pattern, min(u, s) codes, but 36 bytes an entry, as the scale check
-    holds four entry-sized arrays.
+    certificate when it exceeds 1 + 1e-9.  A column with no entry at a
+    scale's threshold takes no part at that scale.  Peak memory: that of
+    the key searches (see "grouping columns by key"), with n key rows of the
+    widest pattern, min(u, s) codes; the scale check runs a span at a time.
     """
     source = "rip_pattern_witness"
     k = _integer(k, "k")
@@ -619,7 +619,8 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     best_ratio = -math.inf
     for t in range(1, dyadic_scale_count(s) + 1):
         keys = _pattern_keys(A, t, k, s, codes)
-        group = group_columns(keys, keys[:, 0] != 0)
+        has = np.flatnonzero(keys[:, 0])  # the columns with a pattern
+        group = has[group_columns(keys[has])]
         if len(group) < 2:
             continue
         support = group[: min(len(group), k)]

@@ -281,16 +281,18 @@ def test_group_columns_matches_dict_grouping(n, w, spread, groups, edge, seed):
     if groups:
         keys = keys[rng.integers(0, min(groups, n), size=n)]
     valid = rng.random(n) < 0.8
-    assert group_columns(keys, valid).tolist() == dict_group(keys, valid)
+    assert np.flatnonzero(valid)[group_columns(keys[valid])].tolist() == dict_group(keys, valid)
     assert group_columns(keys).tolist() == dict_group(keys, np.ones(n, dtype=bool))
 
 
 def test_group_columns_edge_cases():
     keys = np.array([[3, 1], [2, 2], [3, 1], [2, 2], [0, 5]], dtype=np.int32)
-    assert group_columns(keys, np.zeros(5, dtype=bool)).tolist() == []
+    none = np.zeros(5, dtype=bool)
+    assert np.flatnonzero(none)[group_columns(keys[none])].tolist() == []
     # equal-size groups: the one whose first member is smallest wins
     assert group_columns(keys).tolist() == [0, 2]
-    assert group_columns(keys, np.array([False, True, True, True, True])).tolist() == [1, 3]
+    valid = np.array([False, True, True, True, True])
+    assert np.flatnonzero(valid)[group_columns(keys[valid])].tolist() == [1, 3]
     # all keys distinct: every group is a singleton, the first one wins
     assert group_columns(np.arange(12, dtype=np.int32).reshape(6, 2)).tolist() == [0]
 
@@ -327,6 +329,18 @@ def test_runs_match_groupby(rows, width, w, distinct, kind, seed):
     x = np.sort(x, axis=-1)
     starts, lengths = _runs(x)
     assert (starts.tolist(), lengths.tolist()) == groupby_runs(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=60), st.sampled_from(["int32", "int64"]))
+@example([], "int64")
+@example([7] * 50, "int64")  # one long run
+@example(list(range(40)), "int32")  # all distinct
+@example([0] * 30 + [1] + [2] * 29, "int64")
+def test_ranks_match_enumerate(values, dtype):
+    col = np.sort(np.array(values, dtype=dtype))
+    ranks = [rank for _, run in itertools.groupby(col.tolist()) for rank, _ in enumerate(run)]
+    assert witnesses._ranks(col).tolist() == ranks
 
 
 # --- every certificate verifies -----------------------------------------------------

@@ -34,7 +34,7 @@ from sketchbounds import (
     save_matrix,
     spread_vectors,
 )
-from sketchbounds.matrices import _BUDGET, _map_from_object
+from sketchbounds.matrices import _BUDGET, _canonical_csc, _map_from_object
 
 
 # --- the oracle -------------------------------------------------------------------
@@ -462,6 +462,20 @@ def last_column_only():
 ])
 def test_loader_fallbacks_load_or_fail_as_json_loads_does(text):
     assert_loads_as_json_loads_does(text)
+
+
+@pytest.mark.parametrize("between", ["", "x", " \n"])
+@pytest.mark.parametrize("make", [lambda: SparseMatrix.from_csc(1, 1, [0, 1], [0], [1.0]),
+                                  lambda: sample_sparse_sign_jl(32, 200, 4, 3)], ids=["one_entry", "sign_jl"])
+def test_canonical_text_with_its_tail_again_is_refused(make, between):
+    """The loader proves the whole text, not a prefix: a canonical text
+    followed by `between` and a second copy of its tail decodes to the
+    text's own arrays, but is invalid JSON, and the loader declines it."""
+    text = matrix_to_json(make())
+    text += between + text[text.rindex('],"m":'):]
+    assert _canonical_csc(text) is None
+    with pytest.raises(MalformedArtifact):
+        matrix_from_json(text)
 
 
 @pytest.mark.parametrize("make", [empty_column_after_a_cut, last_column_only, two_column_text])

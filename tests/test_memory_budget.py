@@ -130,10 +130,10 @@ def _loader(A):
     return 4 * max(_BUDGET, 1024 * _largest(A)) + 48 * A.nnz + 80 * A.n + 128 * _distinct_strings(A)
 
 
-def _keys(A, rows, width, per_entry=20):
+def _keys(A, rows, width):
     # witnesses' key spans, then the block of `rows` keys of `width` codes
     # and its grouping
-    return 4 * max(_BUDGET, 64 * _largest(A)) + per_entry * A.nnz + 40 * A.n \
+    return 4 * max(_BUDGET, 64 * _largest(A)) + 20 * A.nnz + 40 * A.n \
         + 4 * rows * width * _code_bytes(A) + 40 * rows
 
 
@@ -150,9 +150,8 @@ def _full_enumeration(A, t):
 
 
 def _rip_pattern(A, k):
-    # the scale check holds four entry-sized arrays
     s = _largest(A)
-    return _keys(A, A.n, min(witnesses._pattern_size(1, k, s), s), per_entry=36)
+    return _keys(A, A.n, min(witnesses._pattern_size(1, k, s), s))
 
 
 def _rip(A, k, count):
@@ -195,6 +194,10 @@ CASES = {
        for name in ("benchmark", "empty", "tall")},
     **{("rip_pattern_witness", name): (lambda A, tmp: rip_pattern_witness(A, 4), lambda A: _rip_pattern(A, 4))
        for name in ("benchmark", "wide", "long", "tall")},
+    # key rows of 2 codes, so the scale check would set the peak if it held
+    # entry-sized arrays for the whole input at once
+    ("rip_pattern_witness", "wide", 2048): (lambda A, tmp: rip_pattern_witness(A, 2048),
+                                            lambda A: _rip_pattern(A, 2048)),
     ("rip_constant_exact", "measure"): (lambda A, tmp: rip_constant_exact(A, 3),
                                         lambda A: _rip(A, 3, math.comb(A.n, 3))),
     ("rip_constant_exact", "readme"): (lambda A, tmp: rip_constant_exact(A, 2),
