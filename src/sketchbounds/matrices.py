@@ -446,7 +446,7 @@ def _constant_magnitude(A: SparseMatrix) -> float | None:
 def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat start and the length of each run of equal items in a
     nonempty array whose rows are each sorted, in order; a run never spans
-    two rows.  Items are compared by ``!=``, so a void view compares rows."""
+    two rows."""
     flat = x.ravel()
     new = np.empty(flat.size, dtype=bool)
     new[1:] = flat[1:] != flat[:-1]
@@ -540,9 +540,10 @@ def _canonical_csc(text: str):
 
     The text is decoded in chunks of whole columns, permissively: a ``[``
     before a digit opens an entry and any other ``[`` a column; a row is
-    the digits up to the entry's comma, negative when a ``-`` follows it,
-    and c is the first value's magnitude.  The arrays are then proved by
-    re-encoding: the text must equal, piece by piece, what
+    the run of digits after it (a 19th digit declines the text), negative
+    when a ``-`` follows the byte that ends the run, which the writer makes
+    the entry's comma, and c is the first value's magnitude.  The arrays
+    are then proved by re-encoding: the text must equal, piece by piece, what
     :func:`_signed_text` writes for them.  The writer's text is what
     ``canonical_json`` writes, so the arrays are the ones ``json.loads``
     would give, and any other text, valid or not, is left to it.  A chunk
@@ -566,18 +567,17 @@ def _canonical_csc(text: str):
             opens = np.flatnonzero(chunk == ord("["))
             entry = chunk[opens + 1] - ord("0") < 10
             firsts = opens[entry]
-            commas = np.flatnonzero(chunk == ord(","))
-            commas = commas[np.searchsorted(commas, firsts)]  # each entry's comma
-            widths = commas - firsts - 1
-            top = int(widths.max(initial=0))
-            if top > _MAX_ROW_DIGITS:
-                return None
+            commas = firsts + 1  # each entry's next digit; at the end, the byte after its digits
             row = np.zeros(firsts.size, np.int64)
-            for k in range(top):  # the k-th digit from the right
-                digit = np.where(widths > k, chunk[commas - 1 - k] - ord("0"), 0)
-                if digit.max(initial=0) > 9:
+            for width in range(_MAX_ROW_DIGITS + 1):
+                digit = chunk[commas] - ord("0")
+                more = digit < 10
+                if not more.any():
+                    break
+                if width == _MAX_ROW_DIGITS:
                     return None
-                row += digit.astype(np.int64) * 10**k
+                row = np.where(more, 10 * row + digit, row)
+                commas += more
             if c is None and firsts.size:  # c comes from the first value token
                 at = start + int(commas[0]) + 1
                 c = abs(float(text[at:text.index("]", at)]))

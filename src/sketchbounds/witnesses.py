@@ -256,11 +256,12 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
 # The three pigeonhole searches give each column an integer key row (or one
 # per t-subset of its support), built straight from the CSC arrays a span of
 # whole columns at a time (at most _BUDGET // 64 entries, or one column),
-# leave out the columns with no key, sort the rows stably and take the
-# longest run of equal rows (matrices._runs).  A search's peak memory is at
-# most 4 * max(_BUDGET, 64 bytes an entry of the largest column) for a span,
-# plus 20 bytes an entry and 40 a column, plus, for grouping, four times
-# the block of key rows and 40 bytes a row.
+# leave out the columns with no key, give each key row one integer id
+# (_row_ids), sort the ids and take the longest run of equal ones
+# (matrices._runs).  A search's peak memory is at most 4 * max(_BUDGET, 64
+# bytes an entry of the largest column) for a span, plus 20 bytes an entry
+# and 40 a column, plus, for grouping, three times the block of key rows
+# and 48 bytes a row.
 
 
 def group_columns(keys: np.ndarray) -> np.ndarray:
@@ -270,16 +271,58 @@ def group_columns(keys: np.ndarray) -> np.ndarray:
     the group with the smallest first member.  The result is empty when
     `keys` has no rows.
     """
-    if keys.shape[0] == 0:
+    n = keys.shape[0]
+    if n == 0:
         return np.arange(0)
-    block = np.ascontiguousarray(keys)
-    rows = block.view(np.dtype((np.void, block.dtype.itemsize * block.shape[1]))).ravel()
-    # a stable sort keeps each group's members ascending
-    order = np.argsort(rows, kind="stable")
-    starts, lengths = _runs(rows[order])
+    # n * id + member is distinct for every member, so a plain sort lists
+    # each group's members in ascending order
+    rows, order = np.divmod(np.sort(_row_ids(keys) * n + np.arange(n)), n)
+    starts, lengths = _runs(rows)
     tied = starts[lengths == lengths.max()]
     start = tied[np.argmin(order[tied])]
     return order[start:start + lengths.max()]
+
+
+def _row_ids(keys: np.ndarray) -> np.ndarray:
+    """One int64 per row of the nonempty n-by-w integer block `keys`, equal
+    exactly when the rows are equal, each below 2^62 // n.
+
+    The columns are folded in mixed radix, each shifted to start at 0, or
+    ranked when its range exceeds the row count.  The fold is ranked
+    whenever it passes 2^62 // n.  Then a row with an id of its own is told
+    apart from every other row, and the columns before the first one where
+    a row differs from another with its id tell no two rows apart, so the
+    fold skips them: it goes on from that column, or stops when there is
+    none.
+    """
+    n, w = keys.shape
+    limit = 2**62 // n
+    ids = np.zeros(n, np.int64)
+    size = 1  # every id lies in [0, size), and size <= limit
+    j = 0
+    while j < w:
+        column = keys[:, j]
+        lo, hi = int(column.min()), int(column.max())
+        if hi - lo < n:
+            digits, width = column - lo, hi - lo + 1
+        else:
+            values, digits = np.unique(column, return_inverse=True)
+            width = values.size
+        ids *= width  # below limit * n <= 2^62
+        ids += digits
+        size *= width
+        j += 1
+        if size > limit:
+            values, ids = np.unique(ids, return_inverse=True)
+            size = values.size
+            some = np.empty(size, np.int64)
+            some[ids] = np.arange(n)  # a row with each id
+            twins = np.flatnonzero(some[ids] != np.arange(n))
+            differ = np.flatnonzero((keys[twins, j:] != keys[some[ids[twins]], j:]).any(axis=0))
+            if differ.size == 0:
+                break
+            j += int(differ[0])
+    return ids
 
 
 def _signed_rows(A: SparseMatrix) -> np.ndarray:
@@ -288,7 +331,9 @@ def _signed_rows(A: SparseMatrix) -> np.ndarray:
     dtype = np.int32 if A.m < np.iinfo(np.int32).max else np.int64
     codes = A.indices.astype(dtype)
     codes += 1
-    codes[A.data < 0] *= -1
+    flip = (A.data < 0).view(np.int8)
+    codes ^= -flip  # ~code, which is -code - 1, where the entry is negative
+    codes += flip
     return codes
 
 
@@ -309,7 +354,9 @@ def _top_entries(A: SparseMatrix, lo: int, hi: int, width: int, keep: np.ndarray
     pos = np.arange(A.indptr[lo], A.indptr[hi])
     if keep is not None:
         col, pos = col[keep], pos[keep]
-    order = np.lexsort((pos, -np.abs(A.data[pos]), col))
+    # the sort is stable and the entries are in storage order, so ties
+    # keep the lower row
+    order = np.lexsort((-np.abs(A.data[pos]), col))
     chosen = np.sort(order[_ranks(col[order]) < width])
     return col[chosen], pos[chosen]
 
@@ -383,21 +430,22 @@ def _ttype_keys(A: SparseMatrix, t: int, s: int) -> np.ndarray:
     nnz = np.diff(A.indptr)
     for lo, hi in _spans(A.indptr, _BUDGET // 64):
         col, pos = _top_entries(A, lo, hi, t)
-        rows, vals = A.indices[pos], A.data[pos]
+        signed, vals = codes[pos], A.data[pos]
         # A column with fewer than t nonzeros takes zero coordinates at its
-        # lowest free rows, all of which lie below t.
+        # lowest free rows, all of which lie below t; without one, the
+        # entries are already in (column, row) order.
         short = np.flatnonzero(nnz[lo:hi] < t) + lo
-        taken = np.zeros((short.size, t), dtype=bool)
-        low = (nnz[col] < t) & (rows < t)
-        taken[np.searchsorted(short, col[low]), rows[low]] = True
-        free = ~taken
-        fill = free & (np.cumsum(free, axis=1) <= (t - nnz[short])[:, None])
-        fill_at, fill_rows = np.nonzero(fill)
-        col = np.concatenate((col, short[fill_at]))
-        rows = np.concatenate((rows, fill_rows))
-        order = np.lexsort((rows, col))
-        signed = np.concatenate((codes[pos], fill_rows + 1))[order]
-        vals = np.concatenate((vals, np.zeros(fill_rows.size)))[order]
+        if short.size:
+            rows = A.indices[pos]
+            taken = np.zeros((short.size, t), dtype=bool)
+            low = (nnz[col] < t) & (rows < t)
+            taken[np.searchsorted(short, col[low]), rows[low]] = True
+            free = ~taken
+            fill = free & (np.cumsum(free, axis=1) <= (t - nnz[short])[:, None])
+            fill_at, fill_rows = np.nonzero(fill)
+            order = np.lexsort((np.concatenate((rows, fill_rows)), np.concatenate((col, short[fill_at]))))
+            signed = np.concatenate((signed, fill_rows + 1))[order]
+            vals = np.concatenate((vals, np.zeros(fill_rows.size)))[order]
         keys[lo:hi, :t] = signed.reshape(-1, t)
         keys[lo:hi, t:] = np.ceil(vals * vals * 2 * s - 0.5).reshape(-1, t)
     return keys
@@ -561,16 +609,20 @@ def pattern_at_scale(A: SparseMatrix, column: int, t: int, k: int, s: int) -> Pa
 
 def _pattern_keys(A: SparseMatrix, t: int, k: int, s: int, codes: np.ndarray) -> np.ndarray:
     """Every column's pattern at scale t (see :func:`pattern_at_scale`) as one
-    key row: the signed rows (row + 1) * sign in row order, padded with 0s.
-    A column whose key row starts with 0 has no pattern."""
+    key row: the signed rows (row + 1) * sign in row order, padded with 0s
+    to the longest pattern.  A column whose key row starts with 0 has no
+    pattern."""
     width = min(_pattern_size(t, k, s), s)
     threshold_sq = 2.0 ** (t - 3) / s
     keys = np.zeros((A.n, width), dtype=codes.dtype)
+    longest = 1
     for lo, hi in _spans(A.indptr, _BUDGET // 64):
         vals = A.data[A.indptr[lo]:A.indptr[hi]]
         col, pos = _top_entries(A, lo, hi, width, keep=vals * vals >= threshold_sq)
-        keys[col, _ranks(col)] = codes[pos]
-    return keys
+        ranks = _ranks(col)
+        keys[col, ranks] = codes[pos]
+        longest = max(longest, int(ranks.max(initial=0)) + 1)
+    return keys[:, :longest]
 
 
 def _check_scales(A: SparseMatrix) -> None:

@@ -256,6 +256,41 @@ def test_searches_match_oracles_in_spans_of_a_few_entries(A, t, k, entries):
         assert outcome(rip_pattern_witness, A, k) == outcome(rip_oracle, A, k)
 
 
+# --- key builders ------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, dtype", [(2**31 - 2, np.int32), (2**31 - 1, np.int64), (2**31, np.int64)])
+def test_signed_rows_are_row_plus_one_times_sign(m, dtype):
+    # rows 0 and m - 1 under both signs, and a column of mixed signs
+    A = SparseMatrix.from_csc(m, 3, [0, 2, 4, 7], [0, m - 1, 0, m - 1, 0, 5, m - 1],
+                              [0.5, 2.0, -0.5, -2.0, -1.0, 3.0, -0.25])
+    codes = witnesses._signed_rows(A)
+    assert codes.dtype == dtype
+    assert codes.tolist() == ((A.indices + 1) * np.sign(A.data)).astype(np.int64).tolist()
+
+
+def test_ttype_keys_in_spans_with_and_without_short_columns():
+    # spans of at most 4 entries (or one column), as in the spans test above;
+    # columns with fewer than t = 2 nonzeros take fill rows in some spans only
+    sizes = [3, 3, 2, 3, 1, 0, 3, 2, 1, 3, 3, 3, 2, 0, 2, 3]
+    rng = np.random.default_rng(7)
+    rows = np.concatenate([np.sort(rng.choice(8, size=z, replace=False)) for z in sizes])
+    # unit columns whose entries tie in magnitude
+    vals = np.concatenate([rng.choice([-1.0, -0.5, 0.5, 1.0], size=z) for z in sizes])
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    vals /= np.repeat([math.sqrt(c @ c) if c.size else 1.0 for c in np.split(vals, indptr[1:-1])], sizes)
+    A = SparseMatrix.from_csc(8, len(sizes), indptr, rows, vals)
+    t, s = 2, column_sparsity(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witnesses, "_BUDGET", 64 * 4)
+        spans = list(witnesses._spans(A.indptr, 4))
+        keys = witnesses._ttype_keys(A, t, s)
+    short = [any(size < t for size in sizes[lo:hi]) for lo, hi in spans]
+    assert any(short) and not all(short)
+    for j in range(A.n):
+        tt = ttype_of(A.column_dense(j), t, s)
+        assert keys[j].tolist() == [(r + 1) * g for r, g in zip(tt.locations, tt.signs)] + list(tt.rounded_squares)
+
+
 # --- group_columns -----------------------------------------------------------------
 
 def dict_group(keys, valid):
@@ -266,23 +301,90 @@ def dict_group(keys, valid):
     return largest_group(members)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 8), st.integers(1, 4), st.integers(0, 6),
-       st.sampled_from([0, 2**62, -2**62, 2**63 - 1, -(2**63 - 1)]), st.integers(0, 2**32 - 1))
-@example(40, 8, 1, 2, 2**63 - 1, 0)
-@example(40, 8, 4, 3, -(2**63 - 1), 1)
-def test_group_columns_matches_dict_grouping(n, w, spread, groups, edge, seed):
-    # int32 keys around 0, or int64 keys reaching `edge` (a width of 8 is that
-    # of rip_pattern's keys at s = 8); groups > 0 draws every row from the
-    # first `groups` rows, for many ties
+# Each column of a key block steps from an edge of its dtype toward 0 by
+# offsets of up to its reach: a few, n - 1 (the widest column _row_ids
+# shifts), n (the narrowest it ranks) or most of the dtype.
+EDGES = {np.int32: [-(2**31), -1, 0, 1, 2**31 - 1], np.int64: [-(2**63 - 1), -(2**62), -1, 0, 1, 2**62, 2**63 - 1]}
+REACHES = ("few", "rows", "past rows", "whole")
+
+
+def key_block(n, dtype, reaches, groups, tied, seed):
+    """An n-row block of `dtype` keys, one column per entry of `reaches`,
+    its edges taken in turn from EDGES, so that int64 values reach
+    +-(2^63 - 1).  The first and last rows hold each column's two ends;
+    when groups > 0 every row between copies its first `tied` columns from
+    one of the first `groups` rows, for many ties and rows that part late."""
     rng = np.random.default_rng(seed)
-    offsets = rng.integers(0, 2 * spread + 1, size=(n, w))
-    keys = (offsets - spread).astype(np.int32) if edge == 0 else np.int64(edge) - np.sign(edge) * offsets
-    if groups:
-        keys = keys[rng.integers(0, min(groups, n), size=n)]
-    valid = rng.random(n) < 0.8
+    edges = EDGES[dtype]
+    block = np.empty((n, len(reaches)), dtype=dtype)
+    for j, reach in enumerate(reaches):
+        top = {"few": 3, "rows": n - 1, "past rows": n, "whole": int(np.iinfo(dtype).max) // 2}[reach]
+        offsets = rng.integers(0, top + 1, size=n)
+        offsets[0], offsets[-1] = 0, top
+        edge = edges[(seed + j) % len(edges)]
+        block[:, j] = edge - offsets if edge > 0 else edge + offsets
+    if groups and n > 2:
+        block[1:-1, :tied] = block[rng.integers(0, min(groups, n), size=n - 2), :tied]
+    return block
+
+
+@st.composite
+def key_blocks(draw):
+    """Key blocks of 1-40 rows, or of 256 or 300, where 8 columns of reach
+    n - 1 fold past 2^62 // n, with 1-8 int32 or int64 columns."""
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([256, 300])))
+    reaches = draw(st.lists(st.sampled_from(REACHES), min_size=1, max_size=8))
+    return key_block(n, draw(st.sampled_from([np.int32, np.int64])), reaches,
+                     draw(st.integers(0, 6)), draw(st.integers(0, len(reaches))), draw(st.integers(0, 2**32 - 1)))
+
+
+# Blocks that take each branch of _row_ids: every column ranked; a fold
+# ranked with every row then on its own, with equal rows, and with rows
+# that part after the fold (at 2^16 rows the fold is ranked after 3 columns
+# of reach n - 1, and rows tied on 6 columns skip the next 3); and the
+# dtypes' edges with many ties.
+KEY_EXAMPLES = [
+    key_block(40, np.int64, ["whole"] * 8, 3, 8, 0),
+    key_block(40, np.int32, ["past rows", "few", "whole"], 2, 1, 1),
+    key_block(256, np.int64, ["rows"] * 8, 0, 8, 2),
+    key_block(256, np.int32, ["rows"] * 8, 3, 8, 3),
+    key_block(300, np.int64, ["rows"] * 7 + ["few"], 4, 7, 4),
+    key_block(2**16, np.int64, ["rows"] * 8, 5, 6, 5),
+    key_block(40, np.int64, ["few"] * 8, 2, 8, 6),
+    key_block(40, np.int64, ["few"] * 8, 3, 8, 1),
+]
+
+
+def with_key_examples(*rest):
+    """@example for each of KEY_EXAMPLES, followed by the arguments `rest`."""
+    def add(test):
+        for keys in KEY_EXAMPLES:
+            test = example(keys, *rest)(test)
+        return test
+    return add
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_blocks())
+@with_key_examples()
+def test_row_ids_are_equal_exactly_when_rows_are(keys):
+    n = keys.shape[0]
+    ids = witnesses._row_ids(keys)
+    assert ids.dtype == np.int64 and ids.shape == (n,)
+    assert 0 <= ids.min() and ids.max() < 2**62 // n
+    rows = [tuple(row) for row in keys.tolist()]
+    # each id names one row value and each row value one id
+    assert len(set(zip(ids.tolist(), rows))) == len(set(ids.tolist())) == len(set(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_blocks(), st.integers(0, 2**32 - 1))
+@with_key_examples(0)
+def test_group_columns_matches_dict_grouping(keys, seed):
+    # a mask of the rows, as a search leaves its keyless columns out
+    valid = np.random.default_rng(seed).random(keys.shape[0]) < 0.8
     assert np.flatnonzero(valid)[group_columns(keys[valid])].tolist() == dict_group(keys, valid)
-    assert group_columns(keys).tolist() == dict_group(keys, np.ones(n, dtype=bool))
+    assert group_columns(keys).tolist() == dict_group(keys, np.ones(keys.shape[0], dtype=bool))
 
 
 def test_group_columns_edge_cases():
@@ -298,9 +400,6 @@ def test_group_columns_edge_cases():
 
 
 # --- the run kernel ----------------------------------------------------------------
-
-EDGES = {np.int32: [-(2**31), -1, 0, 1, 2**31 - 1], np.int64: [-(2**63 - 1), -(2**62), -1, 0, 1, 2**62, 2**63 - 1]}
-
 
 def groupby_runs(x):
     """(flat start, length) of each run of equal items, a row at a time, by

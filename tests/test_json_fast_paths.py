@@ -389,8 +389,32 @@ def two_column_text():
     return text
 
 
+def eighteen_digit_text():
+    """A canonical text of several chunks whose every row has 18 digits, so
+    that each chunk's first and last entries are long digit runs."""
+    n = 3000
+    rows = np.stack((10**17 + np.arange(n), 10**18 - 1 - np.arange(n)), axis=1).ravel()
+    A = SparseMatrix.from_csc(10**18, n, np.arange(0, 2 * n + 1, 2), rows, np.tile([0.5, -0.5], n))
+    text = oracle_to_json(A)
+    assert len(text) > 2**17
+    return text
+
+
+def at_chunk_edges(text, template):
+    """`text` with the row and comma of the first entry of the loader's
+    second chunk, and of the last entry of its first chunk, replaced by
+    ``template.format(row)``."""
+    cut = re.compile(r"[\[\]]\],\[").search(text, len('{"cols":[') + _BUDGET // 16).start() + 2
+    for at in (cut + 3, text.rindex("[", 0, cut) + 1):  # after the [[ and after the [
+        row = text[at:text.index(",", at)]
+        assert len(row) == 18
+        text = text[:at] + template.format(row) + text[at + len(row) + 1:]
+    return text
+
+
 # Texts whose number characters sit where matrix_to_json puts them, or whose
-# only flaw is at a chunk boundary or outside ASCII.
+# only flaw is at a chunk boundary or outside ASCII; and digit runs that end
+# in something other than the entry's comma, also at a chunk's edges.
 @pytest.mark.parametrize("text", [
     '{"cols":[[[0,]]0.5,[[1,0.5]]],"m":2,"n":2}\n',  # an empty slot and a stray number
     '{"cols":[[[,0]0.5],[[1,0.5]]],"m":2,"n":2}\n',
@@ -407,6 +431,13 @@ def two_column_text():
     long_text().replace(']],[[', ']],[[]', 1),
     long_text().replace(']],[[', ']],5[[', 1),
     long_text()[:-len(']],"m":64,"n":6000}\n')] + ']]],"m":64,"n":6000}\n',
+    '{"cols":[[[12]]],"m":20,"n":1}\n',
+    '{"cols":[[[12.5,0.5]]],"m":20,"n":1}\n',
+    '{"cols":[[[1 2,0.5]]],"m":20,"n":1}\n',
+    '{"cols":[[[0,0.5],[12]],[[1,0.5]]],"m":20,"n":2}\n',
+    '{"cols":[[[0,0.5],[1 2,-0.5]]],"m":20,"n":1}\n',
+    # the run ends at "]", at ".", at a space, or after a 19th digit
+    *(at_chunk_edges(eighteen_digit_text(), template) for template in ("{}]", "{}.5,", "{0:.9} {0:.9},", "{}0,")),
 ])
 def test_near_canonical_text_loads_or_fails_as_json_loads_does(text):
     assert_loads_as_json_loads_does(text)
@@ -478,11 +509,23 @@ def test_canonical_text_with_its_tail_again_is_refused(make, between):
         matrix_from_json(text)
 
 
-@pytest.mark.parametrize("make", [empty_column_after_a_cut, last_column_only, two_column_text])
+@pytest.mark.parametrize("make", [empty_column_after_a_cut, last_column_only, two_column_text,
+                                  eighteen_digit_text])
 def test_canonical_text_at_chunk_edges_skips_json_loads(json_loads_calls, make):
     text = make()
     assert matrix_to_json(matrix_from_json(text)) == text
     assert json_loads_calls == []
+
+
+@pytest.mark.parametrize("digits, calls", [(18, 0), (19, 1)])
+def test_rows_of_up_to_18_digits_skip_json_loads(json_loads_calls, digits, calls):
+    """The loader reads rows of at most 18 digits, which lie below 2^63, and
+    leaves a 19-digit row, below 2^63 or not, to json.loads."""
+    for row in (10**(digits - 1), min(10**digits - 1, 2**63 - 1)):
+        text = f'{{"cols":[[[7,0.5],[{row},-0.5]]],"m":{row + 1},"n":1}}\n'
+        json_loads_calls.clear()
+        assert matrix_to_json(matrix_from_json(text)) == text
+        assert len(json_loads_calls) == calls
 
 
 def test_save_matrix_writes_a_piece_at_a_time(tmp_path):

@@ -134,7 +134,7 @@ def _keys(A, rows, width):
     # witnesses' key spans, then the block of `rows` keys of `width` codes
     # and its grouping
     return 4 * max(_BUDGET, 64 * _largest(A)) + 20 * A.nnz + 40 * A.n \
-        + 4 * rows * width * _code_bytes(A) + 40 * rows
+        + 3 * rows * width * _code_bytes(A) + 48 * rows
 
 
 def _ttype(A, t):
