@@ -6,16 +6,17 @@ column j's rows are ``indices[indptr[j]:indptr[j + 1]]``, strictly
 increasing, and its values the same slice of ``data``, none of them zero, so
 ``np.diff(indptr)`` is each column's sparsity.  Every constructor, from
 (row, value) pairs, a dense array or CSC arrays (:meth:`SparseMatrix.from_csc`),
-goes through one vectorized validator.  All values are double precision and
-all indices are 0-based.  A one-sparse map (:class:`OneSparseMap`) is a
-SparseMatrix with one +-1 entry per column, so every function here and
-every measure and search takes one; it adds only the views ``a`` and
-``sigma`` and ``row_loads``.  :func:`apply` of an integer vector to a
-matrix of integer values is exact in int64.  Instances are immutable after
-construction; every operation returns fresh data.  The lone deliberate
-exception is :func:`stream_updates`, which accumulates into a
-caller-owned sketch buffer so that a turnstile update costs O(nonzeros of
-its column) instead of O(m).
+goes through one vectorized validator, and every selection of columns through
+one reader, ``_entries``, which checks the index list and finds the columns'
+entries; ``_dense`` scatters them into a dense block.  All values are double
+precision and all indices are 0-based.  A one-sparse map (:class:`OneSparseMap`)
+is a SparseMatrix with one +-1 entry per column, so every function here and
+every measure and search takes one; it adds only the views ``a`` and ``sigma``
+and ``row_loads``.  :func:`apply` of an integer vector to a matrix of integer
+values is exact in int64.  Instances are immutable after construction; every
+operation returns fresh data.  The lone deliberate exception is
+:func:`stream_updates`, which accumulates into a caller-owned sketch buffer so
+that a turnstile update costs O(nonzeros of its column) instead of O(m).
 
 Matrices serialize to JSON as ``{"m": int, "n": int, "cols": [[[row, value],
 ...], ...]}`` with one entry list per column.  One-sparse maps serialize as
@@ -109,6 +110,39 @@ def _array(values, kinds: str, message: str, error=InvalidEntry) -> np.ndarray:
 def _locate(indptr: np.ndarray, indices: np.ndarray, p: int) -> str:
     """Where stored entry number p sits, for error messages."""
     return f"column {int(np.searchsorted(indptr, p, side='right')) - 1}, row {int(indices[p])}"
+
+
+def _entries(A: "SparseMatrix", indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns `indices` of A as int64, the positions of their entries in
+    ``A.indices`` and ``A.data``, column after column, and each column's
+    entry count.  The one check of a column-index list: anything but a flat
+    iterable raises :class:`DimensionMismatch`, a bool, float or string
+    :class:`InvalidDimension`, a column outside [0, n) :class:`IndexOutOfRange`."""
+    try:
+        cols = indices if isinstance(indices, np.ndarray) else list(indices)
+    except TypeError as exc:
+        raise DimensionMismatch(f"column indices must be a flat list, got {type(indices).__name__}") from exc
+    cols = _array(cols, "iu", "column indices must be integers", InvalidDimension)
+    if cols.ndim != 1:
+        raise DimensionMismatch(f"column indices must be a flat list, got shape {cols.shape}")
+    if cols.size and (cols.min() < 0 or cols.max() >= A.n):
+        bad = int(cols[(cols < 0) | (cols >= A.n)][0])
+        raise IndexOutOfRange(f"column index {bad} outside [0, {A.n})")
+    cols = cols.astype(np.int64, copy=False)  # an empty list is a float array
+    starts = A.indptr[cols]
+    counts = A.indptr[cols + 1] - starts
+    return cols, np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts), counts
+
+
+def _dense(A: "SparseMatrix", indices, values: np.ndarray) -> np.ndarray:
+    """The dense m-by-|I| block of the columns `indices` of A, in that order
+    (checked by :func:`_entries`), with `values`, one per stored entry, in
+    place of ``A.data``; the block takes their dtype."""
+    cols, entries, counts = _entries(A, indices)
+    _check_addressable((A.m, cols.size))
+    out = np.zeros((A.m, cols.size), dtype=values.dtype)
+    out[A.indices[entries], np.repeat(np.arange(cols.size), counts)] = values[entries]
+    return out
 
 
 class SparseMatrix:
@@ -209,25 +243,14 @@ class SparseMatrix:
         return int(self.indptr[-1])
 
     def column_dense(self, j: int) -> np.ndarray:
-        rows, vals = self.column(j)
-        out = np.zeros(self.m)
-        out[rows] = vals
-        return out
+        return _dense(self, [j], self.data)[:, 0]
 
     def to_dense(self) -> np.ndarray:
-        _check_addressable((self.m, self.n))
-        out = np.zeros((self.m, self.n))
-        out[self.indices, np.repeat(np.arange(self.n), np.diff(self.indptr))] = self.data
-        return out
+        return _dense(self, np.arange(self.n), self.data)
 
-    def submatrix_dense(self, indices: Sequence[int]) -> np.ndarray:
+    def submatrix_dense(self, indices: Iterable[int]) -> np.ndarray:
         """Dense m-by-|I| matrix of the selected columns, in the given order."""
-        _check_addressable((self.m, len(indices)))
-        out = np.zeros((self.m, len(indices)))
-        for p, j in enumerate(indices):
-            rows, vals = self.column(j)
-            out[rows, p] = vals
-        return out
+        return _dense(self, indices, self.data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -309,9 +332,10 @@ def apply(A: SparseMatrix, x) -> np.ndarray:
     An integer x on a matrix whose values are all integers gives the exact
     int64 image, so kernel identities hold exactly; it raises
     :class:`TooLarge` when max|value| * sum|x| reaches 2^62, where int64
-    could wrap.  Any other input is taken as float64.
+    could wrap.  Any other real input is taken as float64; a bool, complex
+    or non-numeric entry raises :class:`InvalidEntry`.
     """
-    x, values = np.asarray(x), A.data
+    x, values = _array(x, "iuf", "vector entries must be real numbers"), A.data
     if x.dtype.kind in "iu" and (values == np.rint(values)).all():
         # Summed in float64, the bound still keeps every partial sum below
         # 2^63; a value of 2^62 or more is no int64 term even for x = 0.
@@ -344,24 +368,18 @@ def stream_updates(sketch: np.ndarray, A: SparseMatrix, i, v) -> np.ndarray:
     time, ``sketch[rows] += v * vals`` over each update's column.  Every
     input is checked before anything is written.
     """
+    if not (isinstance(sketch, np.ndarray) and sketch.dtype == np.float64 and sketch.flags.writeable):
+        raise InvalidEntry("sketch must be a writeable float64 numpy array")
     if sketch.shape != (A.m,):
         raise DimensionMismatch(f"sketch must have length {A.m}, got shape {sketch.shape}")
-    i = _array(i, "iu", "column indices must be integers", InvalidDimension)
+    i, entries, counts = _entries(A, i)
     v = _array(v, "iuf", "update values must be numbers").astype(np.float64)
-    if i.ndim != 1 or i.shape != v.shape:
+    if i.shape != v.shape:
         raise DimensionMismatch(f"need one value per column index, got shapes {i.shape} and {v.shape}")
-    if i.size and (i.min() < 0 or i.max() >= A.n):
-        bad = int(i[(i < 0) | (i >= A.n)][0])
-        raise IndexOutOfRange(f"column index {bad} outside [0, {A.n})")
-    i = i.astype(np.int64, copy=False)  # an empty list is a float array
     if not np.isfinite(v).all():
         raise InvalidEntry(f"non-finite update value {float(v[~np.isfinite(v)][0])!r}")
-    # the updated columns' entries, concatenated in update order; np.add.at
-    # adds them one at a time, so each entry sees the sequence of additions
-    # a loop of single updates makes
-    starts = A.indptr[i]
-    counts = A.indptr[i + 1] - starts
-    entries = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    # np.add.at adds the entries one at a time in update order, as a loop of
+    # single updates would
     np.add.at(sketch, A.indices[entries], np.repeat(v, counts) * A.data[entries])
     return sketch
 

@@ -68,7 +68,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -85,7 +85,7 @@ from .errors import (
     TooLarge,
     TooManySupports,
 )
-from .matrices import _BUDGET, SparseMatrix, _check_addressable, _constant_magnitude, _integer, _runs, column_norms
+from .matrices import _BUDGET, SparseMatrix, _check_addressable, _constant_magnitude, _dense, _integer, _runs, column_norms
 from .rng import choice_bounds, floyd_picks, substream
 
 UNIT_NORM_TOL = 1e-9
@@ -279,9 +279,7 @@ def coherence(A: SparseMatrix) -> float:
     level = _probe_level(A.m, A.n, s)
     K = None if level is None else _pattern_max_count(A, s, *level)
     if K is None or (level[0] > 1 and K < level[0]):
-        signs = np.zeros((A.m, A.n), dtype=np.float32)
-        signs[A.indices, np.repeat(np.arange(A.n), np.diff(A.indptr))] = np.sign(A.data)
-        K = int(_max_off_diagonal(signs))
+        K = int(_max_off_diagonal(_dense(A, np.arange(A.n), np.sign(A.data).astype(np.float32))))
     return float(Fraction(c) ** 2 * K)
 
 
@@ -341,13 +339,8 @@ def _gershgorin(A: SparseMatrix, k: int, count: int):
         return lambda supports: np.full(len(supports), math.inf)
     width = max(1, _BUDGET // (8 * m))
 
-    def slab(lo):
-        """The dense columns [lo, lo + width) of A."""
-        hi = min(lo + width, n)
-        D = np.zeros((m, hi - lo))
-        p, q = A.indptr[lo], A.indptr[hi]
-        D[A.indices[p:q], np.repeat(np.arange(hi - lo), np.diff(A.indptr[lo:hi + 1]))] = A.data[p:q]
-        return D
+    def slab(lo):  # the dense columns [lo, lo + width) of A
+        return _dense(A, np.arange(lo, min(lo + width, n)), A.data)
 
     G = np.empty((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -513,12 +506,11 @@ def _draw_supports(g: np.random.Generator, n: int, k: int, count: int) -> np.nda
     return floyd_picks(g.integers(0, choice_bounds(n, k), size=(count, 2 * k - 1))[:, :k], n)
 
 
-def subspace_distortion(A: SparseMatrix, indices: Sequence[int]) -> tuple[float, float]:
+def subspace_distortion(A: SparseMatrix, indices: Iterable[int]) -> tuple[float, float]:
     """(smallest, largest) singular value of the selected-column submatrix."""
-    indices = list(indices)
-    if not indices:
-        raise EmptyIndexSet("need at least one column index")
     B = A.submatrix_dense(indices)
+    if not B.shape[1]:
+        raise EmptyIndexSet("need at least one column index")
     w = np.linalg.eigvalsh(B.T @ B)
     return math.sqrt(max(float(w[0]), 0.0)), math.sqrt(max(float(w[-1]), 0.0))
 

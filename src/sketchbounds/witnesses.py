@@ -34,7 +34,6 @@ from .errors import (
     DegenerateColumn,
     DimensionMismatch,
     EmptyIndexSet,
-    IndexOutOfRange,
     InvalidCount,
     InvalidDimension,
     InvalidEntry,
@@ -47,7 +46,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import _BUDGET, SparseMatrix, _array, _integer, _runs, _spans, apply, column_sparsity, to_csr
+from .matrices import _BUDGET, SparseMatrix, _array, _entries, _integer, _runs, _spans, apply, column_sparsity, to_csr
 from .measures import check_unit_columns, dyadic_scale_count
 from .rng import _LANES, check_seed, derive_seed, derived_states, substream
 from .constructions import _check_size
@@ -706,13 +705,9 @@ def ose_collision_witness(S: SparseMatrix, indices: Iterable[int] | None = None)
     if indices is None:
         cols = np.arange(S.n)
     else:
-        chosen = sorted({_integer(i, "column index") for i in indices})
-        if not chosen:
+        cols = np.unique(_entries(S, indices)[0])
+        if not cols.size:
             raise EmptyIndexSet("need at least one column index")
-        if chosen[0] < 0 or chosen[-1] >= S.n:
-            bad = next(i for i in chosen if not 0 <= i < S.n)
-            raise IndexOutOfRange(f"column index {bad} outside [0, {S.n})")
-        cols = np.array(chosen, dtype=np.int64)
     # A stable sort by row keeps each row's columns ascending, so the first
     # pair is the first two columns of the repeated row whose first column
     # is smallest.

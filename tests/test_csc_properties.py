@@ -76,6 +76,45 @@ def test_kernels_match_per_column_loops(D, data):
         assert np.array_equal(column_norms(A), np.array(norms), equal_nan=True)
 
 
+def column_loop(A, indices):
+    """The dense columns `indices` of A, one column at a time: the reference
+    for the one gather behind ``submatrix_dense``, ``to_dense`` and
+    ``column_dense``."""
+    out = np.zeros((A.m, len(indices)))
+    for p, j in enumerate(indices):
+        rows, vals = A.column(j)
+        out[rows, p] = vals
+    return out
+
+
+@st.composite
+def column_lists(draw, n):
+    """Columns of [0, n) as a list, tuple, range or int32/int64/uint64 array:
+    with repeats, in any order, or empty."""
+    form = draw(st.sampled_from(["list", "tuple", "range", "int32", "int64", "uint64"]))
+    if form == "range":
+        lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        cols = range(lo, hi, draw(st.integers(1, 3)))
+        return cols[::-1] if draw(st.booleans()) else cols
+    cols = draw(st.lists(st.integers(0, n - 1), max_size=2 * n + 2))
+    return {"list": list, "tuple": tuple}.get(form, lambda c: np.array(c, dtype=form))(cols)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_matrices(), st.data())
+def test_dense_columns_match_the_per_column_loop(D, data):
+    A = SparseMatrix.from_dense(D)
+    indices = data.draw(column_lists(A.n), label="indices")
+    assert same_bits(A.submatrix_dense(indices), column_loop(A, indices))
+    assert same_bits(A.to_dense(), column_loop(A, range(A.n)))
+    for j in range(A.n):
+        assert same_bits(A.column_dense(j), column_loop(A, [j])[:, 0])
+
+
 @pytest.mark.parametrize("defect,error", [
     ("non_finite", InvalidEntry),
     ("out_of_range", IndexOutOfRange),

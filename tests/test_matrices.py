@@ -25,6 +25,7 @@ from sketchbounds import (
     normalize_columns,
     one_sparse_map_from_json,
     one_sparse_map_to_json,
+    ose_collision_witness,
     save_matrix,
     save_one_sparse_map,
     stream_updates,
@@ -167,6 +168,22 @@ class TestApply:
         with pytest.raises(TooLarge):
             apply(SparseMatrix.from_dense([[2.0**62]]), np.array([0]))
 
+    @pytest.mark.parametrize("x", [
+        [True, False, True],
+        np.array([True, False, True]),
+        [1, True, 0],
+        [1, None, 1],
+        ["1", "2", "3"],
+        np.array([1, 1j, 0]),
+    ], ids=["bools", "bool_array", "int_and_bool", "none", "strings", "complex"])
+    def test_non_real_entries_refused(self, x):
+        with pytest.raises(InvalidEntry):
+            apply(SparseMatrix.from_dense(DENSE_4X3), x)
+
+    def test_non_finite_floats_pass_through(self):
+        y = apply(SparseMatrix.from_dense(DENSE_4X3), np.array([math.inf, 0.0, 0.0]))
+        assert y.tolist() == [math.inf, 0.0, -math.inf, 0.0]
+
 
 class TestStreamUpdate:
     def test_accumulates_like_apply(self):
@@ -190,6 +207,22 @@ class TestStreamUpdate:
         A = SparseMatrix.from_dense(DENSE_4X3)
         with pytest.raises(DimensionMismatch):
             stream_updates(np.zeros(3), A, [0], [1.0])
+
+    @pytest.mark.parametrize("sketch", [
+        np.zeros(4, dtype=np.int64),
+        np.zeros(4, dtype=bool),
+        np.zeros(4, dtype=np.float32),
+        np.zeros(4, dtype=complex),
+        [0.0] * 4,
+        np.frombuffer(bytes(32)),  # four read-only float64 zeros
+    ], ids=["int", "bool", "float32", "complex", "list", "read_only"])
+    def test_a_sketch_that_is_not_float64_is_refused_unwritten(self, sketch):
+        # an int sketch would round the update 1.5 down to 1, and np.add.at
+        # writes into a read-only array
+        before = list(sketch)
+        with pytest.raises(InvalidEntry):
+            stream_updates(sketch, SparseMatrix.from_dense(DENSE_4X3), [0], [1.5])
+        assert list(sketch) == before
 
 
 class TestStreamUpdates:
@@ -267,6 +300,25 @@ def test_non_integer_column_index_refused(call):
     S = OneSparseMap(4, 6, [0, 1, 2, 3, 0, 1], [1, -1, 1, 1, -1, 1])
     with pytest.raises(InvalidDimension):
         call(S)
+
+
+NOT_A_FLAT_LIST = {"int": 3, "none": None, "2d": np.array([[0, 1], [2, 3]])}
+
+
+@pytest.mark.parametrize("call, indices", [
+    pytest.param(call, indices, id=f"{name}-{kind}")
+    for name, call in [
+        ("submatrix", lambda S, indices: S.submatrix_dense(indices)),
+        ("distortion", lambda S, indices: subspace_distortion(S, indices)),
+        ("ose_collision", lambda S, indices: ose_collision_witness(S, indices)),
+    ]
+    for kind, indices in NOT_A_FLAT_LIST.items()
+    if (name, kind) != ("ose_collision", "none")  # None selects every column there
+])
+def test_column_indices_that_are_no_flat_list_refused(call, indices):
+    S = OneSparseMap(4, 6, [0, 1, 2, 3, 0, 1], [1, -1, 1, 1, -1, 1])
+    with pytest.raises(DimensionMismatch):
+        call(S, indices)
 
 
 class TestNormalize:
