@@ -22,44 +22,55 @@ patterns, one int64 each, sorts the keys, and counts exactly only the pairs
 whose keys match, so it finds K whenever K >= tau, in O(n * C(s, tau))
 memory rather than O(m * n).  tau is picked from (m, n, s) alone by the
 predicted work.  The float32 Gram of the +-1 sign pattern, exact while
-m <= 2^24, multiplied in 512-column slices of a dense copy, gives K instead
-when no level's key fits 63 bits or the probe is predicted to cost more,
-when the matched pairs exceed that prediction's budget (many duplicate
-columns, say), or when the probe finds K < tau at a tau >= 2; at tau = 1
-its K is exact even when 0, as every pair with a nonzero count shares a row.
-Other matrices, and taller ones, take the float64 Gram of the values.
+m <= 2^24, gives K instead when no level's key fits 63 bits or the probe is
+predicted to cost more, when the matched pairs exceed that prediction's
+budget (many duplicate columns, say), or when the probe finds K < tau at a
+tau >= 2; at tau = 1 its K is exact even when 0, as every pair with a
+nonzero count shares a row.  Other matrices, and taller ones, take the
+float64 Gram of the values.  Both Grams are multiplied from 512-column
+slabs, each scattered from the CSC arrays, so neither holds a dense copy.
 
-The restricted isometry constants stack their eigensolves: a chunk of supports
-becomes one (N, k, m) array of their columns, one batched ``np.matmul`` gives
-the N k-by-k Gram matrices and one ``np.linalg.eigvalsh`` their eigenvalues.
-A chunk holds at most the memory budget (``matrices._BUDGET``, 1 MiB) of
-stacked columns, or one support when a single one is larger.  Its other
-arrays, the distinct columns and the N Gram matrices, are no larger than the
-stack unless k > m, where the Grams are k/m times larger (see
-:func:`_chunk_length`), so the memory stays bounded however many supports
-are scanned.  The exact scan unranks its chunks of supports in lexicographic
-order, so it never holds more than a chunk of them either.
+The restricted isometry constants scan their supports in chunks and stack
+their eigensolves.  A scan chunk holds ``_BUDGET // (64 * k)`` supports
+(:func:`_scan_length`): their indices, their bounds' k accumulators and, in
+the estimate, their draws take at most 64 * k bytes a support, so a chunk
+stays within the memory budget (``matrices._BUDGET``, 1 MiB) however
+the supports it holds are solved.  The exact scan unranks its chunks of
+supports in lexicographic order, so it never holds more than a chunk of
+them.  The supports a chunk solves go in solve stacks: a stack becomes one
+(N, k, m) array of their columns, one batched ``np.matmul`` gives the N
+k-by-k Gram matrices and one ``np.linalg.eigvalsh`` their eigenvalues.  A
+stack holds at most the budget of stacked columns, or one support when a
+single one is larger.  Its other arrays, the distinct columns and the N
+Gram matrices, are no larger than the stack unless k > m, where the Grams
+are k/m times larger (see :func:`_chunk_length`), so the memory stays
+bounded however many supports are scanned.
 
 Most supports are never solved.  By Gershgorin's theorem every eigenvalue of
 a support's Gram G_S lies in some disc [G_ii - R_i, G_ii + R_i], with
 R_i = sum over j in S, j != i, of |G_ij|, so delta(S) <= b(S) =
 max over i in S of |G_ii - 1| + R_i, read off one n-by-n |G| of the whole
-matrix.  The first chunk solves its 64 supports of largest b; from then on a
-support is solved only when b(S) + margin reaches the largest delta solved so
-far.  The margin, 2^-30 * (1 + k * max_i G_ii) over the finite G_ii, exceeds
-the rounding of both b and the stacked eigensolve wherever |G| is built
-(there m <= 2^21, and each error stays below 2^-31 * k * max_i G_ii).  A
-support is skipped only when its delta is strictly below one already solved,
-so the maximum and its first achiever in scan order are those of the
-unpruned scan, bit for bit: a support's delta does not depend on the chunk
-it is solved in.  A b that is infinite or NaN (an overflowing Gram) is never
-below anything, so such a support is always solved.  |G| costs about
-m * n^2 multiply-adds and can save about k^2 * m for each support scanned,
-so it is built only when n^2 <= k^2 * (supports scanned): never at k = 1,
-nor for a few sampled supports of a wide matrix.  It is then no larger than
-8 * k^2 bytes a support, and it is multiplied from column slabs of at most
-``_BUDGET`` bytes each, so no dense copy of A is held.  Otherwise, or past
-m = 2^21, every b is +inf and every support is solved.
+matrix by pair gathers (:func:`_pair_bounds`): each member's sum starts at
+its diagonal entry and takes each pair's |G_ij| once for both members, so
+a chunk gathers k(k + 1)/2 entries a support and never an (N, k, k) block.
+The first chunk solves its 64 supports of largest b; from then on a support
+is solved only when b(S) + margin reaches the largest delta solved so far.
+The margin, 2^-30 * (1 + k * max_i G_ii) over the finite G_ii, exceeds the
+rounding of both b, a k-term sum of nonnegative terms in any order, and the
+stacked eigensolve wherever |G| is built (there m <= 2^21, and each error
+stays below 2^-31 * k * max_i G_ii).  A support is skipped only when its
+delta is strictly below one already solved, so the maximum and its first
+achiever in scan order are those of the unpruned scan, bit for bit: a
+support's delta does not depend on the stack it is solved in, nor the
+estimate's draws on how they are chunked.  A b that is infinite or NaN (an
+overflowing Gram) is never below anything, so such a support is always
+solved.  |G| costs about m * n^2 multiply-adds and can save about k^2 * m
+for each support scanned, so it is built only when n^2 <= k^2 * (supports
+scanned): never at k = 1, nor for a few sampled supports of a wide matrix.
+It is then no larger than 8 * k^2 bytes a support, and it is multiplied
+from column slabs of at most ``_BUDGET`` bytes each, so no dense copy of A
+is held.  Otherwise, or past m = 2^21, every b is +inf and every support is
+solved.
 """
 
 from __future__ import annotations
@@ -109,17 +120,22 @@ def check_unit_columns(A: SparseMatrix) -> None:
         raise NotNormalized(int(bad[0]), float(norms[bad[0]]))
 
 
-def _max_off_diagonal(D: np.ndarray) -> float:
-    """Largest |<d_i, d_j>| over distinct columns i, j of D, from Gram
-    products of 512-column slices, so each product is O(block^2) however
-    wide D is."""
+def _max_off_diagonal(A: SparseMatrix, values: np.ndarray) -> float:
+    """Largest |<d_i, d_j>| over distinct columns i, j of the dense matrix D
+    that holds `values` in place of ``A.data``, from Gram products of
+    512-column slabs of D, each scattered by :func:`matrices._dense`, so each
+    product is O(block^2) and no dense copy of D is held however wide it is."""
     block = 512
     best = 0.0
-    n = D.shape[1]
+    n = A.n
+
+    def slab(lo):  # the dense columns [lo, lo + block) of D
+        return _dense(A, np.arange(lo, min(lo + block, n)), values)
+
     for a in range(0, n, block):
-        Da = D[:, a:a + block]
+        Da = slab(a)
         for b in range(a, n, block):
-            G = Da.T @ D[:, b:b + block]
+            G = Da.T @ (Da if a == b else slab(b))
             if a == b:
                 np.fill_diagonal(G, 0.0)
             best = max(best, float(np.abs(G, out=G).max()))
@@ -257,29 +273,31 @@ def coherence(A: SparseMatrix) -> float:
     probe (:func:`_pattern_max_count`) at the level tau that
     :func:`_probe_level` picks from (m, n, s): only column pairs sharing a
     sign pattern on tau rows are counted, in O(n * C(s, tau)) memory, never
-    more than the sign copy the Gram would take.  The
-    float32 Gram of the +-1 sign pattern, exact while m <= 2^24 (no partial
-    sum exceeds m), in O(m*n) memory, gives K instead when no level's key
-    fits 63 bits, when the probe is predicted to cost more than the Gram,
-    when the candidate pairs turn out to (duplicate columns, say), or when
-    the probe finds K < tau at a tau >= 2.  At tau = 1 every pair with a
+    more than the sign copy the Gram would take.  The float32 Gram of the
+    +-1 sign pattern, exact while m <= 2^24 (no partial sum exceeds m),
+    gives K instead when no level's key fits 63 bits, when the probe is
+    predicted to cost more than the Gram, when the candidate pairs turn out
+    to (duplicate columns, say), or when the probe finds K < tau at a
+    tau >= 2.  At tau = 1 every pair with a
     nonzero count shares a row, so the probe is exact even when it finds 0.
     Any other matrix, or m > 2^24, takes the float64 Gram of the values,
-    whose last bit follows the BLAS summation order, in 8*m*n bytes.
+    whose last bit follows the BLAS summation order.  Both Grams are
+    multiplied from 512-column slabs (:func:`_max_off_diagonal`), so they
+    hold two slabs and two 512 x 512 products, never a dense copy of A.
     """
     if A.n < 2:
         raise TooFewColumns("coherence needs at least two columns")
     check_unit_columns(A)
     c = _constant_magnitude(A)
     if c is None or A.m > _FLOAT32_EXACT_ROWS:
-        return _max_off_diagonal(A.to_dense())
+        return _max_off_diagonal(A, A.data)
     # a column of s1 < s2 <= 2^24 entries +-c would put a norm ratio of at
     # least 1 + 2^-25 between them, past UNIT_NORM_TOL: every column has s
     s = A.nnz // A.n
     level = _probe_level(A.m, A.n, s)
     K = None if level is None else _pattern_max_count(A, s, *level)
     if K is None or (level[0] > 1 and K < level[0]):
-        K = int(_max_off_diagonal(_dense(A, np.arange(A.n), np.sign(A.data).astype(np.float32))))
+        K = int(_max_off_diagonal(A, np.sign(A.data).astype(np.float32)))
     return float(Fraction(c) ** 2 * K)
 
 
@@ -300,17 +318,26 @@ class RipEstimate:
 
 
 def _chunk_length(A: SparseMatrix, k: int) -> int:
-    """Supports per chunk: their (N, k, m) column stack fits ``_BUDGET``, or
-    N = 1 when one support's 8 * k * m bytes do not.
+    """Supports per solve stack: their (N, k, m) column stack fits
+    ``_BUDGET``, or N = 1 when one support's 8 * k * m bytes do not.
 
-    The N k-by-k Grams, and the bounds' (N, k, k) gather, take k/m times the
-    stack, so a scan peaks at about 2 * max(_BUDGET, 8 * k * m) * max(1, k/m),
-    plus |G| where it is built (8 * n^2 bytes) and 20 bytes an entry and 40 a
-    column of A: 68 MiB for a 2 x 400 matrix at k = 128.  Sizing the chunk by
-    max(k, m) would hold that at 2.4 MiB, but made the 3,000-trial estimate
-    there take 4.2 s instead of 2.6 s, so the k/m factor stays.
+    The N k-by-k Grams take k/m times the stack, so a scan peaks at about
+    2 * max(_BUDGET, 8 * k * m) * max(1, k/m), its scan chunk's arrays
+    (:func:`_scan_length`) included, plus |G| where it is built (8 * n^2
+    bytes) and 20 bytes an entry and 40 a column of A.  A stack never holds
+    more supports than its scan chunk, which bounds the Grams where k > m:
+    a 2 x 400 matrix at k = 128 scans 128 supports at a time, whose Grams
+    take 16 MiB, and its estimate peaks at 18 MiB.
     """
     return max(1, _BUDGET // (8 * k * A.m))
+
+
+def _scan_length(k: int) -> int:
+    """Supports per scan chunk, whatever the stacks it is solved in: a
+    support's k indices, its bound's k accumulators and the bound's pair
+    gathers, or in the estimate its 2k - 1 draws and their picks, take at
+    most 64 * k bytes, so a chunk's own arrays stay within ``_BUDGET``."""
+    return max(1, _BUDGET // (64 * k))
 
 
 def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
@@ -329,14 +356,12 @@ def _support_deltas(A: SparseMatrix, supports: np.ndarray) -> np.ndarray:
     return deltas
 
 
-def _gershgorin(A: SparseMatrix, k: int, count: int):
-    """A function from an (N, k) array of supports to their Gershgorin bounds
-    plus the rounding margin (see the module docstring), each at least the
-    support's delta; every bound is +inf when m > 2^21 or when |G| would cost
-    more than solving the ``count`` supports scanned saves."""
+def _abs_gram(A: SparseMatrix, k: int) -> tuple[np.ndarray, float]:
+    """(H, margin): the n-by-n H holds |G_ij| off the diagonal and
+    |G_ii - 1| on it, for the Gram G of A multiplied from column slabs of at
+    most ``_BUDGET`` bytes, and the margin is 2^-30 * (1 + k * max_i G_ii)
+    over the finite G_ii (see the module docstring)."""
     m, n = A.m, A.n
-    if m > 2**21 or n * n > k * k * count:
-        return lambda supports: np.full(len(supports), math.inf)
     width = max(1, _BUDGET // (8 * m))
 
     def slab(lo):  # the dense columns [lo, lo + width) of A
@@ -351,22 +376,54 @@ def _gershgorin(A: SparseMatrix, k: int, count: int):
                 block = np.matmul(Da.T, slab(b), out=G[a:a + width, b:b + width])
                 G[b:b + width, a:a + width] = block.T
     diagonal = G.diagonal().copy()
-    # H holds |G_ij| off the diagonal and |G_ii - 1| on it, so the largest
-    # row sum of H on S is b(S)
     H = np.abs(G, out=G)
     np.fill_diagonal(H, np.abs(diagonal - 1.0))
-    margin = 2.0**-30 * (1.0 + k * diagonal[np.isfinite(diagonal)].max(initial=0.0))
-    return lambda supports: H[supports[:, :, None], supports[:, None, :]].sum(axis=2).max(axis=1) + margin
+    return H, 2.0**-30 * (1.0 + k * diagonal[np.isfinite(diagonal)].max(initial=0.0))
+
+
+def _pair_bounds(H: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """b(S), the largest row sum of H on S, for each row of an (N, k) array
+    of supports, from pair gathers: each member's sum starts at its diagonal
+    entry, and each pair's entry H[S_i, S_j], i < j, is gathered once and
+    added to both members' sums, member i's pairs in one (k - 1 - i, N)
+    gather, so no (N, k, k) block is built."""
+    cols = np.ascontiguousarray(supports.T)
+    sums = H.diagonal()[cols]
+    flat = H.reshape(-1)
+    for i in range(len(cols) - 1):
+        pairs = flat[cols[i] * len(H) + cols[i + 1:]]
+        sums[i] += pairs.sum(axis=0)
+        sums[i + 1:] += pairs
+    return np.maximum.reduce(sums)
+
+
+def _gershgorin(A: SparseMatrix, k: int, count: int):
+    """A function from an (N, k) array of supports to their Gershgorin bounds
+    plus the rounding margin (see the module docstring), each at least the
+    support's delta; every bound is +inf when m > 2^21 or when |G| would cost
+    more than solving the ``count`` supports scanned saves."""
+    if A.m > 2**21 or A.n * A.n > k * k * count:
+        return lambda supports: np.full(len(supports), math.inf)
+    H, margin = _abs_gram(A, k)
+    return lambda supports: _pair_bounds(H, supports) + margin
 
 
 def _worst_support(A: SparseMatrix, k: int, count: int,
                    chunks: Iterable[np.ndarray]) -> tuple[tuple[int, ...], float]:
-    """The support with the largest delta over a sequence of (N, k) chunks
-    holding ``count`` supports, and that delta; ties keep the first support
-    in scan order.  A NaN delta counts as +inf.  Only the supports whose
-    Gershgorin bound reaches the largest delta solved so far are solved (see
-    the module docstring)."""
+    """The support with the largest delta over a sequence of (N, k) scan
+    chunks holding ``count`` supports, and that delta; ties keep the first
+    support in scan order.  A NaN delta counts as +inf.  Only the supports
+    whose Gershgorin bound reaches the largest delta solved so far are
+    solved, in stacks of at most :func:`_chunk_length` supports (see the
+    module docstring)."""
     bound = _gershgorin(A, k, count)
+    step = _chunk_length(A, k)
+
+    def solve(supports, at, deltas):  # deltas[at], a solve stack at a time
+        for lo in range(0, at.size, step):
+            part = at[lo:lo + step]
+            deltas[part] = _support_deltas(A, supports[part])
+
     best_delta = -math.inf
     best_support: tuple[int, ...] = ()
     for supports in chunks:
@@ -376,12 +433,11 @@ def _worst_support(A: SparseMatrix, k: int, count: int,
         if best_delta == -math.inf:
             # the first chunk's largest bounds set the floor the rest is held to
             first = np.argsort(-b)[:_SEED_SOLVES]
-            deltas[first] = _support_deltas(A, supports[first])
+            solve(supports, first, deltas)
             todo[first] = False
         # b < floor is False for a NaN b, so such a support is solved
         todo &= ~(b < max(best_delta, deltas.max()))
-        if todo.any():
-            deltas[todo] = _support_deltas(A, supports[todo])
+        solve(supports, np.flatnonzero(todo), deltas)
         i = int(np.argmax(deltas))  # argmax takes the first on ties
         if deltas[i] > best_delta:
             best_delta = float(deltas[i])
@@ -412,8 +468,9 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
 
     Guarded by C(n, k) <= 10^6; the worst support is the lexicographically
     first achiever of the maximum.  The supports are unranked in
-    lexicographic order and scanned in chunks of at most 1 MiB (the memory
-    budget) of stacked columns each; :func:`_chunk_length` states the peak.
+    lexicographic order and scanned in chunks of :func:`_scan_length`
+    supports, and solved in stacks of at most 1 MiB (the memory budget) of
+    stacked columns each; :func:`_chunk_length` states the peak.
     A support is solved only when its Gershgorin bound b(S)
     = max_i |G_ii - 1| + sum_{j != i} |G_ij|, plus the margin
     2^-30 * (1 + k * max_i G_ii), reaches the largest delta already solved
@@ -430,7 +487,7 @@ def rip_constant_exact(A: SparseMatrix, k: int) -> RipEstimate:
     count = math.comb(A.n, k)
     if count > MAX_EXACT_SUPPORTS:
         raise TooManySupports(f"C({A.n}, {k}) = {count} exceeds {MAX_EXACT_SUPPORTS}")
-    supports = _lex_supports(A.n, k, _chunk_length(A, k))
+    supports = _lex_supports(A.n, k, _scan_length(k))
     return _finish_estimate(A, k, "exact", *_worst_support(A, k, count, supports))
 
 
@@ -440,9 +497,10 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     Supports come off a single sequential stream, so with a fixed seed the
     first supports of a longer run replicate a shorter run exactly and the
     estimate is monotone nondecreasing in `trials`.  They are drawn and
-    scanned in chunks of at most 1 MiB (the memory budget) of stacked
-    columns each (:func:`_chunk_length` states the peak), and pruned
-    as in :func:`rip_constant_exact`: a support is solved only when its
+    scanned in chunks of :func:`_scan_length` supports, solved in stacks of
+    at most 1 MiB (the memory budget) of stacked columns each
+    (:func:`_chunk_length` states the peak), and pruned as in
+    :func:`rip_constant_exact`: a support is solved only when its
     Gershgorin bound plus the margin reaches the largest delta already
     solved, so the result is the first drawn achiever, as if every support
     were solved (see the module docstring).  Each support is the one
@@ -457,7 +515,7 @@ def rip_constant_lower_estimate(A: SparseMatrix, k: int, trials: int, seed: int)
     if trials < 1:
         raise InvalidCount(f"need trials >= 1, got {trials}")
     g = substream(seed)
-    size = _chunk_length(A, k)
+    size = _scan_length(k)
     chunks = (_draw_supports(g, A.n, k, min(size, trials - start)) for start in range(0, trials, size))
     return _finish_estimate(A, k, "lower_estimate", *_worst_support(A, k, trials, chunks))
 

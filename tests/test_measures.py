@@ -240,7 +240,7 @@ class TestPatternProbe:
 
     @pytest.fixture
     def no_gram(self, monkeypatch):
-        def gram(D):
+        def gram(A, values):
             raise AssertionError("the sign Gram ran")
 
         monkeypatch.setattr(measures, "_max_off_diagonal", gram)
@@ -583,9 +583,31 @@ def wide_rip_inputs(draw):
     return SparseMatrix.from_dense(D), k
 
 
+@st.composite
+def bound_inputs(draw):
+    """(A, None) with m up to 80 and n up to 24: gaussian columns, each
+    kept or scaled by 2^20, 2^-20 or 3.7e5, some repeated or negated."""
+    m = draw(st.integers(1, 80))
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7) / math.sqrt(m)
+    D *= rng.choice([1.0, 2.0**20, 2.0**-20, 3.7e5], size=n)
+    repeat = rng.random(n) < 0.3
+    D[:, repeat] = D[:, rng.integers(0, n, size=int(repeat.sum()))] * rng.choice([1.0, -1.0], size=int(repeat.sum()))
+    return SparseMatrix.from_dense(D), None
+
+
 def unpruned(mp):
     """Patch the Gershgorin bound to +inf, so every support is solved."""
     mp.setattr(measures, "_gershgorin", lambda A, k, count: lambda supports: np.full(len(supports), np.inf))
+
+
+def chunked(mp, scan, stack):
+    """Patch the scans to chunks of `scan` supports and their solves to
+    stacks of at most `stack`, so that ties and pruning floors fall on both
+    kinds of edge."""
+    mp.setattr(measures, "_scan_length", lambda k: scan)
+    mp.setattr(measures, "_chunk_length", lambda A, k: stack)
 
 
 @pytest.fixture
@@ -614,24 +636,30 @@ class TestGershgorinPruning:
         assert same_estimate(rip_constant_lower_estimate(A, k, 300, seed), loop_estimate(A, k, 300, seed))
 
     @settings(max_examples=25, deadline=None)
-    @given(wide_rip_inputs(), st.integers(0, 2**16), st.integers(1, 3))
-    def test_bit_for_bit_at_chunks_of_one_two_and_three(self, inp, seed, per_chunk):
+    @given(wide_rip_inputs(), st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 3))
+    def test_bit_for_bit_at_chunks_of_one_two_and_three(self, inp, seed, per_chunk, per_stack):
         A, k = inp
         exact, estimate = loop_exact(A, k), loop_estimate(A, k, 60, seed)
+        counts = []
+        real = measures._support_deltas
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+            chunked(mp, per_chunk, per_stack)
+            mp.setattr(measures, "_support_deltas", lambda A, s: counts.append(len(s)) or real(A, s))
             assert same_estimate(rip_constant_exact(A, k), exact)
             assert same_estimate(rip_constant_lower_estimate(A, k, 60, seed), estimate)
+        assert max(counts) <= per_stack
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_the_benchmark_matrix_solves_fewer_supports_than_it_scans(self, solved, seed):
         A = sample_sparse_sign_jl(64, 60, 4, derive_seed(seed, 2))
         runs = [lambda: rip_constant_exact(A, 3),
                 lambda: rip_constant_lower_estimate(A, 8, 5000, derive_seed(seed, 3))]
-        for run, scanned in zip(runs, [math.comb(60, 3), 5000]):
+        for run, scanned, k in zip(runs, [math.comb(60, 3), 5000], [3, 8]):
             solved.clear()
             pruned = run()
             assert 0 < sum(solved) * 10 < scanned, sum(solved)
+            # a scan chunk holds more supports than a solve stack, which is never exceeded
+            assert measures._scan_length(k) > measures._chunk_length(A, k) >= max(solved)
             solved.clear()
             with pytest.MonkeyPatch.context() as mp:
                 unpruned(mp)
@@ -645,6 +673,7 @@ class TestGershgorinPruning:
         assert 8 * A.n * max(A.m, A.n) > measures._BUDGET
         pruned = rip_constant_exact(A, 2)
         assert 0 < sum(solved) * 100 < math.comb(1000, 2), sum(solved)
+        assert max(solved) <= measures._chunk_length(A, 2)
         assert (pruned.delta, pruned.worst_support) == (0.625, (4, 18))
         with pytest.MonkeyPatch.context() as mp:
             unpruned(mp)
@@ -682,6 +711,21 @@ class TestGershgorinPruning:
                 assert np.isfinite(bound).all()
                 assert (bound >= measures._support_deltas(A, supports)).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(bound_inputs(), wide_rip_inputs()), st.integers(1, 8), st.data())
+    def test_the_pair_gather_bound_holds_and_matches_the_block_sum(self, inp, k, data):
+        # the bound from pair gathers adds each row's terms in another order
+        # than the (N, k, k) block sum it replaced; the margin covers both
+        A = inp[0]
+        assume(k <= A.n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        supports = np.sort(np.array([rng.choice(A.n, k, replace=False) for _ in range(30)]), axis=1)
+        H, margin = measures._abs_gram(A, k)
+        reference = H[supports[:, :, None], supports[:, None, :]].sum(axis=2).max(axis=1)
+        assert (np.abs(measures._pair_bounds(H, supports) - reference) <= margin).all()
+        bound = measures._gershgorin(A, k, A.n * A.n)(supports)
+        assert (bound >= measures._support_deltas(A, supports)).all()
+
     def test_the_bound_is_built_only_where_it_can_pay(self):
         # |G| costs about m * n^2 multiply-adds against k^2 * m a support
         # solved, and the margin covers the rounding only up to m = 2^21
@@ -709,9 +753,10 @@ class TestGershgorinPruning:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measures, "_support_deltas", lambda A, s: counts.append(len(s)) or real(A, s))
             if per_chunk is not None:
-                mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+                chunked(mp, per_chunk, max(1, per_chunk - 1))
             assert same_estimate(rip_constant_lower_estimate(A, k, trials, seed), loop_estimate(A, k, trials, seed))
             assert sum(counts) == trials
+            assert max(counts) <= measures._chunk_length(A, k)
             if k == 1:
                 counts.clear()
                 assert same_estimate(rip_constant_exact(A, 1), loop_exact(A, 1))
@@ -725,7 +770,7 @@ class TestGershgorinPruning:
         for per_chunk in (None, 1):
             with pytest.MonkeyPatch.context() as mp:
                 if per_chunk is not None:
-                    mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+                    chunked(mp, per_chunk, per_chunk)
                 solved.clear()
                 with pytest.raises(TooLarge, match="k=1"):
                     rip_constant_exact(A, 1)
@@ -748,16 +793,18 @@ class TestGershgorinPruning:
         for per_chunk in (None, 1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 if per_chunk is not None:
-                    mp.setattr(measures, "_chunk_length", lambda A, k: per_chunk)
+                    chunked(mp, per_chunk, max(1, per_chunk - 1))
                 solved.clear()
                 with pytest.raises(TooLarge, match="k=2"):
                     rip_constant_exact(A, 2)
                 assert sum(solved) < math.comb(40, 2)
+                assert max(solved) <= measures._chunk_length(A, 2)
                 solved.clear()
                 # 400 supports pay for the 40-column |G|; 399 would not
                 with pytest.raises(TooLarge, match="k=2"):
                     rip_constant_lower_estimate(A, 2, 400, 1)
                 assert sum(solved) < 400
+                assert max(solved) <= measures._chunk_length(A, 2)
 
 
 class TestSubspaceDistortion:

@@ -74,6 +74,11 @@ def _shape(name, sign):
         return sample_sparse_sign_jl(64, 60, 4, 1)
     if name == "readme":  # the README tour's matrix, whose exact k = 2 scan builds an 8 MB |G|
         return sample_sparse_sign_jl(64, 1000, 8, 7)
+    if name == "perturbed":  # the benchmark's matrix off +-c by up to 2e-12 a magnitude, columns renormalized
+        A = _shape("benchmark", True)
+        data = A.data * (1 + np.random.default_rng(3).uniform(-2e-12, 2e-12, A.nnz))
+        data /= np.repeat(np.sqrt(np.add.reduceat(data * data, A.indptr[:-1])), np.diff(A.indptr))
+        return SparseMatrix.from_csc(A.m, A.n, A.indptr, A.indices, data)
     if name == "short":  # k > m: two rows, 400 columns
         return SparseMatrix.from_dense(np.random.default_rng(0).standard_normal((2, 400)))
     raise KeyError(name)
@@ -168,6 +173,19 @@ def _probe(A):
     return 4 * _BUDGET + 2 * 8 * A.n * math.comb(A.nnz // A.n, tau) + 20 * A.nnz + 40 * A.n
 
 
+def _gram(A, itemsize):
+    # coherence by the Gram of 512-column slabs: two slabs and, while the
+    # next product is made, two 512 x 512 products, each entry `itemsize` bytes
+    return 2 * itemsize * 512 * (A.m + 512) + 20 * A.nnz + 40 * A.n
+
+
+def _sign_gram(A, tmp):
+    """coherence by the float32 sign Gram, the probe passed over."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_probe_level", lambda m, n, s: None)
+        return coherence(A)
+
+
 def _sweep(n, trials):
     # a block of trials' rows, or one trial's 8n bytes, and the records
     return 5 * max(_BUDGET, 8 * n) + 256 * trials
@@ -218,6 +236,9 @@ CASES = {
         lambda A, k=k: _rip(A, k, _BUDGET // (16 * k)))
        for k in (64, 128)},
     ("coherence", "benchmark"): (lambda A, tmp: coherence(A), _probe),
+    # entries not all +-c: the float64 Gram; a whole dense copy would take 20 MB
+    ("coherence", "perturbed"): (lambda A, tmp: coherence(A), lambda A: _gram(A, 8)),
+    ("coherence_sign_gram", "benchmark"): (_sign_gram, lambda A: _gram(A, 4)),
 }
 
 SWEEPS = [  # (m, d, n, trials)
@@ -283,6 +304,7 @@ def test_the_benchmark_shapes_keep_their_chunks(shape, monkeypatch):
     assert (_BUDGET // 16, _BUDGET // 8) == (65536, 131072)
     B = shape("measure")
     assert (measures._chunk_length(B, 3), measures._chunk_length(B, 8)) == (682, 256)
+    assert (measures._scan_length(3), measures._scan_length(8)) == (5461, 2048)
     records = witnesses._block_records
     monkeypatch.setattr(witnesses, "_block_records", lambda a, *args: blocks.append(len(a)) or records(a, *args))
     ose_failure_probability(64, 8, 256, 300, 3)
