@@ -241,9 +241,10 @@ MEASURES = {
                                 trials=True, seed=True),
     "subspace_distortion": Entry(subspace_distortion, lambda lh: _value({"sigma_min": lh[0], "sigma_max": lh[1]}),
                                  (("indices", list[int]),), load=True),
-    "row_mass_profile": Entry(row_mass_profile, lambda p: _value({**asdict(p), "flagged_rows": p.flagged_rows}),
+    # vars, not asdict: the fields are read shallowly, not deep-copied
+    "row_mass_profile": Entry(row_mass_profile, lambda p: _value({**vars(p), "flagged_rows": p.flagged_rows}),
                               (("x", float),), load=True),
-    "scale_profile": Entry(scale_profile, lambda p: _value(asdict(p)), (("column", int),), load=True),
+    "scale_profile": Entry(scale_profile, lambda p: _value(dict(vars(p))), (("column", int),), load=True),
     "column_sparsity": Entry(column_sparsity, _value, load=True),
 }
 

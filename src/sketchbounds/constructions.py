@@ -16,8 +16,8 @@ flat k/2-sparse unit vectors (``spread_vectors``).
 Every sampler is a pure function of its parameters plus a 64-bit seed.  In
 the two sign samplers column j is what its own stream ``substream(seed, j)``
 gives (see :mod:`sketchbounds.rng`), but the columns are computed as lanes,
-``rng._LANES`` at a time (a lane count, not a share of the memory budget:
-fewer lanes cost speed), from an emulation of those streams in numpy array
+as many at a time as the memory budget holds and at least ``rng._LANES``
+(``rng.lane_count``), from an emulation of those streams in numpy array
 operations, not one ``Generator`` per column.  Each sampler names its row
 draws once, as the bounds numpy draws below (``choice``'s Floyd draws, or one
 draw per block), plus a pick that turns the drawn values into rows.  A lane
@@ -52,7 +52,7 @@ from .errors import (
     UnknownKind,
 )
 from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, _read_text, canonical_json
-from .rng import _LANES, bounded, check_seed, choice_bounds, choice_is_floyd, floyd_picks, lane_draws, substream
+from .rng import bounded, check_seed, choice_bounds, choice_is_floyd, floyd_picks, lane_count, lane_draws, substream
 
 
 class Code:
@@ -231,7 +231,7 @@ def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows, highs, pi
     ``draw_rows`` makes one draw below each bound of ``highs`` in turn, a
     bound of 1 drawing nothing and giving 0, and ``pick`` turns the
     (lanes, len(highs)) array of those values into sorted rows.  The columns
-    are lanes, computed ``_LANES`` at a time from their first 32-bit draws
+    are lanes, computed from their first 32-bit draws
     (:func:`sketchbounds.rng.lane_draws`): Lemire's draws below the bounds,
     with a flag for lanes where one could have rejected, and then the signs,
     ``u >> 31``, which never reject.  Flagged lanes are drawn from
@@ -239,6 +239,15 @@ def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows, highs, pi
     (numpy samples that shape another way) or reaches 2^32 (numpy's other
     draws), or when the first or last emulated column differs from its
     stream.
+
+    A call takes ``rng.lane_count(words)`` lanes, where a lane draws words
+    = (bounds above 1) + s: as many lanes as ``matrices._BUDGET`` holds,
+    and ``rng._LANES`` from s = 43 on for sign JL (3s - 1 words) and from
+    s = 64 for blocks (2s).  A lane's draws depend only on its column, so
+    the chunks change no byte.  Peak memory: at most 4 * max(_BUDGET, 8 *
+    _LANES * words) bytes for a call's lanes, plus 20 bytes an entry and 40
+    a column for the output and its checks; 5.0 MiB all told for sign JL at
+    256 x 10000, s = 8, where 1,024 lanes a call took 2.0 MiB.
     """
     seed = check_seed(seed)
     rows = np.empty((n, s), dtype=np.int64)
@@ -247,8 +256,9 @@ def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows, highs, pi
     if highs is not None and highs.max() < 2**32:
         drawn = highs > 1
         count = int(drawn.sum())
-        for start in range(0, n, _LANES):
-            lanes = slice(start, min(start + _LANES, n))
+        step = lane_count(count + s)
+        for start in range(0, n, step):
+            lanes = slice(start, min(start + step, n))
             words = lane_draws(seed, np.arange(lanes.start, lanes.stop), count + s)
             vals = np.zeros((words.shape[0], highs.size), dtype=np.int64)
             vals[:, drawn], reject = bounded(words[:, :count], highs[drawn])

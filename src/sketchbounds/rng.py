@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadArgs
+from .matrices import _BUDGET
 
 _SEED_BOUND = 2**64
 _M32 = 0xFFFFFFFF
@@ -57,18 +58,30 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MUL_HI, _MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 _MUL_LO0, _MUL_LO1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
 
-# Columns or trials whose streams one emulation call covers at once.  Each
-# call has a fixed Python cost, and lane_draws steps once per pair of words
-# for the whole chunk, so this stays a lane count outside the memory budget
-# (matrices._BUDGET): the lane arrays stay a few hundred KB, and 16 lanes, a
-# count derived from the budget's bytes, made sample_sparse_sign_jl(4096,
-# 2048, 512) take 4.1 s instead of 0.39 s on a 2-core x86 VM.
+# The fewest columns or trials one emulation call covers.  Each call has a
+# fixed Python cost (some 450 numpy operations for a sign sampler), and
+# lane_draws steps once per pair of words for the whole chunk, so this floor
+# stays a lane count outside the memory budget: 16 lanes, a count derived
+# from the budget's bytes, made sample_sparse_sign_jl(4096, 2048, 512) take
+# 4.1 s instead of 0.39 s on a 2-core x86 VM.  The sign samplers take
+# lane_count(words) lanes a call, as many as the budget holds; at 256 x
+# 10000, s = 8 that is 2 calls of 5,698 lanes instead of 10 of 1,024, and
+# sample_sparse_sign_jl took 10.4 ms instead of 14.6 ms on the same VM.
+# witnesses' trial states take _LANES, since each lane becomes a Python dict.
 _LANES = 1024
 
 # Generator.choice(m, s, replace=False) shuffles the tail of an arange
 # instead of running Floyd's algorithm when m > 10000 and s > m // 50
 _FLOYD_MAX_POP = 10000
 _FLOYD_CUTOFF = 50
+
+
+def lane_count(words: int) -> int:
+    """Lanes one emulation call takes when each lane draws ``words`` 32-bit
+    words: as many as hold their draws, 8 bytes a word, in ``_BUDGET``, and
+    never fewer than ``_LANES``.  A lane counts as at least 16 words, since
+    its seeding and PCG64 state hold about that many whatever it draws."""
+    return max(_LANES, _BUDGET // (8 * max(words, 16)))
 
 
 def check_seed(seed: int) -> int:

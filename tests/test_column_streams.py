@@ -10,6 +10,7 @@ column update per update, and the one-sparse OSE sweep to its samplers of
 record, one trial at a time.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -150,22 +151,68 @@ class TestSeedingAndDraws:
             "state": 234307084661355904902738601781916490193, "inc": 302652904035693633911447155534275943855}
 
 
+def sign_jl_shape(data):
+    """(m, n, s) for the sign JL sampler: small m, and m up to 2^40."""
+    m = data.draw(st.one_of(st.integers(1, 300), st.integers(1, 2**40)), label="m")
+    s = data.draw(st.integers(1, min(m, 12)), label="s")
+    return m, data.draw(st.integers(1, 60), label="n"), s
+
+
+def osnap_shape(data):
+    """(m, n, s) for the block sampler: blocks of 1 to 40 rows, and up to 2^33."""
+    s = data.draw(st.integers(1, 10), label="s")
+    b = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 2**33)), label="b")
+    return s * b, data.draw(st.integers(1, 60), label="n"), s
+
+
+LANE_STEPS = [1, 2, 3, "budget"]
+
+
+@contextlib.contextmanager
+def lanes_of(step):
+    """A context in which the sign samplers take `step` lanes a call, or for
+    "budget" the budget rule itself, its knobs made small enough to cut these
+    shapes (3 lanes for up to 16 words, 2 up to 24, then 1)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if step == "budget":
+            mp.setattr(rng, "_LANES", 1)
+            mp.setattr(rng, "_BUDGET", 8 * 16 * 3)
+        else:
+            mp.setattr(constructions, "lane_count", lambda words: step)
+        yield
+
+
 class TestSamplersMatchTheLoop:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SEEDS)
     def test_sign_jl(self, data, seed):
-        m = data.draw(st.one_of(st.integers(1, 300), st.integers(1, 2**40)), label="m")
-        s = data.draw(st.integers(1, min(m, 12)), label="s")
-        n = data.draw(st.integers(1, 60), label="n")
+        m, n, s = sign_jl_shape(data)
         assert_same_bytes(sample_sparse_sign_jl(m, n, s, seed), loop_sign_jl(m, n, s, seed))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SEEDS)
     def test_osnap(self, data, seed):
-        s = data.draw(st.integers(1, 10), label="s")
-        b = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 2**33)), label="b")
-        n = data.draw(st.integers(1, 60), label="n")
-        assert_same_bytes(sample_osnap_block(s * b, n, s, seed), loop_osnap(s * b, n, s, seed))
+        m, n, s = osnap_shape(data)
+        assert_same_bytes(sample_osnap_block(m, n, s, seed), loop_osnap(m, n, s, seed))
+
+    @pytest.mark.parametrize("step", LANE_STEPS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_any_lane_step_gives_the_same_bytes(self, step, data, seed):
+        sign_jl, osnap = sign_jl_shape(data), osnap_shape(data)
+        with lanes_of(step):
+            got = sample_sparse_sign_jl(*sign_jl, seed), sample_osnap_block(*osnap, seed)
+        assert_same_bytes(got[0], loop_sign_jl(*sign_jl, seed))
+        assert_same_bytes(got[1], loop_osnap(*osnap, seed))
+
+    @pytest.mark.parametrize("step", LANE_STEPS)
+    def test_any_lane_step_gives_the_same_bytes_when_lanes_reject(self, step):
+        # a range near 2^32: most lanes could reject and fall back
+        m, n = 3_000_000_000, 600
+        with lanes_of(step):
+            got = sample_sparse_sign_jl(m, n, 1, 9), sample_osnap_block(m, n, 1, 9)
+        assert_same_bytes(got[0], loop_sign_jl(m, n, 1, 9))
+        assert_same_bytes(got[1], loop_osnap(m, n, 1, 9))
 
     @pytest.mark.parametrize("m, n, s", [
         (256, 300, 8), (64, 300, 4), (30, 200, 30), (1000, 250, 3), (5, 150, 1), (1, 5, 1),
@@ -184,10 +231,16 @@ class TestSamplersMatchTheLoop:
         # (8, 50, 8) has blocks of one row, which numpy fills without a draw
         assert_same_bytes(sample_osnap_block(m, n, s, 7), loop_osnap(m, n, s, 7))
 
-    def test_n_not_a_multiple_of_the_chunk(self):
-        n = 2 * constructions._LANES + 37
+    def test_n_not_a_multiple_of_the_chunk(self, monkeypatch):
+        # two full chunks and part of a third, at the lanes the budget gives a
+        # lane's 3s - 1 words (sign JL) and 2s words (blocks)
+        calls = []
+        monkeypatch.setattr(constructions, "lane_draws", lambda *args: calls.append(args) or lane_draws(*args))
+        n = 2 * rng.lane_count(3 * 4 - 1) + 37
         assert_same_bytes(sample_sparse_sign_jl(64, n, 4, 2**63 + 5), loop_sign_jl(64, n, 4, 2**63 + 5))
+        n = 2 * rng.lane_count(2 * 4) + 37
         assert_same_bytes(sample_osnap_block(64, n, 4, 3), loop_osnap(64, n, 4, 3))
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("sampler, m, n, s", [
         (sample_sparse_sign_jl, 256, 3000, 8),

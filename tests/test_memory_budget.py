@@ -31,6 +31,7 @@ from sketchbounds import (
     rip_constant_exact,
     rip_constant_lower_estimate,
     rip_pattern_witness,
+    sample_osnap_block,
     sample_sparse_sign_jl,
     save_matrix,
     sign_pattern_certify,
@@ -39,6 +40,7 @@ from sketchbounds import (
 from sketchbounds import matrices, measures, witnesses
 from sketchbounds.matrices import _BUDGET, _spans
 from sketchbounds.measures import _probe_level
+from sketchbounds.rng import _LANES, lane_count
 
 # --- shapes ---------------------------------------------------------------------
 
@@ -186,6 +188,12 @@ def _sign_gram(A, tmp):
         return coherence(A)
 
 
+def _sampler(A, words):
+    # constructions._sample_sign_columns: one call's lanes of `words` draws
+    # each, then the output and its checks
+    return 4 * max(_BUDGET, 8 * _LANES * words) + 20 * A.nnz + 40 * A.n
+
+
 def _sweep(n, trials):
     # a block of trials' rows, or one trial's 8n bytes, and the records
     return 5 * max(_BUDGET, 8 * n) + 256 * trials
@@ -235,6 +243,13 @@ CASES = {
         lambda A, tmp, k=k: rip_constant_lower_estimate(A, k, _BUDGET // (16 * k), 1),
         lambda A, k=k: _rip(A, k, _BUDGET // (16 * k)))
        for k in (64, 128)},
+    # the samplers at A's shape: 3s - 1 draws a lane for sign JL, 2s for blocks
+    **{("sample_sparse_sign_jl", name): (lambda A, tmp: sample_sparse_sign_jl(A.m, A.n, _largest(A), 2),
+                                         lambda A: _sampler(A, 3 * _largest(A) - 1))
+       for name in ("benchmark", "wide")},
+    **{("sample_osnap_block", name): (lambda A, tmp: sample_osnap_block(A.m, A.n, _largest(A), 2),
+                                      lambda A: _sampler(A, 2 * _largest(A)))
+       for name in ("benchmark", "wide")},
     ("coherence", "benchmark"): (lambda A, tmp: coherence(A), _probe),
     # entries not all +-c: the float64 Gram; a whole dense copy would take 20 MB
     ("coherence", "perturbed"): (lambda A, tmp: coherence(A), lambda A: _gram(A, 8)),
@@ -311,6 +326,15 @@ def test_the_benchmark_shapes_keep_their_chunks(shape, monkeypatch):
     assert blocks == [300]
 
 
+def test_the_samplers_take_the_budgets_lanes_and_the_floor_on_wide_columns():
+    """At 256 x 10000, s = 8 a sign sampler call takes the lanes the budget
+    holds, 5,698 for sign JL (23 draws a lane) and 8,192 for blocks (16),
+    where it took 1,024 before; at s = 512 it takes the floor, the 1,024 lanes
+    and so the peak it had."""
+    assert (lane_count(3 * 8 - 1), lane_count(2 * 8)) == (5698, 8192)
+    assert lane_count(3 * 512 - 1) == lane_count(2 * 512) == _LANES == 1024
+
+
 def test_spans_cover_every_column_once():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -331,8 +355,9 @@ def test_spans_cover_every_column_once():
 
 def test_the_size_knobs_are_the_budget_the_lanes_and_the_stream_block():
     """Module-level integer constants named as sizes: the budget, which sizes
-    every memory chunk; the lanes of an emulation call, which set speed; and
-    stream-demo's update block, which sets the draws."""
+    every memory chunk; the fewest lanes an emulation call takes, which set
+    speed where the budget would hold fewer; and stream-demo's update block,
+    which sets the draws."""
     found = set()
     for path in pathlib.Path(sketchbounds.__file__).parent.glob("*.py"):
         module = importlib.import_module(f"sketchbounds.{path.stem}" if path.stem != "__init__" else "sketchbounds")
