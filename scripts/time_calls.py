@@ -1,0 +1,146 @@
+"""Time one suite of library calls at shapes the benchmark never runs, for
+one checkout or for two against each other.
+
+    python scripts/time_calls.py rip                               # this checkout's src/
+    python scripts/time_calls.py samplers --against ../parent/src  # parent against change
+
+Suites:
+
+- ``rip``: the two RIP scans, ``rip_constant_exact`` and
+  ``rip_constant_lower_estimate``, on three sign-JL matrices: 64 x 60 at
+  s = 4 (the benchmark's ``measure`` matrix), 64 x 1000 at s = 8 (the README
+  tour's) and 256 x 2000 at s = 8; k in 1, 2, 3, 8, 32 and 64, where k <= n.
+  The exact scan runs only where C(n, k) is at most ``MAX_EXACT_SUPPORTS``;
+  the estimate draws ``TRIALS`` supports at seed 1.  Digest: the result's
+  (delta, worst support).
+- ``samplers``: the two sign samplers, ``sample_sparse_sign_jl`` and
+  ``sample_osnap_block``, on 256 x 10000 (the benchmark's ``construct``
+  shape), 1024 x 20000 and 4096 x 2048; s in 4, 8, 16, 32 and 512, where
+  s <= m; seed 1.  Digest: the sampled matrix's CSC arrays.
+
+Each side runs in its own fresh process, alternating which side goes first
+from one round to the next, so a slow stretch of the host falls on both
+sides alike.  A process calls each cell once to warm it and to digest its
+result, frees that result, then times the call ``CALLS`` times with
+``time.perf_counter`` and reports the median.  The table gives, per cell,
+the median over the ``ROUNDS`` rounds of those medians in ms and the digest
+both sides agree on, or DIFFER when they do not, or when only one side
+timed the cell.  There is no gate: the script prints its table and exits 0,
+or exits 1 with a worker's stderr when a worker fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import json
+import math
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+import time
+
+ROUNDS, CALLS, TRIALS = 4, 3, 5000  # fresh processes a side, timed calls a cell, estimate draws
+HERE = pathlib.Path(__file__).resolve()
+
+
+def _rip():
+    """(cell, call) for every RIP scan timed."""
+    from sketchbounds import rip_constant_exact, rip_constant_lower_estimate, sample_sparse_sign_jl
+    from sketchbounds.measures import MAX_EXACT_SUPPORTS
+
+    for m, n, s, seed in [(64, 60, 4, 1), (64, 1000, 8, 7), (256, 2000, 8, 1)]:
+        A = sample_sparse_sign_jl(m, n, s, seed)
+        for k in (k for k in (1, 2, 3, 8, 32, 64) if k <= n):
+            if math.comb(n, k) <= MAX_EXACT_SUPPORTS:
+                yield [m, n, k, "exact"], functools.partial(rip_constant_exact, A, k)
+            yield [m, n, k, "estimate"], functools.partial(rip_constant_lower_estimate, A, k, TRIALS, 1)
+
+
+def _samplers():
+    """(cell, call) for every sampler draw timed."""
+    from sketchbounds import sample_osnap_block, sample_sparse_sign_jl
+
+    for name, sample in [("sign_jl", sample_sparse_sign_jl), ("osnap_block", sample_osnap_block)]:
+        for m, n in [(256, 10000), (1024, 20000), (4096, 2048)]:
+            for s in (s for s in (4, 8, 16, 32, 512) if s <= m):
+                yield [name, m, n, s], functools.partial(sample, m, n, s, 1)
+
+
+# suite: (the table's cell columns, its cells and calls, the buffers digested from a call's result)
+SUITES = {
+    "rip": (("m", "n", "k", "scan"), _rip, lambda r: [repr((r.delta, r.worst_support)).encode()]),
+    "samplers": (("sampler", "m", "n", "s"), _samplers, lambda A: [A.indptr, A.indices, A.data]),
+}
+
+
+def _digest(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()[:12]
+
+
+def _worker(suite: str) -> None:
+    """Time every cell of `suite` in this process and print one JSON object per cell."""
+    _, cells, parts = SUITES[suite]
+    for cell, call in cells():
+        # warm: lazy imports and first-call allocations; the result is freed
+        # before timing (164 MB for a sampler at 1024 x 20000, s = 512)
+        digest = _digest(*parts(call()))
+        times = []
+        for _ in range(CALLS):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        print(json.dumps({"cell": cell, "ms": 1e3 * statistics.median(times), "digest": digest}),
+              flush=True)
+
+
+def _run_side(name: str, src: str, suite: str) -> dict:
+    """One fresh process timing every cell of `suite` against the package in `src`."""
+    proc = subprocess.run([sys.executable, str(HERE), suite, "--worker"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{name} worker on {src} exited {proc.returncode}:\n{proc.stderr}")
+    return {tuple(row["cell"]): row for row in map(json.loads, proc.stdout.splitlines())}
+
+
+def table(columns, runs: dict) -> list[str]:
+    """Markdown rows for `runs`, which maps each side's name, in column order,
+    to its processes' {cell: row} dicts; `columns` name a cell's fields."""
+    head = "| " + " | ".join([*columns, *(f"{name} ms" for name in runs), "digest"]) + " |"
+    lines = [head, "|" + " --- |" * (head.count("|") - 1)]
+    for cell in dict.fromkeys(cell for side in runs.values() for run in side for cell in run):
+        timed = [[run[cell] for run in side if cell in run] for side in runs.values()]
+        ms = [f"{statistics.median(row['ms'] for row in rows):.2f}" if rows else "-" for rows in timed]
+        digests = {row["digest"] for rows in timed for row in rows}
+        same = next(iter(digests)) if len(digests) == 1 and all(timed) else "DIFFER"
+        lines.append("| " + " | ".join([*map(str, cell), *ms, same]) + " |")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("suite", choices=SUITES, help="the calls to time")
+    parser.add_argument("--src", default=str(HERE.parent.parent / "src"), help="the package's source tree to time")
+    parser.add_argument("--against", help="a second source tree, timed in alternation with --src")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _worker(args.suite)
+        return 0
+    sides = {"change": args.src} if args.against is None else {"parent": args.against, "change": args.src}
+    runs = {name: [] for name in sides}
+    for r in range(ROUNDS):
+        for name in list(sides) if r % 2 == 0 else list(sides)[::-1]:
+            runs[name].append(_run_side(name, sides[name], args.suite))
+    print("\n".join(table(SUITES[args.suite][0], runs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,15 +20,20 @@ share a sign pattern on tau rows, up to one global flip: the paper's
 pigeonhole.  The pattern probe keys every column by its C(s, tau) such
 patterns, one int64 each, sorts the keys, and counts exactly only the pairs
 whose keys match, so it finds K whenever K >= tau, in O(n * C(s, tau))
-memory rather than O(m * n).  tau is picked from (m, n, s) alone by the
-predicted work.  The float32 Gram of the +-1 sign pattern, exact while
-m <= 2^24, gives K instead when no level's key fits 63 bits or the probe is
-predicted to cost more, when the matched pairs exceed that prediction's
-budget (many duplicate columns, say), or when the probe finds K < tau at a
-tau >= 2; at tau = 1 its K is exact even when 0, as every pair with a
-nonzero count shares a row.  Other matrices, and taller ones, take the
-float64 Gram of the values.  Both Grams are multiplied from 512-column
-slabs, each scattered from the CSC arrays, so neither holds a dense copy.
+memory.  A level is taken only while 2 * C(s, tau) <= m, so its keys never
+exceed the 4 * m * n bytes a whole float32 sign copy would take.  The sign
+Gram makes no such copy, only 512-column slabs, so the probe can hold more
+than the Gram it replaces (stated peaks at 256 x 10000, s = 8, tau = 3:
+14.5 MiB for the probe, 4.9 MiB for the sign Gram).  tau is picked from
+(m, n, s) alone by the predicted work.  The float32 Gram of the +-1 sign
+pattern, exact while m <= 2^24, gives K instead when no level's key fits
+63 bits or the probe is predicted to cost more, when the matched pairs
+exceed that prediction's budget (many duplicate columns, say), or when the
+probe finds K < tau at a tau >= 2; at tau = 1 its K is exact even when 0,
+as every pair with a nonzero count shares a row.  Other matrices, and
+taller ones, take the float64 Gram of the values.  Both Grams are
+multiplied from 512-column slabs, each scattered from the CSC arrays, so
+neither holds a dense copy.
 
 The restricted isometry constants scan their supports in chunks and stack
 their eigensolves.  A scan chunk holds ``_BUDGET // (64 * k)`` supports
@@ -157,8 +162,10 @@ def _probe_level(m: int, n: int, s: int) -> tuple[int, int] | None:
     candidate pairs E = C(n, 2) * C(s, tau)^2 / (2^(tau-1) * C(m, tau)),
     plus, when tau >= 2, the budget times exp(-E), about the chance that no
     pair reaches |count| >= tau and the Gram runs after all.  A level whose
-    key needs more than 63 bits, or whose keys take more bytes than the
-    float32 sign copy (8 * C(s, tau) > 4 * m), is passed over.
+    key needs more than 63 bits, or whose keys would take more than the
+    4 * m * n bytes of a whole float32 sign copy (8 * C(s, tau) > 4 * m),
+    is passed over.  The cap bounds the keys, not the Gram, which holds
+    only 512-column slabs; it decides which path runs.
     """
     budget = m * n * (n - 1) // (2 * _MADDS_PER_KEY)
     best = None
@@ -272,8 +279,9 @@ def coherence(A: SparseMatrix) -> float:
     the same number s of them.  The max |count| K comes from the pattern
     probe (:func:`_pattern_max_count`) at the level tau that
     :func:`_probe_level` picks from (m, n, s): only column pairs sharing a
-    sign pattern on tau rows are counted, in O(n * C(s, tau)) memory, never
-    more than the sign copy the Gram would take.  The float32 Gram of the
+    sign pattern on tau rows are counted, in O(n * C(s, tau)) memory: keys
+    of at most the 4 * m * n bytes a whole float32 sign copy would take,
+    which can be more than the Gram of slabs holds.  The float32 Gram of the
     +-1 sign pattern, exact while m <= 2^24 (no partial sum exceeds m),
     gives K instead when no level's key fits 63 bits, when the probe is
     predicted to cost more than the Gram, when the candidate pairs turn out
