@@ -25,8 +25,12 @@ result, frees that result, then times the call ``CALLS`` times with
 ``time.perf_counter`` and reports the median.  The table gives, per cell,
 the median over the ``ROUNDS`` rounds of those medians in ms and the digest
 both sides agree on, or DIFFER when they do not, or when only one side
-timed the cell.  There is no gate: the script prints its table and exits 0,
-or exits 1 with a worker's stderr when a worker fails.
+timed the cell.  With two sides it also gives the rounds the change won,
+pairing round r of one side with round r of the other (a tie counts for
+neither), and the parent's quartile spread, q3 - q1 of its rounds' medians
+in ms: a speed claim wants the change to win nearly every round by more
+than that spread.  There is no gate: the script prints its table and exits
+0, or exits 1 with a worker's stderr when a worker fails.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import subprocess
 import sys
 import time
 
-ROUNDS, CALLS, TRIALS = 4, 3, 5000  # fresh processes a side, timed calls a cell, estimate draws
+ROUNDS, CALLS, TRIALS = 10, 3, 5000  # fresh processes a side, timed calls a cell, estimate draws
 HERE = pathlib.Path(__file__).resolve()
 
 
@@ -109,17 +113,32 @@ def _run_side(name: str, src: str, suite: str) -> dict:
     return {tuple(row["cell"]): row for row in map(json.loads, proc.stdout.splitlines())}
 
 
+def _paired(cell, parent: list, change: list) -> list[str]:
+    """The rounds the change won at `cell` out of the rounds both sides timed
+    it, and the parent's quartile spread in ms, or "-" where there is none."""
+    pairs = [(p[cell]["ms"], c[cell]["ms"]) for p, c in zip(parent, change) if cell in p and cell in c]
+    ms = [run[cell]["ms"] for run in parent if cell in run]
+    won = f"{sum(c < p for p, c in pairs)}/{len(pairs)}" if pairs else "-"
+    if len(ms) < 2:
+        return [won, "-"]
+    q1, _, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return [won, f"{q3 - q1:.2f}"]
+
+
 def table(columns, runs: dict) -> list[str]:
     """Markdown rows for `runs`, which maps each side's name, in column order,
-    to its processes' {cell: row} dicts; `columns` name a cell's fields."""
-    head = "| " + " | ".join([*columns, *(f"{name} ms" for name in runs), "digest"]) + " |"
+    to its processes' {cell: row} dicts; `columns` name a cell's fields.  Two
+    sides are the parent, then the change, and get :func:`_paired`'s columns."""
+    paired = ["change won", "parent IQR ms"] if len(runs) == 2 else []
+    head = "| " + " | ".join([*columns, *(f"{name} ms" for name in runs), "digest", *paired]) + " |"
     lines = [head, "|" + " --- |" * (head.count("|") - 1)]
     for cell in dict.fromkeys(cell for side in runs.values() for run in side for cell in run):
         timed = [[run[cell] for run in side if cell in run] for side in runs.values()]
         ms = [f"{statistics.median(row['ms'] for row in rows):.2f}" if rows else "-" for rows in timed]
         digests = {row["digest"] for rows in timed for row in rows}
         same = next(iter(digests)) if len(digests) == 1 and all(timed) else "DIFFER"
-        lines.append("| " + " | ".join([*map(str, cell), *ms, same]) + " |")
+        extra = _paired(cell, *runs.values()) if paired else []
+        lines.append("| " + " | ".join([*map(str, cell), *ms, same, *extra]) + " |")
     return lines
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .bounds import FORMULAS, finite_real
 from .constructions import (
+    _spread_matrix,
     code_to_incoherent,
     code_to_json,
     load_code,
@@ -33,11 +34,9 @@ from .constructions import (
     sample_countsketch,
     sample_osnap_block,
     sample_sparse_sign_jl,
-    spread_vectors,
 )
 from .errors import BadConfig, SketchboundsError
 from .matrices import (
-    SparseMatrix,
     apply,
     canonical_json,
     column_sparsity,
@@ -219,9 +218,8 @@ FAMILIES = {
     "random_code": Entry(random_code, code_to_json, (("q", int), ("t", int), ("N", int), ("eps", float),
                                                      ("max_attempts", int, 1000)), seed=True),
     "code_matrix": Entry(lambda code: code_to_incoherent(load_code(code)), matrix_to_json, (("code", str),)),
-    "spread_vectors": Entry(
-        lambda code, n, k: SparseMatrix.from_dense(np.column_stack(spread_vectors(load_code(code), n, k))),
-        matrix_to_json, (("code", str), ("n", int), ("k", int))),
+    "spread_vectors": Entry(lambda code, n, k: _spread_matrix(load_code(code), n, k), matrix_to_json,
+                            (("code", str), ("n", int), ("k", int))),
 }
 
 

@@ -11,7 +11,7 @@ Three sampler families produce sketching matrices:
 
 Deterministic constructions turn a low-agreement code into a matrix with
 low pairwise column coherence (``code_to_incoherent``) and into a family of
-flat k/2-sparse unit vectors (``spread_vectors``).
+flat k/2-sparse unit vectors (``spread_vectors``): one embedding, two values.
 
 Every sampler is a pure function of its parameters plus a 64-bit seed.  In
 the two sign samplers column j is what its own stream ``substream(seed, j)``
@@ -401,6 +401,22 @@ def verify_osnap_properties(
 
 # --- flat vectors from codes ---------------------------------------------------
 
+def _spread_matrix(c: Code, n: int, k: int) -> SparseMatrix:
+    """:func:`spread_vectors` as the columns of a matrix: ``code_to_incoherent(c)``
+    with every value sqrt(2/k), which can differ from 1/sqrt(t) in the last bit."""
+    n, k = _integer(n, "n"), _integer(k, "k")
+    if k < 2 or k % 2 != 0:
+        raise ShapeMismatch(f"k must be even and >= 2, got {k}")
+    if (2 * n) % k != 0:
+        raise ShapeMismatch(f"k={k} must divide 2n={2 * n}")
+    if c.t != k // 2:
+        raise ShapeMismatch(f"code block length {c.t} must equal k/2={k // 2}")
+    if c.q != (2 * n) // k:
+        raise ShapeMismatch(f"code alphabet {c.q} must equal 2n/k={(2 * n) // k}")
+    A = code_to_incoherent(c)
+    return SparseMatrix.from_csc(n, A.n, A.indptr, A.indices, np.full(A.nnz, math.sqrt(2.0 / k)))
+
+
 def spread_vectors(c: Code, n: int, k: int) -> list[np.ndarray]:
     """Turn each codeword into a k/2-sparse unit vector in R^n.
 
@@ -409,21 +425,5 @@ def spread_vectors(c: Code, n: int, k: int) -> list[np.ndarray]:
     are disjoint, every vector has unit norm, and two vectors' dot product is
     (2/k) times their words' agreement count.
     """
-    n, k = _integer(n, "n"), _integer(k, "k")
-    if k < 2 or k % 2 != 0:
-        raise ShapeMismatch(f"k must be even and >= 2, got {k}")
-    if (2 * n) % k != 0:
-        raise ShapeMismatch(f"k={k} must divide 2n={2 * n}")
-    if c.t != k // 2:
-        raise ShapeMismatch(f"code block length {c.t} must equal k/2={k // 2}")
-    q_needed = (2 * n) // k
-    if c.q != q_needed:
-        raise ShapeMismatch(f"code alphabet {c.q} must equal 2n/k={q_needed}")
-    value = math.sqrt(2.0 / k)
-    out = []
-    for word in c.words:
-        y = np.zeros(n)
-        for j, sym in enumerate(word):
-            y[2 * j * n // k + int(sym)] = value
-        out.append(y)
-    return out
+    A = _spread_matrix(c, n, k)
+    return [A.column_dense(j) for j in range(A.n)]

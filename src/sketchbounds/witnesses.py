@@ -105,11 +105,13 @@ class IncoherencePair(_Certificate):
     dot: float
 
     def verify(self, A: SparseMatrix) -> bool:
-        ci, cj = (A.column_dense(c) for c in (self.i, self.j))
+        # the two columns' stored entries: the dot needs only the rows they share
+        ei, ej = (_entries(A, [c])[1] for c in (self.i, self.j))
         if self.i == self.j:
             return False
         dot = _real(self.dot, 0)
-        return dot is not None and abs(float(ci @ cj) - float(dot)) <= 1e-12
+        _, pi, pj = np.intersect1d(A.indices[ei], A.indices[ej], assume_unique=True, return_indices=True)
+        return dot is not None and abs(float(A.data[ei][pi] @ A.data[ej][pj]) - float(dot)) <= 1e-12
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,12 @@
 """Codes, samplers, exact support-distribution checks, spread vectors."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import pathlib
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +27,7 @@ from sketchbounds import (
     OsnapReport,
     ShapeMismatch,
     SketchboundsError,
+    SparseMatrix,
     TooFewWords,
     TooLarge,
     UnknownKind,
@@ -32,6 +38,7 @@ from sketchbounds import (
     coherence,
     column_norms,
     load_code,
+    matrix_to_json,
     random_code,
     sample_coordinate_subspace,
     sample_countsketch,
@@ -41,6 +48,7 @@ from sketchbounds import (
     spread_vectors,
     verify_osnap_properties,
 )
+from sketchbounds.cli import main
 from sketchbounds.rng import check_seed, derive_seed, substream
 
 ROOT2 = 1.0 / math.sqrt(2.0)
@@ -451,7 +459,49 @@ def _enumerated_report(m, s, sampler, cells):
     return OsnapReport(float(expectation), float(bound), expectation <= bound, expectation, bound)
 
 
+def loop_spread_vectors(c, n, k):
+    """The spread vectors by their definition, one symbol at a time into dense
+    n-vectors: the reference that the one embedding is held to."""
+    value = math.sqrt(2.0 / k)
+    out = []
+    for word in c.words:
+        y = np.zeros(n)
+        for j, sym in enumerate(word):
+            y[2 * j * n // k + int(sym)] = value
+        out.append(y)
+    return out
+
+
+@st.composite
+def codes(draw):
+    q, t = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    words = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=t, max_size=t).map(tuple),
+                          min_size=1, max_size=12, unique=True))
+    return Code(q, t, words)
+
+
 class TestSpreadVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(codes())
+    def test_one_embedding_gives_the_loops_bytes(self, c):
+        # n = q t and k = 2t; t = 2, 3, 6 and 8 are among the block lengths
+        # where sqrt(2/k) and code_to_incoherent's 1/sqrt(t) differ in the last bit
+        n, k = c.q * c.t, 2 * c.t
+        want = loop_spread_vectors(c, n, k)
+        got = spread_vectors(c, n, k)
+        assert len(got) == len(want)
+        for y, w in zip(got, want):
+            assert y.dtype == np.float64 and y.flags.c_contiguous and np.array_equal(y, w)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp)
+            save_code(c, path / "code.json")
+            (path / "config.json").write_text(json.dumps({"command": "construct", "params": {
+                "family": "spread_vectors", "code": str(path / "code.json"), "n": n, "k": k}}))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["construct", "--config", str(path / "config.json")]) == 0
+        assert out.getvalue() == matrix_to_json(SparseMatrix.from_dense(np.column_stack(want)))
+
     def test_hand_example(self):
         # k = 4: two chunks of q = 4 positions inside n = 8
         c = Code(4, 2, [(0, 1), (0, 3), (2, 1)])

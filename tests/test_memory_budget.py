@@ -28,6 +28,7 @@ from sketchbounds import (
     matrix_from_json,
     matrix_to_json,
     ose_failure_probability,
+    random_code,
     rip_constant_exact,
     rip_constant_lower_estimate,
     rip_pattern_witness,
@@ -38,6 +39,7 @@ from sketchbounds import (
     ttype_collision_certify,
 )
 from sketchbounds import matrices, measures, witnesses
+from sketchbounds.constructions import _spread_matrix
 from sketchbounds.matrices import _BUDGET, _spans
 from sketchbounds.measures import _probe_level
 from sketchbounds.rng import _LANES, lane_count
@@ -292,6 +294,17 @@ def test_peak_is_as_stated(case, shape, tmp_path):
 def test_sweep_peak_is_as_stated(m, d, n, trials):
     peak = _traced_peak(lambda: ose_failure_probability(m, d, n, trials, 3))
     assert peak <= _sweep(n, trials), (peak, _sweep(n, trials))
+
+
+def test_spread_family_peak_is_as_stated():
+    """The CLI's spread_vectors family at q = 256, t = 16, N = 2,000 (n = 4,096,
+    k = 32): code_to_incoherent's rows and values and the family's values, 8
+    bytes an entry each, and two matrices' checks; 0.8 MiB, where stacking
+    dense n-vectors peaked at 125.5 MiB."""
+    c = random_code(256, 16, 2000, 1.0, 5)
+    peak = _traced_peak(lambda: _spread_matrix(c, 4096, 32))
+    stated = 32 * c.size * c.t + 40 * c.size
+    assert peak <= stated < 2 * 2**20, (peak, stated)
 
 
 # --- the chunks the budget derives ---------------------------------------------------

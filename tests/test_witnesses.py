@@ -1,6 +1,7 @@
 """Witness searches: certifiers, refuters, and their verification."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -541,6 +542,25 @@ class TestVerifyCertificate:
         A = SparseMatrix(4, 10, [[(0, 1.0)]] * 10)
         forged = Certificate(kind="rip_distortion", source="x", vector=np.zeros(10), ratio=1.0)
         assert not verify_certificate(forged, A)
+
+    def test_pair_on_two_to_the_40_rows_reads_only_stored_entries(self):
+        # the columns share rows 2^39 and 2^40 - 1, so <a_0, a_1> = 2 * 0.5 * 0.5;
+        # dense columns would take 8 TiB each
+        m = 2**40
+        A = SparseMatrix(m, 3, [[(0, 0.5), (7, 0.5), (2**39, 0.5), (m - 1, 0.5)],
+                                [(5, 0.5), (2**39, 0.5), (2**39 + 1, 0.5), (m - 1, 0.5)],
+                                [(1, 1.0)]])
+        pair = Certificate(kind="incoherence_pair", source="x", i=0, j=1, dot=0.5)
+        verify_certificate(pair, A)  # first-call allocations are not the check's
+        tracemalloc.start()
+        try:
+            assert verify_certificate(pair, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert not verify_certificate(Certificate(kind="incoherence_pair", source="x", i=0, j=1, dot=0.5 + 1e-6), A)
+        assert verify_certificate(Certificate(kind="incoherence_pair", source="x", i=1, j=2, dot=0.0), A)
 
     def test_self_pair_fails(self):
         # <a_3, a_3> = 1 on a unit-column matrix, which says nothing of its incoherence
