@@ -3,6 +3,7 @@ one checkout or for two against each other.
 
     python scripts/time_calls.py rip                               # this checkout's src/
     python scripts/time_calls.py samplers --against ../parent/src  # parent against change
+    python scripts/time_calls.py loads
 
 Suites:
 
@@ -13,6 +14,11 @@ Suites:
   The exact scan runs only where C(n, k) is at most ``MAX_EXACT_SUPPORTS``;
   the estimate draws ``TRIALS`` supports at seed 1.  Digest: the result's
   (delta, worst support).
+- ``loads``: ``load_matrix`` of the benchmark's 4096 x 20000 CountSketch
+  map, of its 256 x 10000, s = 8 sign-JL matrix and of a 4096 x 2^20 map,
+  each written to a temporary file first; and ``ose_collision_witness`` on
+  the benchmark's map and on a 2^40 x 20000 one.  Digest: the CSC arrays,
+  or the certificate's JSON.
 - ``samplers``: the two sign samplers, ``sample_sparse_sign_jl`` and
   ``sample_osnap_block``, on 256 x 10000 (the benchmark's ``construct``
   shape), 1024 x 20000 and 4096 x 2048; s in 4, 8, 16, 32 and 512, where
@@ -64,6 +70,24 @@ def _rip():
             yield [m, n, k, "estimate"], functools.partial(rip_constant_lower_estimate, A, k, TRIALS, 1)
 
 
+def _loads():
+    """(cell, call) for every artifact load timed, and the collision search."""
+    import tempfile
+
+    import sketchbounds as sb
+
+    seed = 1  # the benchmark's seed-1 artifacts
+    S = sb.sample_countsketch(4096, 20000, sb.derive_seed(seed, 5))
+    with tempfile.TemporaryDirectory() as work:
+        for name, A in [("map", S), ("sign_jl", sb.sample_sparse_sign_jl(256, 10000, 8, sb.derive_seed(seed, 1))),
+                        ("map", sb.sample_countsketch(4096, 2**20, seed))]:
+            path = os.path.join(work, f"{name}-{A.n}.json")
+            (sb.save_one_sparse_map if name == "map" else sb.save_matrix)(A, path)
+            yield ["load_matrix", name, A.m, A.n], functools.partial(sb.load_matrix, path)
+    for M in (S, sb.sample_countsketch(2**40, 20000, seed)):  # at m > n the rows are ranked, not folded
+        yield ["ose_collision_witness", "map", M.m, M.n], functools.partial(sb.ose_collision_witness, M)
+
+
 def _samplers():
     """(cell, call) for every sampler draw timed."""
     from sketchbounds import sample_osnap_block, sample_sparse_sign_jl
@@ -78,6 +102,9 @@ def _samplers():
 SUITES = {
     "rip": (("m", "n", "k", "scan"), _rip, lambda r: [repr((r.delta, r.worst_support)).encode()]),
     "samplers": (("sampler", "m", "n", "s"), _samplers, lambda A: [A.indptr, A.indices, A.data]),
+    "loads": (("call", "artifact", "m", "n"), _loads,
+              lambda r: [json.dumps(r.to_jsonable()).encode()] if hasattr(r, "to_jsonable")
+              else [r.indptr, r.indices, r.data]),
 }
 
 

@@ -710,12 +710,14 @@ def ose_collision_witness(S: SparseMatrix, indices: Iterable[int] | None = None)
         cols = np.unique(_entries(S, indices)[0])
         if not cols.size:
             raise EmptyIndexSet("need at least one column index")
-    # A stable sort by row keeps each row's columns ascending, so the first
-    # pair is the first two columns of the repeated row whose first column
-    # is smallest.
-    rows = S.indices[cols]
-    order = np.argsort(rows, kind="stable")
-    starts, lengths = _runs(rows[order])
+    size = cols.size
+    if size < 2:  # _row_ids needs a nonempty block
+        return NoFinding(source)
+    # As in group_columns, size * id + position sorts each row's columns
+    # ascending, so the first pair is the first two columns of the repeated
+    # row whose first column is smallest.
+    rows, order = np.divmod(np.sort(_row_ids(S.indices[cols][:, None]) * size + np.arange(size)), size)
+    starts, lengths = _runs(rows)
     repeats = starts[lengths > 1]
     if not repeats.size:
         return NoFinding(source)

@@ -11,6 +11,7 @@ returns must verify against its matrix, also once rebuilt from its JSON.
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from sketchbounds import (
 from sketchbounds import witnesses
 from sketchbounds.cli import WITNESSES
 from sketchbounds.constructions import sample_countsketch
-from sketchbounds.matrices import _runs
+from sketchbounds.matrices import OneSparseMap, _runs
 from sketchbounds.witnesses import (
     TTYPE_GROUP_CONSTANT,
     Certificate,
@@ -513,3 +514,46 @@ def test_ose_collision_matches_oracle(m, n, seed, data):
     # the same columns stored as a plain matrix
     A = SparseMatrix.from_csc(S.m, S.n, S.indptr, S.indices, S.data)
     assert outcome(WITNESSES["ose_collision"].fn, A, indices) == expected
+
+
+def first_collision(S, indices):
+    """The brute-force oracle: the first pair i < j of the selected columns
+    with a(i) == a(j), and the kernel vector it gives."""
+    cols = sorted(set(range(S.n) if indices is None else indices))
+    for p, i in enumerate(cols):
+        for j in cols[p + 1:]:
+            if S.indices[i] == S.indices[j]:
+                x = np.zeros(S.n, dtype=np.int64)
+                x[i], x[j] = int(S.data[j]), -int(S.data[i])
+                return Certificate(kind="kernel_witness", source="ose_collision_witness", vector=x)
+    return NoFinding("ose_collision_witness")
+
+
+@st.composite
+def collision_maps(draw):
+    """Maps with m < n, whose rows the scan folds as digits, and with m > n,
+    up to 2^63 - 1, whose rows it ranks; rows come from a small pool, near 0
+    and near m, so that collisions are common."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.one_of(st.integers(1, n), st.integers(n + 1, 10**6),
+                       st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1])))
+    rows = st.one_of(st.integers(0, min(m, 50) - 1), st.integers(max(0, m - 3), m - 1))
+    pool = draw(st.lists(rows, min_size=1, max_size=n))
+    a = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return OneSparseMap(m, n, a, draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(collision_maps(), st.data())
+def test_ose_collision_is_the_first_colliding_pair(S, data):
+    indices = data.draw(st.none() | st.lists(st.integers(0, S.n - 1), min_size=1, max_size=2 * S.n))
+    cert = WITNESSES["ose_collision"].fn(S, indices)
+    assert cert.to_jsonable() == first_collision(S, indices).to_jsonable()
+
+
+def test_ose_collision_on_no_columns_finds_none():
+    """A zero-column CSC, which no constructor makes, selects no columns: the
+    scan returns none before it ranks an empty block."""
+    S = types.SimpleNamespace(m=1, n=0, indptr=np.zeros(1, np.int64), indices=np.zeros(0, np.int64),
+                              data=np.zeros(0))
+    assert WITNESSES["ose_collision"].fn(S, None).kind == "none"

@@ -1,10 +1,10 @@
-"""Property tests of the matrix JSON fast paths against the json module.
+"""Property tests of the matrix and map JSON fast paths against the json module.
 
-The oracle is the writer and loader as they were before the fast paths: one
+The oracle is the writer and loaders as they were before the fast paths: one
 ``json.dumps`` of nested lists, and ``json.loads`` followed by the object
 checks.  The fast writer must give the same bytes, and every text, canonical
-or mutated, must load to the same matrix or raise the same error class with
-the same message.
+or mutated, must load to the same matrix or map or raise the same error
+class with the same message.
 """
 
 import json
@@ -25,16 +25,19 @@ from sketchbounds import (
     derive_seed,
     load_matrix,
     matrix_from_json,
+    load_one_sparse_map,
     matrix_to_json,
+    one_sparse_map_from_json,
     one_sparse_map_to_json,
     random_code,
     sample_countsketch,
     sample_osnap_block,
     sample_sparse_sign_jl,
     save_matrix,
+    save_one_sparse_map,
     spread_vectors,
 )
-from sketchbounds.matrices import _BUDGET, _canonical_csc, _map_from_object
+from sketchbounds.matrices import _BUDGET, OneSparseMap, _canonical_csc, _canonical_map, _map_from_object
 
 
 # --- the oracle -------------------------------------------------------------------
@@ -54,7 +57,7 @@ def oracle_from_json(text, what):
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedArtifact(f"invalid {what} JSON: {exc}") from exc
-    if isinstance(obj, dict) and "a" in obj:
+    if what == "map" or isinstance(obj, dict) and "a" in obj:
         return _map_from_object(obj)
     if not isinstance(obj, dict) or not {"m", "n", "cols"} <= set(obj):
         raise MalformedArtifact("matrix JSON must be an object with keys m, n, cols")
@@ -70,18 +73,20 @@ def oracle_from_json(text, what):
 
 
 LOADERS = [(matrix_from_json, "matrix")]
+MAP_LOADERS = [(matrix_from_json, "matrix"), (one_sparse_map_from_json, "map")]
 
 
 def outcome(load, *args):
-    """What a load gives: ("ok", artifact) or ("error", class, message)."""
+    """What a load gives: ("ok", class, artifact) or ("error", class, message)."""
     try:
-        return ("ok", load(*args))
+        got = load(*args)
+        return ("ok", type(got), got)
     except SketchboundsError as exc:
         return ("error", type(exc), str(exc))
 
 
-def assert_loads_as_json_loads_does(text):
-    for load, what in LOADERS:
+def assert_loads_as_json_loads_does(text, loaders=LOADERS):
+    for load, what in loaders:
         assert outcome(load, text) == outcome(oracle_from_json, text, what), text
 
 
@@ -294,6 +299,192 @@ def test_mutated_text_loads_or_fails_as_json_loads_does(kind, A, data):
     assert_loads_as_json_loads_does(mutate(oracle_to_json(A), kind, data))
 
 
+# --- one-sparse maps ----------------------------------------------------------------
+
+# Row counts with rows of every width the map loader reads, 1 to 18 digits,
+# and past it: 10^18 and up take 19 digits, which it leaves to json.loads.
+MAP_ROWS = st.one_of(st.integers(1, 300), st.sampled_from([2**31 + 3, 10**17, 10**18 - 1, 10**18, 2**62, 2**63 - 1]))
+
+
+@st.composite
+def maps(draw, long=True):
+    """Small maps whose rows lie near 0 and near m, and now and then, if
+    `long`, a long map, whose lists take several of the loader's chunks."""
+    if long and draw(st.integers(0, 7)) == 0:
+        return sample_countsketch(4096, draw(st.integers(7000, 16000)), draw(st.integers(0, 2**32 - 1)))
+    m = draw(MAP_ROWS)
+    n = draw(st.integers(1, 30))
+    rows = st.one_of(st.integers(0, min(m, 300) - 1), st.integers(max(0, m - 5), m - 1))
+    a = draw(st.lists(rows, min_size=n, max_size=n))
+    return OneSparseMap(m, n, a, draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps())
+def test_canonical_map_text_loads_as_json_loads_does(S):
+    text = one_sparse_map_to_json(S)
+    for load, what in MAP_LOADERS:
+        assert outcome(load, text) == outcome(oracle_from_json, text, what) == ("ok", OneSparseMap, S)
+
+
+NUMBER = r"-?[0-9]+"
+MAP_ROW = r'(?<=[\[,])[0-9]+(?=[\],])(?=[^"]*"m")'  # a number in a
+MAP_SIGN = r'(?<=[\[,])-?1(?=[\],])(?![^"]*"m")'  # a number in sigma
+
+
+def mutate_map(text, kind, data):
+    at = data.draw(st.integers(0, len(text) - 1))
+    number = data.draw(st.sampled_from([NUMBER, MAP_ROW, MAP_SIGN]))
+    if kind == "flip":
+        return text[:at] + data.draw(st.sampled_from(BYTES)) + text[at + 1:]
+    if kind == "delete":
+        return text[:at] + text[at + 1:]
+    if kind == "whitespace":
+        return text[:at] + data.draw(st.sampled_from([" ", "\n", "\t", "\r\n"])) + text[at:]
+    if kind == "leading_zero":  # 1 -> 01
+        return replace_one(text, number, lambda t: t.replace("-", "-0") if t[0] == "-" else "0" + t, data)
+    if kind == "minus_zero":
+        return replace_one(text, number, lambda t: "-0", data)
+    if kind == "plus":
+        return replace_one(text, number, lambda t: "+" + t, data)
+    if kind == "bool":
+        return replace_one(text, number, lambda t: data.draw(st.sampled_from(["true", "false"])), data)
+    if kind == "digits":  # 1 -> 10...0, up to 21 digits
+        return replace_one(text, number, lambda t: t + "0" * data.draw(st.integers(1, 20)), data)
+    if kind == "non_ascii":  # an Arabic-Indic digit
+        return replace_one(text, number, lambda t: t[:-1] + "\u0665", data)
+    if kind == "commas":  # a doubled comma, or a leading or trailing one in a list
+        return replace_one(text, data.draw(st.sampled_from([r",(?=[-0-9])", r"(?<=\[)", r"(?=\])"])),
+                           lambda t: ",", data)
+    if kind == "out_of_range":  # a row of m or more, or a sign of 0 or 2
+        word = data.draw(st.sampled_from([None, "0", "2", "-2"]))
+        m = int(re.search(r'"m":([0-9]+)', text)[1])
+        return replace_one(text, MAP_ROW, lambda t: str(m + int(t) % 3), data) if word is None \
+            else replace_one(text, MAP_SIGN, lambda t: word, data)
+    if kind == "empty_list":
+        return replace_one(text, r"\[[^\]]*\]", lambda t: "[]", data)
+    if kind == "no_newline":
+        return text[:-1]
+    fields = dict(re.findall(r'"(\w+)":(\[[^\]]*\]|-?[0-9]+)', text))
+    if kind == "reordered_keys":
+        order = data.draw(st.permutations(list(fields)))
+        return "{" + ",".join(f'"{key}":{fields[key]}' for key in order) + "}\n"
+    assert kind == "duplicated_key"
+    key = data.draw(st.sampled_from(list(fields)))
+    return text[:-2] + f',"{key}":{data.draw(st.sampled_from([fields[key], "1", "[]"]))}}}\n'
+
+
+MAP_KINDS = ["flip", "delete", "whitespace", "leading_zero", "minus_zero", "plus", "bool", "digits",
+             "non_ascii", "commas", "out_of_range", "empty_list", "no_newline", "reordered_keys",
+             "duplicated_key"]
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(S=maps(), data=st.data())
+def test_mutated_map_text_loads_or_fails_as_json_loads_does(kind, S, data):
+    assert_loads_as_json_loads_does(mutate_map(one_sparse_map_to_json(S), kind, data), MAP_LOADERS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(S=maps(long=False), kind=st.sampled_from(["canonical", *MAP_KINDS]), chars=st.integers(1, 8),
+       data=st.data())
+def test_map_text_in_tiny_chunks_loads_or_fails_as_json_loads_does(S, kind, chars, data):
+    """As above, in chunks of a few characters, so that a flaw, or the end
+    of a list, often falls at a chunk's cut."""
+    text = one_sparse_map_to_json(S)
+    if kind != "canonical":
+        text = mutate_map(text, kind, data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sketchbounds.matrices._BUDGET", 32 * chars)
+        assert_loads_as_json_loads_does(text, MAP_LOADERS)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":[0,1,],"m":2,"n":2,"sigma":[1,1]}\n',
+    '{"a":[0,1],"m":2,"n":2,"sigma":[1,-1,]}\n',
+    '{"a":[0,,1],"m":2,"n":2,"sigma":[1,1]}\n',
+    '{"a":[,0,1],"m":2,"n":2,"sigma":[1,1]}\n',
+    '{"a":[0,1],"m":2,"n":2,"sigma":[1,-]}\n',
+])
+@pytest.mark.parametrize("chars", [1, 2])
+def test_stray_commas_at_chunk_cuts_load_or_fail_as_json_loads_does(text, chars, monkeypatch):
+    """A comma where a chunk ends is a cut, not a number's end: a list that
+    ends in one has a number too few."""
+    monkeypatch.setattr("sketchbounds.matrices._BUDGET", 32 * chars)
+    assert_loads_as_json_loads_does(text, MAP_LOADERS)
+
+
+def long_map_text():
+    """The benchmark's 4096 x 20000 map: a takes three of the loader's
+    chunks and sigma two."""
+    text = one_sparse_map_to_json(sample_countsketch(4096, 20000, derive_seed(1, 5)))
+    assert text.index("]") > 2 * _BUDGET // 32 and len(text) - text.index('"sigma"') > _BUDGET // 32
+    return text
+
+
+def at_map_cut(text, which, template):
+    """`text` with the number ending at the loader's first cut in the list
+    `which` (``a`` or ``sigma``), the cut's comma and the next number
+    replaced by ``template.format(before, after)``."""
+    lo = text.index(f'"{which}":[') + len(which) + 4
+    cut = text.index(",", lo + _BUDGET // 32)
+    start, end = text.rindex(",", 0, cut) + 1, text.index(",", cut + 1)
+    return text[:start] + template.format(text[start:cut], text[cut + 1:end]) + text[end:]
+
+
+# Flaws at a chunk's first or last number, or at the comma between them.
+@pytest.mark.parametrize("which", ["a", "sigma"])
+@pytest.mark.parametrize("template", [
+    "{0},{1}",  # canonical
+    "0{0},{1}", "{0},0{1}", "{0},-0", "-0,{1}", "{0} ,{1}", "{0}, {1}", "{0},,{1}", "{0},+{1}",
+    "{0}0000000000000000000,{1}", "{0},{1}0000000000000000000", "{0}.0,{1}", "{0},{1}e0", "{0}-,{1}",
+    "{0},-{1}", "--{0},{1}", "{0}\u0665,{1}",
+])
+def test_map_text_at_chunk_cuts_loads_or_fails_as_json_loads_does(which, template):
+    assert_loads_as_json_loads_does(at_map_cut(long_map_text(), which, template), MAP_LOADERS)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":[],"m":1,"n":0,"sigma":[]}\n',
+    '{"a":[0],"m":1,"n":1,"sigma":[]}\n',
+    '{"a":[0,0],"m":1,"n":2,"sigma":[1]}\n',
+    '{"a":[0],"m":0,"n":1,"sigma":[1]}\n',
+    '{"a":[0],"m":-1,"n":1,"sigma":[1]}\n',
+    '{"a":[-1],"m":1,"n":1,"sigma":[1]}\n',
+    '{"a":[0],"m":1,"n":2,"sigma":[1]}\n',
+    '{"a":[0],"m":1,"n":-0,"sigma":[1]}\n',
+    '{"a":[999999999999999999],"m":999999999999999999,"n":1,"sigma":[-1]}\n',
+    '{"a":[999999999999999998],"m":999999999999999999,"n":1,"sigma":[-1]}\n',
+    f'{{"a":[{2**63 - 2}],"m":{2**63 - 1},"n":1,"sigma":[-1]}}\n',
+    '{"a":[0],"m":1,"n":1,"sigma":[1]}\n{"a":[0],"m":1,"n":1,"sigma":[1]}\n',
+    '{"a":[0],"m":1,"n":1,"sigma":[1]}\n\n',
+    '{"a":[0],"m":1,"n":1,"sigma":[1]]}\n',
+    '{"a":[0]],"m":1,"n":1,"sigma":[1]}\n',
+    '{"a":[0],"m":1,"n":1,"sigma":[1],"sigma":[1]}\n',
+])
+def test_near_canonical_map_text_loads_or_fails_as_json_loads_does(text):
+    assert_loads_as_json_loads_does(text, MAP_LOADERS)
+
+
+def test_map_text_is_decoded_in_chunks(json_loads_calls, monkeypatch):
+    """At 4096 x 2^18 the map's build sets the peak, 35 bytes a column; a
+    decode of each whole list at once peaks about 11 bytes a column above it."""
+    n = 2**18
+    text = one_sparse_map_to_json(sample_countsketch(4096, n, 1))
+    peaks = []
+    for chunk_chars in (_BUDGET // 32, len(text)):
+        monkeypatch.setattr("sketchbounds.matrices._BUDGET", 32 * chunk_chars)
+        tracemalloc.start()
+        try:
+            assert matrix_from_json(text).n == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert json_loads_calls == []
+    assert peaks[0] + 8 * n < peaks[1], peaks
+
+
 # --- which path runs -------------------------------------------------------------
 
 @pytest.fixture
@@ -326,18 +517,41 @@ def test_benchmark_shaped_text_skips_json_loads(json_loads_calls, family, seed):
     assert json_loads_calls == []
 
 
-@pytest.mark.parametrize("case", ["gaussian", "one_sparse_map", "mutated_byte"])
+@pytest.mark.parametrize("load", [load_matrix, load_one_sparse_map])
+@pytest.mark.parametrize("m, n, seed", [(32, 200, 3), (4096, 20000, derive_seed(1, 5))],
+                         ids=["small_map", "benchmark_map"])
+def test_canonical_map_text_skips_json_loads(json_loads_calls, load, m, n, seed, tmp_path):
+    S = sample_countsketch(m, n, seed)
+    save_one_sparse_map(S, tmp_path / "S.json")
+    got = load(tmp_path / "S.json")
+    assert type(got) is OneSparseMap and got == S
+    assert json_loads_calls == []
+
+
+# Map texts one flaw away from canonical, by the case that names them
+MAP_FLAWS = {
+    "map_final_space": lambda text: text[:-1] + " ",
+    "map_leading_zero": lambda text: text.replace('{"a":[', '{"a":[0', 1),
+    "map_minus_zero": lambda text: text.replace('"sigma":[', '"sigma":[-0,', 1).replace('"n":200', '"n":201'),
+}
+
+
+@pytest.mark.parametrize("case", ["gaussian", "mutated_byte", *MAP_FLAWS])
 def test_other_text_goes_through_json_loads(json_loads_calls, case):
     A = sample_sparse_sign_jl(32, 200, 4, 3)
+    loaders = LOADERS
     if case == "gaussian":
         A = SparseMatrix.from_csc(A.m, A.n, A.indptr, A.indices, np.linspace(0.1, 1.0, A.nnz))
         text = matrix_to_json(A)
-    elif case == "one_sparse_map":
-        text = one_sparse_map_to_json(sample_countsketch(32, 200, 3))
-    else:  # the final newline becomes a space
+    elif case == "mutated_byte":  # the final newline becomes a space
         text = matrix_to_json(A)[:-1] + " "
-    matrix_from_json(text)
-    assert len(json_loads_calls) == 1
+    else:
+        text, loaders = MAP_FLAWS[case](one_sparse_map_to_json(sample_countsketch(32, 200, 3))), MAP_LOADERS
+    assert_loads_as_json_loads_does(text, loaders)
+    json_loads_calls.clear()
+    for load, _ in loaders:
+        outcome(load, text)
+    assert len(json_loads_calls) == len(loaders)
 
 
 def test_fast_paths_peak_below_json_paths():
@@ -353,6 +567,28 @@ def test_fast_paths_peak_below_json_paths():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1] and peaks[2] <= peaks[3], peaks
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (4096, 1), (3, 5), (2, 20), (4096, 100), (64, 1000), (300, 1000),
+                                  (10**18 - 1, 3000)])
+def test_map_fast_path_peaks_at_or_below_the_json_path(m, n):
+    """From one column up, with rows all cached small ints (m <= 256) or all
+    18 digits: the decode holds a chunk's arrays, never json's lists.  At the
+    smallest shapes numpy's own working memory, about 1 KB a call, can
+    outweigh those lists, so the fast path may peak up to 4 KiB above."""
+    text = one_sparse_map_to_json(sample_countsketch(m, n, 3))
+    assert _canonical_map(text) is not None
+    for load, what in MAP_LOADERS:
+        peaks = []
+        for fn in (lambda: load(text), lambda: oracle_from_json(text, what)):
+            fn()
+            tracemalloc.start()
+            try:
+                fn()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 4096, (load.__name__, peaks)
 
 
 def test_fast_load_of_the_benchmark_shape_copies_no_whole_text():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import math
 import pathlib
 import tracemalloc
@@ -25,6 +26,8 @@ import sketchbounds
 from sketchbounds import (
     SparseMatrix,
     coherence,
+    derive_seed,
+    load_matrix,
     matrix_from_json,
     matrix_to_json,
     ose_failure_probability,
@@ -32,15 +35,17 @@ from sketchbounds import (
     rip_constant_exact,
     rip_constant_lower_estimate,
     rip_pattern_witness,
+    sample_countsketch,
     sample_osnap_block,
     sample_sparse_sign_jl,
     save_matrix,
+    save_one_sparse_map,
     sign_pattern_certify,
     ttype_collision_certify,
 )
 from sketchbounds import matrices, measures, witnesses
 from sketchbounds.constructions import _spread_matrix
-from sketchbounds.matrices import _BUDGET, _spans
+from sketchbounds.matrices import _BUDGET, _map_from_object, _spans
 from sketchbounds.measures import _probe_level
 from sketchbounds.rng import _LANES, lane_count
 
@@ -137,6 +142,12 @@ def _loader(A):
     # matrices._canonical_csc, whose proof re-encodes with the writer; a
     # column's text is at most 64 characters an entry
     return 4 * max(_BUDGET, 1024 * _largest(A)) + 48 * A.nnz + 80 * A.n + 128 * _distinct_strings(A)
+
+
+def _map_loader(S, text):
+    # matrices._canonical_map: a chunk's arrays, then the map's five n-sized
+    # arrays and their checks; the text, and its read, are the caller's
+    return _BUDGET + 40 * S.n + 2 * len(text)
 
 
 def _keys(A, rows, width):
@@ -305,6 +316,21 @@ def test_spread_family_peak_is_as_stated():
     peak = _traced_peak(lambda: _spread_matrix(c, 4096, 32))
     stated = 32 * c.size * c.t + 40 * c.size
     assert peak <= stated < 2 * 2**20, (peak, stated)
+
+
+@pytest.mark.parametrize("n", [20000, 2**20], ids=["benchmark_map", "wide_map"])
+def test_map_load_peak_is_as_stated_and_below_the_json_path(n, tmp_path):
+    """load_matrix of the benchmark's 4096 x 20000 map and of a 4096 x 2^20
+    one, the file read inside the trace: within the stated peak and at most
+    the json route's, whose lists of ints above 256 take about 48 bytes a
+    column (77.4 MiB at 2^20 columns)."""
+    S = sample_countsketch(4096, n, derive_seed(1, 5))
+    path = tmp_path / "S.json"
+    save_one_sparse_map(S, path)
+    text = path.read_text()
+    peak = _traced_peak(lambda: load_matrix(path))
+    json_peak = _traced_peak(lambda: _map_from_object(json.loads(path.read_text())))
+    assert peak <= _map_loader(S, text) and peak <= json_peak, (peak, _map_loader(S, text), json_peak)
 
 
 # --- the chunks the budget derives ---------------------------------------------------
