@@ -15,10 +15,13 @@ Suites:
   the estimate draws ``TRIALS`` supports at seed 1.  Digest: the result's
   (delta, worst support).
 - ``loads``: ``load_matrix`` of the benchmark's 4096 x 20000 CountSketch
-  map, of its 256 x 10000, s = 8 sign-JL matrix and of a 4096 x 2^20 map,
-  each written to a temporary file first; and ``ose_collision_witness`` on
-  the benchmark's map and on a 2^40 x 20000 one.  Digest: the CSC arrays,
-  or the certificate's JSON.
+  map, of its 256 x 10000, s = 8 sign-JL matrix, of a 4096 x 2^20 map and
+  of a 256 x 2000, s = 8 sign-JL pattern with Gaussian values, which the
+  +-c decoder declines and ``json.loads`` reads, each written to a
+  temporary file first; ``matrix_to_json`` of the benchmark's sign-JL
+  matrix; and ``ose_collision_witness`` on the benchmark's map and on a
+  2^40 x 20000 one.  Digest: the CSC arrays, the text, or the
+  certificate's JSON.
 - ``samplers``: the two sign samplers, ``sample_sparse_sign_jl`` and
   ``sample_osnap_block``, on 256 x 10000 (the benchmark's ``construct``
   shape), 1024 x 20000 and 4096 x 2048; s in 4, 8, 16, 32 and 512, where
@@ -74,16 +77,22 @@ def _loads():
     """(cell, call) for every artifact load timed, and the collision search."""
     import tempfile
 
+    import numpy as np
+
     import sketchbounds as sb
 
     seed = 1  # the benchmark's seed-1 artifacts
     S = sb.sample_countsketch(4096, 20000, sb.derive_seed(seed, 5))
+    J = sb.sample_sparse_sign_jl(256, 10000, 8, sb.derive_seed(seed, 1))
+    G = sb.sample_sparse_sign_jl(256, 2000, 8, seed)
+    G = sb.SparseMatrix.from_csc(G.m, G.n, G.indptr, G.indices, np.random.default_rng(seed).standard_normal(G.nnz))
     with tempfile.TemporaryDirectory() as work:
-        for name, A in [("map", S), ("sign_jl", sb.sample_sparse_sign_jl(256, 10000, 8, sb.derive_seed(seed, 1))),
-                        ("map", sb.sample_countsketch(4096, 2**20, seed))]:
+        for name, A in [("map", S), ("sign_jl", J), ("map", sb.sample_countsketch(4096, 2**20, seed)),
+                        ("gaussian", G)]:
             path = os.path.join(work, f"{name}-{A.n}.json")
             (sb.save_one_sparse_map if name == "map" else sb.save_matrix)(A, path)
             yield ["load_matrix", name, A.m, A.n], functools.partial(sb.load_matrix, path)
+    yield ["matrix_to_json", "sign_jl", J.m, J.n], functools.partial(sb.matrix_to_json, J)
     for M in (S, sb.sample_countsketch(2**40, 20000, seed)):  # at m > n the rows are ranked, not folded
         yield ["ose_collision_witness", "map", M.m, M.n], functools.partial(sb.ose_collision_witness, M)
 
@@ -103,8 +112,8 @@ SUITES = {
     "rip": (("m", "n", "k", "scan"), _rip, lambda r: [repr((r.delta, r.worst_support)).encode()]),
     "samplers": (("sampler", "m", "n", "s"), _samplers, lambda A: [A.indptr, A.indices, A.data]),
     "loads": (("call", "artifact", "m", "n"), _loads,
-              lambda r: [json.dumps(r.to_jsonable()).encode()] if hasattr(r, "to_jsonable")
-              else [r.indptr, r.indices, r.data]),
+              lambda r: [r.encode()] if isinstance(r, str) else [json.dumps(r.to_jsonable()).encode()]
+              if hasattr(r, "to_jsonable") else [r.indptr, r.indices, r.data]),
 }
 
 

@@ -51,7 +51,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import SparseMatrix, OneSparseMap, _array, _integer, _parse, _read_text, canonical_json
+from .matrices import _BUDGET, SparseMatrix, OneSparseMap, _array, _dense, _integer, _parse, _read_text, canonical_json
 from .rng import bounded, check_seed, choice_bounds, choice_is_floyd, floyd_picks, lane_count, lane_draws, substream
 
 
@@ -423,7 +423,13 @@ def spread_vectors(c: Code, n: int, k: int) -> list[np.ndarray]:
     Requires k even with c.t == k/2 and c.q == 2n/k.  Word i yields the vector
     with value sqrt(2/k) at position 2*j*n/k + (word_i)_j for each j; blocks
     are disjoint, every vector has unit norm, and two vectors' dot product is
-    (2/k) times their words' agreement count.
+    (2/k) times their words' agreement count.  The vectors are the rows of
+    one (N, n) array, filled from dense blocks of ``_BUDGET`` bytes of columns.
     """
     A = _spread_matrix(c, n, k)
-    return [A.column_dense(j) for j in range(A.n)]
+    out = np.empty((A.n, A.m))
+    width = max(1, _BUDGET // (8 * A.m))
+    for lo in range(0, A.n, width):
+        hi = min(lo + width, A.n)
+        out[lo:hi] = _dense(A, np.arange(lo, hi), A.data).T
+    return list(out)

@@ -29,17 +29,23 @@ matrix's entries have one magnitude c, as in every sampled family, one
 codec writes and reads its canonical bytes without the json module: the
 writer formats each distinct ``[row, +-c]`` string once, and the loader
 decodes the text permissively, then proves the arrays by re-encoding them
-and comparing with the text byte for byte.  A map's canonical text is read
-without the json module too, its two integer lists by digit stepping, and
-proved by its token grammar.  Any other text, valid or not, loads through
-``json.loads``, with the same checks and messages.
+and comparing with the text byte for byte.  :func:`load_matrix` decodes
+and proves a regular file's bytes a block at a time, so its peak is the
+decoder's own, with no whole text held (2.2 MiB for the 2.1 MB 256 x 10000,
+s = 8 sign matrix, where reading the text whole first took 4.1 MiB).  A
+map's canonical text is read without the json module too, its two integer
+lists by digit stepping, and proved by its token grammar.  Any other text,
+valid or not, loads through ``json.loads``, with the same checks and
+messages.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -408,8 +414,7 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # The canonical text of a constant-magnitude matrix, written by _signed_text
 # and read back by _canonical_csc.
 _HEAD = '{"cols":['
-_TAIL = re.compile(r'\],"m":([0-9]+),"n":([0-9]+)\}\n')
-_CUT = re.compile(r"[\[\]]\],\[")  # where a column, with entries or empty, ends and another begins
+_TAIL = re.compile(rb'\],"m":([0-9]+),"n":([0-9]+)\}\n')
 _MAX_ROW_DIGITS = 18  # a row token of at most this many digits is below 2^63
 # What one_sparse_map_to_json writes around the lists a and sigma, whose
 # every number is 0 or 1 to 18 digits with no leading zero, after an
@@ -427,7 +432,9 @@ def canonical_json(obj) -> str:
 
 
 def _read_text(path) -> str:
-    """The contents of the file at `path`, which must be UTF-8 text."""
+    """The contents of the file at `path`, which must be UTF-8 text, with
+    universal newlines.  Peak memory: the file's bytes and the str decoded
+    from them, twice the file's size for ASCII text."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -490,25 +497,33 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     opening the column with ``[`` and the last closing it with ``]``, or
     the one item ``[]``.  An item's string depends only on its code:
     4 * the rank of ``2 * row + negative`` among the ones present, plus 2
-    when it opens a column and 1 when it closes one.  So each string is
-    formatted once, and the columns are joined from lookups, one block of
-    whole columns at a time: at most ``_BUDGET // 128`` items, or one column
-    that alone has more.  Peak memory: at most 4 * max(_BUDGET, 128 bytes an
-    item of the largest column) for a block, plus 20 bytes an entry and 40 a
-    column, plus 128 bytes for each distinct item string.
+    when it opens a column and 1 when it closes one.  The ranks come from
+    one in-place sort of ``code << 32 | position`` wherever rows are below
+    2^31 and there are at most 2^32 entries, else from an argsort.  So each
+    string is formatted once, and the columns are joined from lookups, one
+    block of whole columns at a time: at most ``_BUDGET // 128`` items, or
+    one column that alone has more.  Peak memory, for the writer and for
+    the loader's proof alike: at most 4 * max(_BUDGET, 128 bytes an item of
+    the largest column) for a block, plus 20 bytes an entry and 40 a column,
+    plus 128 bytes for each distinct item string.
     """
     counts = np.diff(indptr)
     full = counts > 0
-    # What np.unique(codes, return_inverse=True) gives, with at most one
-    # argsort and two narrower entry-sized arrays alive at once where it
-    # holds six int64 ones (the codes are sorted in place, and both they and
-    # the items take 32 bits wherever they fit): this sets the loader's and
-    # the writer's peak memory.
-    codes = indices.astype(np.uint32 if indices.max(initial=0) < 2**31 else np.uint64)
+    # What np.unique(codes, return_inverse=True) gives, with at most two
+    # 8-byte and two 4-byte entry-sized arrays alive at once: this sets the
+    # loader's and the writer's peak memory.
+    codes = indices.astype(np.uint64)
     codes *= 2
     codes += negative
-    order = np.argsort(codes)
-    codes.sort()
+    if codes.size <= 2**32 and indices.max(initial=0) < 2**31:
+        codes <<= 32  # each code with its position below it, sorted once
+        codes |= np.arange(codes.size, dtype=np.uint64)
+        codes.sort()
+        order = (codes & (2**32 - 1)).view(np.int64)
+        codes >>= 32
+    else:  # codes too wide to pack
+        order = np.argsort(codes)
+        codes.sort()
     firsts, lengths = _runs(codes)
     keys = codes[firsts].tolist()  # the distinct codes, ascending
     del codes, firsts
@@ -573,62 +588,122 @@ def _digit_run(chunk: np.ndarray, at: np.ndarray, value: np.ndarray) -> None:
         at += more
 
 
-def _canonical_csc(text: str):
-    """``(m, n, indptr, indices, data)`` of `text` when it is exactly what
+class _TextBytes:
+    """A str as :func:`_canonical_csc`'s byte source: ``read(lo, hi)`` is
+    ``text[lo:hi]`` in ASCII, and a slice with any other character raises
+    UnicodeEncodeError, a ValueError, so the decoder declines the text (as
+    its proof would: the writer's pieces are ASCII)."""
+
+    def __init__(self, text: str):
+        self.text, self.size = text, len(text)
+
+    def read(self, lo: int, hi: int) -> bytes:
+        return self.text[lo:hi].encode("ascii")
+
+    def readinto(self, lo: int, view: memoryview) -> int:
+        view[:] = self.read(lo, lo + len(view))
+        return len(view)
+
+
+class _FileBytes:
+    """An open regular file, unbuffered and binary, as :func:`_canonical_csc`'s
+    byte source: each read is positioned, as ``os.pread`` is."""
+
+    def __init__(self, fh):
+        self.fh, self.size = fh, os.fstat(fh.fileno()).st_size
+
+    def read(self, lo: int, hi: int) -> bytes:
+        self.fh.seek(lo)
+        return self.fh.read(hi - lo)
+
+    def readinto(self, lo: int, view: memoryview) -> int:
+        self.fh.seek(lo)
+        return self.fh.readinto(view)
+
+
+def _canonical_csc(source):
+    """``(m, n, indptr, indices, data)`` of the bytes `source` holds (a
+    :class:`_TextBytes` or :class:`_FileBytes`) when they are exactly what
     :func:`matrix_to_json` writes for a matrix whose entries are all +-c,
     else None.
 
-    The text is decoded in chunks of whole columns, permissively: a ``[``
-    before a digit opens an entry and any other ``[`` a column; a row is
-    the run of digits after it (a 19th digit declines the text), negative
-    when a ``-`` follows the byte that ends the run, which the writer makes
-    the entry's comma, and c is the first value's magnitude.  The arrays
-    are then proved by re-encoding: the text must equal, piece by piece, what
-    :func:`_signed_text` writes for them.  The writer's text is what
-    ``canonical_json`` writes, so the arrays are the ones ``json.loads``
-    would give, and any other text, valid or not, is left to it.  A chunk
-    ends at the first column end past ``_BUDGET // 16`` characters.  Peak
-    memory, beyond the text: at most 4 * max(_BUDGET, 16 bytes a character
-    of the largest column's text) for a chunk, plus 48 bytes an entry and 80
-    a column, plus the re-encoding's 128 bytes for each distinct item string.
+    The tail ``],"m":M,"n":N}`` and a newline is matched in the last 64
+    bytes; a longer one declines.  The columns are read in blocks of
+    ``_BUDGET // 16`` bytes into one reused buffer and decoded a chunk of
+    whole columns at a time, the unfinished column carried over to the next
+    block (the buffer grows only for a column longer than it); decoding is
+    permissive: a ``[`` before a digit opens an entry and any other ``[`` a
+    column; a row is the run of digits after it (a 19th digit declines the
+    text), negative when a ``-`` follows the byte that ends the run, which
+    the writer makes the entry's comma, and c is the first value's
+    magnitude.  The arrays are then proved by re-encoding: each piece
+    :func:`_signed_text` writes for them must equal the source's bytes at
+    its place, and the source must end where the last one does.  The
+    writer's text is what ``canonical_json`` writes, so the arrays are the
+    ones ``json.loads`` would give, and any other text, valid or not, is
+    left to it.  Peak memory, with no whole text held: at most
+    4 * max(_BUDGET, 16 bytes a byte of the largest column's text) for a
+    chunk, plus 48 bytes an entry and 80 a column, plus the re-encoding's
+    128 bytes for each distinct item string.
     """
-    tail = _TAIL.fullmatch(text, max(text.rfind('],"m":'), 0)) \
-        if text.isascii() and text.startswith(_HEAD) else None
-    if tail is None:
-        return None
+    size, read = source.size, source.read
     try:
+        window = read(max(size - 64, 0), size)
+        tail = _TAIL.fullmatch(window, max(window.rfind(b'],"m":'), 0))
+        if tail is None or read(0, len(_HEAD)) != _HEAD.encode():
+            return None
         m, n = map(int, tail.groups())
-        start, end = len(_HEAD), tail.start()
-        c, counts, rows, negatives = None, [], [], []
-        while start < end:
-            cut = _CUT.search(text, start + _BUDGET // 16, end)
-            cut = end if cut is None else cut.start() + 2
-            chunk = np.frombuffer(text[start:cut].encode("ascii"), np.uint8)
+        pos, end = len(_HEAD), size - len(window) + tail.start()
+        block, carry = _BUDGET // 16, 0
+        buf = bytearray(min(block, end - pos))
+        c, done, columns, rows, negatives = None, 0, [], [], []
+        while pos < end:
+            want = min(block, end - pos)
+            if carry + want > len(buf):  # a column longer than the buffer: about double it
+                buf = buf[:carry] + bytes(len(buf))
+            if source.readinto(pos, memoryview(buf)[carry:carry + want]) != want:
+                return None
+            pos, total = pos + want, carry + want
+            # The chunk ends where the last column that ends in the buffer
+            # does, ``]]`` or ``[]`` before a comma; only the new bytes can
+            # hold one, and an empty column is looked for only after the
+            # last full one.
+            cut = buf.rfind(b"]],[", max(carry - 3, 0), total)
+            cut = total if pos == end else max(cut, buf.rfind(b"[],[", max(cut, carry - 3, 0), total)) + 2
+            if cut < 2:  # no column ends in the buffer yet
+                carry = total
+                continue
+            chunk = np.frombuffer(buf, np.uint8, cut)
             opens = np.flatnonzero(chunk == ord("["))
             entry = chunk[opens + 1] - ord("0") < 10
             firsts = opens[entry]
             row, commas = np.zeros(firsts.size, np.int64), firsts + 1  # commas: the byte after each row's digits
             _digit_run(chunk, commas, row)
             if c is None and firsts.size:  # c comes from the first value token
-                at = start + int(commas[0]) + 1
-                c = abs(float(text[at:text.index("]", at)]))
+                at = int(commas[0]) + 1
+                c = abs(float(buf[at:buf.index(b"]", at, cut)]))
             rows.append(row)
             negatives.append(chunk[commas + 1] == ord("-"))
-            counts.append(np.diff(np.searchsorted(firsts, opens[~entry]), append=firsts.size))
-            start = cut + 1
-        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+            columns.append(np.searchsorted(firsts, opens[~entry]) + done)  # each column's first entry
+            done += firsts.size
+            del chunk
+            carry = max(total - cut - 1, 0)  # the comma after the cut is skipped
+            buf[:carry] = buf[cut + 1:total]
+        indptr = np.concatenate([*columns, [done]])
         indices, negative = np.concatenate(rows), np.concatenate(negatives)
-        del counts, rows, negatives
-        if c is None or not 0 < c < math.inf or indptr[-1] != indices.size:
+        del columns, rows, negatives, buf
+        if c is None or not 0 < c < math.inf or indptr[0] != 0:  # entries before the first column
             return None
         at = 0
         for piece in _signed_text(m, n, indptr, indices, negative, c):
-            if not text.startswith(piece, at):
-                return None
+            for lo in range(0, len(piece), block):  # a block at a time, so a long column holds no copies
+                part = piece[lo:lo + block].encode()
+                if read(at + lo, at + lo + len(part)) != part:
+                    return None
             at += len(piece)
     except (IndexError, ValueError):
         return None
-    if at != len(text):
+    if at != size:
         return None
     return m, n, indptr, indices, np.where(negative, -c, c)
 
@@ -688,19 +763,10 @@ def _canonical_map(text: str) -> OneSparseMap | None:
     return OneSparseMap(m, n, a, sigma)
 
 
-def matrix_from_json(text: str) -> SparseMatrix:
-    """The matrix `text` holds, or the :class:`OneSparseMap` when it holds ``a``.
-
-    A map's canonical text (:func:`_canonical_map`) peaks, beyond the text,
-    at ``_BUDGET`` plus 40 bytes a column, and at or below the json route,
-    which holds lists of 16 bytes a column, plus 32 for each row above 256,
-    besides the same arrays; only at a few columns can numpy's own working
-    memory, under 1 KB, put it above.  ``load_matrix`` of a 4096 x 2^20 map
-    peaks at 42.2 MiB, the text included, against 77.4 MiB.
-    """
-    csc = _canonical_csc(text)
-    if csc:
-        return SparseMatrix.from_csc(*csc)
+def _from_json(text: str) -> SparseMatrix:
+    """The matrix or map `text` holds, once the +-c decoder has declined it:
+    a map's canonical text by :func:`_canonical_map`, anything else by
+    ``json.loads``."""
     S = _canonical_map(text)
     if S is not None:
         return S
@@ -709,6 +775,22 @@ def matrix_from_json(text: str) -> SparseMatrix:
     if isinstance(obj, dict) and "a" in obj:
         return _map_from_object(obj)
     return _matrix_from_object(obj)
+
+
+def matrix_from_json(text: str) -> SparseMatrix:
+    """The matrix `text` holds, or the :class:`OneSparseMap` when it holds ``a``.
+
+    A +-c matrix's canonical text peaks, beyond the text, as
+    :func:`_canonical_csc` states.  A map's canonical text
+    (:func:`_canonical_map`) peaks, beyond the text, at ``_BUDGET`` plus
+    40 bytes a column, and at or below the json route,
+    which holds lists of 16 bytes a column, plus 32 for each row above 256,
+    besides the same arrays; only at a few columns can numpy's own working
+    memory, under 1 KB, put it above.  ``load_matrix`` of a 4096 x 2^20 map
+    peaks at 42.2 MiB, the text included, against 77.4 MiB.
+    """
+    csc = _canonical_csc(_TextBytes(text))
+    return SparseMatrix.from_csc(*csc) if csc else _from_json(text)
 
 
 def one_sparse_map_to_json(S: OneSparseMap) -> str:
@@ -729,7 +811,23 @@ def save_matrix(A: SparseMatrix, path) -> None:
 
 
 def load_matrix(path) -> SparseMatrix:
-    return matrix_from_json(_read_text(path))
+    """The matrix or map in the file at `path`, as :func:`matrix_from_json`
+    reads its text.  A regular file is first tried by the +-c decoder
+    straight from the file, a block at a time, so a +-c matrix's text is
+    never held whole.  A declined file, and any path that is not a regular
+    file (a FIFO, ``/dev/stdin`` on a pipe), is read once by
+    :func:`_read_text`; a path that cannot be read raises what
+    :func:`_read_text` raises."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError):  # missing, or a NUL in the path: _read_text raises
+        regular = False
+    if regular:
+        with open(path, "rb", buffering=0) as fh:
+            csc = _canonical_csc(_FileBytes(fh))
+        if csc:
+            return SparseMatrix.from_csc(*csc)
+    return _from_json(_read_text(path))
 
 
 def save_one_sparse_map(S: OneSparseMap, path) -> None:

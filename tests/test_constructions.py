@@ -49,6 +49,7 @@ from sketchbounds import (
     verify_osnap_properties,
 )
 from sketchbounds.cli import main
+from sketchbounds.constructions import _spread_matrix
 from sketchbounds.rng import check_seed, derive_seed, substream
 
 ROOT2 = 1.0 / math.sqrt(2.0)
@@ -501,6 +502,26 @@ class TestSpreadVectors:
             with contextlib.redirect_stdout(out):
                 assert main(["construct", "--config", str(path / "config.json")]) == 0
         assert out.getvalue() == matrix_to_json(SparseMatrix.from_dense(np.column_stack(want)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(c=codes(), width=st.integers(1, 3))
+    def test_vectors_are_the_matrix_columns_in_blocks_of_any_width(self, c, width):
+        # blocks of `width` columns, the last one short where width does not divide N
+        n, k = c.q * c.t, 2 * c.t
+        A = _spread_matrix(c, n, k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("sketchbounds.constructions._BUDGET", 8 * n * width)
+            got = spread_vectors(c, n, k)
+        assert len(got) == A.n
+        for j, y in enumerate(got):
+            assert y.dtype == np.float64 and y.flags.c_contiguous and np.array_equal(y, A.column_dense(j))
+
+    def test_vectors_are_the_matrix_columns_at_size(self):
+        # n = 4096: 32 columns a 1 MiB block, so 100 words take four blocks
+        c = random_code(256, 16, 100, 1.0, 5)
+        A = _spread_matrix(c, 4096, 32)
+        got = spread_vectors(c, 4096, 32)
+        assert len(got) == 100 and all(np.array_equal(y, A.column_dense(j)) for j, y in enumerate(got))
 
     def test_hand_example(self):
         # k = 4: two chunks of q = 4 positions inside n = 8

@@ -9,13 +9,15 @@ class with the same message.
 
 import json
 import math
+import os
 import re
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sketchbounds import (
     MalformedArtifact,
@@ -37,7 +39,15 @@ from sketchbounds import (
     save_one_sparse_map,
     spread_vectors,
 )
-from sketchbounds.matrices import _BUDGET, OneSparseMap, _canonical_csc, _canonical_map, _map_from_object
+from sketchbounds.matrices import (
+    _BUDGET,
+    OneSparseMap,
+    _TextBytes,
+    _canonical_csc,
+    _canonical_map,
+    _map_from_object,
+    _read_text,
+)
 
 
 # --- the oracle -------------------------------------------------------------------
@@ -150,8 +160,18 @@ def family_matrices(draw):
 ALL_MATRICES = st.one_of(matrices(), family_matrices())
 
 
+def at_the_packing_limit(top):
+    """Rows up to `top` in three columns, one empty, with both signs: the
+    writer packs each code with its position into 64 bits for rows below
+    2^31 and argsorts the codes from there."""
+    rows = [0, top - 2, top, 5, 2**30, top - 1, top]
+    return SparseMatrix.from_csc(top + 1, 3, [0, 3, 3, 7], rows, [0.5, -0.5, 0.5, -0.5, -0.5, 0.5, 0.5])
+
+
 @settings(max_examples=300, deadline=None)
 @given(ALL_MATRICES)
+@example(at_the_packing_limit(2**31 - 1))
+@example(at_the_packing_limit(2**31))
 def test_writer_bytes_equal_json_dumps(A):
     assert matrix_to_json(A) == oracle_to_json(A)
 
@@ -740,16 +760,28 @@ def test_canonical_text_with_its_tail_again_is_refused(make, between):
     text's own arrays, but is invalid JSON, and the loader declines it."""
     text = matrix_to_json(make())
     text += between + text[text.rindex('],"m":'):]
-    assert _canonical_csc(text) is None
+    assert _canonical_csc(_TextBytes(text)) is None
     with pytest.raises(MalformedArtifact):
         matrix_from_json(text)
 
 
+def long_column_text():
+    """A column of 20,000 entries, about 260 KB of text, between two short
+    ones: the loader carries it over four blocks before a column ends."""
+    rows = np.concatenate(([3], np.arange(0, 200000, 10), [7]))
+    A = SparseMatrix.from_csc(200000, 3, [0, 1, 20001, 20002], rows, np.tile([0.5, -0.5], 10001))
+    text = oracle_to_json(A)
+    assert text.index("]],[", 20) - text.index("]],[") > 3 * _BUDGET // 16
+    return text
+
+
 @pytest.mark.parametrize("make", [empty_column_after_a_cut, last_column_only, two_column_text,
-                                  eighteen_digit_text])
-def test_canonical_text_at_chunk_edges_skips_json_loads(json_loads_calls, make):
+                                  eighteen_digit_text, long_column_text])
+def test_canonical_text_at_chunk_edges_skips_json_loads(json_loads_calls, make, tmp_path):
     text = make()
     assert matrix_to_json(matrix_from_json(text)) == text
+    (tmp_path / "A.json").write_text(text)
+    assert matrix_to_json(load_matrix(tmp_path / "A.json")) == text
     assert json_loads_calls == []
 
 
@@ -801,3 +833,134 @@ def test_a_text_of_empty_columns_is_decoded_in_chunks(json_loads_calls, monkeypa
             tracemalloc.stop()
     assert json_loads_calls == []
     assert peaks[0] + 2 * len(text) < peaks[1], (peaks, len(text))
+
+
+# --- loads from files ----------------------------------------------------------------
+#
+# load_matrix decodes a regular file's +-c text straight from the file, a
+# block at a time; whatever it declines, and whatever is not a regular file,
+# it reads once with _read_text.  So a file must load as its text does.
+
+def file_outcome(load, path):
+    """What a load of `path` gives, any exception counted as an outcome."""
+    try:
+        got = load(path)
+        return ("ok", type(got), got)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+def assert_file_loads_as_its_text_does(path):
+    assert file_outcome(load_matrix, path) == file_outcome(lambda p: matrix_from_json(_read_text(p)), path)
+
+
+@pytest.fixture(scope="module")
+def file_of(tmp_path_factory):
+    """Write bytes to one file of a module-wide directory and give its path."""
+    path = tmp_path_factory.mktemp("files") / "artifact.json"
+
+    def write(data: bytes):
+        path.write_bytes(data)
+        return path
+
+    return write
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=ALL_MATRICES, kind=st.sampled_from(["canonical", *KINDS]), data=st.data())
+def test_matrix_file_loads_as_its_text_does(file_of, A, kind, data):
+    text = oracle_to_json(A)
+    if kind != "canonical":
+        text = mutate(text, kind, data)
+    assert_file_loads_as_its_text_does(file_of(text.encode()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=maps(), kind=st.sampled_from(["canonical", *MAP_KINDS]), data=st.data())
+def test_map_file_loads_as_its_text_does(file_of, S, kind, data):
+    text = one_sparse_map_to_json(S)
+    if kind != "canonical":
+        text = mutate_map(text, kind, data)
+    assert_file_loads_as_its_text_does(file_of(text.encode()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=ALL_MATRICES, kind=st.sampled_from(["canonical", *KINDS]), chars=st.integers(1, 8), data=st.data())
+def test_file_in_tiny_blocks_loads_as_its_text_does(file_of, A, kind, chars, data):
+    """As above, in blocks of a few bytes, so that most columns are carried
+    over from one block to the next, and a flaw often falls at a block's edge."""
+    text = oracle_to_json(A)
+    if kind != "canonical":
+        text = mutate(text, kind, data)
+    path = file_of(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sketchbounds.matrices._BUDGET", 16 * chars)
+        assert_file_loads_as_its_text_does(path)
+
+
+def sign_text():
+    return matrix_to_json(sample_sparse_sign_jl(32, 200, 4, 3))
+
+
+# Files whose bytes differ from their text as _read_text gives it, or that
+# the block decoder must decline: by the case that names them.
+FILE_BYTES = {
+    "crlf": lambda: sign_text()[:-1].encode() + b"\r\n",
+    "lone_cr": lambda: sign_text()[:-1].encode() + b"\r",
+    "cr_inside": lambda: sign_text().replace("]],[", "]],\r[", 1).encode(),
+    "not_utf8": lambda: sign_text().encode().replace(b"[[", b"[\xff[", 1),
+    "latin1_tail": lambda: sign_text()[:-1].encode() + b"\xe9\n",
+    "after_tail": lambda: sign_text().encode() + b"x",
+    "newline_after_tail": lambda: sign_text().encode() + b"\n",
+    "second_tail": lambda: sign_text().encode() + sign_text()[sign_text().rindex('],"m":'):].encode(),
+    "long_tail": lambda: matrix_to_json(SparseMatrix.from_csc(10**60, 2, [0, 1, 2], [0, 5], [0.5, -0.5])).encode(),
+    "empty": lambda: b"",
+    "newline": lambda: b"\n",
+    "head_only": lambda: b'{"cols":[',
+    "tail_only": lambda: b'],"m":2,"n":1}\n',
+    **{f"truncated_{k}": lambda k=k: sign_text().encode()[:k]
+       for k in (1, 9, 10, 100, len(sign_text()) // 2, len(sign_text()) - 2, len(sign_text()) - 1)},
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_BYTES))
+def test_edge_files_load_as_their_text_does(file_of, case):
+    assert_file_loads_as_its_text_does(file_of(FILE_BYTES[case]()))
+
+
+@pytest.mark.parametrize("case", ["crlf", "lone_cr", "long_tail"])
+def test_declined_files_load_through_json_loads_once(file_of, json_loads_calls, case):
+    """A file the block decoder declines is read once, and its text is not
+    decoded as +-c a second time: it goes straight to json.loads."""
+    path = file_of(FILE_BYTES[case]())
+    decoded = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sketchbounds.matrices._canonical_csc",
+                      lambda source: decoded.append(source) or _canonical_csc(source))
+        A = load_matrix(path)
+    assert [type(source).__name__ for source in decoded] == ["_FileBytes"]
+    assert len(json_loads_calls) == 1
+    assert A == matrix_from_json(path.read_text())
+
+
+@pytest.mark.parametrize("path", ["missing.json", "bad\0path.json", "."])
+def test_paths_that_cannot_be_read_fail_as_read_text_does(tmp_path, path):
+    """A missing path, a NUL in the path and a directory raise what _read_text raises."""
+    path = tmp_path if path == "." else os.path.join(tmp_path, path)
+    got = file_outcome(load_matrix, path)
+    assert got[0] == "error" and got == file_outcome(_read_text, path), got
+
+
+def test_a_fifo_is_read_once_as_text(tmp_path):
+    """A FIFO, fed by a thread, is read by _read_text alone: it is never
+    opened for positioned reads, which a pipe cannot serve."""
+    A = sample_sparse_sign_jl(32, 200, 4, 3)
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+    writer = threading.Thread(target=lambda: path.write_text(matrix_to_json(A)), daemon=True)
+    writer.start()
+    try:
+        assert load_matrix(path) == A
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()

@@ -88,6 +88,12 @@ def _shape(name, sign):
         data = A.data * (1 + np.random.default_rng(3).uniform(-2e-12, 2e-12, A.nnz))
         data /= np.repeat(np.sqrt(np.add.reduceat(data * data, A.indptr[:-1])), np.diff(A.indptr))
         return SparseMatrix.from_csc(A.m, A.n, A.indptr, A.indices, data)
+    if name in ("packed", "unpacked"):  # rows up to 2^31 - 1, which the writer packs, or up to 2^31
+        top = 2**31 - (name == "packed")
+        rng = np.random.default_rng(4)
+        cols = [np.unique(np.concatenate((rng.integers(top - 64, top, 3), rng.integers(0, 64, 3))))
+                for _ in range(2000)]
+        return _signed(top + 1, cols[:-1] + [[0, top]], sign)
     if name == "short":  # k > m: two rows, 400 columns
         return SparseMatrix.from_dense(np.random.default_rng(0).standard_normal((2, 400)))
     raise KeyError(name)
@@ -140,7 +146,8 @@ def _writer(A):
 
 def _loader(A):
     # matrices._canonical_csc, whose proof re-encodes with the writer; a
-    # column's text is at most 64 characters an entry
+    # column's text is at most 64 characters an entry.  From a file, the
+    # read is inside this: one block buffer, and no whole text
     return 4 * max(_BUDGET, 1024 * _largest(A)) + 48 * A.nnz + 80 * A.n + 128 * _distinct_strings(A)
 
 
@@ -215,13 +222,16 @@ def _sweep(n, trials):
 CASES = {
     # (kernel, shape): (run, stated peak)
     **{("save_matrix", name): (lambda A, tmp: save_matrix(A, tmp / "A.json"), _writer)
-       for name in ("benchmark", "wide", "empty", "long", "tall")},
+       for name in ("benchmark", "wide", "empty", "long", "tall", "packed", "unpacked")},
     # matrix_to_json also holds the pieces and the joined text
     **{("matrix_to_json", name): (lambda A, tmp: matrix_to_json(A),
                                   lambda A: _writer(A) + 2 * len(matrix_to_json(A)))
        for name in ("benchmark", "empty", "tall")},
     # (the text is written before the trace starts)
     **{("matrix_from_json", name): (None, _loader) for name in ("benchmark", "wide", "empty", "long", "tall")},
+    # (the file is written before the trace starts, and read inside it)
+    **{("load_matrix", name): (None, _loader)
+       for name in ("benchmark", "wide", "empty", "long", "tall", "packed", "unpacked")},
     **{("ttype_collision_certify", name): (lambda A, tmp: ttype_collision_certify(A, 0.0, 2),
                                            lambda A: _ttype(A, 2))
        for name in ("benchmark", "wide", "long", "tall")},
@@ -295,6 +305,9 @@ def test_peak_is_as_stated(case, shape, tmp_path):
     if kernel == "matrix_from_json":
         text = matrix_to_json(A)
         peak = _traced_peak(lambda: matrix_from_json(text))
+    elif kernel == "load_matrix":
+        save_matrix(A, tmp_path / "A.json")
+        peak = _traced_peak(lambda: load_matrix(tmp_path / "A.json"))
     else:
         peak = _traced_peak(lambda: run(A, tmp_path))
     bound = stated(A)
@@ -331,6 +344,22 @@ def test_map_load_peak_is_as_stated_and_below_the_json_path(n, tmp_path):
     peak = _traced_peak(lambda: load_matrix(path))
     json_peak = _traced_peak(lambda: _map_from_object(json.loads(path.read_text())))
     assert peak <= _map_loader(S, text) and peak <= json_peak, (peak, _map_loader(S, text), json_peak)
+
+
+def test_load_of_the_benchmark_file_holds_no_text(shape, tmp_path):
+    """load_matrix of the 256x10000, s = 8 file, the read traced: the file is
+    read in blocks into one buffer, so the load peaks at most at the text's
+    length plus the matrix's arrays (2.2 MiB; 4.1 MiB when the text was
+    read whole), and by half the text's length or more below a decode of
+    the text read whole (4.2 MiB)."""
+    A = shape("benchmark")
+    path = tmp_path / "A.json"
+    save_matrix(A, path)
+    size = path.stat().st_size
+    peak = _traced_peak(lambda: load_matrix(path))
+    whole = _traced_peak(lambda: matrix_from_json(path.read_text()))
+    arrays = A.indptr.nbytes + A.indices.nbytes + A.data.nbytes
+    assert peak <= size + arrays and peak + size // 2 <= whole, (peak, whole, size, arrays)
 
 
 # --- the chunks the budget derives ---------------------------------------------------
