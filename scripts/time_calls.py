@@ -4,6 +4,7 @@ one checkout or for two against each other.
     python scripts/time_calls.py rip                               # this checkout's src/
     python scripts/time_calls.py samplers --against ../parent/src  # parent against change
     python scripts/time_calls.py loads
+    python scripts/time_calls.py witness --against ../parent/src
 
 Suites:
 
@@ -22,6 +23,13 @@ Suites:
   matrix; and ``ose_collision_witness`` on the benchmark's map and on a
   2^40 x 20000 one.  Digest: the CSC arrays, the text, or the
   certificate's JSON.
+- ``witness``: ``ttype_collision_certify`` (eps = 0.03, t = 2),
+  ``sign_pattern_certify`` (eps = 0.1, t = 2) and ``rip_pattern_witness``
+  (k = 4) on the benchmark's 256 x 10000, s = 8 sign-JL matrix, as its
+  ``witness`` jobs call them; then ``ttype_collision_certify`` and
+  ``rip_pattern_witness`` on the same pattern with normalized Gaussian
+  values, whose magnitudes vary within each column.
+  Digest: the certificate's canonical JSON.
 - ``samplers``: the two sign samplers, ``sample_sparse_sign_jl`` and
   ``sample_osnap_block``, on 256 x 10000 (the benchmark's ``construct``
   shape), 1024 x 20000 and 4096 x 2048; s in 4, 8, 16, 32 and 512, where
@@ -97,6 +105,30 @@ def _loads():
         yield ["ose_collision_witness", "map", M.m, M.n], functools.partial(sb.ose_collision_witness, M)
 
 
+def _witness():
+    """(cell, call) for every certificate search timed."""
+    import numpy as np
+
+    import sketchbounds as sb
+
+    seed = 1  # the benchmark's seed-1 sign-JL matrix
+    J = sb.sample_sparse_sign_jl(256, 10000, 8, sb.derive_seed(seed, 1))
+    values = np.random.default_rng(seed).standard_normal(J.nnz)
+    values /= np.sqrt(np.repeat(np.add.reduceat(values * values, J.indptr[:-1]), np.diff(J.indptr)))
+    G = sb.SparseMatrix.from_csc(J.m, J.n, J.indptr, J.indices, values)
+    for name, A in [("sign_jl", J), ("gaussian", G)]:
+        yield ["ttype_collision_certify", name, "t = 2"], functools.partial(sb.ttype_collision_certify, A, 0.03, 2)
+        if name == "sign_jl":
+            yield ["sign_pattern_certify", name, "t = 2"], functools.partial(sb.sign_pattern_certify, A, 0.1, 2)
+        yield ["rip_pattern_witness", name, "k = 4"], functools.partial(sb.rip_pattern_witness, A, 4)
+
+
+def _certificate_json(cert) -> bytes:
+    from sketchbounds import canonical_json
+
+    return canonical_json(cert.to_jsonable()).encode()
+
+
 def _samplers():
     """(cell, call) for every sampler draw timed."""
     from sketchbounds import sample_osnap_block, sample_sparse_sign_jl
@@ -111,6 +143,7 @@ def _samplers():
 SUITES = {
     "rip": (("m", "n", "k", "scan"), _rip, lambda r: [repr((r.delta, r.worst_support)).encode()]),
     "samplers": (("sampler", "m", "n", "s"), _samplers, lambda A: [A.indptr, A.indices, A.data]),
+    "witness": (("search", "matrix", "parameter"), _witness, lambda cert: [_certificate_json(cert)]),
     "loads": (("call", "artifact", "m", "n"), _loads,
               lambda r: [r.encode()] if isinstance(r, str) else [json.dumps(r.to_jsonable()).encode()]
               if hasattr(r, "to_jsonable") else [r.indptr, r.indices, r.data]),

@@ -17,6 +17,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -431,6 +432,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once a process: the build costs about as much as a small job
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sketchbounds", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -657,7 +657,8 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     indicator vector of its first min(z, k) members, and the best ratio
     |Av|^2 / |v|^2 over all scales is returned as a ``rip_distortion``
     certificate when it exceeds 1 + 1e-9.  A column with no entry at a
-    scale's threshold takes no part at that scale.  Peak memory: that of
+    scale's threshold takes no part at that scale, and a scale whose keys
+    equal the scale before's is grouped once.  Peak memory: that of
     the key searches (see "grouping columns by key"), with n key rows of the
     widest pattern, min(u, s) codes; the scale check runs a span at a time.
     """
@@ -670,8 +671,11 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     codes = _signed_rows(A)
     best_vector: np.ndarray | None = None
     best_ratio = -math.inf
+    keys = None
     for t in range(1, dyadic_scale_count(s) + 1):
-        keys = _pattern_keys(A, t, k, s, codes)
+        previous, keys = keys, _pattern_keys(A, t, k, s, codes)
+        if np.array_equal(keys, previous):
+            continue  # the same group, support and ratio, which would not win
         has = np.flatnonzero(keys[:, 0])  # the columns with a pattern
         group = has[group_columns(keys[has])]
         if len(group) < 2:

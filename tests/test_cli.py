@@ -21,7 +21,7 @@ from sketchbounds import (
     sample_countsketch,
     sample_sparse_sign_jl,
 )
-from sketchbounds.cli import MEASURES, WITNESSES, load_config, main
+from sketchbounds.cli import _HANDLERS, MEASURES, WITNESSES, _build_parser, load_config, main
 
 from conftest import dense
 
@@ -603,6 +603,53 @@ def assert_one_error_line(code, err):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("sketchbounds: error: ")
+
+
+OTHER_COMMANDS = [name for name in _HANDLERS if name != "bounds"]
+
+
+class TestUsageErrors:
+    """Every usage error is one stderr line and exit 1, whatever the command;
+    an error found by a command's own parser names the command."""
+
+    def run(self, argv, capsys, prog="sketchbounds"):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{prog}: error: ")
+        return err
+
+    @pytest.mark.parametrize("command", _HANDLERS)
+    def test_no_config_names_the_command_and_config(self, command, capsys):
+        prog = "sketchbounds" if command == "bounds" else f"sketchbounds {command}"
+        err = self.run([command], capsys, prog)
+        assert command in err and "--config" in err
+
+    @pytest.mark.parametrize("command", OTHER_COMMANDS)
+    @pytest.mark.parametrize("option,value", [("--formula", "min_sparsity"), ("--params", "q=100,r=10")])
+    def test_bounds_options_on_other_commands(self, command, option, value, write_config, capsys):
+        cfg = write_config({"command": command, "params": {}})
+        assert option in self.run([command, "--config", cfg, option, value], capsys)
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["frobnicate", "--config", "x.json"], []])
+    def test_unknown_or_missing_command(self, argv, capsys):
+        self.run(argv, capsys)
+
+    @pytest.mark.parametrize("command", _HANDLERS)
+    @pytest.mark.parametrize("option,value", [("--seed", "x"), ("--format", "xml")])
+    def test_bad_option_value(self, command, option, value, write_config, capsys):
+        cfg = write_config({"command": command, "params": {}})
+        assert option in self.run([command, "--config", cfg, option, value], capsys, f"sketchbounds {command}")
+
+    def test_parser_is_reused_unchanged(self, capsys):
+        # main builds its parser once a process; neither an error nor a
+        # parse leaves a value behind for the next argument list
+        parse = _build_parser().parse_args
+        self.run(["bounds", "--formula", "min_sparsity", "--seed", "x"], capsys, "sketchbounds bounds")
+        parse(["measure", "--config", "a.json", "--seed", "5", "--format", "csv", "--out", "o"])
+        assert vars(parse(["measure", "--config", "b.json"])) == {
+            "command": "measure", "config": "b.json", "seed": None, "out": None, "fmt": None}
+        assert _build_parser() is _build_parser()
 
 
 class TestBadInputsExitOne:

@@ -237,8 +237,24 @@ def test_sign_pattern_matches_oracle(A, t, eps, full):
     assert outcome(sign_pattern_certify, A, eps, t, full) == outcome(sign_oracle, A, eps, t, full)
 
 
+# Eight-sparse +-1/2 columns: at k = 4 scales 1 and 2 give equal keys, every
+# entry of each column, and scale 3 differs only in pattern width, the first
+# four rows, which columns 0 and 1 share.  (With +-1/sqrt(8) no entry would
+# reach scale 3: the square of 1/sqrt(8) rounds below 1/8.)
+SIGN_SCALES = SparseMatrix.from_csc(
+    16, 3, [0, 8, 16, 24], [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 8, 9, 10, 11, 0, 2, 4, 6, 8, 10, 12, 14],
+    np.r_[1, -1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1, -1, 1, 1, 1, 1, 1] / 2)
+# Scales 1 and 2 give key blocks of one shape, four codes wide (column 2 is
+# flat), that differ: the 0.3 entries fall below scale 2's threshold, so
+# only there do columns 0 and 1 share a key.
+SAME_SHAPE_SCALES = SparseMatrix.from_csc(10, 3, [0, 4, 8, 12], [0, 1, 2, 3, 0, 1, 2, 4, 5, 6, 7, 8],
+                                          [0.5, 0.5, 0.5, 0.3, 0.5, 0.5, 0.5, 0.3, 0.5, 0.5, 0.5, 0.5])
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices(), st.sampled_from([2, 3, 5]))
+@example(SIGN_SCALES, 4)
+@example(SAME_SHAPE_SCALES, 2)
 def test_rip_pattern_matches_oracle(A, k):
     assert outcome(rip_pattern_witness, A, k) == outcome(rip_oracle, A, k)
 
@@ -441,6 +457,63 @@ def test_ranks_match_enumerate(values, dtype):
     col = np.sort(np.array(values, dtype=dtype))
     ranks = [rank for _, run in itertools.groupby(col.tolist()) for rank, _ in enumerate(run)]
     assert witnesses._ranks(col).tolist() == ranks
+
+
+def top_entries_oracle(A, lo, hi, width, keep=None):
+    """``witnesses._top_entries`` one column at a time: the kept entries
+    ranked by magnitude, ties to the lower row, the first `width` returned
+    in storage order."""
+    pos = np.arange(A.indptr[lo], A.indptr[hi])
+    kept = set(pos[keep].tolist() if keep is not None else pos.tolist())
+    cols, chosen = [], []
+    for j in range(lo, hi):
+        column = [p for p in range(A.indptr[j], A.indptr[j + 1]) if p in kept]
+        top = sorted(sorted(column, key=lambda p: (-abs(A.data[p]), A.indices[p]))[:width])
+        cols += [j] * len(top)
+        chosen += top
+    return np.array(cols, dtype=np.int64), np.array(chosen, dtype=np.int64)
+
+
+def falling(A):
+    """A with each column's magnitudes sorted to fall along storage order,
+    each entry keeping its sign."""
+    data = A.data.copy()
+    for lo, hi in zip(A.indptr[:-1], A.indptr[1:]):
+        data[lo:hi] = np.sign(data[lo:hi]) * -np.sort(-np.abs(data[lo:hi]))
+    return SparseMatrix.from_csc(A.m, A.n, A.indptr, A.indices, data)
+
+
+# Column 0 has tied magnitudes that fall, column 1 is empty, column 2 rises
+# and column 3 falls; spans start past column 0.
+TOP_ENTRIES = SparseMatrix.from_csc(6, 4, [0, 3, 3, 7, 10], [0, 2, 5, 0, 1, 3, 4, 1, 2, 5],
+                                    [2.0, -2.0, 1.0, 0.5, 1.0, -3.0, 3.0, -4.0, 2.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.booleans(), st.integers(1, 11), st.data())
+@example(TOP_ENTRIES, False, 1, None)
+@example(TOP_ENTRIES, False, 2, (1, 4, [True, True, False, True, True, True, True]))
+@example(TOP_ENTRIES, False, 3, (2, 4, None))
+@example(TOP_ENTRIES, False, 2, (3, 4, None))
+@example(TOP_ENTRIES, True, 2, (1, 4, [True, False, True, True, False, True, True]))
+def test_top_entries_match_the_column_oracle(A, sort_columns, width, data):
+    # a span [lo, hi) with an optional mask over its entries; an example
+    # gives (lo, hi, keep) or None for the whole matrix
+    if sort_columns:
+        A = falling(A)
+    if data is None:
+        lo, hi, keep = 0, A.n, None
+    elif isinstance(data, tuple):
+        lo, hi, keep = data
+    else:
+        lo = data.draw(st.integers(0, A.n))
+        hi = data.draw(st.integers(lo, A.n))
+        size = int(A.indptr[hi] - A.indptr[lo])
+        keep = data.draw(st.none() | st.lists(st.booleans(), min_size=size, max_size=size))
+    keep = None if keep is None else np.array(keep, dtype=bool)
+    got = witnesses._top_entries(A, lo, hi, width, keep)
+    want = top_entries_oracle(A, lo, hi, width, keep)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 # --- every certificate verifies -----------------------------------------------------
