@@ -16,11 +16,12 @@ Suites:
   the estimate draws ``TRIALS`` supports at seed 1.  Digest: the result's
   (delta, worst support).
 - ``loads``: ``load_matrix`` of the benchmark's 4096 x 20000 CountSketch
-  map, of its 256 x 10000, s = 8 sign-JL matrix, of a 4096 x 2^20 map and
-  of a 256 x 2000, s = 8 sign-JL pattern with Gaussian values, which the
-  +-c decoder declines and ``json.loads`` reads, each written to a
-  temporary file first; ``matrix_to_json`` of the benchmark's sign-JL
-  matrix; and ``ose_collision_witness`` on the benchmark's map and on a
+  map, of its 256 x 10000, s = 8 sign-JL matrix, of a 4096 x 2^20 map, of
+  a 256 x 2000, s = 8 sign-JL pattern with Gaussian values, which the
+  +-c decoder declines and ``json.loads`` reads, and of a 2^17 x 1 unit
+  column of 2^17 random signs (``long``: 3.9 MB of one column's text),
+  each written to a temporary file first; ``matrix_to_json`` of the
+  benchmark's sign-JL matrix; and ``ose_collision_witness`` on the benchmark's map and on a
   2^40 x 20000 one.  Digest: the CSC arrays, the text, or the
   certificate's JSON.
 - ``witness``: ``ttype_collision_certify`` (eps = 0.03, t = 2),
@@ -94,9 +95,11 @@ def _loads():
     J = sb.sample_sparse_sign_jl(256, 10000, 8, sb.derive_seed(seed, 1))
     G = sb.sample_sparse_sign_jl(256, 2000, 8, seed)
     G = sb.SparseMatrix.from_csc(G.m, G.n, G.indptr, G.indices, np.random.default_rng(seed).standard_normal(G.nnz))
+    L = sb.SparseMatrix.from_csc(2**17, 1, [0, 2**17], np.arange(2**17),
+                                 np.random.default_rng(seed).choice([-1.0, 1.0], 2**17) / 2**8.5)
     with tempfile.TemporaryDirectory() as work:
         for name, A in [("map", S), ("sign_jl", J), ("map", sb.sample_countsketch(4096, 2**20, seed)),
-                        ("gaussian", G)]:
+                        ("gaussian", G), ("long", L)]:
             path = os.path.join(work, f"{name}-{A.n}.json")
             (sb.save_one_sparse_map if name == "map" else sb.save_matrix)(A, path)
             yield ["load_matrix", name, A.m, A.n], functools.partial(sb.load_matrix, path)

@@ -10,8 +10,8 @@ direct matrix application.
 Every command is a pure function of its config file plus seed: outputs carry
 no timestamps or environment data, JSON is emitted with sorted keys, and CSV
 (``sweep`` and ``stream-demo`` only) uses '.' decimals, a header row, and
-newline line endings, so reruns are byte-identical.  Exit codes: 0 success, 2 witness violation found, 1 any
-error.
+newline line endings, so reruns are byte-identical.  Exit codes: 0 success,
+2 witness violation found, 1 any error.
 """
 
 from __future__ import annotations

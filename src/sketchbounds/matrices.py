@@ -28,15 +28,15 @@ indices, and malformed JSON with a ``SketchboundsError``.  When all of a
 matrix's entries have one magnitude c, as in every sampled family, one
 codec writes and reads its canonical bytes without the json module: the
 writer formats each distinct ``[row, +-c]`` string once, and the loader
-decodes the text permissively, then proves the arrays by re-encoding them
-and comparing with the text byte for byte.  :func:`load_matrix` decodes
-and proves a regular file's bytes a block at a time, so its peak is the
-decoder's own, with no whole text held (2.2 MiB for the 2.1 MB 256 x 10000,
-s = 8 sign matrix, where reading the text whole first took 4.1 MiB).  A
-map's canonical text is read without the json module too, its two integer
-lists by digit stepping, and proved by its token grammar.  Any other text,
-valid or not, loads through ``json.loads``, with the same checks and
-messages.
+decodes the text permissively, in fixed windows whatever the columns, then
+proves the arrays by re-encoding them and comparing with the text byte for
+byte.  :func:`load_matrix` decodes and proves a regular file's bytes a
+window at a time, so its peak is the decoder's own, with no whole text
+held (2.2 MiB for the 2.1 MB 256 x 10000, s = 8 sign matrix, where reading
+the text whole first took 4.1 MiB).  A map's canonical text is read
+without the json module too, its two integer lists by digit stepping, and
+proved by its token grammar.  Any other text, valid or not, loads through
+``json.loads``, with the same checks and messages.
 """
 
 from __future__ import annotations
@@ -574,10 +574,11 @@ def matrix_to_json(A: SparseMatrix) -> str:
 
 def _digit_run(chunk: np.ndarray, at: np.ndarray, value: np.ndarray) -> None:
     """Accumulate into `value`, zeroed int64, the run of decimal digits that
-    starts at each position `at` of the ASCII bytes `chunk`, which must not
-    end in a digit, and advance `at` in place past each run.  A run longer
-    than ``_MAX_ROW_DIGITS`` stops at its 19th digit, for the caller's proof
-    of the text to decline."""
+    starts at each position `at` of the ASCII bytes `chunk`, and advance
+    `at` in place past each run; `chunk` must hold a run's first 18 digits
+    and the byte after a shorter run.  A run longer than
+    ``_MAX_ROW_DIGITS`` stops at its 19th digit, for the caller's proof of
+    the text to decline."""
     for _ in range(_MAX_ROW_DIGITS):
         digit = chunk[at] - ord("0")
         more = digit < 10
@@ -588,111 +589,58 @@ def _digit_run(chunk: np.ndarray, at: np.ndarray, value: np.ndarray) -> None:
         at += more
 
 
-class _TextBytes:
-    """A str as :func:`_canonical_csc`'s byte source: ``read(lo, hi)`` is
-    ``text[lo:hi]`` in ASCII, and a slice with any other character raises
-    UnicodeEncodeError, a ValueError, so the decoder declines the text (as
-    its proof would: the writer's pieces are ASCII)."""
-
-    def __init__(self, text: str):
-        self.text, self.size = text, len(text)
-
-    def read(self, lo: int, hi: int) -> bytes:
-        return self.text[lo:hi].encode("ascii")
-
-    def readinto(self, lo: int, view: memoryview) -> int:
-        view[:] = self.read(lo, lo + len(view))
-        return len(view)
-
-
-class _FileBytes:
-    """An open regular file, unbuffered and binary, as :func:`_canonical_csc`'s
-    byte source: each read is positioned, as ``os.pread`` is."""
-
-    def __init__(self, fh):
-        self.fh, self.size = fh, os.fstat(fh.fileno()).st_size
-
-    def read(self, lo: int, hi: int) -> bytes:
-        self.fh.seek(lo)
-        return self.fh.read(hi - lo)
-
-    def readinto(self, lo: int, view: memoryview) -> int:
-        self.fh.seek(lo)
-        return self.fh.readinto(view)
-
-
-def _canonical_csc(source):
-    """``(m, n, indptr, indices, data)`` of the bytes `source` holds (a
-    :class:`_TextBytes` or :class:`_FileBytes`) when they are exactly what
+def _canonical_csc(read, size: int) -> SparseMatrix | None:
+    """The matrix in a text of `size` bytes, read a slice ``[lo, hi)`` at a
+    time by ``read(lo, hi)``, when the text is exactly what
     :func:`matrix_to_json` writes for a matrix whose entries are all +-c,
     else None.
 
     The tail ``],"m":M,"n":N}`` and a newline is matched in the last 64
-    bytes; a longer one declines.  The columns are read in blocks of
-    ``_BUDGET // 16`` bytes into one reused buffer and decoded a chunk of
-    whole columns at a time, the unfinished column carried over to the next
-    block (the buffer grows only for a column longer than it); decoding is
-    permissive: a ``[`` before a digit opens an entry and any other ``[`` a
-    column; a row is the run of digits after it (a 19th digit declines the
-    text), negative when a ``-`` follows the byte that ends the run, which
-    the writer makes the entry's comma, and c is the first value's
-    magnitude.  The arrays are then proved by re-encoding: each piece
-    :func:`_signed_text` writes for them must equal the source's bytes at
-    its place, and the source must end where the last one does.  The
-    writer's text is what ``canonical_json`` writes, so the arrays are the
-    ones ``json.loads`` would give, and any other text, valid or not, is
-    left to it.  Peak memory, with no whole text held: at most
-    4 * max(_BUDGET, 16 bytes a byte of the largest column's text) for a
-    chunk, plus 48 bytes an entry and 80 a column, plus the re-encoding's
-    128 bytes for each distinct item string.
+    bytes; a longer one declines.  The columns are decoded in fixed windows
+    of ``_BUDGET // 16`` bytes, each read with the 64 bytes after it, and
+    permissively: a ``[`` in the window before a digit opens an entry and
+    any other ``[`` a column; a row is the run of digits after it (a 19th
+    digit declines the text), negative when a ``-`` follows the byte that
+    ends the run, which the writer makes the entry's comma, and c is the
+    first value's magnitude.  An entry that opens near a window's end
+    finishes in the bytes after it: its ``[``, row, comma and sign take at
+    most 21 bytes, and the first value one float's repr.  The arrays are then proved
+    by re-encoding: each piece :func:`_signed_text` writes for them must
+    equal the bytes at its place, and the text must end where the last one
+    does.  The writer's text is what ``canonical_json`` writes, so the
+    arrays are the ones ``json.loads`` would give, and any other text, valid
+    or not, is left to it.  Peak memory, with no whole text held: at most
+    4 * max(_BUDGET, 128 bytes an item of the largest column) for a window
+    or the proof's block, plus 48 bytes an entry and 80 a column, plus the
+    proof's 128 bytes for each distinct item string.
     """
-    size, read = source.size, source.read
     try:
-        window = read(max(size - 64, 0), size)
-        tail = _TAIL.fullmatch(window, max(window.rfind(b'],"m":'), 0))
+        last = read(max(size - 64, 0), size)
+        tail = _TAIL.fullmatch(last, max(last.rfind(b'],"m":'), 0))
         if tail is None or read(0, len(_HEAD)) != _HEAD.encode():
             return None
         m, n = map(int, tail.groups())
-        pos, end = len(_HEAD), size - len(window) + tail.start()
-        block, carry = _BUDGET // 16, 0
-        buf = bytearray(min(block, end - pos))
+        end, block = size - len(last) + tail.start(), _BUDGET // 16
         c, done, columns, rows, negatives = None, 0, [], [], []
-        while pos < end:
-            want = min(block, end - pos)
-            if carry + want > len(buf):  # a column longer than the buffer: about double it
-                buf = buf[:carry] + bytes(len(buf))
-            if source.readinto(pos, memoryview(buf)[carry:carry + want]) != want:
-                return None
-            pos, total = pos + want, carry + want
-            # The chunk ends where the last column that ends in the buffer
-            # does, ``]]`` or ``[]`` before a comma; only the new bytes can
-            # hold one, and an empty column is looked for only after the
-            # last full one.
-            cut = buf.rfind(b"]],[", max(carry - 3, 0), total)
-            cut = total if pos == end else max(cut, buf.rfind(b"[],[", max(cut, carry - 3, 0), total)) + 2
-            if cut < 2:  # no column ends in the buffer yet
-                carry = total
-                continue
-            chunk = np.frombuffer(buf, np.uint8, cut)
-            opens = np.flatnonzero(chunk == ord("["))
+        for lo in range(len(_HEAD), end, block):
+            window = read(lo, min(lo + block + 64, end))
+            chunk = np.frombuffer(window, np.uint8)
+            opens = np.flatnonzero(chunk[:block] == ord("["))
             entry = chunk[opens + 1] - ord("0") < 10
             firsts = opens[entry]
             row, commas = np.zeros(firsts.size, np.int64), firsts + 1  # commas: the byte after each row's digits
             _digit_run(chunk, commas, row)
             if c is None and firsts.size:  # c comes from the first value token
                 at = int(commas[0]) + 1
-                c = abs(float(buf[at:buf.index(b"]", at, cut)]))
+                c = abs(float(window[at:window.index(b"]", at)]))
             rows.append(row)
             negatives.append(chunk[commas + 1] == ord("-"))
             columns.append(np.searchsorted(firsts, opens[~entry]) + done)  # each column's first entry
             done += firsts.size
-            del chunk
-            carry = max(total - cut - 1, 0)  # the comma after the cut is skipped
-            buf[:carry] = buf[cut + 1:total]
         indptr = np.concatenate([*columns, [done]])
         indices, negative = np.concatenate(rows), np.concatenate(negatives)
-        del columns, rows, negatives, buf
-        if c is None or not 0 < c < math.inf or indptr[0] != 0:  # entries before the first column
+        del columns, rows, negatives
+        if c is None or not 0 < c < math.inf:
             return None
         at = 0
         for piece in _signed_text(m, n, indptr, indices, negative, c):
@@ -705,7 +653,7 @@ def _canonical_csc(source):
         return None
     if at != size:
         return None
-    return m, n, indptr, indices, np.where(negative, -c, c)
+    return SparseMatrix.from_csc(m, n, indptr, indices, np.where(negative, -c, c))
 
 
 def _integers(text: str, lo: int, hi: int) -> np.ndarray | None:
@@ -780,17 +728,20 @@ def _from_json(text: str) -> SparseMatrix:
 def matrix_from_json(text: str) -> SparseMatrix:
     """The matrix `text` holds, or the :class:`OneSparseMap` when it holds ``a``.
 
-    A +-c matrix's canonical text peaks, beyond the text, as
-    :func:`_canonical_csc` states.  A map's canonical text
-    (:func:`_canonical_map`) peaks, beyond the text, at ``_BUDGET`` plus
-    40 bytes a column, and at or below the json route,
-    which holds lists of 16 bytes a column, plus 32 for each row above 256,
-    besides the same arrays; only at a few columns can numpy's own working
-    memory, under 1 KB, put it above.  ``load_matrix`` of a 4096 x 2^20 map
-    peaks at 42.2 MiB, the text included, against 77.4 MiB.
+    A +-c matrix's canonical text is decoded in fixed windows and proved
+    by re-encoding, and peaks, beyond the text, as :func:`_canonical_csc`
+    states.  A map's canonical text (:func:`_canonical_map`) peaks, beyond
+    the text, at ``_BUDGET`` plus 40 bytes a column, and at or below the
+    json route, which holds lists of 16 bytes a column, plus 32 for each
+    row above 256, besides the same arrays; only at a few columns can
+    numpy's own working memory, under 1 KB, put it above.  ``load_matrix``
+    of a 4096 x 2^20 map peaks at 42.2 MiB, the text included, against
+    77.4 MiB.
     """
-    csc = _canonical_csc(_TextBytes(text))
-    return SparseMatrix.from_csc(*csc) if csc else _from_json(text)
+    # A slice with a non-ASCII character raises UnicodeEncodeError, a
+    # ValueError, so the decoder declines the text, as its proof would.
+    A = _canonical_csc(lambda lo, hi: text[lo:hi].encode("ascii"), len(text))
+    return _from_json(text) if A is None else A
 
 
 def one_sparse_map_to_json(S: OneSparseMap) -> str:
@@ -813,10 +764,10 @@ def save_matrix(A: SparseMatrix, path) -> None:
 def load_matrix(path) -> SparseMatrix:
     """The matrix or map in the file at `path`, as :func:`matrix_from_json`
     reads its text.  A regular file is first tried by the +-c decoder
-    straight from the file, a block at a time, so a +-c matrix's text is
-    never held whole.  A declined file, and any path that is not a regular
-    file (a FIFO, ``/dev/stdin`` on a pipe), is read once by
-    :func:`_read_text`; a path that cannot be read raises what
+    straight from the file, by positioned reads of one window at a time, so
+    a +-c matrix's text is never held whole.  A declined file, and any path
+    that is not a regular file (a FIFO, ``/dev/stdin`` on a pipe), is read
+    once by :func:`_read_text`; a path that cannot be read raises what
     :func:`_read_text` raises."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
@@ -824,9 +775,13 @@ def load_matrix(path) -> SparseMatrix:
         regular = False
     if regular:
         with open(path, "rb", buffering=0) as fh:
-            csc = _canonical_csc(_FileBytes(fh))
-        if csc:
-            return SparseMatrix.from_csc(*csc)
+            def read(lo, hi):
+                fh.seek(lo)
+                return fh.read(hi - lo)
+
+            A = _canonical_csc(read, os.fstat(fh.fileno()).st_size)
+        if A is not None:
+            return A
     return _from_json(_read_text(path))
 
 

@@ -46,7 +46,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .matrices import _BUDGET, SparseMatrix, _array, _entries, _integer, _runs, _spans, apply, column_sparsity, to_csr
+from .matrices import _BUDGET, SparseMatrix, _array, _entries, _integer, _runs, _spans, apply, column_sparsity
 from .measures import check_unit_columns, dyadic_scale_count
 from .rng import _LANES, check_seed, derive_seed, derived_states, substream
 from .constructions import _check_size
@@ -229,7 +229,10 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
     meeting that threshold must have inner product above eps; the returned
     certificate is the maximum-|dot| pair among them.  On a matrix whose
     coherence really is <= eps no such overload can exist, so the search
-    returns the ``none`` certificate.
+    returns the ``none`` certificate.  Only stored rows with two or more
+    entries are visited, in ascending order, from one stable sort of
+    ``A.indices``, so the scan takes no memory or time in m; a hit's pair is
+    still found from its group's dense columns.
     """
     value = _real(eps, 0)
     if value is None or not 0 < value < 0.5:
@@ -237,12 +240,14 @@ def row_mass_violation_search(A: SparseMatrix, eps: float) -> _Certificate:
     eps = float(value)
     check_unit_columns(A)
     source = "row_mass_violation_search"
-    row_ptr, columns, values = to_csr(A)
-    for r in range(A.m):
-        cols = columns[row_ptr[r]:row_ptr[r + 1]]
-        vals = values[row_ptr[r]:row_ptr[r + 1]]
-        if cols.size < 2:
-            continue
+    order = np.argsort(A.indices, kind="stable")  # row by row, each row's columns ascending
+    columns = np.repeat(np.arange(A.n), np.diff(A.indptr))[order]
+    values = A.data[order]
+    rows = A.indices[order]
+    starts, lengths = _runs(rows) if rows.size else (rows, rows)
+    shared = lengths >= 2
+    for lo, hi in zip(starts[shared].tolist(), (starts + lengths)[shared].tolist()):
+        cols, vals = columns[lo:hi], values[lo:hi]
         squares = vals * vals
         for x in np.unique(squares[squares >= 2.0 * eps]):
             limit = 5.0 / x

@@ -806,7 +806,6 @@ def test_malformed_config_or_params_flag(config, argv, message, tmp_path, capsys
 @pytest.mark.parametrize("command, params", [
     ("measure", {"measure": "row_mass_profile", "x": 0.5}),
     ("measure", {"measure": "coherence"}),
-    ("witness", {"witness": "row_mass", "eps": 0.25}),
 ])
 def test_allocation_past_any_address_space_exits_one(command, params, tmp_path, write_config, capsys):
     # m = 2^56: an array of m int64 or float64 values (512 PiB or more) is
@@ -837,7 +836,6 @@ def test_row_mass_threshold_whose_limit_overflows_exits_one(x, tmp_path, write_c
     ("measure", {"measure": "coherence"}),
     ("measure", {"measure": "rip_exact", "k": 2}),
     ("measure", {"measure": "subspace_distortion", "indices": [0, 1]}),
-    ("witness", {"witness": "row_mass", "eps": 0.25}),
 ])
 def test_array_bytes_past_intp_exit_one(command, params, m, tmp_path, write_config, capsys):
     # an array of m int64 or float64 values has 2^63 bytes or more, which
@@ -848,6 +846,16 @@ def test_array_bytes_past_intp_exit_one(command, params, m, tmp_path, write_conf
     code, out, err = run_cli([command, "--config", cfg], capsys)
     assert_one_error_line(code, err)
     assert out == "" and "larger than any address space" in err
+
+
+@pytest.mark.parametrize("m", [2**56, 2**60, 2**62])
+def test_row_mass_witness_past_any_address_space_finds_none(m, tmp_path, write_config, capsys):
+    # the search visits the stored rows only, so m sizes no array
+    path = tmp_path / "A.json"
+    path.write_text(f'{{"m":{m},"n":2,"cols":[[[0,1.0]],[[1,1.0]]]}}')
+    cfg = write_config({"command": "witness", "params": {"witness": "row_mass", "eps": 0.25, "input": str(path)}})
+    code, out, err = run_cli(["witness", "--config", cfg], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["kind"] == "none"
 
 
 def test_module_entry_point_exit_codes(tmp_path, write_config, capsys):

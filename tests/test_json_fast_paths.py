@@ -42,7 +42,6 @@ from sketchbounds import (
 from sketchbounds.matrices import (
     _BUDGET,
     OneSparseMap,
-    _TextBytes,
     _canonical_csc,
     _canonical_map,
     _map_from_object,
@@ -194,7 +193,7 @@ def test_canonical_text_loads_as_json_loads_does(A):
 def test_long_text_loads_in_many_chunks():
     A = sample_sparse_sign_jl(128, 9000, 4, 5)
     text = oracle_to_json(A)
-    assert len(text) > 4 * 2**16  # five chunks or more
+    assert len(text) > 4 * 2**16  # five windows or more
     for load, what in LOADERS:
         assert load(text) == oracle_from_json(text, what) == A
 
@@ -635,19 +634,24 @@ def long_text():
     return oracle_to_json(sample_sparse_sign_jl(64, 6000, 4, 2))
 
 
+# Where the loader's first window ends: it decodes the "[" bytes of fixed
+# windows of _BUDGET // 16 bytes, the first one right after the head.
+WINDOW_EDGE = len('{"cols":[') + _BUDGET // 16
+
+
 def two_column_text():
-    """A matrix text whose second and last column is the first to end more
-    than one chunk (64 KB) into the text."""
+    """A matrix text whose second and last column spans the loader's first
+    window edge (64 KB into the text)."""
     rows = np.arange(0, 70000, 10)
     A = SparseMatrix.from_csc(10**5, 2, [0, 5000, 7000], rows, np.full(7000, 0.5))
     text = oracle_to_json(A)
-    assert text.index("]],[") < 2**16 < text.index("]]]")
+    assert text.index("]],[") < WINDOW_EDGE < text.index("]]]")
     return text
 
 
 def eighteen_digit_text():
-    """A canonical text of several chunks whose every row has 18 digits, so
-    that each chunk's first and last entries are long digit runs."""
+    """A canonical text of several windows whose every row has 18 digits, so
+    that the entries on both sides of each window edge are long digit runs."""
     n = 3000
     rows = np.stack((10**17 + np.arange(n), 10**18 - 1 - np.arange(n)), axis=1).ravel()
     A = SparseMatrix.from_csc(10**18, n, np.arange(0, 2 * n + 1, 2), rows, np.tile([0.5, -0.5], n))
@@ -656,12 +660,12 @@ def eighteen_digit_text():
     return text
 
 
-def at_chunk_edges(text, template):
-    """`text` with the row and comma of the first entry of the loader's
-    second chunk, and of the last entry of its first chunk, replaced by
-    ``template.format(row)``."""
-    cut = re.compile(r"[\[\]]\],\[").search(text, len('{"cols":[') + _BUDGET // 16).start() + 2
-    for at in (cut + 3, text.rindex("[", 0, cut) + 1):  # after the [[ and after the [
+def at_window_edges(text, template):
+    """`text` with the row and comma of the first entry that opens in the
+    loader's second window, and of the last that opens in its first,
+    replaced by ``template.format(row)``."""
+    first = re.compile(r"\[[0-9]").search(text, WINDOW_EDGE).start()
+    for at in (first + 1, text.rindex("[", 0, first - 1) + 1):  # each row's first digit
         row = text[at:text.index(",", at)]
         assert len(row) == 18
         text = text[:at] + template.format(row) + text[at + len(row) + 1:]
@@ -669,8 +673,8 @@ def at_chunk_edges(text, template):
 
 
 # Texts whose number characters sit where matrix_to_json puts them, or whose
-# only flaw is at a chunk boundary or outside ASCII; and digit runs that end
-# in something other than the entry's comma, also at a chunk's edges.
+# only flaw is at a window edge or outside ASCII; and digit runs that end
+# in something other than the entry's comma, also at a window's edges.
 @pytest.mark.parametrize("text", [
     '{"cols":[[[0,]]0.5,[[1,0.5]]],"m":2,"n":2}\n',  # an empty slot and a stray number
     '{"cols":[[[,0]0.5],[[1,0.5]]],"m":2,"n":2}\n',
@@ -693,7 +697,7 @@ def at_chunk_edges(text, template):
     '{"cols":[[[0,0.5],[12]],[[1,0.5]]],"m":20,"n":2}\n',
     '{"cols":[[[0,0.5],[1 2,-0.5]]],"m":20,"n":1}\n',
     # the run ends at "]", at ".", at a space, or after a 19th digit
-    *(at_chunk_edges(eighteen_digit_text(), template) for template in ("{}]", "{}.5,", "{0:.9} {0:.9},", "{}0,")),
+    *(at_window_edges(eighteen_digit_text(), template) for template in ("{}]", "{}.5,", "{0:.9} {0:.9},", "{}0,")),
 ])
 def test_near_canonical_text_loads_or_fails_as_json_loads_does(text):
     assert_loads_as_json_loads_does(text)
@@ -706,19 +710,19 @@ def late_replace(text, old, new):
     return text[:at] + new + text[at + len(old):]
 
 
-def empty_column_after_a_cut():
-    """A canonical text with an empty column right after the loader's first
-    chunk cut, so its next chunk starts with ``[]``."""
+def empty_column_at_a_window_edge():
+    """A canonical text whose empty column's ``[`` is the last byte of the
+    loader's first window and its ``]`` the first of the second: k empty
+    columns first, each 3 bytes, and a column j of entries emptied."""
     A = sample_sparse_sign_jl(64, 6000, 4, 2)
-    text = oracle_to_json(A)
-    cut = text.index("]],[", len('{"cols":[') + 2**16)
-    j = text.count("]]", 0, cut + 2)  # every column has entries, so this is the next column
+    starts = [match.start() for match in re.finditer(r"\[\[", oracle_to_json(A))]  # every column has entries
+    j = max(j for j, at in enumerate(starts) if at < WINDOW_EDGE and (WINDOW_EDGE - 1 - at) % 3 == 0)
+    k = (WINDOW_EDGE - 1 - starts[j]) // 3
     keep = np.ones(A.nnz, bool)
     keep[A.indptr[j]:A.indptr[j + 1]] = False
-    B = SparseMatrix.from_csc(A.m, A.n, np.concatenate(([0], np.cumsum(keep)))[A.indptr],
-                              A.indices[keep], A.data[keep])
-    text = oracle_to_json(B)
-    assert text.index("]],[", len('{"cols":[') + 2**16) == cut and text[cut:cut + 6] == "]],[],"
+    indptr = np.concatenate(([0] * k, np.concatenate(([0], np.cumsum(keep)))[A.indptr]))
+    text = oracle_to_json(SparseMatrix.from_csc(A.m, A.n + k, indptr, A.indices[keep], A.data[keep]))
+    assert text[WINDOW_EDGE - 4:WINDOW_EDGE + 3] == "]],[],["
     return text
 
 
@@ -729,7 +733,7 @@ def last_column_only():
 
 # Texts the loader must decline, or accept only as json.loads does: row tokens
 # past its 18 digits, a second magnitude, a non-ASCII digit late in the text,
-# an empty column at a chunk cut, and entries only in the last column.
+# an empty column at a window edge, and entries only in the last column.
 @pytest.mark.parametrize("text", [
     *(f'{{"cols":[[[{10**(w - 1) + 7},0.5]]],"m":{10**w},"n":1}}\n' for w in range(19, 26)),
     *(long_text().replace("[5,", f"[{10**(w - 1) + 7},") for w in (19, 25)),
@@ -742,8 +746,8 @@ def last_column_only():
     late_replace(long_text(), ",-0.5]", ",-0.5000000000000001]"),
     late_replace(long_text(), "[5,", "[\u0665,"),  # an Arabic-Indic digit
     late_replace(long_text(), "[5,", "[\uff15,"),  # a fullwidth digit
-    empty_column_after_a_cut(),
-    empty_column_after_a_cut().replace("]],[],", "]],[,],", 1),
+    empty_column_at_a_window_edge(),
+    empty_column_at_a_window_edge().replace("]],[],", "]],[,],", 1),
     last_column_only(),
     last_column_only().replace('"n":5000', '"n":4999'),
 ])
@@ -760,14 +764,14 @@ def test_canonical_text_with_its_tail_again_is_refused(make, between):
     text's own arrays, but is invalid JSON, and the loader declines it."""
     text = matrix_to_json(make())
     text += between + text[text.rindex('],"m":'):]
-    assert _canonical_csc(_TextBytes(text)) is None
+    assert _canonical_csc(lambda lo, hi: text[lo:hi].encode("ascii"), len(text)) is None
     with pytest.raises(MalformedArtifact):
         matrix_from_json(text)
 
 
 def long_column_text():
     """A column of 20,000 entries, about 260 KB of text, between two short
-    ones: the loader carries it over four blocks before a column ends."""
+    ones: it spans four of the loader's windows."""
     rows = np.concatenate(([3], np.arange(0, 200000, 10), [7]))
     A = SparseMatrix.from_csc(200000, 3, [0, 1, 20001, 20002], rows, np.tile([0.5, -0.5], 10001))
     text = oracle_to_json(A)
@@ -775,14 +779,49 @@ def long_column_text():
     return text
 
 
-@pytest.mark.parametrize("make", [empty_column_after_a_cut, last_column_only, two_column_text,
-                                  eighteen_digit_text, long_column_text])
-def test_canonical_text_at_chunk_edges_skips_json_loads(json_loads_calls, make, tmp_path):
-    text = make()
+def assert_loads_through_the_decoder(text, path, json_loads_calls):
     assert matrix_to_json(matrix_from_json(text)) == text
-    (tmp_path / "A.json").write_text(text)
-    assert matrix_to_json(load_matrix(tmp_path / "A.json")) == text
+    path.write_text(text)
+    assert matrix_to_json(load_matrix(path)) == text
     assert json_loads_calls == []
+
+
+@pytest.mark.parametrize("make", [empty_column_at_a_window_edge, last_column_only, two_column_text,
+                                  eighteen_digit_text, long_column_text])
+def test_canonical_text_at_window_edges_skips_json_loads(json_loads_calls, make, tmp_path):
+    assert_loads_through_the_decoder(make(), tmp_path / "A.json", json_loads_calls)
+
+
+def edge_features():
+    """A canonical text, and where in it each byte the decoder reads at a
+    window edge sits: the first entry's ``[``, whose 18-digit row, minus
+    sign and long value token give c, after a dozen empty columns; an empty
+    column's ``[``; a column's ``[[``; the ``[`` of an entry after another;
+    an 18-digit row's last digit; and a minus sign."""
+    r1, r2, c = 123456789012345678, 876543210987654321, 1 / math.sqrt(2)
+    A = SparseMatrix.from_csc(10**18, 17, [0] * 13 + [1, 1, 4, 5, 5], [r1, 5, 7, r2, 9], [-c, c, c, -c, -c])
+    text = oracle_to_json(A)
+    return text, {
+        "first_entry": text.index(f"[{r1},"),
+        "empty_column": text.index("[],[[5,"),
+        "column_opener": text.index("[[5,"),
+        "entry_opener": text.index(f"[{r2},"),
+        "row_last_digit": text.index(f"{r2},") + 17,
+        "minus_sign": text.index(f"{r2},-") + 19,
+    }
+
+
+@pytest.mark.parametrize("offset", range(-3, 25))
+@pytest.mark.parametrize("feature", list(edge_features()[1]))
+def test_each_feature_at_each_window_offset_skips_json_loads(json_loads_calls, feature, offset, tmp_path,
+                                                              monkeypatch):
+    """Windows sized so that `feature` sits `offset` bytes past the first
+    one's end: an entry that opens in a window's last bytes finishes its
+    row, sign and value in the bytes read after the window, and one that
+    opens past the end is decoded in the next window alone."""
+    text, at = edge_features()
+    monkeypatch.setattr("sketchbounds.matrices._BUDGET", 16 * (at[feature] - offset - len('{"cols":[')))
+    assert_loads_through_the_decoder(text, tmp_path / "A.json", json_loads_calls)
 
 
 @pytest.mark.parametrize("digits, calls", [(18, 0), (19, 1)])
@@ -817,8 +856,8 @@ def test_save_matrix_writes_a_piece_at_a_time(tmp_path):
 
 
 def test_a_text_of_empty_columns_is_decoded_in_chunks(json_loads_calls, monkeypatch):
-    """Entries only in the last of 100,000 columns: the loader cuts its
-    chunks after empty columns too, so it peaks well below a decode of the
+    """Entries only in the last of 100,000 columns: the loader decodes fixed
+    windows of empty columns too, so it peaks well below a decode of the
     whole text at once."""
     A = SparseMatrix.from_csc(8, 100000, [0] * 100000 + [2], [1, 6], [0.5, -0.5])
     text = matrix_to_json(A)
@@ -838,7 +877,7 @@ def test_a_text_of_empty_columns_is_decoded_in_chunks(json_loads_calls, monkeypa
 # --- loads from files ----------------------------------------------------------------
 #
 # load_matrix decodes a regular file's +-c text straight from the file, a
-# block at a time; whatever it declines, and whatever is not a regular file,
+# window at a time; whatever it declines, and whatever is not a regular file,
 # it reads once with _read_text.  So a file must load as its text does.
 
 def file_outcome(load, path):
@@ -887,8 +926,8 @@ def test_map_file_loads_as_its_text_does(file_of, S, kind, data):
 @settings(max_examples=100, deadline=None)
 @given(A=ALL_MATRICES, kind=st.sampled_from(["canonical", *KINDS]), chars=st.integers(1, 8), data=st.data())
 def test_file_in_tiny_blocks_loads_as_its_text_does(file_of, A, kind, chars, data):
-    """As above, in blocks of a few bytes, so that most columns are carried
-    over from one block to the next, and a flaw often falls at a block's edge."""
+    """As above, in windows of a few bytes, so that most entries span a
+    window's edge, and a flaw often falls at one."""
     text = oracle_to_json(A)
     if kind != "canonical":
         text = mutate(text, kind, data)
@@ -903,7 +942,7 @@ def sign_text():
 
 
 # Files whose bytes differ from their text as _read_text gives it, or that
-# the block decoder must decline: by the case that names them.
+# the +-c decoder must decline: by the case that names them.
 FILE_BYTES = {
     "crlf": lambda: sign_text()[:-1].encode() + b"\r\n",
     "lone_cr": lambda: sign_text()[:-1].encode() + b"\r",
@@ -930,15 +969,16 @@ def test_edge_files_load_as_their_text_does(file_of, case):
 
 @pytest.mark.parametrize("case", ["crlf", "lone_cr", "long_tail"])
 def test_declined_files_load_through_json_loads_once(file_of, json_loads_calls, case):
-    """A file the block decoder declines is read once, and its text is not
-    decoded as +-c a second time: it goes straight to json.loads."""
+    """A file the +-c decoder declines is decoded once, from the file and
+    at its size, and its text is not decoded as +-c a second time: it goes
+    straight to json.loads."""
     path = file_of(FILE_BYTES[case]())
-    decoded = []
+    sizes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("sketchbounds.matrices._canonical_csc",
-                      lambda source: decoded.append(source) or _canonical_csc(source))
+                      lambda read, size: sizes.append(size) or _canonical_csc(read, size))
         A = load_matrix(path)
-    assert [type(source).__name__ for source in decoded] == ["_FileBytes"]
+    assert sizes == [path.stat().st_size]
     assert len(json_loads_calls) == 1
     assert A == matrix_from_json(path.read_text())
 

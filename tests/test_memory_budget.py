@@ -145,10 +145,10 @@ def _writer(A):
 
 
 def _loader(A):
-    # matrices._canonical_csc, whose proof re-encodes with the writer; a
-    # column's text is at most 64 characters an entry.  From a file, the
-    # read is inside this: one block buffer, and no whole text
-    return 4 * max(_BUDGET, 1024 * _largest(A)) + 48 * A.nnz + 80 * A.n + 128 * _distinct_strings(A)
+    # matrices._canonical_csc: a window's arrays, or the block of its proof,
+    # which re-encodes with the writer.  From a file, the read is inside
+    # this: one window at a time, and no whole text
+    return 4 * max(_BUDGET, 128 * _largest(A)) + 48 * A.nnz + 80 * A.n + 128 * _distinct_strings(A)
 
 
 def _map_loader(S, text):

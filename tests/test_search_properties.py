@@ -10,7 +10,7 @@ largest t-type group is at least n over the count of t-types.  Tier-1 sized: n <
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sketchbounds import (
     SparseMatrix,
@@ -26,7 +26,8 @@ from sketchbounds import (
     ttype_count_bound,
     TTYPE_GROUP_CONSTANT,
 )
-from sketchbounds.witnesses import _ttype_keys, group_columns
+from sketchbounds.matrices import to_csr
+from sketchbounds.witnesses import IncoherencePair, NoFinding, _max_dot_pair, _ttype_keys, group_columns
 
 SEEDS = st.integers(0, 2**64 - 1)
 
@@ -143,3 +144,53 @@ def test_the_largest_ttype_group_has_its_pigeonhole_share(data):
     t = data.draw(st.integers(1, s), label="t")
     share = -(-n // ttype_count_bound(m, s, t))
     assert group_columns(_ttype_keys(A, t, s)).size >= share
+
+
+def row_mass_oracle(A, eps):
+    """row_mass_violation_search as a loop over all m rows of A's CSR form,
+    stored or not, for unit columns and eps in (0, 1/2)."""
+    source = "row_mass_violation_search"
+    row_ptr, columns, values = to_csr(A)
+    for r in range(A.m):
+        cols = columns[row_ptr[r]:row_ptr[r + 1]]
+        vals = values[row_ptr[r]:row_ptr[r + 1]]
+        if cols.size < 2:
+            continue
+        squares = vals * vals
+        for x in np.unique(squares[squares >= 2.0 * eps]):
+            limit = 5.0 / x
+            for group in (cols[(vals > 0) & (squares >= x)], cols[(vals < 0) & (squares >= x)]):
+                if group.size >= limit:
+                    return IncoherencePair(source, *_max_dot_pair(A, group))
+    return NoFinding(source)
+
+
+@st.composite
+def unit_column_matrices(draw):
+    """Columns of 1 to 4 entries on few rows, so rows overload: +-1/sqrt(s)
+    entries, or Gaussian ones normalized, whose squares differ in a row."""
+    m = draw(st.integers(1, 6), label="m")
+    n = draw(st.integers(1, 40), label="n")
+    rng = np.random.default_rng(draw(SEEDS, label="seed"))
+    counts = rng.integers(1, min(m, 4) + 1, n)
+    indices = np.concatenate([np.sort(rng.choice(m, k, replace=False)) for k in counts])
+    if draw(st.booleans(), label="signs"):
+        data = rng.choice([-1.0, 1.0], indices.size) / np.sqrt(np.repeat(counts, counts))
+    else:
+        data = rng.standard_normal(indices.size)
+        data /= np.sqrt(np.repeat(np.add.reduceat(data * data, np.cumsum(counts) - counts), counts))
+    return SparseMatrix.from_csc(m, n, np.concatenate(([0], np.cumsum(counts))), indices, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_column_matrices(), st.floats(0.01, 0.49))
+@example(SparseMatrix.from_csc(3, 5, range(6), [1] * 5, [1.0] * 5), 0.3)  # the fewest entries a hit takes
+def test_row_mass_search_matches_the_all_rows_oracle(A, eps):
+    got, want = row_mass_violation_search(A, eps), row_mass_oracle(A, eps)
+    assert got.to_jsonable() == want.to_jsonable()
+
+
+def test_row_mass_search_visits_stored_rows_only():
+    """2^40 rows, two entries on row 5: nothing is allocated per row."""
+    A = SparseMatrix.from_csc(2**40, 3, [0, 1, 2, 3], [5, 5, 7], [1.0, 1.0, 1.0])
+    assert row_mass_violation_search(A, 0.3).kind == "none"
