@@ -28,15 +28,15 @@ indices, and malformed JSON with a ``SketchboundsError``.  When all of a
 matrix's entries have one magnitude c, as in every sampled family, one
 codec writes and reads its canonical bytes without the json module: the
 writer formats each distinct ``[row, +-c]`` string once, and the loader
-decodes the text permissively, in fixed windows whatever the columns, then
-proves the arrays by re-encoding them and comparing with the text byte for
-byte.  :func:`load_matrix` decodes and proves a regular file's bytes a
-window at a time, so its peak is the decoder's own, with no whole text
-held (2.2 MiB for the 2.1 MB 256 x 10000, s = 8 sign matrix, where reading
-the text whole first took 4.1 MiB).  A map's canonical text is read
-without the json module too, its two integer lists by digit stepping, and
-proved by its token grammar.  Any other text, valid or not, loads through
-``json.loads``, with the same checks and messages.
+decodes the text in fixed windows whatever the columns, and proves it by
+its token grammar there, byte for byte.  :func:`load_matrix` decodes and
+proves a regular file's bytes a window at a time, so its peak is the
+decoder's own, with no whole text held (1.8 MiB for the 2.1 MB 256 x
+10000, s = 8 sign matrix, where reading the text whole first took
+4.1 MiB).  A map's canonical text is read without the json module too,
+its two integer lists by digit stepping, and proved by its token grammar.
+Any other text, valid or not, loads through ``json.loads``, with the same
+checks and messages.
 """
 
 from __future__ import annotations
@@ -416,6 +416,16 @@ def to_csr(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _HEAD = '{"cols":['
 _TAIL = re.compile(rb'\],"m":([0-9]+),"n":([0-9]+)\}\n')
 _MAX_ROW_DIGITS = 18  # a row token of at most this many digits is below 2^63
+# The least row of each digit count that has no leading zero
+_LOWEST_ROW = np.array([0, 0] + [10**k for k in range(1, _MAX_ROW_DIGITS)])
+# Where the "[" after a token falls, by the byte after the token, plus 256
+# when the token is an entry, not a column's "[": coded 2 * its distance
+# past that byte + whether it opens an entry.  A column's "[" then "[" (its
+# first entry) or "]," (it is empty: the next column); an entry then ","
+# (the next entry) or "]," (the next column).  Any other byte predicts no
+# place.
+_NEXT = np.full(512, -2**40, np.int64)
+_NEXT[ord("[")], _NEXT[ord("]")], _NEXT[256 + ord(",")], _NEXT[256 + ord("]")] = 1, 4, 3, 4
 # What one_sparse_map_to_json writes around the lists a and sigma, whose
 # every number is 0 or 1 to 18 digits with no leading zero, after an
 # optional "-", as in m and n here
@@ -502,16 +512,15 @@ def _signed_text(m: int, n: int, indptr, indices, negative, c: float):
     2^31 and there are at most 2^32 entries, else from an argsort.  So each
     string is formatted once, and the columns are joined from lookups, one
     block of whole columns at a time: at most ``_BUDGET // 128`` items, or
-    one column that alone has more.  Peak memory, for the writer and for
-    the loader's proof alike: at most 4 * max(_BUDGET, 128 bytes an item of
-    the largest column) for a block, plus 20 bytes an entry and 40 a column,
-    plus 128 bytes for each distinct item string.
+    one column that alone has more.  Peak memory: at most 4 * max(_BUDGET,
+    128 bytes an item of the largest column) for a block, plus 20 bytes an
+    entry and 40 a column, plus 128 bytes for each distinct item string.
     """
     counts = np.diff(indptr)
     full = counts > 0
     # What np.unique(codes, return_inverse=True) gives, with at most two
     # 8-byte and two 4-byte entry-sized arrays alive at once: this sets the
-    # loader's and the writer's peak memory.
+    # writer's peak memory.
     codes = indices.astype(np.uint64)
     codes *= 2
     codes += negative
@@ -596,62 +605,92 @@ def _canonical_csc(read, size: int) -> SparseMatrix | None:
     else None.
 
     The tail ``],"m":M,"n":N}`` and a newline is matched in the last 64
-    bytes; a longer one declines.  The columns are decoded in fixed windows
-    of ``_BUDGET // 16`` bytes, each read with the 64 bytes after it, and
-    permissively: a ``[`` in the window before a digit opens an entry and
-    any other ``[`` a column; a row is the run of digits after it (a 19th
-    digit declines the text), negative when a ``-`` follows the byte that
-    ends the run, which the writer makes the entry's comma, and c is the
-    first value's magnitude.  An entry that opens near a window's end
-    finishes in the bytes after it: its ``[``, row, comma and sign take at
-    most 21 bytes, and the first value one float's repr.  The arrays are then proved
-    by re-encoding: each piece :func:`_signed_text` writes for them must
-    equal the bytes at its place, and the text must end where the last one
-    does.  The writer's text is what ``canonical_json`` writes, so the
-    arrays are the ones ``json.loads`` would give, and any other text, valid
-    or not, is left to it.  Peak memory, with no whole text held: at most
-    4 * max(_BUDGET, 128 bytes an item of the largest column) for a window
-    or the proof's block, plus 48 bytes an entry and 80 a column, plus the
-    proof's 128 bytes for each distinct item string.
+    bytes (a longer one declines) and must be the writer's, with no leading
+    zero.  The columns between head and tail are decoded and proved by
+    their token grammar in fixed windows of ``_BUDGET // 4`` bytes, each
+    read with the 64 bytes after it, so that a token that opens near a
+    window's end finishes there: an entry's ``[``, row, comma and sign take
+    at most 21 bytes, and its value one float's repr.  A ``[`` before a
+    digit opens an entry and any other ``[`` a column.  An entry's row is
+    its run of 1 to 18 digits (:func:`_digit_run`), with no leading zero
+    and a comma after it; an optional ``-`` follows, then the bytes of
+    ``repr(c)`` and ``]``, where c is the first value's magnitude, compared
+    a word at a time for all the window's entries at once.  Each token
+    then predicts where the next ``[`` falls and what it opens
+    (:data:`_NEXT`): the body's first ``[``, right after the head, opens a
+    column, every other column follows a ``,``, and the last token
+    predicts the place after the tail's ``]``.  So every byte is the
+    writer's, the arrays are the ones ``json.loads`` would give, and any
+    other text, valid or not, is left to it; a text with no entries is
+    declined too.  A flaw declines the text in the window that holds it,
+    so non-+-c text costs one window.  The matrix is built by
+    :meth:`SparseMatrix.from_csc`, whose checks and messages are those of
+    the json route.  Peak memory, with no whole text held: at most
+    2 * _BUDGET for a window's bytes and arrays, plus 48 bytes an entry
+    and 80 a column (1.8 MiB for the 2.1 MB 256 x 10000, s = 8 sign
+    matrix, and 3.1 MiB for one column of 2^17 entries, where the proof
+    by re-encoding took 2.2 and 27.9 MiB).
     """
     try:
         last = read(max(size - 64, 0), size)
-        tail = _TAIL.fullmatch(last, max(last.rfind(b'],"m":'), 0))
+        at = max(last.rfind(b'],"m":'), 0)
+        tail = _TAIL.fullmatch(last, at)
         if tail is None or read(0, len(_HEAD)) != _HEAD.encode():
             return None
         m, n = map(int, tail.groups())
-        end, block = size - len(last) + tail.start(), _BUDGET // 16
+        if last[at:] != f'],"m":{m},"n":{n}}}\n'.encode():  # no leading zero
+            return None
+        end, block = size - len(last) + at, _BUDGET // 4
         c, done, columns, rows, negatives = None, 0, [], [], []
         for lo in range(len(_HEAD), end, block):
             window = read(lo, min(lo + block + 64, end))
             chunk = np.frombuffer(window, np.uint8)
-            opens = np.flatnonzero(chunk[:block] == ord("["))
-            entry = chunk[opens + 1] - ord("0") < 10
+            opens = np.flatnonzero(chunk == ord("["))
+            own = int(np.searchsorted(opens, block))  # the block's "[" bytes, then the one after them
+            entry = chunk[opens[:own + 1] + 1] - ord("0") < 10  # a digit follows: it opens an entry
+            seen = 2 * opens[1:own + 1] + entry[1:]  # the "[" after each of the block's, coded as in _NEXT
+            final = seen.size < own  # the body's last "[": the end's place, end + 1, follows it as a column's
+            if final:
+                if lo + len(window) != end:
+                    return None
+                seen = np.append(seen, 2 * (end + 1 - lo))
+            opens, entry = opens[:own], entry[:own]
+            if lo == len(_HEAD) and not (own and opens[0] == 0 and not entry[0]):
+                return None  # the body opens with a column
             firsts = opens[entry]
-            row, commas = np.zeros(firsts.size, np.int64), firsts + 1  # commas: the byte after each row's digits
-            _digit_run(chunk, commas, row)
-            if c is None and firsts.size:  # c comes from the first value token
-                at = int(commas[0]) + 1
-                c = abs(float(window[at:window.index(b"]", at)]))
-            rows.append(row)
-            negatives.append(chunk[commas + 1] == ord("-"))
+            ends = opens + 1  # the byte after each token: a column's "[", an entry's "[...]"
+            if firsts.size:
+                row, commas = np.zeros(firsts.size, np.int64), firsts + 1  # commas: the byte after each row's digits
+                _digit_run(chunk, commas, row)
+                if c is None:  # c comes from the first value token
+                    first = int(commas[0]) + 1
+                    c = abs(float(window[first:window.index(b"]", first)]))
+                    if not 0 < c < math.inf:
+                        return None
+                    token = repr(c).encode() + b"]"
+                    words = np.frombuffer(token, f"<u{math.gcd(len(token), 8)}")  # compared a word at a time
+                negative = chunk[commas + 1] == ord("-")
+                starts = commas + 1 + negative
+                if (chunk[commas] != ord(",")).any() or (row < _LOWEST_ROW[commas - firsts - 1]).any() \
+                        or not (np.ndarray((len(window) - len(token) + 1,), f"S{len(token)}", window, strides=(1,))
+                                [starts].view(words.dtype).reshape(-1, words.size) == words).all():
+                    return None  # a row or value token not as the writer's
+                ends[entry] = starts + len(token)
+                rows.append(row)
+                negatives.append(negative)
+            if not np.array_equal(2 * ends + _NEXT[chunk[ends] + 256 * entry], seen):
+                return None
+            later = seen[seen & 1 == 0] // 2  # the columns that follow, each after a "]," _NEXT read to the ","
+            if (chunk[later[:later.size - final] - 1] != ord(",")).any():
+                return None
             columns.append(np.searchsorted(firsts, opens[~entry]) + done)  # each column's first entry
             done += firsts.size
+        if c is None:
+            return None
         indptr = np.concatenate([*columns, [done]])
         indices, negative = np.concatenate(rows), np.concatenate(negatives)
         del columns, rows, negatives
-        if c is None or not 0 < c < math.inf:
-            return None
-        at = 0
-        for piece in _signed_text(m, n, indptr, indices, negative, c):
-            for lo in range(0, len(piece), block):  # a block at a time, so a long column holds no copies
-                part = piece[lo:lo + block].encode()
-                if read(at + lo, at + lo + len(part)) != part:
-                    return None
-            at += len(piece)
     except (IndexError, ValueError):
-        return None
-    if at != size:
         return None
     return SparseMatrix.from_csc(m, n, indptr, indices, np.where(negative, -c, c))
 
@@ -728,18 +767,19 @@ def _from_json(text: str) -> SparseMatrix:
 def matrix_from_json(text: str) -> SparseMatrix:
     """The matrix `text` holds, or the :class:`OneSparseMap` when it holds ``a``.
 
-    A +-c matrix's canonical text is decoded in fixed windows and proved
-    by re-encoding, and peaks, beyond the text, as :func:`_canonical_csc`
-    states.  A map's canonical text (:func:`_canonical_map`) peaks, beyond
-    the text, at ``_BUDGET`` plus 40 bytes a column, and at or below the
-    json route, which holds lists of 16 bytes a column, plus 32 for each
-    row above 256, besides the same arrays; only at a few columns can
-    numpy's own working memory, under 1 KB, put it above.  ``load_matrix``
+    A +-c matrix's canonical text is decoded and proved by its token
+    grammar in fixed windows, and peaks, beyond the text, as
+    :func:`_canonical_csc` states.  A map's canonical text
+    (:func:`_canonical_map`) peaks, beyond the text, at ``_BUDGET`` plus
+    40 bytes a column, and at or below the json route, which holds lists
+    of 16 bytes a column, plus 32 for each row above 256, besides the same
+    arrays; only at a few columns can numpy's own working memory, under
+    1 KB, put it above.  ``load_matrix``
     of a 4096 x 2^20 map peaks at 42.2 MiB, the text included, against
     77.4 MiB.
     """
     # A slice with a non-ASCII character raises UnicodeEncodeError, a
-    # ValueError, so the decoder declines the text, as its proof would.
+    # ValueError, so the decoder declines the text, as its grammar would.
     A = _canonical_csc(lambda lo, hi: text[lo:hi].encode("ascii"), len(text))
     return _from_json(text) if A is None else A
 

@@ -631,6 +631,18 @@ def _pattern_keys(A: SparseMatrix, t: int, k: int, s: int, codes: np.ndarray) ->
     return keys[:, :longest]
 
 
+def _admitted(A: SparseMatrix, s: int, scales: int) -> list[int]:
+    """How many stored entries each scale t = 1, ..., `scales` admits: those
+    whose square reaches the threshold 2^(t-3)/s.  The thresholds rise with
+    t, so each scale admits a subset of the scale before's entries."""
+    thresholds = [2.0 ** (t - 3) / s for t in range(1, scales + 1)]
+    reached = np.zeros(scales + 1, np.int64)  # entries whose last scale is t, at index t
+    for lo in range(0, A.nnz, _BUDGET // 64):
+        vals = A.data[lo:lo + _BUDGET // 64]
+        reached += np.bincount(np.searchsorted(thresholds, vals * vals, side="right"), minlength=scales + 1)
+    return np.cumsum(reached[::-1])[::-1][1:].tolist()
+
+
 def _check_scales(A: SparseMatrix) -> None:
     """Raise :class:`DegenerateColumn` for the first column with no scale
     profile (see :func:`~sketchbounds.measures.scale_profile`), counting
@@ -662,8 +674,10 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     indicator vector of its first min(z, k) members, and the best ratio
     |Av|^2 / |v|^2 over all scales is returned as a ``rip_distortion``
     certificate when it exceeds 1 + 1e-9.  A column with no entry at a
-    scale's threshold takes no part at that scale, and a scale whose keys
-    equal the scale before's is grouped once.  Peak memory: that of
+    scale's threshold takes no part at that scale.  A scale that admits the
+    scale before's entries at the same pattern width builds no keys, nor
+    does one that admits no entry, and a scale whose keys equal the scale
+    before's is grouped once.  Peak memory: that of
     the key searches (see "grouping columns by key"), with n key rows of the
     widest pattern, min(u, s) codes; the scale check runs a span at a time.
     """
@@ -677,7 +691,13 @@ def rip_pattern_witness(A: SparseMatrix, k: int) -> _Certificate:
     best_vector: np.ndarray | None = None
     best_ratio = -math.inf
     keys = None
-    for t in range(1, dyadic_scale_count(s) + 1):
+    admitted = _admitted(A, s, dyadic_scale_count(s))
+    for t in range(1, len(admitted) + 1):
+        if not admitted[t - 1]:
+            break  # no entry reaches this scale's threshold, nor a later one's
+        if t > 1 and admitted[t - 1] == admitted[t - 2] \
+                and min(_pattern_size(t, k, s), s) == min(_pattern_size(t - 1, k, s), s):
+            continue  # the scale before's entries at its width: its keys again
         previous, keys = keys, _pattern_keys(A, t, k, s, codes)
         if np.array_equal(keys, previous):
             continue  # the same group, support and ratio, which would not win

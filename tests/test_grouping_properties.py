@@ -29,9 +29,11 @@ from sketchbounds import (
     apply,
     check_unit_columns,
     column_sparsity,
+    derive_seed,
     dyadic_scale_count,
     pattern_at_scale,
     rip_pattern_witness,
+    sample_sparse_sign_jl,
     scale_profile,
     sign_pattern_certify,
     ttype_collision_certify,
@@ -271,6 +273,76 @@ def test_searches_match_oracles_in_spans_of_a_few_entries(A, t, k, entries):
         for full in (False, True):
             assert outcome(sign_pattern_certify, A, 0.0, t, full) == outcome(sign_oracle, A, 0.0, t, full)
         assert outcome(rip_pattern_witness, A, k) == outcome(rip_oracle, A, k)
+
+
+def unskipped_rip_pattern(A, k):
+    """rip_pattern_witness with no scale skipped: keys built and grouped at
+    every scale, from the same key builder and grouping."""
+    witnesses._check_scales(A)
+    s = column_sparsity(A)
+    codes = witnesses._signed_rows(A)
+    best_vector, best_ratio = None, -math.inf
+    for t in range(1, dyadic_scale_count(s) + 1):
+        keys = witnesses._pattern_keys(A, t, k, s, codes)
+        has = np.flatnonzero(keys[:, 0])
+        group = has[group_columns(keys[has])]
+        if len(group) < 2:
+            continue
+        v = np.zeros(A.n)
+        v[group[:k]] = 1.0
+        y = apply(A, v)
+        ratio = float(y @ y) / float(v @ v)
+        if ratio > best_ratio:
+            best_ratio, best_vector = ratio, v
+    if best_vector is not None and best_ratio >= 1.0 + 1e-9:
+        return Certificate(kind="rip_distortion", source="rip_pattern_witness",
+                           vector=best_vector, ratio=best_ratio)
+    return NoFinding("rip_pattern_witness")
+
+
+@st.composite
+def mixed_magnitude_matrices(draw):
+    """Small matrices whose entries take one to three magnitudes, each
+    squaring to a scale's threshold 2^(t-3)/s or near it, so that a scale
+    admits the scale before's entries, fewer of them, or none; columns
+    repeated so that groups form."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(1, m + 1, size=n)
+    s = int(sizes.max())
+    levels = draw(st.lists(st.tuples(st.integers(-2, 5), st.sampled_from([1.0, 0.99, 1.01])), min_size=1, max_size=3))
+    mags = np.array([math.sqrt(2.0 ** (t - 3) / s) * f for t, f in levels])
+    rows = np.concatenate([np.sort(rng.choice(m, size=z, replace=False)) for z in sizes])
+    vals = rng.choice([-1.0, 1.0], size=rows.size) * rng.choice(mags, size=rows.size)
+    A = SparseMatrix.from_csc(m, n, np.concatenate(([0], np.cumsum(sizes))), rows, vals)
+    order = np.sort(np.concatenate((np.arange(n), rng.integers(0, n, size=draw(st.integers(0, 2 * n))))))
+    return SparseMatrix(m, len(order), [list(zip(*map(np.ndarray.tolist, A.column(int(j))))) for j in order])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mixed_magnitude_matrices(), matrices()), st.sampled_from([2, 3, 4, 5]))
+@example(SIGN_SCALES, 4)
+@example(SAME_SHAPE_SCALES, 2)
+def test_rip_pattern_skips_no_scale_that_would_change_its_result(A, k):
+    got, want = outcome(rip_pattern_witness, A, k), outcome(unskipped_rip_pattern, A, k)
+    assert json.dumps(got, sort_keys=True, default=str) == json.dumps(want, sort_keys=True, default=str)
+
+
+def test_rip_pattern_builds_keys_once_on_the_benchmark_matrix(monkeypatch):
+    """The witness workload's 256 x 10000, s = 8 sign matrix at k = 4: scale
+    2 admits scale 1's entries at the same width, 8 codes, and no entry
+    reaches scale 3 (the square of 1/sqrt(8) rounds below 1/8), so only
+    scale 1 builds keys."""
+    A = sample_sparse_sign_jl(256, 10000, 8, derive_seed(1, 1))
+    builds = []
+    real = witnesses._pattern_keys
+    monkeypatch.setattr(witnesses, "_pattern_keys", lambda B, t, *rest: builds.append(t) or real(B, t, *rest))
+    got = outcome(rip_pattern_witness, A, 4)
+    assert builds == [1]
+    builds.clear()
+    assert got == outcome(unskipped_rip_pattern, A, 4)
+    assert builds == [1, 2, 3]
 
 
 # --- key builders ------------------------------------------------------------------

@@ -191,9 +191,9 @@ def test_canonical_text_loads_as_json_loads_does(A):
 
 
 def test_long_text_loads_in_many_chunks():
-    A = sample_sparse_sign_jl(128, 9000, 4, 5)
+    A = sample_sparse_sign_jl(128, 36000, 4, 5)
     text = oracle_to_json(A)
-    assert len(text) > 4 * 2**16  # five windows or more
+    assert len(text) > 4 * _BUDGET // 4  # five windows or more
     for load, what in LOADERS:
         assert load(text) == oracle_from_json(text, what) == A
 
@@ -630,20 +630,25 @@ def test_fast_load_of_the_benchmark_shape_copies_no_whole_text():
     assert peaks[2] <= len(text) + arrays, (peaks[2], len(text), arrays)
 
 
+def long_matrix():
+    """A sign matrix whose text, about 1 MB, takes four of the loader's windows."""
+    return sample_sparse_sign_jl(64, 24000, 4, 2)
+
+
 def long_text():
-    return oracle_to_json(sample_sparse_sign_jl(64, 6000, 4, 2))
+    return oracle_to_json(long_matrix())
 
 
 # Where the loader's first window ends: it decodes the "[" bytes of fixed
-# windows of _BUDGET // 16 bytes, the first one right after the head.
-WINDOW_EDGE = len('{"cols":[') + _BUDGET // 16
+# windows of _BUDGET // 4 bytes, the first one right after the head.
+WINDOW_EDGE = len('{"cols":[') + _BUDGET // 4
 
 
 def two_column_text():
     """A matrix text whose second and last column spans the loader's first
-    window edge (64 KB into the text)."""
-    rows = np.arange(0, 70000, 10)
-    A = SparseMatrix.from_csc(10**5, 2, [0, 5000, 7000], rows, np.full(7000, 0.5))
+    window edge (256 KB into the text)."""
+    rows = np.arange(0, 280000, 10)
+    A = SparseMatrix.from_csc(10**6, 2, [0, 5000, 28000], rows, np.full(28000, 0.5))
     text = oracle_to_json(A)
     assert text.index("]],[") < WINDOW_EDGE < text.index("]]]")
     return text
@@ -652,11 +657,11 @@ def two_column_text():
 def eighteen_digit_text():
     """A canonical text of several windows whose every row has 18 digits, so
     that the entries on both sides of each window edge are long digit runs."""
-    n = 3000
+    n = 12000
     rows = np.stack((10**17 + np.arange(n), 10**18 - 1 - np.arange(n)), axis=1).ravel()
     A = SparseMatrix.from_csc(10**18, n, np.arange(0, 2 * n + 1, 2), rows, np.tile([0.5, -0.5], n))
     text = oracle_to_json(A)
-    assert len(text) > 2**17
+    assert len(text) > 2 * _BUDGET // 4
     return text
 
 
@@ -690,12 +695,16 @@ def at_window_edges(text, template):
     '{"cols":[[[0,0.5]]7,0.5[[1,0.5]]],"m":8,"n":2}\n',  # two stray numbers
     long_text().replace(']],[[', ']],[[]', 1),
     long_text().replace(']],[[', ']],5[[', 1),
-    long_text()[:-len(']],"m":64,"n":6000}\n')] + ']]],"m":64,"n":6000}\n',
+    long_text()[:-len(']],"m":64,"n":24000}\n')] + ']]],"m":64,"n":24000}\n',
     '{"cols":[[[12]]],"m":20,"n":1}\n',
     '{"cols":[[[12.5,0.5]]],"m":20,"n":1}\n',
     '{"cols":[[[1 2,0.5]]],"m":20,"n":1}\n',
     '{"cols":[[[0,0.5],[12]],[[1,0.5]]],"m":20,"n":2}\n',
     '{"cols":[[[0,0.5],[1 2,-0.5]]],"m":20,"n":1}\n',
+    '{"cols":[[0,0.5]],[[1,0.5]]],"m":2,"n":1}\n',  # the first "[" opens an entry, not a column
+    '{"cols":[[[0,0.5] [1,0.5]]],"m":2,"n":1}\n',  # no comma between two entries
+    '{"cols":[[[0,0.5]] [[1,0.5]]],"m":2,"n":2}\n',  # no comma between two columns
+    '{"cols":[[x[0,0.5]]],"m":2,"n":1}\n',  # a stray byte before a column's first entry
     # the run ends at "]", at ".", at a space, or after a 19th digit
     *(at_window_edges(eighteen_digit_text(), template) for template in ("{}]", "{}.5,", "{0:.9} {0:.9},", "{}0,")),
 ])
@@ -714,7 +723,7 @@ def empty_column_at_a_window_edge():
     """A canonical text whose empty column's ``[`` is the last byte of the
     loader's first window and its ``]`` the first of the second: k empty
     columns first, each 3 bytes, and a column j of entries emptied."""
-    A = sample_sparse_sign_jl(64, 6000, 4, 2)
+    A = long_matrix()
     starts = [match.start() for match in re.finditer(r"\[\[", oracle_to_json(A))]  # every column has entries
     j = max(j for j, at in enumerate(starts) if at < WINDOW_EDGE and (WINDOW_EDGE - 1 - at) % 3 == 0)
     k = (WINDOW_EDGE - 1 - starts[j]) // 3
@@ -770,12 +779,12 @@ def test_canonical_text_with_its_tail_again_is_refused(make, between):
 
 
 def long_column_text():
-    """A column of 20,000 entries, about 260 KB of text, between two short
+    """A column of 80,000 entries, about 1 MB of text, between two short
     ones: it spans four of the loader's windows."""
-    rows = np.concatenate(([3], np.arange(0, 200000, 10), [7]))
-    A = SparseMatrix.from_csc(200000, 3, [0, 1, 20001, 20002], rows, np.tile([0.5, -0.5], 10001))
+    rows = np.concatenate(([3], np.arange(0, 800000, 10), [7]))
+    A = SparseMatrix.from_csc(800000, 3, [0, 1, 80001, 80002], rows, np.tile([0.5, -0.5], 40001))
     text = oracle_to_json(A)
-    assert text.index("]],[", 20) - text.index("]],[") > 3 * _BUDGET // 16
+    assert text.index("]],[", 20) - text.index("]],[") > 3 * _BUDGET // 4
     return text
 
 
@@ -820,7 +829,7 @@ def test_each_feature_at_each_window_offset_skips_json_loads(json_loads_calls, f
     row, sign and value in the bytes read after the window, and one that
     opens past the end is decoded in the next window alone."""
     text, at = edge_features()
-    monkeypatch.setattr("sketchbounds.matrices._BUDGET", 16 * (at[feature] - offset - len('{"cols":[')))
+    monkeypatch.setattr("sketchbounds.matrices._BUDGET", 4 * (at[feature] - offset - len('{"cols":[')))
     assert_loads_through_the_decoder(text, tmp_path / "A.json", json_loads_calls)
 
 
@@ -856,14 +865,14 @@ def test_save_matrix_writes_a_piece_at_a_time(tmp_path):
 
 
 def test_a_text_of_empty_columns_is_decoded_in_chunks(json_loads_calls, monkeypatch):
-    """Entries only in the last of 100,000 columns: the loader decodes fixed
+    """Entries only in the last of 400,000 columns: the loader decodes fixed
     windows of empty columns too, so it peaks well below a decode of the
     whole text at once."""
-    A = SparseMatrix.from_csc(8, 100000, [0] * 100000 + [2], [1, 6], [0.5, -0.5])
+    A = SparseMatrix.from_csc(8, 400000, [0] * 400000 + [2], [1, 6], [0.5, -0.5])
     text = matrix_to_json(A)
     peaks = []
-    for chunk_chars in (_BUDGET // 16, len(text)):
-        monkeypatch.setattr("sketchbounds.matrices._BUDGET", 16 * chunk_chars)
+    for chunk_chars in (_BUDGET // 4, len(text)):
+        monkeypatch.setattr("sketchbounds.matrices._BUDGET", 4 * chunk_chars)
         tracemalloc.start()
         try:
             assert matrix_from_json(text) == A
@@ -933,7 +942,7 @@ def test_file_in_tiny_blocks_loads_as_its_text_does(file_of, A, kind, chars, dat
         text = mutate(text, kind, data)
     path = file_of(text.encode())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("sketchbounds.matrices._BUDGET", 16 * chars)
+        patch.setattr("sketchbounds.matrices._BUDGET", 4 * chars)
         assert_file_loads_as_its_text_does(path)
 
 
@@ -981,6 +990,42 @@ def test_declined_files_load_through_json_loads_once(file_of, json_loads_calls, 
     assert sizes == [path.stat().st_size]
     assert len(json_loads_calls) == 1
     assert A == matrix_from_json(path.read_text())
+
+
+@pytest.mark.parametrize("window", [_BUDGET // 4, 2**14])
+def test_non_constant_magnitude_file_is_declined_in_its_first_windows(file_of, json_loads_calls, window):
+    """A 256 x 2000, s = 8 file of Gaussian values, at the loader's window
+    and at windows of 16 KB (some 30 of them): the +-c decoder reads at
+    most two windows, past its head and tail, before load_matrix reads
+    the file through json.loads."""
+    A = sample_sparse_sign_jl(256, 2000, 8, 1)
+    A = SparseMatrix.from_csc(A.m, A.n, A.indptr, A.indices, np.random.default_rng(1).standard_normal(A.nnz))
+    text = matrix_to_json(A)
+    path = file_of(text.encode())
+    reads = []
+
+    def spy(read, size):
+        return _canonical_csc(lambda lo, hi: reads.append((lo, hi)) or read(lo, hi), size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sketchbounds.matrices._BUDGET", 4 * window)
+        patch.setattr("sketchbounds.matrices._canonical_csc", spy)
+        assert load_matrix(path) == A
+    windows = [(lo, hi) for lo, hi in reads if lo >= len('{"cols":[') and hi <= len(text) - 64]
+    assert len(text) > 20 * 2**14 and 1 <= len(windows) <= 2, (len(text), reads)
+    assert len(json_loads_calls) == 1
+
+
+def test_no_load_runs_the_writer(tmp_path, monkeypatch):
+    """The loader proves a +-c text by its grammar: neither load of the
+    benchmark's 256 x 10000, s = 8 matrix runs _signed_text."""
+    A = sample_sparse_sign_jl(256, 10000, 8, derive_seed(1, 1))
+    save_matrix(A, tmp_path / "A.json")
+    text = matrix_to_json(A)
+    calls = []
+    monkeypatch.setattr("sketchbounds.matrices._signed_text", lambda *args: calls.append(args))
+    assert load_matrix(tmp_path / "A.json") == A and matrix_from_json(text) == A
+    assert calls == []
 
 
 @pytest.mark.parametrize("path", ["missing.json", "bad\0path.json", "."])

@@ -145,10 +145,10 @@ def _writer(A):
 
 
 def _loader(A):
-    # matrices._canonical_csc: a window's arrays, or the block of its proof,
-    # which re-encodes with the writer.  From a file, the read is inside
-    # this: one window at a time, and no whole text
-    return 4 * max(_BUDGET, 128 * _largest(A)) + 48 * A.nnz + 80 * A.n + 128 * _distinct_strings(A)
+    # matrices._canonical_csc: a window's bytes and arrays, and the matrix's
+    # arrays.  From a file, the read is inside this: one window at a time,
+    # and no whole text
+    return 2 * _BUDGET + 48 * A.nnz + 80 * A.n
 
 
 def _map_loader(S, text):
@@ -301,7 +301,8 @@ def _traced_peak(fn):
 def test_peak_is_as_stated(case, shape, tmp_path):
     kernel, name = case[:2]
     run, stated = CASES[case]
-    A = shape(name, sign=kernel in ("sign_pattern_certify", "full_enumeration"))
+    # the loaders' statement is the +-c decoder's, so they load +-c shapes
+    A = shape(name, sign=kernel in ("sign_pattern_certify", "full_enumeration", "matrix_from_json", "load_matrix"))
     if kernel == "matrix_from_json":
         text = matrix_to_json(A)
         peak = _traced_peak(lambda: matrix_from_json(text))
