@@ -5,6 +5,7 @@ one checkout or for two against each other.
     python scripts/time_calls.py samplers --against ../parent/src  # parent against change
     python scripts/time_calls.py loads
     python scripts/time_calls.py witness --against ../parent/src
+    python scripts/time_calls.py coherence --against ../parent/src
 
 Suites:
 
@@ -31,6 +32,13 @@ Suites:
   ``rip_pattern_witness`` on the same pattern with normalized Gaussian
   values, whose magnitudes vary within each column.
   Digest: the certificate's canonical JSON.
+- ``coherence``: ``coherence`` of sign-JL matrices: 256 x 10000 at s = 8
+  (the benchmark's ``measure`` matrix at seeds 1 and 3, K = 5 and 4), then
+  at seed 11 512 x 10000 at s = 8, 2048 x 4000 at s = 16 and 1024 x 4000 at
+  s = 4 (patterns inside one row half first), 128 x 3000 at s = 6 and
+  64 x 2000 at s = 4 (one phase: 2 * tau - 2 >= s), 4096 x 2000 at s = 32
+  (tau = 1) and 256 x 4000 at s = 16 (the sign Gram).  Digest: the repr of
+  the coherence.
 - ``samplers``: the two sign samplers, ``sample_sparse_sign_jl`` and
   ``sample_osnap_block``, on 256 x 10000 (the benchmark's ``construct``
   shape), 1024 x 20000 and 4096 x 2048; s in 4, 8, 16, 32 and 512, where
@@ -126,6 +134,18 @@ def _witness():
         yield ["rip_pattern_witness", name, "k = 4"], functools.partial(sb.rip_pattern_witness, A, 4)
 
 
+def _coherence():
+    """(cell, call) for every coherence timed."""
+    from sketchbounds import coherence, derive_seed, sample_sparse_sign_jl
+
+    # the matrices the benchmark's measure workload writes at seeds 1 and 3
+    measure = {"measure 1": derive_seed(1, 1), "measure 3": derive_seed(3, 1)}
+    for m, n, s, seed in [(256, 10000, 8, "measure 1"), (256, 10000, 8, "measure 3"), (512, 10000, 8, 11),
+                          (2048, 4000, 16, 11), (1024, 4000, 4, 11), (128, 3000, 6, 11), (64, 2000, 4, 11),
+                          (4096, 2000, 32, 11), (256, 4000, 16, 11)]:
+        yield [m, n, s, seed], functools.partial(coherence, sample_sparse_sign_jl(m, n, s, measure.get(seed, seed)))
+
+
 def _certificate_json(cert) -> bytes:
     from sketchbounds import canonical_json
 
@@ -147,6 +167,7 @@ SUITES = {
     "rip": (("m", "n", "k", "scan"), _rip, lambda r: [repr((r.delta, r.worst_support)).encode()]),
     "samplers": (("sampler", "m", "n", "s"), _samplers, lambda A: [A.indptr, A.indices, A.data]),
     "witness": (("search", "matrix", "parameter"), _witness, lambda cert: [_certificate_json(cert)]),
+    "coherence": (("m", "n", "s", "seed"), _coherence, lambda r: [repr(r).encode()]),
     "loads": (("call", "artifact", "m", "n"), _loads,
               lambda r: [r.encode()] if isinstance(r, str) else [json.dumps(r.to_jsonable()).encode()]
               if hasattr(r, "to_jsonable") else [r.indptr, r.indices, r.data]),

@@ -776,7 +776,11 @@ def matrix_from_json(text: str) -> SparseMatrix:
     arrays; only at a few columns can numpy's own working memory, under
     1 KB, put it above.  ``load_matrix``
     of a 4096 x 2^20 map peaks at 42.2 MiB, the text included, against
-    77.4 MiB.
+    77.4 MiB.  Any other text goes through ``json.loads``, whose tree holds
+    a list, an int and a float an entry: beyond the text, at most
+    ``_BUDGET`` plus 256 bytes an entry and 256 a column (24.1 MiB for
+    131,113 entries with unit columns of unequal lengths, 193 bytes an
+    entry).
     """
     # A slice with a non-ASCII character raises UnicodeEncodeError, a
     # ValueError, so the decoder declines the text, as its grammar would.
@@ -807,7 +811,8 @@ def load_matrix(path) -> SparseMatrix:
     straight from the file, by positioned reads of one window at a time, so
     a +-c matrix's text is never held whole.  A declined file, and any path
     that is not a regular file (a FIFO, ``/dev/stdin`` on a pipe), is read
-    once by :func:`_read_text`; a path that cannot be read raises what
+    once by :func:`_read_text`, and peaks as :func:`matrix_from_json`
+    states plus the text; a path that cannot be read raises what
     :func:`_read_text` raises."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)

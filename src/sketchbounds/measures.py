@@ -20,11 +20,16 @@ share a sign pattern on tau rows, up to one global flip: the paper's
 pigeonhole.  The pattern probe keys every column by its C(s, tau) such
 patterns, one int64 each, sorts the keys, and counts exactly only the pairs
 whose keys match, so it finds K whenever K >= tau, in O(n * C(s, tau))
-memory.  A level is taken only while 2 * C(s, tau) <= m, so its keys never
-exceed the 4 * m * n bytes a whole float32 sign copy would take.  The sign
-Gram makes no such copy, only 512-column slabs, so the probe can hold more
-than the Gram it replaces (stated peaks at 256 x 10000, s = 8, tau = 3:
-14.5 MiB for the probe, 4.9 MiB for the sign Gram).  tau is picked from
+memory.  It applies the pigeonhole once more, over the two row halves: a
+pair with K >= 2 * tau - 1 shares tau rows inside one half, so the patterns
+inside one half come first, and the rest only when those cannot vouch for K.
+A level is taken only while 2 * C(s, tau) <= m, so its keys never exceed
+the 4 * m * n bytes a whole float32 sign copy would take.  The sign Gram
+makes no such copy, only 512-column slabs, so the probe can hold more than
+the Gram it replaces (stated peaks at 256 x 10000, s = 8, tau = 3: 14.5 MiB
+for the probe at most, 8.0 MiB when the patterns inside one half vouch for K
+as at every benchmark seed, with about 139,000 of the 560,000 keys; 4.9 MiB
+for the sign Gram).  tau is picked from
 (m, n, s) alone by the predicted work.  The float32 Gram of the +-1 sign
 pattern, exact while m <= 2^24, gives K instead when no level's key fits
 63 bits or the probe is predicted to cost more, when the matched pairs
@@ -194,50 +199,47 @@ def _max_abs_count(codes: np.ndarray, i: np.ndarray, j: np.ndarray) -> int:
     return int(np.abs(2 * agree.sum(axis=1) - shared.sum(axis=1)).max())
 
 
-def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int | None:
-    """Largest |count| over the column pairs of A that share a sign pattern
-    on tau rows, or None when those pairs and the keys exceed `budget`.
+def _subset_keys(codes, subsets, groups, row_bits, col_bits):
+    """The int64 keys of row subsets of columns of +-c entries, whose (n, s)
+    `codes` hold 2 * row + (1 if negative): for each (lo, hi, mask) of
+    `groups`, the columns [lo, hi) key the rows of `subsets` (tau entry
+    positions each) where the mask holds.  A key holds the rows, each later
+    sign relative to the first, and the column in the low bits; a chunk of
+    at most ``_BUDGET // 8`` keys (or one column's) is built at a time."""
+    keys = np.empty(sum((hi - lo) * np.count_nonzero(mask) for lo, hi, mask in groups), dtype=np.int64)
+    done = 0
+    for lo, hi, mask in groups:
+        sub = subsets[mask]
+        if not sub.size:
+            continue
+        step = max(1, _BUDGET // 8 // len(sub))
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            key = codes[a:b, sub[:, 0]]
+            first = key & 1
+            key >>= 1
+            for t in range(1, sub.shape[1]):
+                code = codes[a:b, sub[:, t]]
+                code ^= first
+                key <<= row_bits + 1
+                key |= code
+            key <<= col_bits
+            key |= np.arange(a, b)[:, None]
+            keys[done:done + key.size] = key.ravel()
+            done += key.size
+    return keys
 
-    Every column of A holds s entries +-c.  A pair with |count| >= tau agrees
-    (or disagrees) on tau shared rows, so it shares the pattern of those
-    rows: the result is the exact max |count| when it reaches tau, and below
-    tau exactly when the max |count| is.  Each column's C(s, tau) row
-    subsets become int64 keys (the rows, each later sign relative to the
-    first, the column in the low bits), built a chunk at a time and sorted
-    in place.  Links join neighbouring keys of one pattern, and each run of
-    consecutive links (:func:`_runs`) is a group, whose pairs' counts are
-    taken exactly a chunk at a time.  The keys take 8 * n * C(s, tau) bytes,
-    the links and groups at most as many, and every other array at most
-    ``_BUDGET // 8`` entries (or one column's C(s, tau) keys).  Peak memory:
-    at most 4 * _BUDGET plus twice the keys, plus 20 bytes an entry and 40 a
-    column.
-    """
-    n = A.n
-    row_bits, col_bits = (A.m - 1).bit_length(), (n - 1).bit_length()
-    if _key_bits(A.m, n, tau) > 63:
-        raise TooLarge(f"a tau={tau} key of {A.m}-by-{n} columns needs more than 63 bits")
-    subsets = np.array(list(itertools.combinations(range(s), tau)))
-    rows = A.indices.reshape(n, s)
-    negative = (A.data < 0).reshape(n, s)
-    keys = np.empty(n * len(subsets), dtype=np.int64)
+
+def _matched_max_count(keys, codes, col_bits, budget):
+    """(max |count| over the column pairs whose keys share a pattern, the
+    keys and pairs that took), with None in place of the count when they
+    exceed `budget`.  The keys are sorted in place; links join neighbouring
+    keys of one pattern, and each run of consecutive links (:func:`_runs`)
+    is a group, whose pairs' counts are taken exactly a chunk at a time."""
     chunk = _BUDGET // 8  # entries
-    step = max(1, chunk // len(subsets))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        key = rows[lo:hi, subsets[:, 0]]
-        for t in range(1, tau):
-            key <<= row_bits
-            key |= rows[lo:hi, subsets[:, t]]
-        first = negative[lo:hi, subsets[:, 0]]
-        for t in range(1, tau):
-            key <<= 1
-            key |= negative[lo:hi, subsets[:, t]] != first
-        key <<= col_bits
-        key |= np.arange(lo, hi)[:, None]
-        keys[lo * len(subsets):hi * len(subsets)] = key.ravel()
     keys.sort()
     # key p and key p + 1 share a pattern for each p in linked
-    linked = []
+    linked = [np.empty(0, dtype=np.int64)]
     for a in range(0, keys.size - 1, chunk):
         b = min(a + chunk, keys.size - 1)
         diff = keys[a + 1:b + 1] ^ keys[a:b]
@@ -245,15 +247,15 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
         linked.append(np.flatnonzero(diff == 0) + a)
     linked = np.concatenate(linked)
     if not linked.size:
-        return 0
+        return 0, keys.size
     # g - 1 consecutive links, one run of linked - position, join g keys
     firsts, sizes = _runs(linked - np.arange(linked.size))
     starts, sizes = linked[firsts], sizes + 1
-    if keys.size + int((sizes * (sizes - 1) // 2).sum()) > budget:
-        return None
+    work = keys.size + int((sizes * (sizes - 1) // 2).sum())
+    if work > budget:
+        return None, work
     keys &= (1 << col_bits) - 1
-    codes = 2 * rows + negative
-    step = max(1, chunk // (2 * s))
+    step = max(1, chunk // (2 * codes.shape[1]))
     best = 0
     # each group member pairs with the member d places later, for d = 1, 2, ...
     members = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
@@ -266,6 +268,64 @@ def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int 
         for a in range(0, members.size, step):
             at = members[a:a + step]
             best = max(best, _max_abs_count(codes, keys[at], keys[at + d]))
+    return best, work
+
+
+def _pattern_max_count(A: SparseMatrix, s: int, tau: int, budget: float) -> int | None:
+    """Largest |count| over the column pairs of A that share a sign pattern
+    on tau rows, or None when those pairs and the keys exceed `budget`.
+
+    Every column of A holds s entries +-c.  A pair with |count| >= tau agrees
+    (or disagrees) on tau shared rows, so it shares the pattern of those
+    rows: the result is the exact max |count| when it reaches tau, and below
+    tau exactly when the max |count| is.  Each of a column's C(s, tau) row
+    subsets becomes an int64 key (:func:`_subset_keys`), and the pairs whose
+    keys match are counted exactly (:func:`_matched_max_count`).
+
+    The pigeonhole again, over the row halves [0, m // 2) and [m // 2, m):
+    a pair with |count| >= 2 * tau - 1 has that many shared rows of one kind,
+    so one half holds tau of them.  Phase 1 keys only the subsets that lie
+    inside one half; its max K1 <= K, and K >= 2 * tau - 1 forces K1 = K, so
+    K1 is K whenever K1 >= 2 * tau - 2.  Otherwise phase 2 keys the subsets
+    that cross the halves, and the result is the larger of the two: the two
+    phases key every subset once, and their keys and pairs are charged to
+    the one budget.  The split runs only where tau >= 2 and 2 * tau - 2 < s:
+    at tau = 1 every subset lies in one half, and at 2 * tau - 2 >= s only a
+    duplicate column could vouch.  Elsewhere one phase keys every subset.
+
+    A phase's keys take 8 bytes each, its links and groups at most as many,
+    and every other array at most ``_BUDGET // 8`` entries (or one column's
+    C(s, tau) keys); phase 2 builds its keys after phase 1's are freed.
+    Peak memory: at most 4 * _BUDGET plus twice the keys of the phase with
+    more, plus 20 bytes an entry and 40 a column.
+    """
+    n = A.n
+    row_bits, col_bits = (A.m - 1).bit_length(), (n - 1).bit_length()
+    if _key_bits(A.m, n, tau) > 63:
+        raise TooLarge(f"a tau={tau} key of {A.m}-by-{n} columns needs more than 63 bits")
+    codes = A.indices.reshape(n, s) * 2 + (A.data < 0).reshape(n, s)
+    subsets = np.array(list(itertools.combinations(range(s), tau)))
+    phases = [[(0, n, np.ones(len(subsets), dtype=bool))]]
+    if tau > 1 and 2 * tau - 2 < s:
+        # the columns, radix sorted by their v entries below m // 2 (no count
+        # depends on their order): their subsets of positions that end below
+        # v or start at v lie in one half.  (A sum down s contiguous rows of
+        # n is several times faster than one along each short row.)
+        below = np.ascontiguousarray((codes < 2 * (A.m // 2)).T).sum(axis=0)
+        codes = codes[np.argsort(below.astype(np.min_scalar_type(s)), kind="stable")]
+        sizes = np.bincount(below, minlength=s + 1)
+        groups = [(hi - size, hi, (subsets[:, -1] < v) | (subsets[:, 0] >= v))
+                  for v, (size, hi) in enumerate(zip(sizes, np.cumsum(sizes))) if size]
+        phases = [groups, [(lo, hi, ~inside) for lo, hi, inside in groups]]
+    spent, best = 0, 0
+    for phase in phases:
+        found, work = _matched_max_count(_subset_keys(codes, subsets, phase, row_bits, col_bits),
+                                         codes, col_bits, budget - spent)
+        if found is None:
+            return None
+        spent, best = spent + work, max(best, found)
+        if best >= 2 * tau - 2:  # phase 1 vouches for K
+            break
     return best
 
 

@@ -355,11 +355,15 @@ def _top_entries(A: SparseMatrix, lo: int, hi: int, width: int, keep: np.ndarray
     """The `width` largest-magnitude stored entries of each column in
     [lo, hi), ties to the lower row, as (column, position in ``A.data``)
     arrays in storage order.  Only the chunk's entries where the mask `keep`
-    holds take part."""
-    col = np.repeat(np.arange(lo, hi), np.diff(A.indptr[lo:hi + 1]))
+    holds take part.  When no column of the span stores more than `width`
+    entries, every one taking part is chosen, with no sort."""
+    sizes = np.diff(A.indptr[lo:hi + 1])
+    col = np.repeat(np.arange(lo, hi), sizes)
     pos = np.arange(A.indptr[lo], A.indptr[hi])
     if keep is not None:
         col, pos = col[keep], pos[keep]
+    if sizes.max(initial=0) <= width:
+        return col, pos
     # the sort is stable and the entries are in storage order, so ties
     # keep the lower row
     order = np.lexsort((-np.abs(A.data[pos]), col))

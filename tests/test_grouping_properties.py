@@ -568,6 +568,8 @@ TOP_ENTRIES = SparseMatrix.from_csc(6, 4, [0, 3, 3, 7, 10], [0, 2, 5, 0, 1, 3, 4
 @example(TOP_ENTRIES, False, 3, (2, 4, None))
 @example(TOP_ENTRIES, False, 2, (3, 4, None))
 @example(TOP_ENTRIES, True, 2, (1, 4, [True, False, True, True, False, True, True]))
+# every column fits the width: all kept entries, the mask still applied
+@example(TOP_ENTRIES, False, 4, (0, 4, [True, False, True, True, True, False, True, True, False, True]))
 def test_top_entries_match_the_column_oracle(A, sort_columns, width, data):
     # a span [lo, hi) with an optional mask over its entries; an example
     # gives (lo, hi, keep) or None for the whole matrix

@@ -226,6 +226,71 @@ def probe_inputs(draw):
     return SparseMatrix.from_dense(S * c), S, c
 
 
+def signed_columns(m, *cols):
+    """(A, S, c) for the m-row columns given as (rows, negated rows), each
+    of s entries +-c, c = 1/sqrt(s)."""
+    S = np.zeros((m, len(cols)), dtype=np.int64)
+    for j, (plus, minus) in enumerate(cols):
+        S[list(plus), j], S[list(minus), j] = 1, -1
+    c = 1.0 / math.sqrt(int(np.count_nonzero(S[:, 0])))
+    return SparseMatrix.from_dense(S * c), S, c
+
+
+@st.composite
+def split_inputs(draw):
+    """Columns on independent random rows of a few, so pairs share rows in
+    both row halves, then some columns copied whole or in part, each copy
+    as it is or negated."""
+    m = draw(st.integers(2, 24))
+    s = draw(st.integers(1, min(m, 9)))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    S = np.zeros((m, n), dtype=np.int64)
+    for j in range(n):
+        S[rng.choice(m, size=s, replace=False), j] = rng.choice([-1, 1], size=s)
+    for _ in range(draw(st.integers(0, 4))):
+        # column j keeps its rows and takes column i's signs on the rows both hold
+        i, j = rng.integers(n, size=2)
+        both = (S[:, i] != 0) & (S[:, j] != 0)
+        S[both, j] = S[both, i] * rng.choice([-1, 1])
+    return SparseMatrix.from_dense(S / math.sqrt(s)), S, 1.0 / math.sqrt(s)
+
+
+# Rows 0..7 form the lower half of m = 16.  Columns 0 and 1 agree on rows
+# 0, 1, 8 and 9, two in each half, so K = 4 and at tau = 3 no pattern of one
+# half joins them: phase 2 must find K.  Columns 2 and 3 share the lower
+# rows 4, 5, 6, so phase 1 finds K1 = 3 = 2 * tau - 3, one short of vouching.
+ACROSS = signed_columns(16, ((0, 1, 2, 8, 9), ()), ((0, 1, 3, 8, 9), ()),
+                        ((4, 5, 12), (6, 13)), ((4, 5, 14), (6, 15)))
+# the same, column 1 negated: K = 4 from a count of -4
+NEGATED = signed_columns(16, ((0, 1, 2, 8, 9), ()), ((), (0, 1, 3, 8, 9)),
+                         ((4, 5, 12), (6, 13)), ((4, 5, 14), (6, 15)))
+# columns 2 and 3 of ACROSS alone: at tau = 3 phase 1 finds K = 3, too few to
+# vouch, and phase 2 finds no pair
+WITHIN = signed_columns(16, ((4, 5, 12), (6, 13)), ((4, 5, 14), (6, 15)))
+# every entry in the lower half, and no two columns share two rows: at
+# tau = 2 phase 1 finds K1 = 0, and phase 2 keys nothing
+LOWER = signed_columns(16, ((0, 1, 2), ()), ((2, 3), (4,)), ((4, 5), (6,)), ((6, 7), (0,)))
+# at tau = 2, s = 4: columns 0 and 1 agree on rows 0 and 1 only, K1 = K = 2 = 2 * tau - 2
+EDGE = signed_columns(16, ((0, 1, 8, 12), ()), ((0, 1, 9, 13), ()), ((2, 10), (3, 11)), ((4, 14), (5, 15)))
+# odd m: the halves are rows 0..2 and 3..6, and columns 0 and 1 agree on rows 2, 3 and 4
+ODD = signed_columns(7, ((0, 2, 3, 4, 6), ()), ((1, 2, 3, 4, 5), ()), ((0, 1), (2, 5, 6)))
+
+
+def key_spy(monkeypatch):
+    """The number of keys each ``_subset_keys`` call builds, in order."""
+    built = []
+    keys = measures._subset_keys
+
+    def spy(*args):
+        out = keys(*args)
+        built.append(out.size)
+        return out
+
+    monkeypatch.setattr(measures, "_subset_keys", spy)
+    return built
+
+
 def sign_oracle(A):
     """coherence by the float32 sign Gram alone."""
     with pytest.MonkeyPatch.context() as mp:
@@ -245,11 +310,17 @@ class TestPatternProbe:
 
         monkeypatch.setattr(measures, "_max_off_diagonal", gram)
 
-    @settings(max_examples=60, deadline=None)
-    @given(probe_inputs())
+    @settings(max_examples=210, deadline=None)
+    @given(probe_inputs() | split_inputs())
     @example(sign_matrix(2, 2, 2, 0, 1, 1.0))
     @example(sign_matrix(8, 1025, 8, 2, 1, 1.0))
     @example(sign_matrix(40, 3, 1, 2, 3, 1.0))  # K = 0
+    @example(ACROSS)
+    @example(NEGATED)
+    @example(WITHIN)
+    @example(LOWER)
+    @example(EDGE)
+    @example(ODD)
     def test_contract_at_every_level(self, sample):
         A, S, c = sample
         s = A.nnz // A.n
@@ -264,6 +335,29 @@ class TestPatternProbe:
                 assert float(Fraction(c) ** 2 * found) == TestIntegerCoherence.exact(S, c)
             else:
                 assert found < tau
+
+    @pytest.mark.parametrize("sample, tau, K, phases", [
+        pytest.param(*case, id=f"{name}-tau{case[1]}") for name, case in [
+            ("across", (ACROSS, 3, 4, 2)), ("negated", (NEGATED, 3, 4, 2)), ("across", (ACROSS, 2, 4, 1)),
+            ("within", (WITHIN, 3, 3, 2)), ("lower", (LOWER, 2, 1, 2)), ("edge", (EDGE, 2, 2, 1)),
+            ("odd", (ODD, 2, 3, 1)), ("odd", (ODD, 3, 3, 2))]
+    ])
+    def test_phase_two_runs_only_where_phase_one_cannot_vouch(self, sample, tau, K, phases, monkeypatch):
+        A, S, c = sample
+        built = key_spy(monkeypatch)
+        assert TestIntegerCoherence.max_count(S) == K
+        found = measures._pattern_max_count(A, A.nnz // A.n, tau, math.inf)
+        assert found == K if K >= tau else found < tau
+        assert len(built) == phases
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_benchmark_shape_builds_no_phase_two_keys(self, seed, monkeypatch):
+        # the matrix the benchmark's measure workload writes for each seed:
+        # the patterns inside one row half vouch for K, about a quarter of the keys
+        A = sample_sparse_sign_jl(256, 10000, 8, derive_seed(seed, 1))
+        built = key_spy(monkeypatch)
+        assert coherence(A) == sign_oracle(A)
+        assert len(built) == 1 and built[0] < 10000 * math.comb(8, 3) // 3
 
     def test_a_key_past_63_bits_is_refused(self):
         A = sample_sparse_sign_jl(256, 10000, 8, 1)

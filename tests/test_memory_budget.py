@@ -195,6 +195,23 @@ def _probe(A):
     return 4 * _BUDGET + 2 * 8 * A.n * math.comb(A.nnz // A.n, tau) + 20 * A.nnz + 40 * A.n
 
 
+def _probe_phase_one(A):
+    # the pattern probe where the patterns inside one row half vouch for K,
+    # as at every benchmark seed: the keys of that phase alone, C(v, tau) +
+    # C(s - v, tau) for a column with v entries below m // 2
+    s = A.nnz // A.n
+    tau, _ = _probe_level(A.m, A.n, s)
+    below = (A.indices.reshape(A.n, s) < A.m // 2).sum(axis=1).tolist()
+    keys = sum(math.comb(v, tau) + math.comb(s - v, tau) for v in below)
+    return 4 * _BUDGET + 2 * 8 * keys + 20 * A.nnz + 40 * A.n
+
+
+def _json_route(A):
+    # matrices.matrix_from_json of text that is not +-c: json.loads's tree
+    # and the arrays built from it, beyond the text
+    return _BUDGET + 256 * A.nnz + 256 * A.n
+
+
 def _gram(A, itemsize):
     # coherence by the Gram of 512-column slabs: two slabs and, while the
     # next product is made, two 512 x 512 products, each entry `itemsize` bytes
@@ -274,6 +291,7 @@ CASES = {
                                       lambda A: _sampler(A, 2 * _largest(A)))
        for name in ("benchmark", "wide")},
     ("coherence", "benchmark"): (lambda A, tmp: coherence(A), _probe),
+    ("coherence_phase_one", "benchmark"): (lambda A, tmp: coherence(A), _probe_phase_one),
     # entries not all +-c: the float64 Gram; a whole dense copy would take 20 MB
     ("coherence", "perturbed"): (lambda A, tmp: coherence(A), lambda A: _gram(A, 8)),
     ("coherence_sign_gram", "benchmark"): (_sign_gram, lambda A: _gram(A, 4)),
@@ -312,6 +330,22 @@ def test_peak_is_as_stated(case, shape, tmp_path):
     else:
         peak = _traced_peak(lambda: run(A, tmp_path))
     bound = stated(A)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("via", ["matrix_from_json", "load_matrix"])
+def test_the_json_route_peak_is_as_stated(via, shape, tmp_path):
+    """The unit-column `long` shape is not +-c, so both loaders read it
+    through ``json.loads``: within the stated bound, plus the text that
+    load_matrix reads (24.1 MiB either way, about 193 bytes an entry)."""
+    A = shape("long", sign=False)
+    assert matrices._constant_magnitude(A) is None
+    text = matrix_to_json(A)
+    if via == "matrix_from_json":
+        peak, bound = _traced_peak(lambda: matrix_from_json(text)), _json_route(A)
+    else:
+        save_matrix(A, tmp_path / "A.json")
+        peak, bound = _traced_peak(lambda: load_matrix(tmp_path / "A.json")), _json_route(A) + len(text)
     assert peak <= bound, (peak, bound)
 
 
