@@ -42,7 +42,13 @@ Suites:
 - ``samplers``: the two sign samplers, ``sample_sparse_sign_jl`` and
   ``sample_osnap_block``, on 256 x 10000 (the benchmark's ``construct``
   shape), 1024 x 20000 and 4096 x 2048; s in 4, 8, 16, 32 and 512, where
-  s <= m; seed 1.  Digest: the sampled matrix's CSC arrays.
+  s <= m; seed 1.  Then the one-sparse OSE sweep,
+  ``ose_failure_probability`` at seed 1: the benchmark's three points
+  (m in 32, 64 and 128, d = 8, n = 256, 300 trials), m = n = 4096 at
+  d = 64 with 300 trials, 2 trials at d = 300 and n = 20,000 (m = 90,000),
+  and 20 trials at d = 500, n = 20,000 (m = 250,000), where ``choice``
+  shuffles instead of running Floyd's algorithm.  Digest: the sampled
+  matrix's CSC arrays, or the sweep's records.
 
 Each side runs in its own fresh process, alternating which side goes first
 from one round to the next, so a slow stretch of the host falls on both
@@ -153,19 +159,25 @@ def _certificate_json(cert) -> bytes:
 
 
 def _samplers():
-    """(cell, call) for every sampler draw timed."""
-    from sketchbounds import sample_osnap_block, sample_sparse_sign_jl
+    """(cell, call) for every sampler draw and sweep timed."""
+    from sketchbounds import ose_failure_probability, sample_osnap_block, sample_sparse_sign_jl
 
     for name, sample in [("sign_jl", sample_sparse_sign_jl), ("osnap_block", sample_osnap_block)]:
         for m, n in [(256, 10000), (1024, 20000), (4096, 2048)]:
             for s in (s for s in (4, 8, 16, 32, 512) if s <= m):
-                yield [name, m, n, s], functools.partial(sample, m, n, s, 1)
+                yield [name, m, n, s, "-"], functools.partial(sample, m, n, s, 1)
+    # the benchmark's sweep points, a larger d, few trials at a large d, and
+    # a d at which choice shuffles instead of running Floyd's algorithm
+    for m, n, d, trials in [(32, 256, 8, 300), (64, 256, 8, 300), (128, 256, 8, 300), (4096, 4096, 64, 300),
+                            (90000, 20000, 300, 2), (250000, 20000, 500, 20)]:
+        yield ["ose_failure", m, n, d, trials], functools.partial(ose_failure_probability, m, d, n, trials, 1)
 
 
 # suite: (the table's cell columns, its cells and calls, the buffers digested from a call's result)
 SUITES = {
     "rip": (("m", "n", "k", "scan"), _rip, lambda r: [repr((r.delta, r.worst_support)).encode()]),
-    "samplers": (("sampler", "m", "n", "s"), _samplers, lambda A: [A.indptr, A.indices, A.data]),
+    "samplers": (("sampler", "m", "n", "s or d", "trials"), _samplers,
+                 lambda r: [repr(r.records).encode()] if hasattr(r, "records") else [r.indptr, r.indices, r.data]),
     "witness": (("search", "matrix", "parameter"), _witness, lambda cert: [_certificate_json(cert)]),
     "coherence": (("m", "n", "s", "seed"), _coherence, lambda r: [repr(r).encode()]),
     "loads": (("call", "artifact", "m", "n"), _loads,

@@ -230,7 +230,9 @@ def _sample_sign_columns(m: int, n: int, s: int, seed: int, draw_rows, highs, pi
 
     ``draw_rows`` makes one draw below each bound of ``highs`` in turn, a
     bound of 1 drawing nothing and giving 0, and ``pick`` turns the
-    (lanes, len(highs)) array of those values into sorted rows.  The columns
+    (lanes, len(highs)) array of those values into sorted rows: for sign JL
+    :func:`sketchbounds.rng.floyd_picks`, one row-wise sort of packed
+    (value, step) keys and one pass over the s steps.  The columns
     are lanes, computed from their first 32-bit draws
     (:func:`sketchbounds.rng.lane_draws`): Lemire's draws below the bounds,
     with a flag for lanes where one could have rejected, and then the signs,

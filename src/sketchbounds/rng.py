@@ -15,33 +15,39 @@ emulated for many columns at once: each column is a lane.
 array operations over the lanes: the entropy is one seed for every lane
 (its words then mix the same way for every lane, so that part runs once in
 Python) or one seed per lane, and the spawn key has any number of words, each
-an int or one word per lane.  ``lane_draws(seed, lanes, count)`` gives every
-lane's first 32-bit draws: it seeds PCG64 as ``pcg_setseq_128_srandom_r``
-does and steps its XSL-RR output with a 128-bit multiply in 32-bit limbs,
-splitting each 64-bit output into its low and then its high half as
-``next_uint32`` does.  ``bounded`` is Lemire's bounded draw over such
-draws.  It emulates no rejection: it flags every draw that could reject (at
-most ``range / 2^32`` per draw), and callers send a flagged lane back through
-``substream``.  ``derived_states(seed, *path)`` emulates only the seeding, of
-``substream(derive_seed(seed, *path))``, and hands back PCG64 state dicts, so
-that numpy's own generator, with a state set, makes the draws and none needs
-emulating.  numpy does not promise the same ``Generator`` stream across
-versions, so the callers also compare some emulated lanes with the real
-stream and fall back to it when they differ.
+an int or one word per lane.  Seeding PCG64 as ``pcg_setseq_128_srandom_r``
+does gives each lane's state and increment as high and low uint64 words, and
+``state_draws`` steps them: the XSL-RR output of a 128-bit multiply in 32-bit
+limbs, each 64-bit output split into its low and then its high half as
+``next_uint32`` does.  ``lane_draws(seed, lanes, count)`` seeds the lanes of
+``substream(seed, j)`` and steps them; ``derived_words(seed, *path)`` seeds
+those of ``substream(derive_seed(seed, *path))``, and ``state_dicts`` turns
+such words into PCG64 state dicts, so that numpy's own generator, with a
+state set, can make the draws where none is emulated.  ``bounded`` is
+Lemire's bounded draw over 32-bit draws.  It emulates no rejection: it flags
+every draw that could reject (at most ``range / 2^32`` per draw), and callers
+send a flagged lane back to numpy's generator.  numpy does not promise the
+same ``Generator`` stream across versions, so the callers also compare some
+emulated lanes with the real stream and fall back to it when they differ.
 
 ``choice_bounds(m, s)`` lists the bounds of the draws
 ``Generator.choice(m, s, replace=False)`` makes when ``choice_is_floyd(m, s)``
 holds, and ``floyd_picks`` turns the Floyd draws among them into an s-subset.
-The sign sampler feeds it emulated draws below those bounds; the sampled RIP
-estimate feeds it draws from numpy's own ``Generator.integers``, which makes
-no emulation and so needs no comparison.
+Three callers feed it: the sign sampler with ``lane_draws`` below those
+bounds, the one-sparse OSE sweep with ``state_draws`` of the derived words,
+and the sampled RIP estimate with draws from numpy's own
+``Generator.integers``, which makes no emulation and so needs no comparison.
+A step's value is already taken when an earlier step drew it, which one
+row-wise sort of packed (value, step) keys shows, or when it is the j of an
+earlier step that took its own j, which one pass over the steps in order
+resolves; no lane is argsorted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadArgs
+from .errors import BadArgs, TooLarge
 from .matrices import _BUDGET
 
 _SEED_BOUND = 2**64
@@ -205,11 +211,11 @@ def _srandom(w0, w1, w2, w3):
     return (*_step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def lane_draws(seed: int, lanes: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` ``next_uint32`` draws of ``substream(seed, j)`` for
-    each j in ``lanes`` (each below 2^32), as a (len(lanes), count) uint64
-    array of values below 2^32."""
-    hi, lo, inc_hi, inc_lo = _srandom(*spawn_states(seed, lanes))
+def state_draws(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
+                count: int) -> np.ndarray:
+    """The first ``count`` ``next_uint32`` draws of each lane's PCG64 from
+    its state and increment, as high and low uint64 words, as a (lanes,
+    count) uint64 array of values below 2^32."""
     out = np.empty((hi.size, count + count % 2), dtype=np.uint64)
     for t in range(0, count, 2):
         hi, lo = _step(hi, lo, inc_hi, inc_lo)
@@ -221,16 +227,26 @@ def lane_draws(seed: int, lanes: np.ndarray, count: int) -> np.ndarray:
     return out[:, :count]
 
 
-def derived_states(seed: int, *path) -> list[dict]:
-    """``substream(derive_seed(seed, *path)).bit_generator.state`` lane-wise,
-    as PCG64 state dicts.  Each path word is an int or a uint64 array of
-    per-lane words, each below 2^32.  Setting one on a ``PCG64``'s ``state``
-    makes it that stream without a ``SeedSequence``."""
-    derived = spawn_states(seed, *path, words=1)[0]
-    words = (w.tolist() for w in _srandom(*spawn_states(derived)))
-    return [{"bit_generator": "PCG64", "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+def lane_draws(seed: int, lanes: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` ``next_uint32`` draws of ``substream(seed, j)`` for
+    each j in ``lanes`` (each below 2^32), as a (len(lanes), count) uint64
+    array of values below 2^32."""
+    return state_draws(*_srandom(*spawn_states(seed, lanes)), count)
+
+
+def derived_words(seed: int, *path) -> tuple[np.ndarray, ...]:
+    """The PCG64 state and increment, as high and low uint64 words, of
+    ``substream(derive_seed(seed, *path))`` lane-wise.  Each path word is
+    an int or a uint64 array of per-lane words, each below 2^32."""
+    return _srandom(*spawn_states(spawn_states(seed, *path, words=1)[0]))
+
+
+def state_dicts(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> list[dict]:
+    """PCG64 state dicts of lanes' words: setting one on a ``PCG64``'s
+    ``state`` makes it that stream without a ``SeedSequence``."""
+    return [{"bit_generator": "PCG64", "state": {"state": h << 64 | l, "inc": ih << 64 | il},
              "has_uint32": 0, "uinteger": 0}
-            for hi, lo, inc_hi, inc_lo in zip(*words)]
+            for h, l, ih, il in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
 
 
 def bounded(words: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +255,8 @@ def bounded(words: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
     word: its low product word is below ``bound``."""
     bound = np.asarray(bound, dtype=np.uint64)
     product = words * bound
-    return (product >> np.uint64(32)).astype(np.int64), (product & np.uint64(_M32)) < bound
+    # a draw is below 2^32, so its bits read the same as an int64
+    return (product >> np.uint64(32)).view(np.int64), (product & np.uint64(_M32)) < bound
 
 
 def choice_is_floyd(m: int, s: int) -> bool:
@@ -263,25 +280,36 @@ def floyd_picks(vals: np.ndarray, m: int) -> np.ndarray:
 
     Step i takes its value, or takes j when the lane has taken the value
     already.  That happens when an earlier step drew the same value, or when
-    the value is the j of an earlier step that took its own j.  Equal values
-    are found with one stable sort per lane and the chains of taken j's by a
-    fixpoint, so a lane costs O(s log s), not O(s^2).
+    the value is the j of an earlier step k < i that took its own j.  The
+    first kind comes from one row-wise sort of the keys ``value << b |
+    step``, b the bit length of s - 1: a key whose value equals the value
+    before it repeats an earlier step.  The second is one pass over the
+    steps in order, so step k is resolved before any step that reads it.
+    A j that does not fit an int64, or a key that does not fit 64 bits,
+    raises :class:`TooLarge`; the samplers' m < 2^32 always fits.
     """
     lanes, s = vals.shape
-    steps = np.arange(m - s, m)
-    order = np.argsort(vals, axis=1, kind="stable")
-    ordered = np.take_along_axis(vals, order, axis=1)
-    repeat = np.zeros((lanes, s), dtype=bool)
-    np.put_along_axis(repeat, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
-    k = vals - (m - s)  # the step whose j equals the value, if there is one
-    chained = (k >= 0) & (k < np.arange(s))
-    k[~chained] = 0
-    taken = repeat
-    while True:
-        grown = repeat | chained & np.take_along_axis(taken, k, axis=1)
-        if np.array_equal(grown, taken):
-            break
-        taken = grown
-    picks = np.where(taken, steps, vals)
+    bits = (s - 1).bit_length()
+    if (m - 1) >> min(63, 64 - bits):
+        raise TooLarge(f"Floyd keys of {s} steps below {m} do not fit 64 bits")
+    keys = vals.astype(np.uint64)
+    keys <<= np.uint64(bits)
+    keys |= np.arange(s, dtype=np.uint64)
+    keys.sort(axis=1)
+    # neighbour pair r of a lane is flat pair lane * (s - 1) + r; its later
+    # key is flat key lane * s + r + 1
+    pairs = np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) < np.uint64(1 << bits))
+    repeats = pairs + pairs // max(s - 1, 1) + 1
+    steps = (keys.reshape(-1)[repeats] & np.uint64((1 << bits) - 1)).astype(np.intp)
+    taken = np.zeros((s, lanes), dtype=bool)  # step-major, one row a step
+    flat = taken.reshape(-1)
+    flat[steps * lanes + repeats // s] = True
+    k = vals.T - (m - s)  # the step whose j equals the value, if there is one
+    step, lane = np.nonzero((k >= 0) & (k < np.arange(s)[:, None]))
+    src, dst = k[step, lane] * lanes + lane, step * lanes + lane
+    cuts = (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, step.size]):
+        flat[dst[lo:hi]] |= flat[src[lo:hi]]
+    picks = np.where(taken.T, np.arange(s) + (m - s), vals)
     picks.sort(axis=1)
     return picks

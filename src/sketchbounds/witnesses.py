@@ -48,7 +48,19 @@ from .errors import (
 )
 from .matrices import _BUDGET, SparseMatrix, _array, _entries, _integer, _runs, _spans, apply, column_sparsity
 from .measures import check_unit_columns, dyadic_scale_count
-from .rng import _LANES, check_seed, derive_seed, derived_states, substream
+from .rng import (
+    _LANES,
+    bounded,
+    check_seed,
+    choice_bounds,
+    choice_is_floyd,
+    derive_seed,
+    derived_words,
+    floyd_picks,
+    state_dicts,
+    state_draws,
+    substream,
+)
 from .constructions import _check_size
 
 # Group constant for the t-type certifier: C = 2 / (1 - 1/sqrt(2)).
@@ -783,29 +795,79 @@ class OseFailureReport:
     records: tuple[TrialRecord, ...]
 
 
-def _trial_states(seed: int, trials: int):
-    """Yield each trial's two PCG64 state dicts, those of
-    ``substream(derive_seed(seed, trial, c))`` for c = 0 (the map's) and
-    c = 1 (the subset's).
+# A chunk of trials emulates its subsets' draws only when it holds at least
+# _TRIALS_PER_DRAW * d trials, so at most d = _LANES // 5 = 204.  Emulation
+# steps the whole chunk once every two draws and resolves its chains once a
+# Floyd step, so its fixed cost grows with d, and so does its cost a lane; a
+# trial's own choice costs about 9-30 us.  Median of 9 alternating runs of one chunk on a
+# 2-core x86 VM, ms (emulated / choice, and the runs emulation won): d = 8
+# at 24 trials 0.93 / 0.99 (6 of 9) and at 40 0.89 / 1.13 (9); d = 64 at 192
+# 2.12 / 2.63 (9); d = 128 at 384 6.67 / 7.02 (7) and at 640 8.82 / 9.61 (9);
+# d = 200 at 600 14.1 / 12.6 (1), at 800 20.9 / 20.5 (5) and at 1000 23.1 /
+# 26.2 (7); d = 256 at 1024 30.1-33.8 / 28.2-28.6 (0-3).  2 trials at d =
+# 300, n = 20,000 took 10 ms emulated and 1.2 ms by choice.
+_TRIALS_PER_DRAW = 5
+
+
+def _trial_states(seed: int, trials: int, n: int, d: int):
+    """Yield each trial's map state and its d-subset of [0, n): the PCG64
+    state dict of ``substream(derive_seed(seed, trial, 0))``, and the set
+    ``substream(derive_seed(seed, trial, 1)).choice(n, d, replace=False)``
+    draws, in some order.
 
     States are derived ``_LANES`` trials at a time by
-    :func:`sketchbounds.rng.derived_states`.  Each chunk's call also derives
-    the first and last trials' states, and when these differ from their real
-    streams' the chunk's states are read off the real streams instead.  A
-    trial index must be below 2^32, one ``SeedSequence`` word.
+    :func:`sketchbounds.rng.derived_words`, the map's as dicts.  The
+    subsets are Floyd's first d draws of ``choice``, made from the derived
+    words by :func:`sketchbounds.rng.state_draws` and
+    :func:`sketchbounds.rng.bounded` and resolved by
+    :func:`sketchbounds.rng.floyd_picks`; its shuffle draws only reorder the
+    subset, which the loads never see.  A trial whose draw could reject
+    takes ``choice`` off a generator set to its derived state instead, and
+    so does every trial of a chunk that ``choice`` samples another way, with
+    n >= 2^32, or with fewer than ``_TRIALS_PER_DRAW * d`` trials.  Each
+    chunk also derives the first and last trials, and when their map states,
+    or their emulated subsets (else their subsets' states), differ from
+    their real streams' the chunk's trials are read off the real streams
+    instead.  A trial index must be below 2^32, one ``SeedSequence`` word.
     """
-    def real(trial):
-        return tuple(substream(derive_seed(seed, trial, c)).bit_generator.state for c in (0, 1))
+    coords = np.random.Generator(np.random.PCG64(0))
 
+    def choice(state):
+        coords.bit_generator.state = state
+        return coords.choice(n, size=d, replace=False)
+
+    def real(trial):
+        return [substream(derive_seed(seed, trial, c)).bit_generator.state for c in (0, 1)]
+
+    bounds = choice_bounds(n, d)[:d]
+    drawn = bounds > 1  # a bound of 1 draws nothing and gives 0
+    emulable = choice_is_floyd(n, d) and n < 2**32
     ends = [real(0), real(trials - 1)]
     for start in range(0, trials, _LANES):
         chunk = range(start, min(start + _LANES, trials))
         # the guard lanes ride in the chunk's call: each call has a fixed
         # cost of about 0.5 ms, as much as a sweep of a few trials
         lanes = np.r_[0, trials - 1, chunk.start:chunk.stop]
-        flat = derived_states(seed, np.repeat(lanes, 2), np.tile([0, 1], lanes.size))
-        pairs = list(zip(flat[::2], flat[1::2]))
-        yield from pairs[2:] if pairs[:2] == ends else map(real, chunk)
+        words = derived_words(seed, np.repeat(lanes, 2), np.tile([0, 1], lanes.size))
+        maps, coord_words = state_dicts(*(w[::2] for w in words)), [w[1::2] for w in words]
+        if emulable and len(chunk) >= _TRIALS_PER_DRAW * d:
+            vals = np.zeros((lanes.size, d), dtype=np.int64)
+            vals[:, drawn], reject = bounded(state_draws(*coord_words, int(drawn.sum())), bounds[drawn])
+            picks = list(floyd_picks(vals, n))
+            for lane in np.flatnonzero(reject.any(axis=1)).tolist():
+                picks[lane] = choice(state_dicts(*(w[lane:lane + 1] for w in coord_words))[0])
+            agree = all(np.array_equal(np.sort(picks[i]), np.sort(choice(end[1]))) for i, end in enumerate(ends))
+            subsets = picks[2:]
+        else:
+            # choice draws each trial's subset as it is read; the guard
+            # compares the derived states with the real streams'
+            states = state_dicts(*coord_words)
+            agree = states[:2] == [end[1] for end in ends]
+            subsets = map(choice, states[2:])
+        if agree and maps[:2] == [end[0] for end in ends]:
+            yield from zip(maps[2:], subsets)
+        else:
+            yield from ((state, choice(coord)) for state, coord in map(real, chunk))
 
 
 def _block_records(a: np.ndarray, subsets: np.ndarray, heavy_cut: float) -> list[TrialRecord]:
@@ -839,15 +901,20 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     Trial t's map is ``sample_countsketch(m, n, derive_seed(seed, t, 0))``
     and its subspace ``sample_coordinate_subspace(n, d, derive_seed(seed, t,
     1))``, but only what a trial reads is drawn: the map's rows ``a``, the
-    first draw of its stream, and the subspace.  One pair of generators
-    draws every trial, set to the trial's states from :func:`_trial_states`,
-    so no trial makes a ``SeedSequence``.  The loads are counted a block of
-    trials at a time: the block's rows ``a`` and those of its subsets are
-    sorted row-wise, and each run of equal values is one row hit, its length
-    the row's load.  A block holds at most ``_BUDGET`` (1 MiB) of rows, or
-    one trial when a single one is larger, so a trial takes O(n) memory at
-    any m: the peak is at most 5 * max(_BUDGET, 8 * n) bytes plus the
-    records.  At most 2^32 trials are supported.
+    first draw of its stream, and the subspace as a set.  One generator
+    draws every trial's rows, set to the trial's map state from
+    :func:`_trial_states`, which also gives the subsets, emulated a chunk
+    of trials at a time where that is faster, so no trial makes a
+    ``SeedSequence`` and most make no ``choice``.  The loads are counted a
+    block of trials at a time: the block's rows ``a`` and those of its
+    subsets are sorted row-wise, and each run of equal values is one row
+    hit, its length the row's load.  A block holds at most ``_BUDGET``
+    (1 MiB) of rows, or one trial when a single one is larger, so a trial
+    takes O(n) memory at any m: the peak is at most 5 * max(_BUDGET, 8 * n)
+    bytes plus the records, plus 64 * (_LANES + 2) * d bytes while a chunk's
+    subsets are emulated (8 words a draw; emulation runs only at d <=
+    _LANES // _TRIALS_PER_DRAW, and took the peak to 9.8 MiB at d = 204,
+    n = 4096, 1,024 trials).  At most 2^32 trials are supported.
     """
     m, d, n = _integer(m, "row count"), _integer(d, "subspace dimension"), _integer(n, "column count")
     trials = _integer(trials, "trials")
@@ -863,12 +930,12 @@ def ose_failure_probability(m: int, d: int, n: int, trials: int, seed: int) -> O
     block = min(trials, max(1, _BUDGET // (8 * n)))
     a, subsets = np.empty((block, n), dtype=np.int64), np.empty((block, d), dtype=np.int64)
     records = []
-    rows, coords = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
-    for trial, states in enumerate(_trial_states(seed, trials)):
+    rows = np.random.Generator(np.random.PCG64(0))
+    for trial, (state, subset) in enumerate(_trial_states(seed, trials, n, d)):
         t = trial % block
-        rows.bit_generator.state, coords.bit_generator.state = states
+        rows.bit_generator.state = state
         a[t] = rows.integers(0, m, size=n)
-        subsets[t] = coords.choice(n, size=d, replace=False)
+        subsets[t] = subset
         if t == block - 1 or trial == trials - 1:
             records += _block_records(a[:t + 1], subsets[:t + 1], heavy_cut)
     failures = sum(r.failed for r in records)

@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sketchbounds import (
     NotNormalized,
@@ -41,7 +41,9 @@ from sketchbounds import (
     sample_sparse_sign_jl,
     witnesses,
 )
-from sketchbounds.rng import derive_seed, derived_states, lane_draws, spawn_states, substream
+from sketchbounds.rng import (
+    derive_seed, derived_words, floyd_picks, lane_draws, spawn_states, state_dicts, substream,
+)
 from sketchbounds.witnesses import TrialRecord
 
 SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
@@ -135,8 +137,8 @@ class TestSeedingAndDraws:
     def test_derived_states_are_the_streams(self, seed, path):
         trials, cs = (np.array(words, dtype=np.uint64) for words in zip(*path))
         want = [substream(derive_seed(seed, t, c)).bit_generator.state for t, c in path]
-        assert derived_states(seed, trials, cs) == want
-        assert derived_states(seed, trials, int(cs[0])) == [
+        assert state_dicts(*derived_words(seed, trials, cs)) == want
+        assert state_dicts(*derived_words(seed, trials, int(cs[0]))) == [
             substream(derive_seed(seed, t, path[0][1])).bit_generator.state for t, _ in path]
 
     def test_numpy_seeding_canary(self):
@@ -291,6 +293,35 @@ def loop_ose_records(m, d, n, trials, seed):
     return tuple(records)
 
 
+def real_trials(seed, trials, n, d):
+    """Each trial's map state and sorted subset off its own two streams."""
+    return [(substream(derive_seed(seed, t, 0)).bit_generator.state,
+             np.sort(substream(derive_seed(seed, t, 1)).choice(n, size=d, replace=False)).tolist())
+            for t in range(trials)]
+
+
+def sorted_trials(seed, trials, n, d):
+    return [(state, np.sort(subset).tolist()) for state, subset in witnesses._trial_states(seed, trials, n, d)]
+
+
+def assert_a_wrong_state_reads_the_real_streams(monkeypatch, seeding_calls, trial, c):
+    """A sweep of 40 trials, one chunk, whose derived state of stream c of a
+    guard trial is wrong, gives the loop's records off the real streams."""
+    want = loop_ose_records(64, 8, 256, 40, 3)
+
+    def wrong(seed, trials, cs):
+        hi, lo, inc_hi, inc_lo = derived_words(seed, trials, cs)
+        inc_lo = inc_lo ^ (((trials == trial) & (cs == c)).astype(np.uint64) << np.uint64(1))
+        return hi, lo, inc_hi, inc_lo
+
+    monkeypatch.setattr(witnesses, "derived_words", wrong)
+    seeding_calls.update(substream=0, derive_seed=0)
+    assert ose_failure_probability(64, 8, 256, 40, 3).records == want
+    # the two guard trials' 4 streams, then all 40 trials' 80 in the chunk,
+    # the guard trials among them
+    assert seeding_calls == {"substream": 84, "derive_seed": 84}
+
+
 @pytest.fixture
 def seeding_calls(monkeypatch):
     """Count the ``substream`` and ``derive_seed`` calls made through any module."""
@@ -333,10 +364,22 @@ class TestOseTrialsMatchTheLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
     def test_trial_states_are_the_real_streams(self, monkeypatch, lanes, seed):
         monkeypatch.setattr(witnesses, "_LANES", lanes)
-        for trials in range(1, 8):
-            want = [tuple(substream(derive_seed(seed, t, c)).bit_generator.state for c in (0, 1))
-                    for t in range(trials)]
-            assert list(witnesses._trial_states(seed, trials)) == want
+        # 0 trials a draw emulates every chunk's subsets, 10**6 none of them
+        for per_draw in (0, 10**6):
+            monkeypatch.setattr(witnesses, "_TRIALS_PER_DRAW", per_draw)
+            for n, d in [(64, 4), (20, 20), (20000, 401)]:  # d = n: the j = 0 step makes no draw
+                for trials in range(1, 8):
+                    assert real_trials(seed, trials, n, d) == sorted_trials(seed, trials, n, d)
+
+    def test_trial_subsets_that_could_reject_take_choice(self, monkeypatch, seeding_calls):
+        # a range near 2^32 makes most draws possible rejections; the lanes
+        # that could reject take choice off their derived states, and only
+        # the guard trials open streams
+        monkeypatch.setattr(witnesses, "_TRIALS_PER_DRAW", 0)
+        want = real_trials(5, 40, 3_000_000_000, 2)
+        seeding_calls.update(substream=0, derive_seed=0)
+        assert sorted_trials(5, 40, 3_000_000_000, 2) == want
+        assert seeding_calls == {"substream": 4, "derive_seed": 4}
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 9, 10])
     def test_chunks_of_three_trials(self, monkeypatch, trials):
@@ -389,20 +432,28 @@ class TestOseTrialsMatchTheLoop:
     @pytest.mark.parametrize("trial, c", [(0, 0), (39, 1)])
     def test_a_wrong_derived_state_sends_every_trial_to_its_real_streams(self, monkeypatch, seeding_calls,
                                                                          trial, c):
+        assert_a_wrong_state_reads_the_real_streams(monkeypatch, seeding_calls, trial, c)
+
+    @pytest.mark.parametrize("trial", [0, 39])
+    def test_a_wrong_subset_state_sends_every_trial_to_its_real_streams_where_choice_draws(
+            self, monkeypatch, seeding_calls, trial):
+        monkeypatch.setattr(witnesses, "_TRIALS_PER_DRAW", 10**6)
+        assert_a_wrong_state_reads_the_real_streams(monkeypatch, seeding_calls, trial, 1)
+
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_a_wrong_emulated_subset_sends_the_chunk_to_its_real_streams(self, monkeypatch, seeding_calls, lane):
+        # the stepping half draws one wrong word for a guard lane (the first
+        # and last trial ride as lanes 0 and 1); the map states stay right
         want = loop_ose_records(64, 8, 256, 40, 3)
 
-        def wrong(seed, trials, cs):
-            states = derived_states(seed, trials, cs)
-            for lane in np.flatnonzero((trials == trial) & (cs == c)).tolist():
-                state = states[lane]["state"]
-                states[lane] = {**states[lane], "state": {**state, "inc": state["inc"] ^ 2}}
-            return states
+        def wrong(*args):
+            draws = rng.state_draws(*args)
+            draws[lane, 0] ^= np.uint64(2**31)
+            return draws
 
-        monkeypatch.setattr(witnesses, "derived_states", wrong)
+        monkeypatch.setattr(witnesses, "state_draws", wrong)
         seeding_calls.update(substream=0, derive_seed=0)
         assert ose_failure_probability(64, 8, 256, 40, 3).records == want
-        # the two guard trials' 4 streams, then all 40 trials' 80 in the chunk,
-        # the guard trials among them
         assert seeding_calls == {"substream": 84, "derive_seed": 84}
 
     def test_memory_does_not_grow_with_the_rows(self):
@@ -458,6 +509,61 @@ def chunked_supports(n, k, trials, seed, size):
     g = substream(seed)
     return np.concatenate([measures._draw_supports(g, n, k, min(size, trials - start))
                            for start in range(0, trials, size)])
+
+
+def scalar_floyd(lane, m):
+    """Floyd's algorithm one draw at a time: step i takes its value, or its
+    j = m - s + i when the value is taken already."""
+    s, taken = len(lane), set()
+    for i, value in enumerate(lane):
+        taken.add(m - s + i if value in taken else value)
+    return sorted(taken)
+
+
+@st.composite
+def floyd_values(draw):
+    """(vals, m): a few lanes of s Floyd steps below m, each value anywhere
+    in [0, j] or among the last s values, where repeats and chains of taken
+    j's are common."""
+    s = draw(st.integers(1, 12), label="s")
+    m = draw(st.one_of(st.integers(s, 2 * s), st.integers(s, 300), st.integers(s, 2**32 - 1)), label="m")
+    lanes = draw(st.integers(1, 6), label="lanes")
+    steps = [m - s + i for i in range(s)]
+    vals = [[draw(st.integers(0, j) | st.integers(max(0, m - 2 * s), j)) for j in steps] for _ in range(lanes)]
+    return np.array(vals, dtype=np.int64).reshape(lanes, s), m
+
+
+def chain(m, s):
+    """Step 0 takes its own j, and every later step draws the j before its
+    own: a chain of taken j's through all s steps."""
+    vals = np.arange(s) + (m - s)
+    vals[1:] = vals[:-1]
+    return vals[None, :]
+
+
+class TestFloydPicks:
+    @settings(max_examples=300, deadline=None)
+    @given(floyd_values())
+    @example((np.array([[0, 0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7], [0] * 8]), 8))  # m = s
+    @example((np.array([[1, 1, 2, 3, 4, 5, 6, 7], [0, 2, 1, 0, 5, 3, 7, 2], [1, 0, 3, 3, 5, 5, 7, 7]]), 9))  # m = s + 1
+    @example((np.array([[7, 8, 8, 9, 11, 11, 12, 14], [7, 7, 7, 7, 7, 7, 7, 7]]), 15))  # m <= 2s
+    @example((np.array([[0], [4], [2]]), 5))  # s = 1
+    @example((chain(2**32 - 1, 600), 2**32 - 1))  # the samplers' largest m, a long chain
+    @example((np.concatenate([chain(2**32 - 1, 600), np.zeros((1, 600), dtype=np.int64)]), 2**32 - 1))
+    def test_lanes_match_the_scalar_loop(self, case):
+        vals, m = case
+        assert floyd_picks(vals, m).tolist() == [scalar_floyd(lane, m) for lane in vals.tolist()]
+
+    @pytest.mark.parametrize("s", [2, 5, 600])
+    def test_keys_that_would_wrap_are_refused(self, s):
+        # keys are value << b | step with b = (s - 1).bit_length(): the
+        # largest m whose keys fit gives the scalar loop's picks; one more
+        # is refused before any key is built
+        bits = (s - 1).bit_length()
+        m = 2 ** min(63, 64 - bits)
+        assert floyd_picks(chain(m, s), m).tolist() == [scalar_floyd(chain(m, s)[0].tolist(), m)]
+        with pytest.raises(TooLarge, match="64 bits"):
+            floyd_picks(np.zeros((1, s), dtype=np.int64), m + 1)
 
 
 class TestEstimateSupports:

@@ -355,6 +355,16 @@ def test_sweep_peak_is_as_stated(m, d, n, trials):
     assert peak <= _sweep(n, trials), (peak, _sweep(n, trials))
 
 
+def test_sweep_peak_with_emulated_subsets_is_as_stated():
+    """A full chunk of trials at the largest d whose chunks emulate their
+    subsets: the block and the records, plus 8 words a draw for each of the
+    chunk's lanes, its two guard trials among them (9.8 MiB)."""
+    d, n = _LANES // witnesses._TRIALS_PER_DRAW, 4096
+    peak = _traced_peak(lambda: ose_failure_probability(2**20, d, n, _LANES, 3))
+    bound = _sweep(n, _LANES) + 64 * (_LANES + 2) * d
+    assert peak <= bound, (peak, bound)
+
+
 def test_spread_family_peak_is_as_stated():
     """The CLI's spread_vectors family at q = 256, t = 16, N = 2,000 (n = 4,096,
     k = 32): code_to_incoherent's rows and values and the family's values, 8
